@@ -1,0 +1,445 @@
+"""Exact linear algebra over a prime field F_p.
+
+Everything downstream (persistence modules, Kan extensions, Koszul
+homology) reduces to a handful of primitives implemented here: reduced
+row echelon form, rank, kernel/image bases, cokernel projections and
+exact solving.  Matrices are immutable, stored row-major as python
+ints reduced mod p, so all results are exact for any prime modulus
+below 2**31.  Reduction always picks the leftmost pivot in the first
+nonzero row, which makes every derived basis (and hence every module
+built on top of this layer) deterministic.
+
+Zero-dimensional shapes (0 x n, n x 0) are first-class citizens: they
+encode maps to and from the zero space and show up constantly as cover
+maps of sparse modules.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+
+class NoFactorization(Exception):
+    """A linear system g*h = f (or h*q = r) has no solution."""
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """The prime field F_p, with 2 <= p < 2**31 (checked)."""
+
+    p: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.p, int) or not (2 <= self.p < 2**31):
+            raise ValueError(f"field modulus out of range: {self.p!r}")
+        if not _is_prime(self.p):
+            raise ValueError(f"field modulus is not prime: {self.p}")
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+
+GF2 = FieldSpec(2)
+
+
+class Matrix:
+    """An immutable rows x cols matrix over F_p, row-major."""
+
+    __slots__ = ("field", "nrows", "ncols", "_data", "_rref")
+
+    def __init__(self, field: FieldSpec, nrows: int, ncols: int,
+                 entries: Sequence[Sequence[int]] | None = None):
+        if nrows < 0 or ncols < 0:
+            raise ValueError("negative matrix shape")
+        p = field.p
+        if entries is None:
+            data = tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows))
+        else:
+            if len(entries) != nrows:
+                raise ValueError(f"expected {nrows} rows, got {len(entries)}")
+            data = tuple(tuple(int(x) % p for x in row) for row in entries)
+            for row in data:
+                if len(row) != ncols:
+                    raise ValueError(f"expected {ncols} cols, got {len(row)}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_rref", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    # -- construction helpers ------------------------------------------
+
+    @classmethod
+    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
+        return cls(field, nrows, ncols)
+
+    @classmethod
+    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
+        return cls(field, n, n, [[1 if i == j else 0 for j in range(n)]
+                                 for i in range(n)])
+
+    @classmethod
+    def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence[int]],
+                  ncols: int | None = None) -> "Matrix":
+        if not rows:
+            if ncols is None:
+                raise ValueError("ncols required for a 0-row matrix")
+            return cls(field, 0, ncols)
+        return cls(field, len(rows), len(rows[0]), rows)
+
+    @classmethod
+    def column(cls, field: FieldSpec, entries: Sequence[int]) -> "Matrix":
+        return cls(field, len(entries), 1, [[x] for x in entries])
+
+    # -- basic access --------------------------------------------------
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nrows, self.ncols)
+
+    def __getitem__(self, ij: tuple[int, int]) -> int:
+        i, j = ij
+        return self._data[i][j]
+
+    def row(self, i: int) -> tuple[int, ...]:
+        return self._data[i]
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return self._data
+
+    def to_lists(self) -> list[list[int]]:
+        return [list(r) for r in self._data]
+
+    def entries_flat(self) -> list[int]:
+        return [x for row in self._data for x in row]
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for row in self._data for x in row)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Matrix) and self.field == other.field
+                and self.shape == other.shape and self._data == other._data)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.nrows, self.ncols, self._data))
+
+    def __repr__(self) -> str:
+        return f"Matrix(p={self.field.p}, {self.nrows}x{self.ncols}, {self.to_lists()})"
+
+    # -- arithmetic ----------------------------------------------------
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        return multiply(self, other)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        self._check_same_shape(other)
+        p = self.field.p
+        return Matrix(self.field, self.nrows, self.ncols,
+                      [[(a + b) % p for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(self._data, other._data)])
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        self._check_same_shape(other)
+        p = self.field.p
+        return Matrix(self.field, self.nrows, self.ncols,
+                      [[(a - b) % p for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(self._data, other._data)])
+
+    def __neg__(self) -> "Matrix":
+        p = self.field.p
+        return Matrix(self.field, self.nrows, self.ncols,
+                      [[(-a) % p for a in r] for r in self._data])
+
+    def scale(self, c: int) -> "Matrix":
+        p = self.field.p
+        c %= p
+        return Matrix(self.field, self.nrows, self.ncols,
+                      [[(c * a) % p for a in r] for r in self._data])
+
+    def transpose(self) -> "Matrix":
+        return Matrix(self.field, self.ncols, self.nrows,
+                      [[self._data[i][j] for i in range(self.nrows)]
+                       for j in range(self.ncols)])
+
+    def take_cols(self, idx: Iterable[int]) -> "Matrix":
+        idx = list(idx)
+        return Matrix(self.field, self.nrows, len(idx),
+                      [[row[j] for j in idx] for row in self._data])
+
+    def take_rows(self, idx: Iterable[int]) -> "Matrix":
+        idx = list(idx)
+        return Matrix(self.field, len(idx), self.ncols,
+                      [self._data[i] for i in idx])
+
+    def _check_same_shape(self, other: "Matrix") -> None:
+        if self.field != other.field:
+            raise ValueError("field mismatch")
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+
+def multiply(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product a*b, with a GF(2) bitmask fast path."""
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch for product: {a.shape} @ {b.shape}")
+    p = a.field.p
+    if a.nrows == 0 or b.ncols == 0 or a.ncols == 0:
+        return Matrix.zeros(a.field, a.nrows, b.ncols)
+    if p == 2:
+        # Rows of a and columns of b as bitmasks; each entry is a popcount parity.
+        arows = [_bits_of(row) for row in a.rows()]
+        bcols = []
+        bdata = b.rows()
+        for j in range(b.ncols):
+            m = 0
+            for i in range(b.nrows):
+                if bdata[i][j]:
+                    m |= 1 << i
+            bcols.append(m)
+        return Matrix(a.field, a.nrows, b.ncols,
+                      [[(ar & bc).bit_count() & 1 for bc in bcols]
+                       for ar in arows])
+    bdata = b.rows()
+    out = []
+    for row in a.rows():
+        nonzero = [(k, x) for k, x in enumerate(row) if x]
+        new = [0] * b.ncols
+        for k, x in nonzero:
+            brow = bdata[k]
+            for j in range(b.ncols):
+                new[j] += x * brow[j]
+        out.append([v % p for v in new])
+    return Matrix(a.field, a.nrows, b.ncols, out)
+
+
+def hstack(mats: Sequence[Matrix]) -> Matrix:
+    """Concatenate matrices side by side (all must share a row count)."""
+    if not mats:
+        raise ValueError("hstack of no matrices (shape would be ambiguous)")
+    field, nrows = mats[0].field, mats[0].nrows
+    for m in mats:
+        if m.field != field or m.nrows != nrows:
+            raise ValueError("hstack shape/field mismatch")
+    ncols = sum(m.ncols for m in mats)
+    rows = [[x for m in mats for x in m.row(i)] for i in range(nrows)]
+    return Matrix(field, nrows, ncols, rows)
+
+
+def vstack(mats: Sequence[Matrix]) -> Matrix:
+    """Stack matrices on top of each other (all must share a column count)."""
+    if not mats:
+        raise ValueError("vstack of no matrices (shape would be ambiguous)")
+    field, ncols = mats[0].field, mats[0].ncols
+    for m in mats:
+        if m.field != field or m.ncols != ncols:
+            raise ValueError("vstack shape/field mismatch")
+    rows = [row for m in mats for row in m.rows()]
+    return Matrix(field, len(rows), ncols, rows)
+
+
+def direct_sum(mats: Sequence[Matrix], field: FieldSpec | None = None) -> Matrix:
+    """Block-diagonal sum of the given matrices."""
+    if not mats:
+        if field is None:
+            raise ValueError("direct_sum of no matrices needs an explicit field")
+        return Matrix.zeros(field, 0, 0)
+    field = mats[0].field
+    nrows = sum(m.nrows for m in mats)
+    ncols = sum(m.ncols for m in mats)
+    rows = [[0] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for m in mats:
+        for i in range(m.nrows):
+            row = m.row(i)
+            rows[r0 + i][c0:c0 + m.ncols] = row
+        r0 += m.nrows
+        c0 += m.ncols
+    return Matrix(field, nrows, ncols, rows)
+
+
+# -- echelon forms -----------------------------------------------------
+
+def _bits_of(row: Sequence[int]) -> int:
+    m = 0
+    for j, x in enumerate(row):
+        if x:
+            m |= 1 << j
+    return m
+
+
+def _row_of_bits(bits: int, ncols: int) -> tuple[int, ...]:
+    return tuple((bits >> j) & 1 for j in range(ncols))
+
+
+def _rref_gf2(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    mat = list(rows)
+    pivots: list[int] = []
+    pr = 0
+    nr = len(mat)
+    for c in range(ncols):
+        if pr == nr:
+            break
+        bit = 1 << c
+        pivot = -1
+        for r in range(pr, nr):
+            if mat[r] & bit:
+                pivot = r
+                break
+        if pivot < 0:
+            continue
+        mat[pr], mat[pivot] = mat[pivot], mat[pr]
+        prow = mat[pr]
+        for r in range(nr):
+            if r != pr and (mat[r] & bit):
+                mat[r] ^= prow
+        pivots.append(c)
+        pr += 1
+    return mat, pivots
+
+
+def _rref_modp(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    pr = 0
+    nr = len(mat)
+    for c in range(ncols):
+        if pr == nr:
+            break
+        pivot = -1
+        for r in range(pr, nr):
+            if mat[r][c]:
+                pivot = r
+                break
+        if pivot < 0:
+            continue
+        mat[pr], mat[pivot] = mat[pivot], mat[pr]
+        inv = pow(mat[pr][c], -1, p)
+        if inv != 1:
+            mat[pr] = [(x * inv) % p for x in mat[pr]]
+        prow = mat[pr]
+        for r in range(nr):
+            f = mat[r][c]
+            if r != pr and f:
+                row = mat[r]
+                mat[r] = [(x - f * y) % p for x, y in zip(row, prow)]
+        pivots.append(c)
+        pr += 1
+    return mat, pivots
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns (leftmost-pivot convention).
+
+    The result is cached on the matrix, as rank / kernel / image / solve
+    all start from the same reduction.
+    """
+    cached = m._rref
+    if cached is not None:
+        return cached
+    if m.field.p == 2:
+        bits, pivots = _rref_gf2([_bits_of(r) for r in m.rows()], m.ncols)
+        red = Matrix(m.field, m.nrows, m.ncols,
+                     [_row_of_bits(b, m.ncols) for b in bits])
+    else:
+        rows, pivots = _rref_modp(m.to_lists(), m.ncols, m.field.p)
+        red = Matrix(m.field, m.nrows, m.ncols, rows)
+    result = (red, tuple(pivots))
+    object.__setattr__(m, "_rref", result)
+    return result
+
+
+def rank(m: Matrix) -> int:
+    """Rank over F_p.  Always in [0, min(nrows, ncols)]."""
+    return len(rref(m)[1])
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """A matrix whose columns are a basis of ker(m).
+
+    Column count is ncols - rank(m).  The basis follows the echelon
+    convention: one column per free column f, with a 1 in position f
+    and the pivot rows filled from the reduced form.
+    """
+    red, pivots = rref(m)
+    pivot_set = set(pivots)
+    free = [j for j in range(m.ncols) if j not in pivot_set]
+    p = m.field.p
+    cols = []
+    for f in free:
+        v = [0] * m.ncols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = (-red[r, f]) % p
+        cols.append(v)
+    return Matrix(m.field, m.ncols, len(cols),
+                  [[col[i] for col in cols] for i in range(m.ncols)])
+
+
+def image_basis(m: Matrix) -> Matrix:
+    """The pivot columns of m: a deterministic basis of its column space."""
+    _, pivots = rref(m)
+    return m.take_cols(pivots)
+
+
+def cokernel_projection(m: Matrix) -> Matrix:
+    """A surjection q with q*m = 0 and rank(q) = nrows - rank(m).
+
+    Rows of q form the echelon basis of the left null space of m, so the
+    projection is deterministic.
+    """
+    return kernel_basis(m.transpose()).transpose()
+
+
+def solve(a: Matrix, b: Matrix) -> Matrix:
+    """Solve a*x = b column by column; raise NoFactorization if inconsistent.
+
+    Free variables are set to 0, so the solution is deterministic.
+    """
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    if a.nrows != b.nrows:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    red, pivots = rref(hstack([a, b]))
+    n = a.ncols
+    for c in pivots:
+        if c >= n:
+            raise NoFactorization(
+                f"system has no solution (pivot in augmented column {c - n})")
+    x = [[0] * b.ncols for _ in range(n)]
+    for r, c in enumerate(pivots):
+        for j in range(b.ncols):
+            x[c][j] = red[r, n + j]
+    return Matrix(a.field, n, b.ncols, x)
+
+
+def factor_through(f: Matrix, g: Matrix) -> Matrix:
+    """Return h with g*h = f; the column space of f must lie in that of g.
+
+    Raises NoFactorization otherwise, which upstream signals a naturality
+    bug (an induced map that should exist does not).
+    """
+    return solve(g, f)
+
+
+def solve_left(q: Matrix, r: Matrix) -> Matrix:
+    """Return h with h*q = r.  Unique whenever q is surjective."""
+    return solve(q.transpose(), r.transpose()).transpose()
