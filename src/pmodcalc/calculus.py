@@ -8,22 +8,24 @@ homology of vector-space cubes, and the four degree predicates, each
 with a fast path through the canonical maps and a brute-force oracle
 path over enumerated bicartesian cubes.
 
-Colimits are computed as cokernels of cover-incidence maps, limits as
-kernels of the dual maps.  Induced maps on (co)limits are the unique
-solutions against the (co)cone projections, so everything downstream is
-deterministic.  Per-module results are memoized on the module.
+Only the lower side is computed: t_lower by a local sweep over the
+lattice, and everything upper as its dual on the opposite lattice
+(limits over meet-dimension are colimits over join-dimension there).
+Induced maps are the unique solutions against cokernel projections, so
+everything downstream is deterministic.  Per-module results are
+memoized on the module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
-from .lattice import LatticeCube, bicartesian_cubes_cached, _bits
-from .linalg import (Matrix, factor_through, hstack, kernel_basis,
-                     cokernel_projection, rank, solve_left, vstack)
-from .pmodule import (NatTrans, PersistenceModule, VecCube, image_of,
-                      is_iso, restrict_along_cube)
+from .lattice import Lattice, LatticeCube, bicartesian_cubes_cached, _bits
+from .linalg import (Matrix, factor_through, hstack, cokernel_projection,
+                     rank, solve_left, vstack)
+from .pmodule import (NatTrans, PersistenceModule, VecCube, cokernel_of,
+                      image_of, is_iso, opposite_module, restrict_along_cube)
 
 
 class NotDownClosed(Exception):
@@ -43,22 +45,19 @@ class ApproxResult:
     """An approximation module together with its canonical map.
 
     ``canonical`` points into F for t_lower / gamma_lower / cr_upper and
-    out of F for t_upper / gamma_upper / cr_lower.  ``witnesses`` holds
-    the cocone (resp. cone) matrices per element and diagram vertex for
-    the Kan extensions.  For gamma results, ``factor`` is the other leg
-    (epi from T for gamma_lower, mono into T for gamma_upper) and
-    ``t_result`` the underlying Kan extension.
+    out of F for t_upper / gamma_upper / cr_lower.  For gamma results,
+    ``factor`` is the other leg (epi from T for gamma_lower, mono into T
+    for gamma_upper) and ``t_result`` the underlying Kan extension.
     """
 
     kind: str
     module: PersistenceModule
     canonical: NatTrans
-    witnesses: dict[str, dict[str, Matrix]] = dc_field(default_factory=dict)
     factor: NatTrans | None = None
     t_result: "ApproxResult | None" = None
 
 
-# -- diagram (co)limits -------------------------------------------------------
+# -- diagram colimits -----------------------------------------------------------
 
 
 def _diagram_colimit(f: PersistenceModule, subset: list[int]) -> tuple[int, dict[int, Matrix]]:
@@ -94,32 +93,22 @@ def _diagram_colimit(f: PersistenceModule, subset: list[int]) -> tuple[int, dict
     return q.nrows, cocones
 
 
-def _diagram_limit(f: PersistenceModule, subset: list[int]) -> tuple[int, dict[int, Matrix]]:
-    """Limit of f restricted to an induced subposet: the kernel of the map
-    sending a tuple (x_v) to transport(u,v)*x_u - x_v per induced cover."""
-    lat = f.lattice
-    subset = sorted(subset)
-    offsets: dict[int, int] = {}
-    total = 0
-    for v in subset:
-        offsets[v] = total
-        total += f.dim_i(v)
-    edges = lat.induced_covers(subset)
-    rows: list[list[int]] = []
-    p = f.field.p
-    for (u, v) in edges:
-        t = f.transport_i(u, v)
-        for r in range(f.dim_i(v)):
-            row = [0] * total
-            row[offsets[v] + r] = (-1) % p
-            for c in range(f.dim_i(u)):
-                row[offsets[u] + c] = t[r, c]
-            rows.append(row)
-    mat = Matrix(f.field, len(rows), total, rows)
-    k = kernel_basis(mat)
-    cones = {v: k.take_rows(range(offsets[v], offsets[v] + f.dim_i(v)))
-             for v in subset}
-    return k.ncols, cones
+def _select_below(lat: Lattice, x: str, predicate: Callable[[str], bool],
+                  error: type[Exception], relation: str) -> list[int]:
+    """The elements of the down-set of x the predicate selects; raise
+    ``error`` naming a missing element if they are not down-closed."""
+    chosen = [v for v in _bits(lat.downset_mask(lat.index(x)))
+              if predicate(lat.element(v))]
+    chosen_mask = 0
+    for v in chosen:
+        chosen_mask |= 1 << v
+    for v in chosen:
+        below = lat.downset_mask(v) & ~chosen_mask
+        if below:
+            bad = next(_bits(below))
+            raise error(f"{lat.element(bad)} {relation} {lat.element(v)} "
+                        "is missing from the selection")
+    return chosen
 
 
 def colim_over_downset(f: PersistenceModule, x: str,
@@ -129,129 +118,83 @@ def colim_over_downset(f: PersistenceModule, x: str,
     Raises NotDownClosed when the predicate selects a set that is not
     down-closed inside the interval below x.
     """
-    lat = f.lattice
-    xi = lat.index(x)
-    chosen = [v for v in _bits(lat.downset_mask(xi)) if predicate(lat.element(v))]
-    chosen_mask = 0
-    for v in chosen:
-        chosen_mask |= 1 << v
-    for v in chosen:
-        below = lat.downset_mask(v) & ~chosen_mask
-        if below:
-            bad = next(_bits(below))
-            raise NotDownClosed(
-                f"{lat.element(bad)} <= {lat.element(v)} is missing from the selection")
+    chosen = _select_below(f.lattice, x, predicate, NotDownClosed, "<=")
     dim, cocones = _diagram_colimit(f, chosen)
-    return dim, {lat.element(v): m for v, m in cocones.items()}
+    return dim, {f.lattice.element(v): m for v, m in cocones.items()}
 
 
 def lim_over_upset(f: PersistenceModule, x: str,
                    predicate: Callable[[str], bool]) -> tuple[int, dict[str, Matrix]]:
-    """Limit of f over the selected up-closed part of the up-set of x."""
-    lat = f.lattice
-    xi = lat.index(x)
-    chosen = [v for v in _bits(lat.upset_mask(xi)) if predicate(lat.element(v))]
-    chosen_mask = 0
-    for v in chosen:
-        chosen_mask |= 1 << v
-    for v in chosen:
-        above = lat.upset_mask(v) & ~chosen_mask
-        if above:
-            bad = next(_bits(above))
-            raise NotUpClosed(
-                f"{lat.element(bad)} >= {lat.element(v)} is missing from the selection")
-    dim, cones = _diagram_limit(f, chosen)
-    return dim, {lat.element(v): m for v, m in cones.items()}
+    """Limit of f over the selected up-closed part of the up-set of x: the
+    colimit of the opposite module, with its cocones transposed into cones.
+
+    Raises NotUpClosed when the selection is not up-closed above x.
+    """
+    op = opposite_module(f)
+    chosen = _select_below(op.lattice, x, predicate, NotUpClosed, ">=")
+    dim, cocones = _diagram_colimit(op, chosen)
+    return dim, {f.lattice.element(v): m.transpose() for v, m in cocones.items()}
 
 
-# -- Kan-extension approximations ---------------------------------------------
+# -- approximations: the lower side, and the upper side as its dual ------------
 
 
 def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     """The codegree-n approximation: pointwise colimit of f over elements
     of join-dimension <= n below each point, with the canonical map into f.
 
-    Induced cover maps send a colimit generator to the class of the same
-    generator one step up; they are recovered as the unique solutions
-    against the cocone projections.  Naturality of the canonical map and
-    local functoriality of the result are checked.
+    One sweep in a linear extension.  Where jdim(x) <= n the colimit is
+    F(x) itself.  Otherwise the index below x is the union of the indices
+    below the lower covers w of x, overlapping in the index below w ^ w',
+    which is a lower cover of both (the lattice is distributive); so T(x)
+    is the cokernel of the sum of T(w ^ w') into the sum of T(w), and the
+    cover maps T(w) -> T(x) are the blocks of that projection.
+    Naturality of the canonical map and local functoriality of the
+    result are checked.
     """
     if n < 0:
         raise ValueError("approximation degree must be >= 0")
     cached = f.calc_cache.get(("t_lower", n))
     if cached is not None:
         return cached
-    lat = f.lattice
-    subsets = []
-    for x in range(lat.n):
-        subsets.append([v for v in _bits(lat.downset_mask(x))
-                        if lat.jdim_i(v) <= n])
-    per_x = [_diagram_colimit(f, subsets[x]) for x in range(lat.n)]
-    dims = {lat.element(x): per_x[x][0] for x in range(lat.n)}
-    q_full = [hstack([per_x[x][1][v] for v in sorted(subsets[x])])
-              if subsets[x] else Matrix.zeros(f.field, per_x[x][0], 0)
-              for x in range(lat.n)]
-    maps = {}
-    for (x, y) in lat.covers_i():
-        # Each diagram vertex of x also indexes the diagram of y.
-        r = hstack([per_x[y][1][v] for v in sorted(subsets[x])]) \
-            if subsets[x] else Matrix.zeros(f.field, per_x[y][0], 0)
-        maps[(lat.element(x), lat.element(y))] = solve_left(q_full[x], r)
-    module = PersistenceModule(lat, f.field, dims, maps)
-    eps_comps = []
-    for x in range(lat.n):
-        tr = hstack([f.transport_i(v, x) for v in sorted(subsets[x])]) \
-            if subsets[x] else Matrix.zeros(f.field, f.dim_i(x), 0)
-        eps_comps.append(solve_left(q_full[x], tr))
-    eps = NatTrans(module, f, eps_comps)
+    lat, field = f.lattice, f.field
+    dims = [0] * lat.n
+    eps: list = [None] * lat.n
+    maps: dict[tuple[int, int], Matrix] = {}
+    for x in lat.topo_order():
+        ws = lat.parents_i(x)
+        # The canonical map restricted to each T(w): through F(w) into F(x).
+        legs = [f.cover_matrix_i(w, x) @ eps[w] for w in ws]
+        if len(ws) <= n:
+            dims[x] = f.dim_i(x)
+            eps[x] = Matrix.identity(field, dims[x])
+            maps.update(((w, x), leg) for w, leg in zip(ws, legs))
+            continue
+        total = sum(dims[w] for w in ws)
+        blocks = [Matrix.zeros(field, total, 0)]
+        for a in range(len(ws)):
+            for b in range(a + 1, len(ws)):
+                m = lat.meet_i(ws[a], ws[b])
+                blocks.append(vstack([
+                    maps[(m, w)] if w == ws[a] else
+                    -maps[(m, w)] if w == ws[b] else
+                    Matrix.zeros(field, dims[w], dims[m]) for w in ws]))
+        q = cokernel_projection(hstack(blocks))
+        dims[x] = q.nrows
+        offset = 0
+        for w in ws:
+            maps[(w, x)] = q.take_cols(range(offset, offset + dims[w]))
+            offset += dims[w]
+        eps[x] = solve_left(q, hstack(legs))
+    module = PersistenceModule(
+        lat, field, {lat.element(x): d for x, d in enumerate(dims)},
+        {(lat.element(u), lat.element(v)): m for (u, v), m in maps.items()})
+    canonical = NatTrans(module, f, eps)
     module.validate_diamonds()
-    eps.validate()
+    canonical.validate()
     module._validated = True
-    witnesses = {lat.element(x): {lat.element(v): per_x[x][1][v]
-                                  for v in subsets[x]} for x in range(lat.n)}
-    result = ApproxResult("t_lower", module, eps, witnesses)
+    result = ApproxResult("t_lower", module, canonical)
     f.calc_cache[("t_lower", n)] = result
-    return result
-
-
-def t_upper(f: PersistenceModule, n: int) -> ApproxResult:
-    """The degree-n approximation: pointwise limit of f over elements of
-    meet-dimension <= n above each point, with the canonical map from f."""
-    if n < 0:
-        raise ValueError("approximation degree must be >= 0")
-    cached = f.calc_cache.get(("t_upper", n))
-    if cached is not None:
-        return cached
-    lat = f.lattice
-    subsets = []
-    for x in range(lat.n):
-        subsets.append([v for v in _bits(lat.upset_mask(x))
-                        if lat.mdim_i(v) <= n])
-    per_x = [_diagram_limit(f, subsets[x]) for x in range(lat.n)]
-    dims = {lat.element(x): per_x[x][0] for x in range(lat.n)}
-    k_full = [vstack([per_x[x][1][v] for v in sorted(subsets[x])])
-              if subsets[x] else Matrix.zeros(f.field, 0, per_x[x][0])
-              for x in range(lat.n)]
-    maps = {}
-    for (x, y) in lat.covers_i():
-        # Restrict a limit tuple at x to the (smaller) diagram of y.
-        sel = vstack([per_x[x][1][v] for v in sorted(subsets[y])]) \
-            if subsets[y] else Matrix.zeros(f.field, 0, per_x[x][0])
-        maps[(lat.element(x), lat.element(y))] = factor_through(sel, k_full[y])
-    module = PersistenceModule(lat, f.field, dims, maps)
-    eta_comps = []
-    for x in range(lat.n):
-        tr = vstack([f.transport_i(x, v) for v in sorted(subsets[x])]) \
-            if subsets[x] else Matrix.zeros(f.field, 0, f.dim_i(x))
-        eta_comps.append(factor_through(tr, k_full[x]))
-    eta = NatTrans(f, module, eta_comps)
-    module.validate_diamonds()
-    eta.validate()
-    module._validated = True
-    witnesses = {lat.element(x): {lat.element(v): per_x[x][1][v]
-                                  for v in subsets[x]} for x in range(lat.n)}
-    result = ApproxResult("t_upper", module, eta, witnesses)
-    f.calc_cache[("t_upper", n)] = result
     return result
 
 
@@ -275,46 +218,62 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
     return result
 
 
+def cr_lower(f: PersistenceModule, n: int) -> ApproxResult:
+    """The n-th cocross effect: the pointwise cokernel of t_lower(f,n) -> f,
+    with the canonical epimorphism from f."""
+    cached = f.calc_cache.get(("cr_lower", n))
+    if cached is not None:
+        return cached
+    module, epi = cokernel_of(t_lower(f, n).canonical)
+    result = ApproxResult("cr_lower", module, epi)
+    f.calc_cache[("cr_lower", n)] = result
+    return result
+
+
+def _dual_nat(nt: NatTrans) -> NatTrans:
+    """The transposed natural transformation between the opposite modules."""
+    return NatTrans(opposite_module(nt.target), opposite_module(nt.source),
+                    [nt.component_i(i).transpose() for i in range(nt.source.lattice.n)])
+
+
+def _upper(kind: str, lower: Callable[[PersistenceModule, int], ApproxResult],
+           f: PersistenceModule, n: int) -> ApproxResult:
+    """The upper-side result ``kind`` of f: the lower-side result of the
+    opposite module, dualised back onto the lattice of f."""
+    cached = f.calc_cache.get((kind, n))
+    if cached is not None:
+        return cached
+    low = lower(opposite_module(f), n)
+    result = ApproxResult(
+        kind, opposite_module(low.module), _dual_nat(low.canonical),
+        factor=None if low.factor is None else _dual_nat(low.factor),
+        t_result=None if low.t_result is None else t_upper(f, n))
+    f.calc_cache[(kind, n)] = result
+    return result
+
+
+def t_upper(f: PersistenceModule, n: int) -> ApproxResult:
+    """The degree-n approximation: pointwise limit of f over elements of
+    meet-dimension <= n above each point, with the canonical map from f.
+    Computed as the dual of t_lower on the opposite module."""
+    return _upper("t_upper", t_lower, f, n)
+
+
 def gamma_upper(f: PersistenceModule, n: int) -> ApproxResult:
     """The cross-degree-n approximation: the pointwise image of the
     canonical map f -> t_upper(f, n).
 
     ``canonical`` is the epimorphism from f, ``factor`` the monomorphism
-    into the Kan extension.
+    into the Kan extension (the duals of the legs of gamma_lower on the
+    opposite module).
     """
-    cached = f.calc_cache.get(("gamma_upper", n))
-    if cached is not None:
-        return cached
-    t = t_upper(f, n)
-    module, mono = image_of(t.canonical)
-    epi_comps = [factor_through(t.canonical.component_i(i), mono.component_i(i))
-                 for i in range(f.lattice.n)]
-    epi = NatTrans(f, module, epi_comps)
-    result = ApproxResult("gamma_upper", module, epi, factor=mono, t_result=t)
-    f.calc_cache[("gamma_upper", n)] = result
-    return result
+    return _upper("gamma_upper", gamma_lower, f, n)
 
 
-def cr_lower(f: PersistenceModule, n: int) -> PersistenceModule:
-    """The n-th cocross effect: the pointwise cokernel of t_lower(f,n) -> f."""
-    cached = f.calc_cache.get(("cr_lower", n))
-    if cached is not None:
-        return cached
-    from .pmodule import cokernel_of
-    module, _ = cokernel_of(t_lower(f, n).canonical)
-    f.calc_cache[("cr_lower", n)] = module
-    return module
-
-
-def cr_upper(f: PersistenceModule, n: int) -> PersistenceModule:
-    """The n-th cross effect: the pointwise kernel of f -> t_upper(f,n)."""
-    cached = f.calc_cache.get(("cr_upper", n))
-    if cached is not None:
-        return cached
-    from .pmodule import kernel_of
-    module, _ = kernel_of(t_upper(f, n).canonical)
-    f.calc_cache[("cr_upper", n)] = module
-    return module
+def cr_upper(f: PersistenceModule, n: int) -> ApproxResult:
+    """The n-th cross effect: the pointwise kernel of f -> t_upper(f,n),
+    with the canonical monomorphism into f (the dual of cr_lower)."""
+    return _upper("cr_upper", cr_lower, f, n)
 
 
 # -- functorial action of the gamma approximations ---------------------------
@@ -439,19 +398,45 @@ def koszul(cube: VecCube) -> KoszulComplex:
     return KoszulComplex(k, tuple(dims), tuple(boundaries))
 
 
-def koszul_homology(complex_: KoszulComplex, i: int) -> int:
-    return complex_.homology(i)
-
-
 # -- degree predicates --------------------------------------------------------
 
 _FAST = "fast"
 _ORACLE = "oracle"
 
 
-def _check_method(method: str) -> None:
+def _fast(method: str) -> bool:
     if method not in (_FAST, _ORACLE):
         raise ValueError(f"unknown predicate method {method!r}")
+    return method == _FAST
+
+
+def _koszul_nonzero(cube: VecCube, *degrees: int) -> bool:
+    kx = koszul(cube)
+    return any(kx.homology(i) != 0 for i in degrees)
+
+
+#: Per predicate kind, whether f restricted to a strongly bicartesian
+#: cube violates it: codegree needs the low Koszul homology to vanish
+#: (cocartesian), degree the top two degrees (cartesian), the cross
+#: predicates the total cofiber / fiber.
+_CUBE_FAILS: dict[str, Callable[[VecCube], bool]] = {
+    "codegree": lambda c: _koszul_nonzero(c, 0, 1),
+    "degree": lambda c: _koszul_nonzero(c, c.arity, c.arity - 1),
+    "cross_codegree": lambda c: tcofib(c) != 0,
+    "cross_degree": lambda c: tfib(c) != 0,
+}
+
+
+def find_failing_cube(f: PersistenceModule, n: int, kind: str) -> LatticeCube | None:
+    """First bicartesian (n+1)-cube (in enumeration order) witnessing the
+    failure of the given predicate, or None if the predicate holds."""
+    fails = _CUBE_FAILS.get(kind)
+    if fails is None:
+        raise ValueError(f"unknown predicate kind {kind!r}")
+    for cube in bicartesian_cubes_cached(f.lattice, n + 1):
+        if fails(restrict_along_cube(f, cube)):
+            return cube
+    return None
 
 
 def is_codegree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
@@ -461,69 +446,34 @@ def is_codegree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
     Oracle path: enumerate the cubes and test cocartesianness through
     the low Koszul homology of the restricted cube.
     """
-    _check_method(method)
-    if method == _FAST:
+    if _fast(method):
         return is_iso(t_lower(f, n).canonical)
-    for cube in bicartesian_cubes_cached(f.lattice, n + 1):
-        kx = koszul(restrict_along_cube(f, cube))
-        if kx.homology(0) != 0 or kx.homology(1) != 0:
-            return False
-    return True
+    return find_failing_cube(f, n, "codegree") is None
 
 
 def is_degree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
-    """True iff f sends strongly bicartesian (n+1)-cubes to cartesian ones."""
-    _check_method(method)
-    if method == _FAST:
-        return is_iso(t_upper(f, n).canonical)
-    k = n + 1
-    for cube in bicartesian_cubes_cached(f.lattice, k):
-        kx = koszul(restrict_along_cube(f, cube))
-        if kx.homology(k) != 0 or kx.homology(k - 1) != 0:
-            return False
-    return True
+    """True iff f sends strongly bicartesian (n+1)-cubes to cartesian ones
+    (fast path: the opposite module is codegree n)."""
+    if _fast(method):
+        return is_codegree(opposite_module(f), n)
+    return find_failing_cube(f, n, "degree") is None
 
 
 def is_cross_codegree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
     """True iff every strongly bicartesian (n+1)-cube has vanishing total
     cofiber after applying f (fast path: the n-th cocross effect is zero)."""
-    _check_method(method)
-    if method == _FAST:
-        return cr_lower(f, n).is_zero()
-    return all(tcofib(restrict_along_cube(f, cube)) == 0
-               for cube in bicartesian_cubes_cached(f.lattice, n + 1))
+    if _fast(method):
+        return cr_lower(f, n).module.is_zero()
+    return find_failing_cube(f, n, "cross_codegree") is None
 
 
 def is_cross_degree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
     """True iff every strongly bicartesian (n+1)-cube has vanishing total
-    fiber after applying f (fast path: the n-th cross effect is zero)."""
-    _check_method(method)
-    if method == _FAST:
-        return cr_upper(f, n).is_zero()
-    return all(tfib(restrict_along_cube(f, cube)) == 0
-               for cube in bicartesian_cubes_cached(f.lattice, n + 1))
-
-
-def find_failing_cube(f: PersistenceModule, n: int, kind: str) -> LatticeCube | None:
-    """First bicartesian (n+1)-cube (in enumeration order) witnessing the
-    failure of the given predicate, or None if the predicate holds."""
-    for cube in bicartesian_cubes_cached(f.lattice, n + 1):
-        kx = None
-        if kind == "codegree":
-            kx = koszul(restrict_along_cube(f, cube))
-            bad = kx.homology(0) != 0 or kx.homology(1) != 0
-        elif kind == "degree":
-            kx = koszul(restrict_along_cube(f, cube))
-            bad = kx.homology(n + 1) != 0 or kx.homology(n) != 0
-        elif kind == "cross_codegree":
-            bad = tcofib(restrict_along_cube(f, cube)) != 0
-        elif kind == "cross_degree":
-            bad = tfib(restrict_along_cube(f, cube)) != 0
-        else:
-            raise ValueError(f"unknown predicate kind {kind!r}")
-        if bad:
-            return cube
-    return None
+    fiber after applying f (fast path: the opposite module is
+    cross-codegree n)."""
+    if _fast(method):
+        return is_cross_codegree(opposite_module(f), n)
+    return find_failing_cube(f, n, "cross_degree") is None
 
 
 def _min_satisfying(f: PersistenceModule, pred) -> int:
@@ -531,7 +481,8 @@ def _min_satisfying(f: PersistenceModule, pred) -> int:
     for n in range(top + 1):
         if pred(f, n):
             return n
-    return top  # unreachable for validated modules; every predicate holds at top
+    # Every predicate holds at the poset dimension for a genuine module.
+    raise AssertionError(f"the predicate fails at every n <= {top}")
 
 
 def min_codegree(f: PersistenceModule) -> int:

@@ -11,24 +11,29 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from .calculus import (gamma_lower, gamma_upper, min_codegree,
-                       min_cross_codegree, min_cross_degree, min_degree,
-                       t_lower, t_upper)
+from .calculus import (NotAComplex, cr_lower, cr_upper, gamma_lower,
+                       gamma_upper, min_codegree, min_cross_codegree,
+                       min_cross_degree, min_degree, t_lower, t_upper)
 from .generators import (ImageGrid, MetricFunctionSpace,
                          image_bifiltration_homology, sublevel_rips_h0)
 from .lattice import Lattice, NoBottom, NotDistributive, NotLattice
-from .linalg import FieldSpec, rank
-from .pmodule import (NonCommutingSquare, PersistenceModule, cokernel_of,
-                      interval_module, free_module, kernel_of, random_module)
+from .linalg import FieldSpec, NoFactorization, rank
+from .pmodule import (NonCommutingSquare, NotNatural, PersistenceModule,
+                      interval_module, free_module, random_module)
 from .pmod_io import ParseError, load_module, print_pmod
-from .resolution import betti, check_pdim_theorem_1, check_pdim_theorem_2, pdim
+from .resolution import (EquivalenceViolated, betti, check_pdim_theorem_1,
+                         check_pdim_theorem_2, pdim)
 from .verify import UnknownSuite, run_suite
 
 USAGE_ERROR = 2
 ANALYSIS_ERROR = 1
+
+#: Internal failures an analysis can raise; reported as exit 1, never as a
+#: traceback.
+ANALYSIS_FAILURES = (NoFactorization, NotAComplex, EquivalenceViolated,
+                     NonCommutingSquare, NotNatural)
 
 
 class CliError(Exception):
@@ -112,26 +117,18 @@ _APPROX_OPS = {
     "t_upper": t_upper,
     "gamma_lower": gamma_lower,
     "gamma_upper": gamma_upper,
+    "cr_lower": cr_lower,
+    "cr_upper": cr_upper,
 }
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise CliError("--n must be >= 0")
-    module = _load(args.file, args.field)
-    if args.op in _APPROX_OPS:
-        result = _APPROX_OPS[args.op](module, args.n)
-        out_module = result.module
-        canonical = result.canonical
-    elif args.op == "cr_lower":
-        out_module, canonical = cokernel_of(t_lower(module, args.n).canonical)
-    elif args.op == "cr_upper":
-        out_module, canonical = kernel_of(t_upper(module, args.n).canonical)
-    else:  # pragma: no cover - argparse choices guard this
-        raise CliError(f"unknown op {args.op}")
-    sys.stdout.write(print_pmod(out_module))
-    for el in out_module.lattice.elements:
-        print(f"# canonical-map-rank {el} {rank(canonical.component(el))}")
+    result = _APPROX_OPS[args.op](_load(args.file, args.field), args.n)
+    sys.stdout.write(print_pmod(result.module))
+    for el in result.module.lattice.elements:
+        print(f"# canonical-map-rank {el} {rank(result.canonical.component(el))}")
     return 0
 
 
@@ -218,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx = sub.add_parser("approx", help="emit an approximation as PMOD")
     p_approx.add_argument("file")
     p_approx.add_argument("--op", required=True,
-                          choices=["t_lower", "t_upper", "gamma_lower",
-                                   "gamma_upper", "cr_lower", "cr_upper"])
+                          choices=list(_APPROX_OPS))
     p_approx.add_argument("--n", type=int, required=True)
     p_approx.add_argument("--field", type=int, default=None)
     p_approx.set_defaults(fn=cmd_approx)
@@ -267,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ANALYSIS_FAILURES as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return ANALYSIS_ERROR
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ meet queries and subposet extraction stay cheap for the ~100-element
 grids the generators produce.
 
 A lattice is built either from an explicit cover list or as a product
-of chains (``Lattice.grid``).  Grids are correct by construction;
-explicit lattices are validated on construction by default
-(partial order, lattice axioms, distributivity, unique bottom).
+of chains (``Lattice.grid``).  Grids are correct by construction.
+Building an explicit lattice always rejects an order without a unique
+bottom or with a missing join or meet; ``validate`` (run on construction
+by default) adds the table and distributivity checks.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class Lattice:
 
     __slots__ = ("elements", "_idx", "n", "_up", "_down", "_join", "_meet",
                  "_covers", "_parents", "_children", "_topo", "grid_shape",
-                 "_validated", "_defects", "_cube_cache")
+                 "_validated", "_cube_cache", "_opposite")
 
     def __init__(self, elements: Sequence[str], up_masks: list[int],
                  grid_shape: tuple[int, ...] | None = None):
@@ -62,9 +63,9 @@ class Lattice:
             for j in _bits(up_masks[i]):
                 self._down[j] |= 1 << i
         self.grid_shape = grid_shape
-        self._defects: list[Exception] = []
         self._validated = False
         self._cube_cache: dict[int, list["LatticeCube"]] = {}
+        self._opposite: Lattice | None = None
         self._build_covers()
         self._build_tables()
         # Linear extension: sort by downset size, ties by index.
@@ -156,10 +157,9 @@ class Lattice:
         for i in range(self.n):
             strictly_up = self._up[i] & ~(1 << i)
             for j in _bits(strictly_up):
-                if i != j and (self._up[j] & (1 << i)):
-                    self._defects.append(NotLattice(
-                        f"order not antisymmetric at {self.elements[i]}, {self.elements[j]}"))
-                    continue
+                if self._up[j] & (1 << i):
+                    raise NotLattice(
+                        f"order not antisymmetric at {self.elements[i]}, {self.elements[j]}")
                 between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
                 if between == 0:
                     covers.append((i, j))
@@ -180,22 +180,21 @@ class Lattice:
             self._meet = [[pos[tuple(min(a, b) for a, b in zip(coords[i], coords[j]))]
                            for j in range(n)] for i in range(n)]
             return
+        minimal = [i for i in range(n) if self._down[i] == (1 << i)]
+        if len(minimal) != 1:
+            raise NoBottom(f"{len(minimal)} minimal elements, need exactly 1")
         join = [[-1] * n for _ in range(n)]
         meet = [[-1] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                ub = self._up[i] & self._up[j]
-                jv = self._least_of(ub)
+                jv = self._least_of(self._up[i] & self._up[j])
                 if jv < 0:
-                    self._defects.append(NotLattice(
-                        f"no least upper bound for {self.elements[i]}, {self.elements[j]}"))
-                    jv = -1
-                lb = self._down[i] & self._down[j]
-                mv = self._greatest_of(lb)
+                    raise NotLattice(
+                        f"no least upper bound for {self.elements[i]}, {self.elements[j]}")
+                mv = self._greatest_of(self._down[i] & self._down[j])
                 if mv < 0:
-                    self._defects.append(NotLattice(
-                        f"no greatest lower bound for {self.elements[i]}, {self.elements[j]}"))
-                    mv = -1
+                    raise NotLattice(
+                        f"no greatest lower bound for {self.elements[i]}, {self.elements[j]}")
                 join[i][j] = join[j][i] = jv
                 meet[i][j] = meet[j][i] = mv
         self._join = join
@@ -216,10 +215,11 @@ class Lattice:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> "Lattice":
-        """Check partial order, unique bottom, lattice axioms, distributivity.
+        """Check the partial order, the join/meet tables and distributivity.
 
-        Raises the first violation found (NotLattice / NoBottom /
-        NotDistributive); returns self when everything holds.
+        Raises the first violation found (NotLattice / NotDistributive);
+        returns self when everything holds.  A missing bottom, join or
+        meet is already rejected on construction.
         """
         n = self.n
         # Transitivity of the closure is structural; recheck cheaply.
@@ -228,11 +228,6 @@ class Lattice:
                 if self._up[j] & ~self._up[i]:
                     raise NotLattice(
                         f"order not transitive at {self.elements[i]} <= {self.elements[j]}")
-        minimal = [i for i in range(n) if self._down[i] == (1 << i)]
-        if len(minimal) != 1:
-            raise NoBottom(f"{len(minimal)} minimal elements, need exactly 1")
-        for defect in self._defects:
-            raise defect
         # Join/meet tables must be genuine least upper / greatest lower bounds.
         for i in range(n):
             for j in range(i, n):
@@ -293,19 +288,12 @@ class Lattice:
         return self._meet[i][j]
 
     def bottom(self) -> str:
-        return self.elements[self.bottom_i()]
-
-    def bottom_i(self) -> int:
-        minimal = [i for i in range(self.n) if self._down[i] == (1 << i)]
-        if len(minimal) != 1:
-            raise NoBottom(f"{len(minimal)} minimal elements, need exactly 1")
-        return minimal[0]
+        # Construction guarantees a unique bottom and (all joins existing)
+        # a unique top, so they open and close every linear extension.
+        return self.elements[self._topo[0]]
 
     def top(self) -> str:
-        maximal = [i for i in range(self.n) if self._up[i] == (1 << i)]
-        if len(maximal) != 1:
-            raise NotLattice(f"{len(maximal)} maximal elements, need exactly 1")
-        return self.elements[maximal[0]]
+        return self.elements[self._topo[-1]]
 
     def covers(self) -> tuple[tuple[str, str], ...]:
         return tuple((self.elements[u], self.elements[v]) for u, v in self._covers)
@@ -394,11 +382,26 @@ class Lattice:
         return out
 
     def opposite(self) -> "Lattice":
-        """The same elements with the order reversed."""
-        down = list(self._down)
-        lat = Lattice(self.elements, down)
-        lat._validated = self._validated
-        return lat
+        """The same elements with the order reversed.
+
+        Built once by swapping the order, join/meet and Hasse tables, and
+        memoised both ways: the opposite of the opposite is this lattice.
+        """
+        op = self._opposite
+        if op is None:
+            op = object.__new__(Lattice)
+            op.elements, op._idx, op.n = self.elements, self._idx, self.n
+            op._up, op._down = self._down, self._up
+            op._join, op._meet = self._meet, self._join
+            op._parents, op._children = self._children, self._parents
+            op._covers = tuple(sorted((v, u) for u, v in self._covers))
+            op._topo = self._topo[::-1]
+            op.grid_shape = None
+            op._validated = self._validated
+            op._cube_cache = {}
+            op._opposite = self
+            self._opposite = op
+        return op
 
     # -- equality ---------------------------------------------------------
 

@@ -212,11 +212,6 @@ class PersistenceModule:
                 f"total_dim={self.total_dim()})")
 
 
-def validate_functor(f: PersistenceModule) -> PersistenceModule:
-    """Functional alias for PersistenceModule.validate."""
-    return f.validate()
-
-
 class NatTrans:
     """A natural transformation between modules on the same lattice."""
 
@@ -679,16 +674,21 @@ def cube_as_module(cube: VecCube) -> PersistenceModule:
 
 def opposite_module(f: PersistenceModule) -> PersistenceModule:
     """The dual module on the opposite lattice: same dimensions, cover
-    maps transposed.  Exchanges projective with injective behaviour."""
-    lat = f.lattice
-    op = lat.opposite()
-    dims = {lat.element(i): f.dim_i(i) for i in range(lat.n)}
-    maps = {}
-    for (u, v) in lat.covers_i():
-        maps[(lat.element(v), lat.element(u))] = f.cover_matrix_i(u, v).transpose()
-    out = PersistenceModule(op, f.field, dims, maps)
-    out._validated = f._validated
-    return out
+    maps transposed.  Exchanges projective with injective behaviour.
+
+    Memoised in ``calc_cache`` both ways, so the opposite of the opposite
+    is f itself and keeps its cached approximations.
+    """
+    op = f.calc_cache.get("opposite")
+    if op is None:
+        lat = f.lattice
+        maps = {(lat.element(v), lat.element(u)): m.transpose()
+                for (u, v), m in f._maps.items()}
+        op = PersistenceModule(lat.opposite(), f.field, f.dims_by_element(), maps)
+        op._validated = f._validated
+        op.calc_cache["opposite"] = f
+        f.calc_cache["opposite"] = op
+    return op
 
 
 # -- hom spaces ---------------------------------------------------------------

@@ -117,7 +117,7 @@ TABLE1_ROWS: tuple[tuple[str, tuple[str, ...], tuple[int, int, int, int]], ...] 
 )
 
 
-def unit_square(field: FieldSpec | None = None) -> Lattice:
+def unit_square() -> Lattice:
     return Lattice.grid([1, 1])
 
 

@@ -6,10 +6,10 @@ import pytest
 from pmodcalc import (Matrix, free_module, interval_module, is_iso,
                       random_module, restrict_along_cube)
 from pmodcalc.calculus import (NotAComplex, NotDownClosed, NotUpClosed,
-                               colim_over_downset, cr_lower, cr_upper,
-                               find_failing_cube, gamma_lower, gamma_upper,
-                               is_codegree, is_cross_codegree, is_cross_degree,
-                               is_degree, koszul, koszul_homology,
+                               _min_satisfying, colim_over_downset, cr_lower,
+                               cr_upper, find_failing_cube, gamma_lower,
+                               gamma_upper, is_codegree, is_cross_codegree,
+                               is_cross_degree, is_degree, koszul,
                                lim_over_upset, min_codegree,
                                min_cross_codegree, min_cross_degree,
                                min_degree, t_lower, t_upper, tcofib, tfib)
@@ -276,18 +276,18 @@ class TestGamma:
 class TestCrossEffects:
     def test_cr_of_free_vanishes_at_generator_level(self, square, gf2):
         f = free_module(square, gf2, {"1,0": 1, "0,1": 2})
-        assert cr_lower(f, 1).is_zero()
+        assert cr_lower(f, 1).module.is_zero()
 
     def test_cr0_of_constant_vanishes(self, square, gf2):
-        assert cr_lower(constant(square, gf2), 0).is_zero()
+        assert cr_lower(constant(square, gf2), 0).module.is_zero()
 
     def test_cr_of_top_only_nonzero_at_top(self, square, gf2):
         f = interval_module(square, gf2, ("1,1",))
-        assert cr_lower(f, 0).dim("1,1") == 1
-        assert cr_lower(f, 1).dim("1,1") == 1
+        assert cr_lower(f, 0).module.dim("1,1") == 1
+        assert cr_lower(f, 1).module.dim("1,1") == 1
         # Dual: the cross effect of the corner module is nonzero at bottom.
         g = interval_module(square, gf2, ("0,0",))
-        assert cr_upper(g, 1).dim("0,0") == 1
+        assert cr_upper(g, 1).module.dim("0,0") == 1
 
 
 class TestTotalFibers:
@@ -323,13 +323,13 @@ class TestKoszul:
     def test_zero_cube(self, gf2):
         c = VecCube(gf2, 2, [0, 0, 0, 0], {})
         k = koszul(c)
-        assert all(koszul_homology(k, i) == 0 for i in range(3))
+        assert all(k.homology(i) == 0 for i in range(3))
 
     def test_identity_one_cube(self, gf2):
         c = VecCube.constant(gf2, 1, 3)
         k = koszul(c)
-        assert koszul_homology(k, 0) == 0
-        assert koszul_homology(k, 1) == 0
+        assert k.homology(0) == 0
+        assert k.homology(1) == 0
 
     def test_not_a_complex_on_broken_cube(self, gf2):
         # A non-functorial square: d o d picks up the commutator defect.
@@ -349,8 +349,8 @@ class TestKoszul:
                 cube = rng.choice(bicartesian_cubes_cached(grid22, arity))
                 vc = restrict_along_cube(f, cube)
                 k = koszul(vc)
-                assert koszul_homology(k, arity) == tfib(vc)
-                assert koszul_homology(k, 0) == tcofib(vc)
+                assert k.homology(arity) == tfib(vc)
+                assert k.homology(0) == tcofib(vc)
 
 
 class TestPredicates:
@@ -387,6 +387,10 @@ class TestPredicates:
         vc = restrict_along_cube(f, cube)
         assert tcofib(vc) != 0
         assert find_failing_cube(constant(square, gf2), 0, "cross_codegree") is None
+
+    def test_min_statistic_raises_when_no_n_satisfies(self, square, gf2):
+        with pytest.raises(AssertionError):
+            _min_satisfying(constant(square, gf2), lambda f, n: False)
 
     def test_degree_implies_cross_degree(self, grid22, gf2):
         for seed in range(5):

@@ -1,7 +1,14 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from pmodcalc import cli
+from pmodcalc.calculus import NotAComplex
 from pmodcalc.cli import main
+from pmodcalc.linalg import NoFactorization
+from pmodcalc.pmodule import NonCommutingSquare, NotNatural
+from pmodcalc.resolution import EquivalenceViolated
 from pmodcalc.pmod_io import load_module
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -59,6 +66,22 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "/nonexistent.pmod")
         assert code == 2
 
+    @pytest.mark.parametrize("exc", [
+        NoFactorization("no solution"), NotAComplex("d_1 o d_2 != 0"),
+        EquivalenceViolated("conditions disagree"),
+        NonCommutingSquare("0,0", "1,1", "0,1", "1,0"),
+        NotNatural("naturality fails")])
+    def test_internal_failure_is_exit_1_without_traceback(self, monkeypatch,
+                                                           capsys, exc):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_analyze", fail)
+        code, out, err = run(capsys, "analyze", str(FIXTURES / "corner.pmod"))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in out + err
+
 
 class TestApprox:
     def test_gamma_lower_of_top_only_is_zero(self, tmp_path, capsys):
@@ -92,6 +115,27 @@ class TestApprox:
         module = load_module(out)
         assert module.dim("0,0") == 1
         assert "# canonical-map-rank 0,0 1" in out
+
+
+    @pytest.mark.parametrize("op, dims, ranks", [
+        ("t_lower", [1, 1, 1, 1], [1, 1, 1, 0]),
+        ("t_upper", [1, 1, 1, 1], [0, 1, 0, 1]),
+        ("gamma_lower", [1, 1, 1, 0], [1, 1, 1, 0]),
+        ("gamma_upper", [0, 1, 0, 1], [0, 1, 0, 1]),
+        ("cr_lower", [0, 1, 0, 1], [0, 1, 0, 1]),
+        ("cr_upper", [1, 1, 1, 0], [1, 1, 1, 0]),
+    ])
+    def test_every_op_dims_and_ranks(self, tmp_path, capsys, op, dims, ranks):
+        # Emitted bases are not pinned: only dims and canonical-map ranks.
+        _, text, _ = run(capsys, "gen", "random", "--grid", "1", "1", "--seed", "1")
+        src = tmp_path / "random.pmod"
+        src.write_text(text)
+        code, out, _ = run(capsys, "approx", str(src), "--op", op, "--n", "0")
+        assert code == 0
+        module = load_module(out)
+        assert [module.dim(x) for x in module.lattice.elements] == dims
+        assert [int(line.split()[-1]) for line in out.splitlines()
+                if line.startswith("# canonical-map-rank")] == ranks
 
 
 class TestGen:

@@ -102,6 +102,14 @@ class TestValidate:
                 ["a", "b", "x", "y"],
                 [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")])
 
+    def test_non_lattice_rejected_without_validation(self):
+        # a, b < c, d: no least upper bound of a and b.
+        with pytest.raises(NotLattice):
+            Lattice.from_covers(
+                ["0", "a", "b", "c", "d"],
+                [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"),
+                 ("a", "d"), ("b", "d")], validate=False)
+
     def test_cycle_rejected(self):
         with pytest.raises(NotLattice):
             Lattice.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
@@ -309,7 +317,19 @@ class TestOppositeAndSubposets:
         for v in grid22.elements:
             assert set(op.parents(v)) == set(grid22.children(v))
             assert set(op.children(v)) == set(grid22.parents(v))
-        assert op.opposite() == grid22
+        assert op.opposite() is grid22
+        assert grid22.opposite() is op
+        # The swapped tables agree with a lattice built from the reversed covers.
+        built = Lattice.from_covers(grid22.elements,
+                                    [(v, u) for u, v in grid22.covers()])
+        assert op == built and op.covers() == built.covers()
+        for u in grid22.elements:
+            assert op.parents(u) == built.parents(u)
+            for v in grid22.elements:
+                assert op.join(u, v) == built.join(u, v)
+                assert op.meet(u, v) == built.meet(u, v)
+        pos = {v: k for k, v in enumerate(op.topo_order())}
+        assert all(pos[u] < pos[v] for u, v in op.covers_i())
 
     def test_induced_covers_transitive_reduction(self, grid22):
         # The subposet {bottom, two axis points, top} has covers through

@@ -7,7 +7,7 @@ from pmodcalc import (Matrix, NatTrans, PersistenceModule,
                       cube_as_module, direct_sum, free_module, hom_basis,
                       identity_nat, image_of, interval_module, is_iso,
                       kernel_of, cokernel_of, opposite_module, random_module,
-                      restrict_along_cube, validate_functor, zero_nat)
+                      restrict_along_cube, zero_nat)
 from pmodcalc.lattice import parent_cube, cube_from_cover, PairwiseCover
 from pmodcalc.linalg import rank
 from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
@@ -23,7 +23,7 @@ def constant_module(lat, field):
 class TestValidateFunctor:
     def test_free_module_ok(self, square, gf2):
         f = free_module(square, gf2, {"0,0": 2, "1,0": 1})
-        assert validate_functor(f) is f
+        assert f.validate() is f
 
     def test_non_commuting_square(self, square, gf2):
         dims = {el: 1 for el in square.elements}

@@ -10,10 +10,11 @@ import random
 import pytest
 
 from pmodcalc import FieldSpec, Lattice, is_iso, random_module
-from pmodcalc.calculus import (gamma_lower, gamma_upper, is_codegree,
-                               is_cross_codegree, is_cross_degree, is_degree,
-                               t_lower, t_upper)
+from pmodcalc.calculus import (colim_over_downset, gamma_lower, gamma_upper,
+                               is_codegree, is_cross_codegree, is_cross_degree,
+                               is_degree, lim_over_upset, t_lower, t_upper)
 from pmodcalc.lattice import child_cube, parent_cube
+from pmodcalc.linalg import factor_through, hstack, rank, solve_left, vstack
 from pmodcalc.resolution import check_pdim_theorem_1, check_pdim_theorem_2, pdim
 
 GF2 = FieldSpec(2)
@@ -124,6 +125,32 @@ class TestDownsetLattices:
                 assert (is_cross_codegree(f, n)
                         == is_cross_codegree(f, n, "oracle"))
                 assert is_cross_degree(f, n) == is_cross_degree(f, n, "oracle")
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_kan_extensions_match_global_oracle(self, random_lattices, p):
+        # t_lower is a local sweep and t_upper its dual on the opposite
+        # lattice; both must agree with the global (co)limit over the
+        # whole index of every element, and so must their canonical maps.
+        field = FieldSpec(p)
+        grids = [Lattice.grid(s) for s in ([2, 2], [1, 1, 1], [3, 2])]
+        for li, lat in enumerate(grids + random_lattices):
+            f = random_module(lat, field, f"kan{p}:{li}", max_gens=4, max_rels=3)
+            for n in range(lat.poset_dimension() + 1):
+                low, up = t_lower(f, n), t_upper(f, n)
+                for x in lat.elements:
+                    dim, cocones = colim_over_downset(
+                        f, x, lambda v: lat.jdim(v) <= n)
+                    induced = solve_left(
+                        hstack(list(cocones.values())),
+                        hstack([f.transport(v, x) for v in cocones]))
+                    assert low.module.dim(x) == dim
+                    assert rank(low.canonical.component(x)) == rank(induced)
+                    dim, cones = lim_over_upset(f, x, lambda v: lat.mdim(v) <= n)
+                    induced = factor_through(
+                        vstack([f.transport(x, v) for v in cones]),
+                        vstack(list(cones.values())))
+                    assert up.module.dim(x) == dim
+                    assert rank(up.canonical.component(x)) == rank(induced)
 
     def test_pdim_equivalences(self, random_lattices):
         for li, lat in enumerate(random_lattices):
