@@ -26,7 +26,7 @@ from .resolution import (BettiDiagram, EquivalenceViolated, PdimReport, betti,
                          check_pdim_theorem_1, check_pdim_theorem_2, pdim)
 from .generators import (CubicalComplex, ImageGrid, MetricFunctionSpace,
                          UnsupportedDimension, image_bifiltration_homology,
-                         onecritical_check, sublevel_rips_h0)
+                         sublevel_rips_h0)
 from .pmod_io import ParseError, PmodDocument, load_module, parse_pmod, print_pmod
 from .verify import (SuiteReport, UnknownSuite, gamma1_example, approximation_preserves_cross_predicate,
                      nonexample_module, run_suite, suite_names, table1_modules)

@@ -149,8 +149,8 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     which is a lower cover of both (the lattice is distributive); so T(x)
     is the cokernel of the sum of T(w ^ w') into the sum of T(w), and the
     cover maps T(w) -> T(x) are the blocks of that projection.
-    Naturality of the canonical map and local functoriality of the
-    result are checked.
+    Naturality of the canonical map is checked; the result, like every
+    module, is checked on construction.
     """
     if n < 0:
         raise ValueError("approximation degree must be >= 0")
@@ -190,9 +190,7 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
         lat, field, {lat.element(x): d for x, d in enumerate(dims)},
         {(lat.element(u), lat.element(v)): m for (u, v), m in maps.items()})
     canonical = NatTrans(module, f, eps)
-    module.validate_diamonds()
     canonical.validate()
-    module._validated = True
     result = ApproxResult("t_lower", module, canonical)
     f.calc_cache[("t_lower", n)] = result
     return result

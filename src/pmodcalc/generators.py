@@ -285,8 +285,7 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
         lifted_m = Matrix(field, len(dst_cells), reps[eu].ncols, lifted)
         coords = solve(basis_solver[ev], lifted_m)
         maps[(eu, ev)] = coords.take_rows(range(dims[ev]))
-    module = PersistenceModule(lat, field, dims, maps, tags=("1-critical",))
-    return module.validate()
+    return PersistenceModule(lat, field, dims, maps)
 
 
 def sublevel_intersection_check(img: ImageGrid) -> bool:
@@ -304,12 +303,6 @@ def sublevel_intersection_check(img: ImageGrid) -> bool:
                 if list(actives[m][part]) != want:
                     return False
     return True
-
-
-def onecritical_check(f: PersistenceModule) -> bool:
-    """Generator-level metadata: whether f was built as the sublevel
-    filtration of a single function (image pipelines tag their output)."""
-    return "1-critical" in f.tags
 
 
 # -- sublevel-Rips H0 ----------------------------------------------------------
@@ -369,7 +362,7 @@ def sublevel_rips_h0(space: MetricFunctionSpace,
         for si, comp in enumerate(comps[eu]):
             data[target_of[comp[0]]][si] = 1
         maps[(eu, ev)] = Matrix(field, len(comps[ev]), len(comps[eu]), data)
-    return PersistenceModule(lat, field, dims, maps).validate()
+    return PersistenceModule(lat, field, dims, maps)
 
 
 # -- random instances for the suites -------------------------------------------

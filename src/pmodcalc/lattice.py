@@ -6,10 +6,14 @@ meet queries and subposet extraction stay cheap for the ~100-element
 grids the generators produce.
 
 A lattice is built either from an explicit cover list or as a product
-of chains (``Lattice.grid``).  Grids are correct by construction.
-Building an explicit lattice always rejects an order without a unique
-bottom or with a missing join or meet; ``validate`` (run on construction
-by default) adds the table and distributivity checks.
+of chains (``Lattice.grid``), and every lattice is distributive.  Grids
+are distributive by construction, and so is the opposite of a
+distributive lattice.  An explicit lattice is checked on construction:
+an order without a unique bottom or with a missing join or meet is
+rejected while the tables are built, and ``validate`` then checks the
+tables and distributivity.  Modules rely on this: on a distributive
+lattice the meet of two lower covers of v is covered by both, so
+commuting cover diamonds are the whole functor axiom.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class Lattice:
 
     __slots__ = ("elements", "_idx", "n", "_up", "_down", "_join", "_meet",
                  "_covers", "_parents", "_children", "_topo", "grid_shape",
-                 "_validated", "_cube_cache", "_opposite")
+                 "_cube_cache", "_opposite")
 
     def __init__(self, elements: Sequence[str], up_masks: list[int],
                  grid_shape: tuple[int, ...] | None = None):
@@ -63,7 +67,6 @@ class Lattice:
             for j in _bits(up_masks[i]):
                 self._down[j] |= 1 << i
         self.grid_shape = grid_shape
-        self._validated = False
         self._cube_cache: dict[int, list["LatticeCube"]] = {}
         self._opposite: Lattice | None = None
         self._build_covers()
@@ -76,9 +79,9 @@ class Lattice:
 
     @classmethod
     def from_covers(cls, elements: Sequence[str],
-                    covers: Iterable[tuple[str, str]],
-                    validate: bool = True) -> "Lattice":
-        """Build a lattice from element ids and cover pairs (u below v).
+                    covers: Iterable[tuple[str, str]]) -> "Lattice":
+        """Build a distributive lattice from element ids and cover pairs
+        (u below v); raises NotLattice / NoBottom / NotDistributive.
 
         The order is the reflexive-transitive closure of the cover list;
         the stored Hasse diagram is recomputed as the transitive
@@ -117,18 +120,15 @@ class Lattice:
             for j in succ[i]:
                 m |= up[j]
             up[i] = m
-        lat = cls(elements, up)
-        if validate:
-            lat.validate()
-        return lat
+        return cls(elements, up).validate()
 
     @classmethod
     def grid(cls, maxes: Sequence[int]) -> "Lattice":
         """The product of chains {0..m1} x ... x {0..mn}, canonically named.
 
         Elements are "i1,i2,...,in" in lexicographic order; covers bump a
-        single coordinate.  Grids are distributive by construction and
-        are marked validated.
+        single coordinate.  Grids are distributive by construction, so
+        ``validate`` is not run.
         """
         maxes = tuple(int(m) for m in maxes)
         if not maxes or any(m < 0 for m in maxes):
@@ -144,9 +144,7 @@ class Lattice:
                 if all(a <= b for a, b in zip(t, s)):
                     m |= 1 << pos[s]
             up[i] = m
-        lat = cls(names, up, grid_shape=maxes)
-        lat._validated = True
-        return lat
+        return cls(names, up, grid_shape=maxes)
 
     # -- internal table construction ------------------------------------
 
@@ -247,14 +245,10 @@ class Lattice:
                 for z in range(y, n):
                     if mx[self._join[y][z]] != self._join[mx[y]][mx[z]]:
                         raise NotDistributive(
+                            "lattice is not distributive: "
                             f"x^(yvz) != (x^y)v(x^z) for x={self.elements[x]}, "
                             f"y={self.elements[y]}, z={self.elements[z]}")
-        self._validated = True
         return self
-
-    @property
-    def validated(self) -> bool:
-        return self._validated
 
     # -- id/index bridging ----------------------------------------------
 
@@ -397,7 +391,6 @@ class Lattice:
             op._covers = tuple(sorted((v, u) for u, v in self._covers))
             op._topo = self._topo[::-1]
             op.grid_shape = None
-            op._validated = self._validated
             op._cube_cache = {}
             op._opposite = self
             self._opposite = op

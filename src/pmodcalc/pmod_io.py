@@ -63,8 +63,7 @@ class PmodDocument:
             dv = self.dims.get(v, 0)
             du = self.dims.get(u, 0)
             maps[(u, v)] = Matrix(field, dv, du, rows)
-        module = PersistenceModule(lattice, field, self.dims, maps)
-        return module.validate()
+        return PersistenceModule(lattice, field, self.dims, maps)
 
     @classmethod
     def from_module(cls, module: PersistenceModule) -> "PmodDocument":

@@ -3,10 +3,13 @@ constructors every suite needs (intervals, free modules, direct sums,
 random cokernels).
 
 A module stores one matrix per Hasse cover; transports along arbitrary
-u <= v are derived by composition and cached.  ``validate`` checks that
-the composite is path-independent, which is the functor axiom.  All
-derived modules (images, kernels, cokernels) pick bases through the
-echelon convention of :mod:`pmodcalc.linalg`, so they are deterministic.
+u <= v are composed lazily along the first-parent chain and cached.
+Every module is checked on construction: ``validate`` requires every
+cover diamond to commute, which on a distributive lattice (and every
+``Lattice`` is one) is the whole functor axiom, since any two maximal
+chains of an interval differ by diamond flips.  All derived modules
+(images, kernels, cokernels) pick bases through the echelon convention
+of :mod:`pmodcalc.linalg`, so they are deterministic.
 """
 
 from __future__ import annotations
@@ -51,15 +54,15 @@ class NotConnected(Exception):
 
 
 class PersistenceModule:
-    """A functor from a finite lattice to F_p vector spaces."""
+    """A functor from a finite distributive lattice to F_p vector spaces,
+    checked on construction (raises NonCommutingSquare)."""
 
     __slots__ = ("lattice", "field", "_dims", "_maps", "_transports",
-                 "_validated", "tags", "calc_cache")
+                 "calc_cache")
 
     def __init__(self, lattice: Lattice, field: FieldSpec,
                  dims: Mapping[str, int],
-                 cover_maps: Mapping[tuple[str, str], Matrix | Sequence[Sequence[int]]] | None = None,
-                 tags: Iterable[str] = ()):
+                 cover_maps: Mapping[tuple[str, str], Matrix | Sequence[Sequence[int]]] | None = None):
         self.lattice = lattice
         self.field = field
         dvec = [0] * lattice.n
@@ -90,9 +93,8 @@ class PersistenceModule:
             raise ValueError(f"map key {bad[0]} < {bad[1]} is not a Hasse cover")
         self._maps = maps
         self._transports: dict[tuple[int, int], Matrix] = {}
-        self._validated = False
-        self.tags = frozenset(tags)
         self.calc_cache: dict = {}
+        self.validate()
 
     # -- access -----------------------------------------------------------
 
@@ -123,7 +125,8 @@ class PersistenceModule:
                 "is not a Hasse cover") from None
 
     def transport(self, u: str, v: str) -> Matrix:
-        """The composite map F(u <= v), along the first-parent chain."""
+        """The composite map F(u <= v): the stored matrix for a cover,
+        otherwise composed along the first-parent chain and cached."""
         return self.transport_i(self.lattice.index(u), self.lattice.index(v))
 
     def transport_i(self, u: int, v: int) -> Matrix:
@@ -133,11 +136,11 @@ class PersistenceModule:
         if not lat.leq_i(u, v):
             raise NotComparable(
                 f"{lat.element(u)} is not below {lat.element(v)}")
-        cached = self._transports.get((u, v))
+        cached = self._maps.get((u, v)) or self._transports.get((u, v))
         if cached is not None:
             return cached
         for w in lat.parents_i(v):
-            if w == u or lat.leq_i(u, w):
+            if lat.leq_i(u, w):
                 m = self._maps[(w, v)] @ self.transport_i(u, w)
                 self._transports[(u, v)] = m
                 return m
@@ -146,58 +149,31 @@ class PersistenceModule:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "PersistenceModule":
-        """Check the functor axiom: transports are path-independent.
+        """Check the functor axiom on every cover diamond; run on construction.
 
-        For every source u, walks the up-set of u in a linear extension
-        and requires all parent routes into each element to agree.
-        Fills the transport cache as a side effect.
+        For each v and lower covers w, w' of v, with u = w ^ w', requires
+        F(w -> v) F(u -> w) = F(w' -> v) F(u -> w').  The lattice is
+        distributive, so u is covered by both w and w' and any two cover
+        paths from a to b are linked by such diamond flips.  Reads only
+        the stored cover maps.
         """
-        if self._validated:
-            return self
-        lat = self.lattice
-        for u in range(lat.n):
-            acc: dict[int, Matrix] = {u: Matrix.identity(self.field, self._dims[u])}
-            up = lat.upset_mask(u)
-            for v in lat.topo_order():
-                if v == u or not (up & (1 << v)):
-                    continue
-                routes = [w for w in lat.parents_i(v) if w == u or lat.leq_i(u, w)]
-                first = self._maps[(routes[0], v)] @ acc[routes[0]]
-                for w in routes[1:]:
-                    if self._maps[(w, v)] @ acc[w] != first:
-                        raise NonCommutingSquare(
-                            lat.element(u), lat.element(v),
-                            lat.element(routes[0]), lat.element(w))
-                acc[v] = first
-                self._transports.setdefault((u, v), first)
-        self._validated = True
-        return self
-
-    def validate_diamonds(self) -> "PersistenceModule":
-        """Cheaper local check: commuting squares over all cover diamonds
-        (u = w ^ w' for distinct parents w, w' of v)."""
-        lat = self.lattice
+        lat, maps, dims = self.lattice, self._maps, self._dims
         for v in range(lat.n):
+            if not dims[v]:
+                continue
             ps = lat.parents_i(v)
-            for a in range(len(ps)):
-                for b in range(a + 1, len(ps)):
-                    w1, w2 = ps[a], ps[b]
+            for a, w1 in enumerate(ps):
+                for w2 in ps[a + 1:]:
                     u = lat.meet_i(w1, w2)
-                    m1 = self._maps[(w1, v)] @ self.transport_i(u, w1)
-                    m2 = self._maps[(w2, v)] @ self.transport_i(u, w2)
-                    if m1 != m2:
+                    if dims[u] and (maps[(w1, v)] @ maps[(u, w1)]
+                                    != maps[(w2, v)] @ maps[(u, w2)]):
                         raise NonCommutingSquare(
                             lat.element(u), lat.element(v),
                             lat.element(w1), lat.element(w2))
         return self
 
-    def with_tags(self, *tags: str) -> "PersistenceModule":
-        out = PersistenceModule(self.lattice, self.field, self.dims_by_element(),
-                                {(self.lattice.element(u), self.lattice.element(v)): m
-                                 for (u, v), m in self._maps.items()},
-                                tags=self.tags | set(tags))
-        out._validated = self._validated
-        return out
+    # perfbench/tracing.py looks this name up in the class dict, so it stays.
+    validate_diamonds = validate
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PersistenceModule)
@@ -343,7 +319,7 @@ def interval_module(lattice: Lattice, field: FieldSpec,
     for (u, v) in lattice.covers_i():
         if u in sup and v in sup:
             maps[(lattice.element(u), lattice.element(v))] = Matrix.identity(field, 1)
-    return PersistenceModule(lattice, field, dims, maps).validate()
+    return PersistenceModule(lattice, field, dims, maps)
 
 
 def _mask_of(indices: Iterable[int]) -> int:
@@ -401,7 +377,7 @@ def free_module(lattice: Lattice, field: FieldSpec,
             m[posv[g]][c] = 1
         maps[(lattice.element(u), lattice.element(v))] = Matrix(
             field, len(cv), len(cu), m)
-    return PersistenceModule(lattice, field, dims, maps).validate()
+    return PersistenceModule(lattice, field, dims, maps)
 
 
 def direct_sum(f: PersistenceModule, g: PersistenceModule) -> PersistenceModule:
@@ -413,9 +389,7 @@ def direct_sum(f: PersistenceModule, g: PersistenceModule) -> PersistenceModule:
     for (u, v) in lat.covers_i():
         maps[(lat.element(u), lat.element(v))] = linalg.direct_sum(
             [f.cover_matrix_i(u, v), g.cover_matrix_i(u, v)])
-    out = PersistenceModule(lat, f.field, dims, maps)
-    out._validated = f._validated and g._validated
-    return out
+    return PersistenceModule(lat, f.field, dims, maps)
 
 
 def sum_inclusion(f: PersistenceModule, g: PersistenceModule, which: int,
@@ -523,7 +497,6 @@ def image_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
         pushed = nt.target.cover_matrix_i(u, v) @ bases[u]
         maps[(lat.element(u), lat.element(v))] = factor_through(pushed, bases[v])
     module = PersistenceModule(lat, field, dims, maps)
-    module._validated = True  # induced from a validated target through monos
     mono = NatTrans(module, nt.target, bases)
     return module, mono
 
@@ -539,7 +512,6 @@ def kernel_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
         pushed = nt.source.cover_matrix_i(u, v) @ bases[u]
         maps[(lat.element(u), lat.element(v))] = factor_through(pushed, bases[v])
     module = PersistenceModule(lat, field, dims, maps)
-    module._validated = True
     mono = NatTrans(module, nt.source, bases)
     return module, mono
 
@@ -559,7 +531,6 @@ def cokernel_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
         rhs = projs[v] @ nt.target.cover_matrix_i(u, v)
         maps[(lat.element(u), lat.element(v))] = solve_left(projs[u], rhs)
     module = PersistenceModule(lat, field, dims, maps)
-    module._validated = True
     epi = NatTrans(nt.target, module, projs)
     return module, epi
 
@@ -685,7 +656,6 @@ def opposite_module(f: PersistenceModule) -> PersistenceModule:
         maps = {(lat.element(v), lat.element(u)): m.transpose()
                 for (u, v), m in f._maps.items()}
         op = PersistenceModule(lat.opposite(), f.field, f.dims_by_element(), maps)
-        op._validated = f._validated
         op.calc_cache["opposite"] = f
         f.calc_cache["opposite"] = op
     return op

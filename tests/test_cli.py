@@ -66,6 +66,29 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "/nonexistent.pmod")
         assert code == 2
 
+    def test_non_commuting_square_is_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "twisted.pmod"
+        f.write_text("pmod 1\nfield 2\nposet grid 1 1\n"
+                     "dim 0,0 1\ndim 0,1 1\ndim 1,0 1\ndim 1,1 1\n"
+                     "map 0,0<0,1 1\nmap 0,0<1,0 1\n"
+                     "map 0,1<1,1 1\nmap 1,0<1,1 0\nend\n")
+        code, out, err = run(capsys, "analyze", str(f))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "transports 0,0 -> 1,1 via 0,1 and via 1,0 disagree" in err
+        assert "Traceback" not in out + err
+
+    def test_non_distributive_poset_is_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "m3.pmod"
+        f.write_text("pmod 1\nfield 2\nposet elements 0 a b c 1\n"
+                     "cover 0 a\ncover 0 b\ncover 0 c\n"
+                     "cover a 1\ncover b 1\ncover c 1\nend\n")
+        code, out, err = run(capsys, "analyze", str(f))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "lattice is not distributive" in err
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("exc", [
         NoFactorization("no solution"), NotAComplex("d_1 o d_2 != 0"),
         EquivalenceViolated("conditions disagree"),

@@ -5,11 +5,12 @@ import pytest
 from pmodcalc.calculus import min_cross_codegree, min_cross_degree
 from pmodcalc.generators import (CubicalComplex, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
-                                 image_bifiltration_homology, onecritical_check,
-                                 random_image, random_metric_space,
-                                 sublevel_intersection_check, sublevel_rips_h0)
+                                 image_bifiltration_homology, random_image,
+                                 random_metric_space, sublevel_intersection_check,
+                                 sublevel_rips_h0)
 from pmodcalc.linalg import rank
 from pmodcalc.resolution import pdim
+from pmodcalc.verify import run_suite
 
 
 class TestImageGrid:
@@ -122,14 +123,10 @@ class TestImagePipeline:
         with pytest.raises(UnsupportedDimension):
             image_bifiltration_homology(img, 1, gf2)
 
-    def test_one_critical_tag(self, gf2):
-        img = ImageGrid.from_lists([[[0, 1], [1, 0]]], 1)
-        h0 = image_bifiltration_homology(img, 0, gf2)
-        assert onecritical_check(h0)
-
-    def test_hand_built_module_untagged(self, square, gf2):
-        from pmodcalc import interval_module
-        assert not onecritical_check(interval_module(square, gf2, ("0,0",)))
+    def test_sublevel_check_runs_on_every_pipeline_trial(self):
+        report = run_suite("pipelines", seed=0, trials=4)
+        stat = report.properties["image-sublevel-intersections"]
+        assert (stat.passed, stat.failed) == (4, 0)
 
     def test_sublevel_intersections(self):
         rng = random.Random("mv")

@@ -20,8 +20,7 @@ def m3():
     """The diamond M3: three incomparable atoms with common top and bottom."""
     return Lattice.from_covers(
         ["0", "a", "b", "c", "1"],
-        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
-        validate=False)
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -83,14 +82,14 @@ def oracle_bicartesian_assignments(lat, arity):
 
 class TestValidate:
     def test_unit_square_ok(self, square):
-        assert square.validate().validated
+        assert square.validate() is square
 
     def test_m3_not_distributive(self):
         with pytest.raises(NotDistributive):
-            m3().validate()
+            m3()
 
     def test_grid_ok(self, grid22):
-        assert grid22.validate().validated
+        assert grid22.validate() is grid22
 
     def test_two_minimal_elements(self):
         with pytest.raises(NoBottom):
@@ -108,19 +107,17 @@ class TestValidate:
             Lattice.from_covers(
                 ["0", "a", "b", "c", "d"],
                 [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"),
-                 ("a", "d"), ("b", "d")], validate=False)
+                 ("a", "d"), ("b", "d")])
 
     def test_cycle_rejected(self):
         with pytest.raises(NotLattice):
             Lattice.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
 
     def test_pentagon_not_distributive(self):
-        n5 = Lattice.from_covers(
-            ["0", "a", "b", "c", "1"],
-            [("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")],
-            validate=False)
         with pytest.raises(NotDistributive):
-            n5.validate()
+            Lattice.from_covers(
+                ["0", "a", "b", "c", "1"],
+                [("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")])
 
 
 class TestJoinMeet:

@@ -29,9 +29,8 @@ class TestValidateFunctor:
         dims = {el: 1 for el in square.elements}
         maps = {("0,0", "0,1"): [[1]], ("0,0", "1,0"): [[1]],
                 ("0,1", "1,1"): [[1]], ("1,0", "1,1"): [[0]]}
-        f = PersistenceModule(square, gf2, dims, maps)
         with pytest.raises(NonCommutingSquare):
-            f.validate()
+            PersistenceModule(square, gf2, dims, maps)
 
     def test_interval_modules_ok(self, square, gf2):
         supports = [s for k in range(1, 5)

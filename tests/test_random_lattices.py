@@ -64,7 +64,7 @@ def random_lattices():
 class TestDownsetLattices:
     def test_all_validate_as_distributive(self, random_lattices):
         for lat in random_lattices:
-            assert lat.validated
+            assert lat.validate() is lat
 
     def test_jdim_equals_parent_count_oracle(self, random_lattices):
         # Independent oracle: minimal join-decomposition into irreducibles,

@@ -87,7 +87,7 @@ def pinched_lattice():
 class TestPinchedLattice:
     def test_is_distributive_and_dimensions(self):
         lat = pinched_lattice()
-        assert lat.validate().validated
+        assert lat.validate() is lat
         assert lat.jdim("ab") == 2
         assert lat.jdim("abt") == 1  # join-irreducible despite being the top
         assert lat.poset_dimension() == 2
