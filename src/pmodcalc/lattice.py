@@ -6,7 +6,10 @@ meet queries and subposet extraction stay cheap for the ~100-element
 grids the generators produce.
 
 A lattice is built either from an explicit cover list or as a product
-of chains (``Lattice.grid``), and every lattice is distributive.  Grids
+of chains (``Lattice.grid``), and every lattice is distributive.  A
+grid's order, covers and join / meet tables are read off the element
+coordinates, with no pairwise comparison; it may have at most
+``MAX_GRID_ELEMENTS`` elements, as its two tables are quadratic.  Grids
 are distributive by construction, and so is the opposite of a
 distributive lattice.  An explicit lattice is checked on construction:
 an order without a unique bottom or with a missing join or meet is
@@ -19,6 +22,7 @@ commuting cover diamonds are the whole functor axiom.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -39,11 +43,72 @@ class NotPairwiseCover(Exception):
     """Parts of a claimed pairwise cover do not pairwise join to the top."""
 
 
+#: Largest grid ``Lattice.grid`` builds: its join and meet tables hold n^2
+#: entries each, 33.5M together at this size.
+MAX_GRID_ELEMENTS = 4096
+
+
+def grid_size(maxes: Sequence[int]) -> int:
+    """The element count of ``Lattice.grid(maxes)``; raises ValueError for
+    bad bounds or more than MAX_GRID_ELEMENTS elements."""
+    if not maxes or any(m < 0 for m in maxes):
+        raise ValueError("grid needs at least one nonnegative bound")
+    n = math.prod(m + 1 for m in maxes)
+    if n > MAX_GRID_ELEMENTS:
+        raise ValueError(f"grid {'x'.join(str(m + 1) for m in maxes)} has {n} "
+                         f"elements, more than the cap of {MAX_GRID_ELEMENTS}")
+    return n
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _reach(order: Iterable[int], succ: Sequence[Iterable[int]]) -> list[int]:
+    """Per element, the mask of itself and everything it reaches along
+    succ; ``order`` visits the successors of an element before it."""
+    masks = [0] * len(succ)
+    for i in order:
+        m = 1 << i
+        for j in succ[i]:
+            m |= masks[j]
+        masks[i] = m
+    return masks
+
+
+def _join_meet_tables(elements: Sequence[str], up: list[int],
+                      down: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Join and meet tables of an order given by its up / down masks;
+    raises NoBottom / NotLattice where a bottom, join or meet is missing."""
+    n = len(elements)
+    minimal = [i for i in range(n) if down[i] == (1 << i)]
+    if len(minimal) != 1:
+        raise NoBottom(f"{len(minimal)} minimal elements, need exactly 1")
+    join = [[-1] * n for _ in range(n)]
+    meet = [[-1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            jv = _extreme_of(up[i] & up[j], up)
+            if jv < 0:
+                raise NotLattice(f"no least upper bound for {elements[i]}, {elements[j]}")
+            mv = _extreme_of(down[i] & down[j], down)
+            if mv < 0:
+                raise NotLattice(
+                    f"no greatest lower bound for {elements[i]}, {elements[j]}")
+            join[i][j] = join[j][i] = jv
+            meet[i][j] = meet[j][i] = mv
+    return join, meet
+
+
+def _extreme_of(mask: int, cone: list[int]) -> int:
+    """The element of mask whose cone (up or down mask) holds all of mask, or -1."""
+    for c in _bits(mask):
+        if mask & ~cone[c] == 0:
+            return c
+    return -1
 
 
 class Lattice:
@@ -53,27 +118,26 @@ class Lattice:
                  "_covers", "_parents", "_children", "_topo", "grid_shape",
                  "_cube_cache", "_opposite")
 
-    def __init__(self, elements: Sequence[str], up_masks: list[int],
+    def __init__(self, elements: Sequence[str], up: list[int], down: list[int],
+                 parents: list[tuple[int, ...]], children: list[tuple[int, ...]],
+                 join: list[list[int]], meet: list[list[int]],
+                 topo: tuple[int, ...] | None = None,
                  grid_shape: tuple[int, ...] | None = None):
-        # Not meant to be called directly; use from_covers / grid.
+        # Not meant to be called directly: from_covers, grid and opposite
+        # build the tables, this only stores them.
         self.elements = tuple(elements)
         self.n = len(self.elements)
-        if len(set(self.elements)) != self.n:
-            raise ValueError("duplicate element ids")
         self._idx = {e: i for i, e in enumerate(self.elements)}
-        self._up = up_masks
-        self._down = [0] * self.n
-        for i in range(self.n):
-            for j in _bits(up_masks[i]):
-                self._down[j] |= 1 << i
+        self._up, self._down = up, down
+        self._parents, self._children = parents, children
+        self._covers = tuple((i, j) for i, cs in enumerate(children) for j in cs)
+        self._join, self._meet = join, meet
+        # Linear extension: sort by downset size, ties by index.
+        self._topo = topo if topo is not None else tuple(
+            sorted(range(self.n), key=lambda i: (down[i].bit_count(), i)))
         self.grid_shape = grid_shape
         self._cube_cache: dict[int, list["LatticeCube"]] = {}
         self._opposite: Lattice | None = None
-        self._build_covers()
-        self._build_tables()
-        # Linear extension: sort by downset size, ties by index.
-        self._topo = tuple(sorted(range(self.n),
-                                  key=lambda i: (self._down[i].bit_count(), i)))
 
     # -- constructors --------------------------------------------------
 
@@ -90,6 +154,8 @@ class Lattice:
         elements = tuple(elements)
         idx = {e: i for i, e in enumerate(elements)}
         n = len(elements)
+        if len(idx) != n:
+            raise ValueError("duplicate element ids")
         succ: list[set[int]] = [set() for _ in range(n)]
         indeg = [0] * n
         seen = set()
@@ -114,101 +180,60 @@ class Lattice:
                     queue.append(j)
         if len(order) != n:
             raise NotLattice("cover relation contains a cycle")
-        up = [0] * n
-        for i in reversed(order):
-            m = 1 << i
-            for j in succ[i]:
-                m |= up[j]
-            up[i] = m
-        return cls(elements, up).validate()
+        up = _reach(reversed(order), succ)
+        down = [0] * n
+        for i in range(n):
+            for j in _bits(up[i]):
+                down[j] |= 1 << i
+        # The closure of an acyclic relation is antisymmetric, so the Hasse
+        # diagram is the pairs with nothing strictly between them.
+        parents: list[list[int]] = [[] for _ in range(n)]
+        children: list[list[int]] = [[] for _ in range(n)]
+        for i in range(n):
+            for j in _bits(up[i] & ~(1 << i)):
+                if up[i] & down[j] & ~(1 << i) & ~(1 << j) == 0:
+                    parents[j].append(i)
+                    children[i].append(j)
+        join, meet = _join_meet_tables(elements, up, down)
+        return cls(elements, up, down, [tuple(ps) for ps in parents],
+                   [tuple(cs) for cs in children], join, meet).validate()
 
     @classmethod
     def grid(cls, maxes: Sequence[int]) -> "Lattice":
         """The product of chains {0..m1} x ... x {0..mn}, canonically named.
 
         Elements are "i1,i2,...,in" in lexicographic order; covers bump a
-        single coordinate.  Grids are distributive by construction, so
-        ``validate`` is not run.
+        single coordinate (at index stride (m_{k+1}+1)...(m_n+1) for axis
+        k), and join / meet are the coordinatewise max / min.  All of it is
+        read off the coordinates, and grids are distributive by
+        construction, so ``validate`` is not run.
         """
         maxes = tuple(int(m) for m in maxes)
-        if not maxes or any(m < 0 for m in maxes):
-            raise ValueError("grid needs at least one nonnegative bound")
+        n = grid_size(maxes)
         coords = list(itertools.product(*(range(m + 1) for m in maxes)))
-        names = [",".join(str(c) for c in t) for t in coords]
-        pos = {t: i for i, t in enumerate(coords)}
-        n = len(coords)
-        up = [0] * n
-        for i, t in enumerate(coords):
-            m = 0
-            for s in coords:
-                if all(a <= b for a, b in zip(t, s)):
-                    m |= 1 << pos[s]
-            up[i] = m
-        return cls(names, up, grid_shape=maxes)
+        strides = [math.prod(m + 1 for m in maxes[k + 1:]) for k in range(len(maxes))]
+        parents = [tuple(sorted(i - s for c, s in zip(t, strides) if c))
+                   for i, t in enumerate(coords)]
+        children = [tuple(sorted(i + s for c, m, s in zip(t, maxes, strides) if c < m))
+                    for i, t in enumerate(coords)]
+        down, up = _reach(range(n), parents), _reach(reversed(range(n)), children)
 
-    # -- internal table construction ------------------------------------
+        def table(pick):
+            # Built from the last axis out: in a grid with one more axis in
+            # front, the row of (c, t) runs over the new coordinate x and
+            # repeats the row of t, shifted to pick(c, x) at the old size.
+            rows, size = [[0]], 1
+            for m in reversed(maxes):
+                shifted = [[[y * size + e for e in row] for row in rows]
+                           for y in range(m + 1)]
+                rows = [list(itertools.chain.from_iterable(
+                            shifted[pick(c, x)][t] for x in range(m + 1)))
+                        for c in range(m + 1) for t in range(size)]
+                size *= m + 1
+            return rows
 
-    def _build_covers(self) -> None:
-        covers = []
-        parents: list[list[int]] = [[] for _ in range(self.n)]
-        children: list[list[int]] = [[] for _ in range(self.n)]
-        for i in range(self.n):
-            strictly_up = self._up[i] & ~(1 << i)
-            for j in _bits(strictly_up):
-                if self._up[j] & (1 << i):
-                    raise NotLattice(
-                        f"order not antisymmetric at {self.elements[i]}, {self.elements[j]}")
-                between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    covers.append((i, j))
-                    parents[j].append(i)
-                    children[i].append(j)
-        self._covers = tuple(sorted(covers))
-        self._parents = [tuple(sorted(ps)) for ps in parents]
-        self._children = [tuple(sorted(cs)) for cs in children]
-
-    def _build_tables(self) -> None:
-        n = self.n
-        if self.grid_shape is not None:
-            # Componentwise min/max is exact for products of chains.
-            coords = [tuple(int(c) for c in e.split(",")) for e in self.elements]
-            pos = {t: i for i, t in enumerate(coords)}
-            self._join = [[pos[tuple(max(a, b) for a, b in zip(coords[i], coords[j]))]
-                           for j in range(n)] for i in range(n)]
-            self._meet = [[pos[tuple(min(a, b) for a, b in zip(coords[i], coords[j]))]
-                           for j in range(n)] for i in range(n)]
-            return
-        minimal = [i for i in range(n) if self._down[i] == (1 << i)]
-        if len(minimal) != 1:
-            raise NoBottom(f"{len(minimal)} minimal elements, need exactly 1")
-        join = [[-1] * n for _ in range(n)]
-        meet = [[-1] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                jv = self._least_of(self._up[i] & self._up[j])
-                if jv < 0:
-                    raise NotLattice(
-                        f"no least upper bound for {self.elements[i]}, {self.elements[j]}")
-                mv = self._greatest_of(self._down[i] & self._down[j])
-                if mv < 0:
-                    raise NotLattice(
-                        f"no greatest lower bound for {self.elements[i]}, {self.elements[j]}")
-                join[i][j] = join[j][i] = jv
-                meet[i][j] = meet[j][i] = mv
-        self._join = join
-        self._meet = meet
-
-    def _least_of(self, mask: int) -> int:
-        for c in _bits(mask):
-            if mask & ~self._up[c] == 0:
-                return c
-        return -1
-
-    def _greatest_of(self, mask: int) -> int:
-        for c in _bits(mask):
-            if mask & ~self._down[c] == 0:
-                return c
-        return -1
+        return cls([",".join(map(str, t)) for t in coords], up, down, parents,
+                   children, table(max), table(min), grid_shape=maxes)
 
     # -- validation ------------------------------------------------------
 
@@ -383,15 +408,8 @@ class Lattice:
         """
         op = self._opposite
         if op is None:
-            op = object.__new__(Lattice)
-            op.elements, op._idx, op.n = self.elements, self._idx, self.n
-            op._up, op._down = self._down, self._up
-            op._join, op._meet = self._meet, self._join
-            op._parents, op._children = self._children, self._parents
-            op._covers = tuple(sorted((v, u) for u, v in self._covers))
-            op._topo = self._topo[::-1]
-            op.grid_shape = None
-            op._cube_cache = {}
+            op = Lattice(self.elements, self._down, self._up, self._children,
+                         self._parents, self._meet, self._join, self._topo[::-1])
             op._opposite = self
             self._opposite = op
         return op

@@ -12,6 +12,12 @@ built on top of this layer) deterministic.
 Zero-dimensional shapes (0 x n, n x 0) are first-class citizens: they
 encode maps to and from the zero space and show up constantly as cover
 maps of sparse modules.
+
+``Matrix(...)`` is the one checked constructor (entries reduced mod p,
+shape checked), and all input from outside this module goes through it.
+The results linalg builds itself are reduced by construction and use the
+unchecked ``Matrix._of``.  Over GF(2) rows are packed into int bitmasks
+(entry j at bit j) through bytes, with no per-bit Python loop.
 """
 
 from __future__ import annotations
@@ -81,6 +87,19 @@ class Matrix:
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "_rref", None)
 
+    @classmethod
+    def _of(cls, field: FieldSpec, nrows: int, ncols: int,
+            data: tuple[tuple[int, ...], ...]) -> "Matrix":
+        """Trusted construction: ``data`` must be ``nrows`` tuples of
+        ``ncols`` entries already reduced mod p.  Nothing is checked."""
+        m = object.__new__(cls)
+        _set_field(m, field)
+        _set_nrows(m, nrows)
+        _set_ncols(m, ncols)
+        _set_data(m, data)
+        _set_rref(m, None)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -88,21 +107,16 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, nrows, ncols)
+        if nrows < 0 or ncols < 0:
+            raise ValueError("negative matrix shape")
+        return cls._of(field, nrows, ncols, ((0,) * ncols,) * nrows)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(field, n, n, [[1 if i == j else 0 for j in range(n)]
-                                 for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence[int]],
-                  ncols: int | None = None) -> "Matrix":
-        if not rows:
-            if ncols is None:
-                raise ValueError("ncols required for a 0-row matrix")
-            return cls(field, 0, ncols)
-        return cls(field, len(rows), len(rows[0]), rows)
+        if n < 0:
+            raise ValueError("negative matrix shape")
+        return cls._of(field, n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
+                                          for i in range(n)))
 
     @classmethod
     def column(cls, field: FieldSpec, entries: Sequence[int]) -> "Matrix":
@@ -127,9 +141,6 @@ class Matrix:
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self._data]
 
-    def entries_flat(self) -> list[int]:
-        return [x for row in self._data for x in row]
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._data for x in row)
 
@@ -151,48 +162,49 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         p = self.field.p
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [[(a + b) % p for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._data, other._data)])
+        return Matrix._of(self.field, self.nrows, self.ncols,
+                          tuple(tuple([(a + b) % p for a, b in zip(r1, r2)])
+                                for r1, r2 in zip(self._data, other._data)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         p = self.field.p
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [[(a - b) % p for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._data, other._data)])
+        return Matrix._of(self.field, self.nrows, self.ncols,
+                          tuple(tuple([(a - b) % p for a, b in zip(r1, r2)])
+                                for r1, r2 in zip(self._data, other._data)))
 
     def __neg__(self) -> "Matrix":
-        p = self.field.p
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [[(-a) % p for a in r] for r in self._data])
+        return self.scale(-1)
 
     def scale(self, c: int) -> "Matrix":
         p = self.field.p
         c %= p
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [[(c * a) % p for a in r] for r in self._data])
+        return Matrix._of(self.field, self.nrows, self.ncols,
+                          tuple(tuple([(c * a) % p for a in r]) for r in self._data))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows,
-                      [[self._data[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)])
+        data = tuple(zip(*self._data)) if self.nrows else ((),) * self.ncols
+        return Matrix._of(self.field, self.ncols, self.nrows, data)
 
     def take_cols(self, idx: Iterable[int]) -> "Matrix":
         idx = list(idx)
-        return Matrix(self.field, self.nrows, len(idx),
-                      [[row[j] for j in idx] for row in self._data])
+        return Matrix._of(self.field, self.nrows, len(idx),
+                          tuple(tuple([row[j] for j in idx]) for row in self._data))
 
     def take_rows(self, idx: Iterable[int]) -> "Matrix":
-        idx = list(idx)
-        return Matrix(self.field, len(idx), self.ncols,
-                      [self._data[i] for i in idx])
+        data = tuple(self._data[i] for i in idx)
+        return Matrix._of(self.field, len(data), self.ncols, data)
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+
+# Slot descriptors write past the immutability guard in __setattr__.
+_set_field, _set_nrows, _set_ncols, _set_data, _set_rref = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
@@ -206,18 +218,10 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
         return Matrix.zeros(a.field, a.nrows, b.ncols)
     if p == 2:
         # Rows of a and columns of b as bitmasks; each entry is a popcount parity.
-        arows = [_bits_of(row) for row in a.rows()]
-        bcols = []
-        bdata = b.rows()
-        for j in range(b.ncols):
-            m = 0
-            for i in range(b.nrows):
-                if bdata[i][j]:
-                    m |= 1 << i
-            bcols.append(m)
-        return Matrix(a.field, a.nrows, b.ncols,
-                      [[(ar & bc).bit_count() & 1 for bc in bcols]
-                       for ar in arows])
+        bcols = [_bits_of(col) for col in zip(*b.rows())]
+        return Matrix._of(a.field, a.nrows, b.ncols,
+                          tuple(tuple([(ar & bc).bit_count() & 1 for bc in bcols])
+                                for ar in map(_bits_of, a.rows())))
     bdata = b.rows()
     out = []
     for row in a.rows():
@@ -227,8 +231,8 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
             brow = bdata[k]
             for j in range(b.ncols):
                 new[j] += x * brow[j]
-        out.append([v % p for v in new])
-    return Matrix(a.field, a.nrows, b.ncols, out)
+        out.append(tuple([v % p for v in new]))
+    return Matrix._of(a.field, a.nrows, b.ncols, tuple(out))
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -240,8 +244,8 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
         if m.field != field or m.nrows != nrows:
             raise ValueError("hstack shape/field mismatch")
     ncols = sum(m.ncols for m in mats)
-    rows = [[x for m in mats for x in m.row(i)] for i in range(nrows)]
-    return Matrix(field, nrows, ncols, rows)
+    rows = tuple(sum(parts, ()) for parts in zip(*(m.rows() for m in mats)))
+    return Matrix._of(field, nrows, ncols, rows)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -252,8 +256,8 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     for m in mats:
         if m.field != field or m.ncols != ncols:
             raise ValueError("vstack shape/field mismatch")
-    rows = [row for m in mats for row in m.rows()]
-    return Matrix(field, len(rows), ncols, rows)
+    rows = tuple(row for m in mats for row in m.rows())
+    return Matrix._of(field, len(rows), ncols, rows)
 
 
 def direct_sum(mats: Sequence[Matrix], field: FieldSpec | None = None) -> Matrix:
@@ -265,29 +269,31 @@ def direct_sum(mats: Sequence[Matrix], field: FieldSpec | None = None) -> Matrix
     field = mats[0].field
     nrows = sum(m.nrows for m in mats)
     ncols = sum(m.ncols for m in mats)
-    rows = [[0] * ncols for _ in range(nrows)]
-    r0 = c0 = 0
+    rows = []
+    c0 = 0
     for m in mats:
-        for i in range(m.nrows):
-            row = m.row(i)
-            rows[r0 + i][c0:c0 + m.ncols] = row
-        r0 += m.nrows
+        left, right = (0,) * c0, (0,) * (ncols - c0 - m.ncols)
+        rows.extend(left + row + right for row in m.rows())
         c0 += m.ncols
-    return Matrix(field, nrows, ncols, rows)
+    return Matrix._of(field, nrows, ncols, tuple(rows))
 
 
 # -- echelon forms -----------------------------------------------------
 
-def _bits_of(row: Sequence[int]) -> int:
-    m = 0
-    for j, x in enumerate(row):
-        if x:
-            m |= 1 << j
-    return m
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits_of(row: tuple[int, ...]) -> int:
+    """Pack a 0/1 row into an int, entry j at bit j (the last entry leads
+    the binary numeral, hence the reversal)."""
+    return int(bytes(row[::-1]).translate(_TO_DIGITS) or b"0", 2)
 
 
 def _row_of_bits(bits: int, ncols: int) -> tuple[int, ...]:
-    return tuple((bits >> j) & 1 for j in range(ncols))
+    """Unpack the low ncols bits of ``bits``; bit ncols is set as a leading
+    sentinel so the numeral has exactly ncols digits after it."""
+    return tuple(format(bits | 1 << ncols, "b")[:0:-1].encode().translate(_FROM_DIGITS))
 
 
 def _rref_gf2(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -316,7 +322,8 @@ def _rref_gf2(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     return mat, pivots
 
 
-def _rref_modp(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+def _rref_modp(rows: Sequence[Sequence[int]], ncols: int,
+               p: int) -> tuple[list[list[int]], list[int]]:
     mat = [list(r) for r in rows]
     pivots: list[int] = []
     pr = 0
@@ -357,13 +364,13 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         return cached
     if m.field.p == 2:
         bits, pivots = _rref_gf2([_bits_of(r) for r in m.rows()], m.ncols)
-        red = Matrix(m.field, m.nrows, m.ncols,
-                     [_row_of_bits(b, m.ncols) for b in bits])
+        rows = tuple(_row_of_bits(b, m.ncols) for b in bits)
     else:
-        rows, pivots = _rref_modp(m.to_lists(), m.ncols, m.field.p)
-        red = Matrix(m.field, m.nrows, m.ncols, rows)
+        rows, pivots = _rref_modp(m.rows(), m.ncols, m.field.p)
+        rows = tuple(map(tuple, rows))
+    red = Matrix._of(m.field, m.nrows, m.ncols, rows)
     result = (red, tuple(pivots))
-    object.__setattr__(m, "_rref", result)
+    _set_rref(m, result)
     return result
 
 
@@ -382,16 +389,15 @@ def kernel_basis(m: Matrix) -> Matrix:
     red, pivots = rref(m)
     pivot_set = set(pivots)
     free = [j for j in range(m.ncols) if j not in pivot_set]
-    p = m.field.p
+    p, rows = m.field.p, red.rows()
     cols = []
     for f in free:
         v = [0] * m.ncols
         v[f] = 1
         for r, c in enumerate(pivots):
-            v[c] = (-red[r, f]) % p
+            v[c] = -rows[r][f] % p
         cols.append(v)
-    return Matrix(m.field, m.ncols, len(cols),
-                  [[col[i] for col in cols] for i in range(m.ncols)])
+    return Matrix._of(m.field, len(cols), m.ncols, tuple(map(tuple, cols))).transpose()
 
 
 def image_basis(m: Matrix) -> Matrix:
@@ -424,11 +430,10 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         if c >= n:
             raise NoFactorization(
                 f"system has no solution (pivot in augmented column {c - n})")
-    x = [[0] * b.ncols for _ in range(n)]
+    x = [(0,) * b.ncols] * n
     for r, c in enumerate(pivots):
-        for j in range(b.ncols):
-            x[c][j] = red[r, n + j]
-    return Matrix(a.field, n, b.ncols, x)
+        x[c] = red.row(r)[n:]
+    return Matrix._of(a.field, n, b.ncols, tuple(x))
 
 
 def factor_through(f: Matrix, g: Matrix) -> Matrix:

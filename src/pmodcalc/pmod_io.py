@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Lattice
+from .lattice import Lattice, grid_size
 from .linalg import FieldSpec, Matrix
 from .pmodule import PersistenceModule
 
@@ -195,6 +195,7 @@ def parse_pmod(text: str) -> PmodDocument:
 
 def _grid_element_names(grid: tuple[int, ...]) -> set[str]:
     import itertools
+    grid_size(grid)  # bounds the set below
     return {",".join(str(c) for c in t)
             for t in itertools.product(*(range(m + 1) for m in grid))}
 

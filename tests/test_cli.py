@@ -1,4 +1,6 @@
 import json
+import resource
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture()
+def address_space_cap():
+    """Caps this process's address space at 1 GiB above its current size
+    while the test runs, so that a grid built past its element cap fails
+    with MemoryError instead of exhausting the host's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        used = int(fh.read().split()[0]) * resource.getpagesize()
+    resource.setrlimit(resource.RLIMIT_AS, (used + 2**30, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 class TestAnalyze:
@@ -87,6 +104,18 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: ")
         assert "lattice is not distributive" in err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("bounds", ["200 200", "1000 1000 1000"])
+    def test_oversized_grid_is_exit_2(self, tmp_path, capsys, address_space_cap,
+                                      bounds):
+        f = tmp_path / "huge.pmod"
+        f.write_text(f"pmod 1\nfield 2\nposet grid {bounds}\nend\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(f))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert err.startswith("error: ") and "more than the cap of 4096" in err
         assert "Traceback" not in out + err
 
     @pytest.mark.parametrize("exc", [
@@ -181,6 +210,14 @@ class TestGen:
                              "--seed", "7")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_oversized_random_grid_is_exit_2(self, capsys, address_space_cap):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "random", "--grid", "100", "100")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert err.startswith("error: ") and "10201 elements" in err
+        assert "Traceback" not in out + err
 
     def test_image_pipeline(self, tmp_path, capsys):
         img = tmp_path / "img.txt"

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from pmodcalc import lattice
 from pmodcalc.lattice import (Lattice, NoBottom, NotDistributive,
                               NotLattice, NotPairwiseCover, PairwiseCover,
                               bicartesian_cubes_cached, child_cube,
@@ -340,3 +341,52 @@ class TestOppositeAndSubposets:
     def test_downset_upset(self, square):
         assert set(square.downset("1,0")) == {"0,0", "1,0"}
         assert set(square.upset("1,0")) == {"1,0", "1,1"}
+
+
+class TestGridFromCoordinates:
+    SHAPES = [[0], [3], [0, 0], [4, 5], [2, 0, 2], [1, 1, 1], [2, 3, 1]]
+
+    @staticmethod
+    def generic(maxes):
+        """The grid built the generic way: names, and the covers that bump
+        one coordinate, through from_covers."""
+        def name(t):
+            return ",".join(map(str, t))
+
+        coords = list(itertools.product(*(range(m + 1) for m in maxes)))
+        covers = [(name(t), name(t[:k] + (t[k] + 1,) + t[k + 1:]))
+                  for t in coords for k, m in enumerate(maxes) if t[k] < m]
+        return Lattice.from_covers([name(t) for t in coords], covers)
+
+    @staticmethod
+    def assert_same_tables(a, b):
+        assert a.elements == b.elements
+        assert a._up == b._up and a._down == b._down
+        assert a._join == b._join and a._meet == b._meet
+        assert a.covers_i() == b.covers_i()
+        for i in range(a.n):
+            assert a.parents_i(i) == b.parents_i(i)
+            assert a.children_i(i) == b.children_i(i)
+
+    @pytest.mark.parametrize("maxes", SHAPES)
+    def test_matches_from_covers(self, maxes):
+        grid, built = Lattice.grid(maxes), self.generic(maxes)
+        self.assert_same_tables(grid, built)
+        assert grid.topo_order() == built.topo_order()
+        assert grid.grid_shape == tuple(maxes)
+
+    @pytest.mark.parametrize("maxes", SHAPES)
+    def test_opposite_matches_reversed_covers(self, maxes):
+        grid = Lattice.grid(maxes)
+        built = Lattice.from_covers(grid.elements,
+                                    [(v, u) for u, v in grid.covers()])
+        self.assert_same_tables(grid.opposite(), built)
+        assert grid.opposite().topo_order() == grid.topo_order()[::-1]
+
+    def test_size_cap(self, monkeypatch):
+        with pytest.raises(ValueError, match="has 4160 elements, more than the cap of 4096"):
+            Lattice.grid([64, 63])
+        monkeypatch.setattr(lattice, "MAX_GRID_ELEMENTS", 12)
+        assert Lattice.grid([3, 2]).n == 12
+        with pytest.raises(ValueError, match="has 16 elements"):
+            Lattice.grid([3, 3])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,3 +267,97 @@ def test_matrix_immutable():
     m = Matrix.identity(gf(2), 2)
     with pytest.raises(AttributeError):
         m.nrows = 3
+
+
+# -- the trusted constructor and GF(2) packing ----------------------------------
+
+
+def bits_of_oracle(row):
+    """The per-bit packing linalg used before: entry j at bit j."""
+    m = 0
+    for j, x in enumerate(row):
+        if x:
+            m |= 1 << j
+    return m
+
+
+def row_of_bits_oracle(bits, ncols):
+    return tuple((bits >> j) & 1 for j in range(ncols))
+
+
+def assert_well_formed(m):
+    """m equals its checked rebuild and is stored as Matrix(...) stores it."""
+    assert m == Matrix(m.field, m.nrows, m.ncols, m.to_lists())
+    assert type(m._data) is tuple and len(m._data) == m.nrows
+    for row in m._data:
+        assert type(row) is tuple and len(row) == m.ncols
+        assert all(type(x) is int and 0 <= x < m.field.p for x in row)
+
+
+@st.composite
+def shaped(draw, field, nrows, ncols):
+    return Matrix(field, nrows, ncols,
+                  [[draw(st.integers(0, field.p - 1)) for _ in range(ncols)]
+                   for _ in range(nrows)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_op_matches_its_checked_rebuild(data):
+    field = data.draw(st.sampled_from([gf(2), gf(3)]))
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, a2 = data.draw(shaped(field, r, k)), data.draw(shaped(field, r, k))
+    b, y = data.draw(shaped(field, k, c)), data.draw(shaped(field, c, r))
+    cols = data.draw(st.lists(st.integers(0, k - 1), max_size=5)) if k else []
+    rows = data.draw(st.lists(st.integers(0, r - 1), max_size=5)) if r else []
+    p, la, la2, lb = field.p, a.to_lists(), a2.to_lists(), b.to_lists()
+    results = {
+        "zeros": (Matrix.zeros(field, r, k), [[0] * k for _ in range(r)]),
+        "identity": (Matrix.identity(field, k),
+                     [[int(i == j) for j in range(k)] for i in range(k)]),
+        "transpose": (a.transpose(), [[la[i][j] for i in range(r)] for j in range(k)]),
+        "take_cols": (a.take_cols(cols), [[row[j] for j in cols] for row in la]),
+        "take_rows": (a.take_rows(rows), [la[i] for i in rows]),
+        "add": (a + a2, [[(x + z) % p for x, z in zip(u, v)] for u, v in zip(la, la2)]),
+        "sub": (a - a2, [[(x - z) % p for x, z in zip(u, v)] for u, v in zip(la, la2)]),
+        "neg": (-a, [[-x % p for x in u] for u in la]),
+        "scale": (a.scale(5), [[5 * x % p for x in u] for u in la]),
+        "multiply": (a @ b, [[sum(la[i][t] * lb[t][j] for t in range(k)) % p
+                              for j in range(c)] for i in range(r)]),
+        "hstack": (hstack([a, a2]), [u + v for u, v in zip(la, la2)]),
+        "vstack": (vstack([a, a2]), la + la2),
+        "direct_sum": (linalg.direct_sum([a, b]),
+                       [u + [0] * c for u in la] + [[0] * k + v for v in lb]),
+    }
+    for name, (m, expected) in results.items():
+        assert_well_formed(m)
+        assert m.to_lists() == expected, name
+    red, pivots = rref(a)
+    solved = solve(a, a @ b)
+    solved_left = solve_left(a, y @ a)
+    for m in (red, kernel_basis(a), cokernel_projection(a), solved, solved_left):
+        assert_well_formed(m)
+    assert (red, pivots) == rref(Matrix(field, r, k, la))
+    assert a @ solved == a @ b and solved_left @ a == y @ a
+
+
+def test_gf2_packing_matches_bit_loops():
+    rng = random.Random(0)
+    for n in range(301):
+        for row in ((0,) * n, (1,) * n,
+                    tuple(rng.randrange(2) for _ in range(n))):
+            bits = linalg._bits_of(row)
+            assert bits == bits_of_oracle(row)
+            assert linalg._row_of_bits(bits, n) == row == row_of_bits_oracle(bits, n)
+
+
+def test_public_constructor_still_checks():
+    assert Matrix(gf(3), 1, 3, [[4, -1, 3]]).rows() == ((1, 2, 0),)
+    with pytest.raises(ValueError):
+        Matrix(gf(2), 2, 2, [[1, 0]])
+    with pytest.raises(ValueError):
+        Matrix(gf(2), 1, 2, [[1, 0, 1]])
+    with pytest.raises(ValueError):
+        Matrix.zeros(gf(2), -1, 2)
+    with pytest.raises(AttributeError):
+        (Matrix.identity(gf(2), 2) @ Matrix.identity(gf(2), 2)).nrows = 3
