@@ -11,9 +11,9 @@ path over enumerated bicartesian cubes.
 Only the lower side is computed: t_lower by a local sweep over the
 lattice, and everything upper as its dual on the opposite lattice
 (limits over meet-dimension are colimits over join-dimension there).
-Induced maps are the unique solutions against cokernel projections, so
-everything downstream is deterministic.  Per-module results are
-memoized on the module.
+Induced maps are the unique solutions against the bases linalg chose,
+read off their echelon forms, so everything downstream is deterministic.
+Per-module results are memoized on the module.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .lattice import Lattice, LatticeCube, bicartesian_cubes_cached, _bits
-from .linalg import (Matrix, factor_through, hstack, cokernel_projection,
-                     rank, solve_left, vstack)
+from .linalg import (Matrix, NoFactorization, factor_through, hstack,
+                     cokernel_projection, rank, rref, solve_left, vstack)
 from .pmodule import (NatTrans, PersistenceModule, VecCube, cokernel_of,
                       image_of, is_iso, opposite_module, restrict_along_cube)
 
@@ -74,20 +74,13 @@ def _diagram_colimit(f: PersistenceModule, subset: list[int]) -> tuple[int, dict
     for v in subset:
         offsets[v] = total
         total += f.dim_i(v)
-    edges = lat.induced_covers(subset)
-    cols: list[list[int]] = []
-    p = f.field.p
-    for (u, v) in edges:
-        t = f.transport_i(u, v)
-        for c in range(f.dim_i(u)):
-            col = [0] * total
-            col[offsets[u] + c] = (-1) % p
-            for r in range(f.dim_i(v)):
-                col[offsets[v] + r] = t[r, c]
-            cols.append(col)
-    incidence = Matrix(f.field, total, len(cols),
-                       [[col[r] for col in cols] for r in range(total)])
-    q = cokernel_projection(incidence)
+    blocks = [Matrix.zeros(f.field, total, 0)]
+    for (u, v) in lat.induced_covers(subset):
+        blocks.append(vstack([f.transport_i(u, v) if w == v else
+                              -Matrix.identity(f.field, f.dim_i(u)) if w == u else
+                              Matrix.zeros(f.field, f.dim_i(w), f.dim_i(u))
+                              for w in subset]))
+    q, _ = cokernel_projection(hstack(blocks))
     cocones = {v: q.take_cols(range(offsets[v], offsets[v] + f.dim_i(v)))
                for v in subset}
     return q.nrows, cocones
@@ -179,13 +172,14 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
                     maps[(m, w)] if w == ws[a] else
                     -maps[(m, w)] if w == ws[b] else
                     Matrix.zeros(field, dims[w], dims[m]) for w in ws]))
-        q = cokernel_projection(hstack(blocks))
+        q, free = cokernel_projection(hstack(blocks))
         dims[x] = q.nrows
         offset = 0
         for w in ws:
             maps[(w, x)] = q.take_cols(range(offset, offset + dims[w]))
             offset += dims[w]
-        eps[x] = solve_left(q, hstack(legs))
+        # q is the identity on the columns free; canonical.validate() checks.
+        eps[x] = hstack(legs).take_cols(free)
     module = PersistenceModule(
         lat, field, {lat.element(x): d for x, d in enumerate(dims)},
         {(lat.element(u), lat.element(v)): m for (u, v), m in maps.items()})
@@ -208,8 +202,13 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
         return cached
     t = t_lower(f, n)
     module, mono = image_of(t.canonical)
-    epi_comps = [factor_through(t.canonical.component_i(i), mono.component_i(i))
-                 for i in range(f.lattice.n)]
+    # mono holds the pivot columns of each eps, so eps = mono * (the nonzero
+    # rows of rref(eps)): read off the cached reduction, and checked.
+    eps = [t.canonical.component_i(i) for i in range(f.lattice.n)]
+    epi_comps = [red.take_rows(range(len(piv))) for red, piv in map(rref, eps)]
+    monos = [mono.component_i(i) for i in range(f.lattice.n)]
+    if any(m @ r != e for m, r, e in zip(monos, epi_comps, eps)):
+        raise NoFactorization("gamma_lower: the image legs do not compose to eps")
     epi = NatTrans(t.module, module, epi_comps)
     result = ApproxResult("gamma_lower", module, mono, factor=epi, t_result=t)
     f.calc_cache[("gamma_lower", n)] = result

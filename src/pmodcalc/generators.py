@@ -257,34 +257,36 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
     for el in lat.elements:
         av, ae, aq = complex_.active(levels[el])
         d1 = complex_.boundary_1(field, av, ae)
-        d2 = complex_.boundary_2(field, ae, aq)
         if degree == 0:
-            cycles = Matrix.identity(field, len(av))
-            bounds = image_basis(d1)
+            cycles, bounds = Matrix.identity(field, len(av)), image_basis(d1)
             cells_at[el] = av
         else:
             cycles = kernel_basis(d1)
-            bounds = image_basis(d2)
+            bounds = image_basis(complex_.boundary_2(field, ae, aq))
             cells_at[el] = ae
-        h = _homology_reps(cycles, bounds)
-        reps[el] = h
+        reps[el] = h = _homology_reps(cycles, bounds)
         basis_solver[el] = hstack([h, bounds])
         dims[el] = h.ncols
 
     maps = {}
-    for (u, v) in lat.covers_i():
-        eu, ev = lat.element(u), lat.element(v)
-        src_cells, dst_cells = cells_at[eu], cells_at[ev]
-        pos = {c: i for i, c in enumerate(dst_cells)}
-        lifted = [[0] * reps[eu].ncols for _ in range(len(dst_cells))]
-        for col in range(reps[eu].ncols):
-            for r, cell in enumerate(src_cells):
-                val = reps[eu][r, col]
-                if val:
-                    lifted[pos[cell]][col] = val
-        lifted_m = Matrix(field, len(dst_cells), reps[eu].ncols, lifted)
-        coords = solve(basis_solver[ev], lifted_m)
-        maps[(eu, ev)] = coords.take_rows(range(dims[ev]))
+    for v in range(lat.n):
+        # One solve per element: basis_solver[ev] has independent columns,
+        # so the lifts from all lower covers share its row operations.
+        ev, us = lat.element(v), [lat.element(u) for u in lat.parents_i(v)]
+        if not us:
+            continue
+        pos = {c: i for i, c in enumerate(cells_at[ev])}
+        lifts = []
+        for eu in us:
+            rows = [(0,) * dims[eu]] * len(pos)
+            for r, cell in enumerate(cells_at[eu]):
+                rows[pos[cell]] = reps[eu].row(r)
+            lifts.append(Matrix(field, len(pos), dims[eu], rows))
+        coords = solve(basis_solver[ev], hstack(lifts)).take_rows(range(dims[ev]))
+        offset = 0
+        for eu in us:
+            maps[(eu, ev)] = coords.take_cols(range(offset, offset + dims[eu]))
+            offset += dims[eu]
     return PersistenceModule(lat, field, dims, maps)
 
 

@@ -11,7 +11,8 @@ grid's order, covers and join / meet tables are read off the element
 coordinates, with no pairwise comparison; it may have at most
 ``MAX_GRID_ELEMENTS`` elements, as its two tables are quadratic.  Grids
 are distributive by construction, and so is the opposite of a
-distributive lattice.  An explicit lattice is checked on construction:
+distributive lattice.  An explicit lattice may have at most
+``MAX_LATTICE_ELEMENTS`` elements, and is checked on construction:
 an order without a unique bottom or with a missing join or meet is
 rejected while the tables are built, and ``validate`` then checks the
 tables and distributivity.  Modules rely on this: on a distributive
@@ -46,6 +47,9 @@ class NotPairwiseCover(Exception):
 #: Largest grid ``Lattice.grid`` builds: its join and meet tables hold n^2
 #: entries each, 33.5M together at this size.
 MAX_GRID_ELEMENTS = 4096
+
+#: Largest lattice ``Lattice.from_covers`` builds (its checks are cubic).
+MAX_LATTICE_ELEMENTS = 128
 
 
 def grid_size(maxes: Sequence[int]) -> int:
@@ -145,15 +149,19 @@ class Lattice:
     def from_covers(cls, elements: Sequence[str],
                     covers: Iterable[tuple[str, str]]) -> "Lattice":
         """Build a distributive lattice from element ids and cover pairs
-        (u below v); raises NotLattice / NoBottom / NotDistributive.
+        (u below v); raises NotLattice / NoBottom / NotDistributive, and
+        ValueError for more than MAX_LATTICE_ELEMENTS elements.
 
         The order is the reflexive-transitive closure of the cover list;
         the stored Hasse diagram is recomputed as the transitive
         reduction, so redundant input pairs are harmless.
         """
         elements = tuple(elements)
-        idx = {e: i for i, e in enumerate(elements)}
         n = len(elements)
+        if n > MAX_LATTICE_ELEMENTS:
+            raise ValueError(f"explicit lattice has {n} elements, more than "
+                             f"the cap of {MAX_LATTICE_ELEMENTS}")
+        idx = {e: i for i, e in enumerate(elements)}
         if len(idx) != n:
             raise ValueError("duplicate element ids")
         succ: list[set[int]] = [set() for _ in range(n)]
@@ -342,12 +350,6 @@ class Lattice:
         """Meet-dimension: the number of upper covers of v."""
         return len(self._children[self.index(v)])
 
-    def jdim_i(self, i: int) -> int:
-        return len(self._parents[i])
-
-    def mdim_i(self, i: int) -> int:
-        return len(self._children[i])
-
     def join_irreducibles(self) -> tuple[str, ...]:
         """Elements that are not joins of strictly smaller elements.
 
@@ -356,10 +358,6 @@ class Lattice:
         """
         return tuple(self.elements[i] for i in range(self.n)
                      if len(self._parents[i]) == 1)
-
-    def meet_irreducibles(self) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in range(self.n)
-                     if len(self._children[i]) == 1)
 
     def poset_dimension(self) -> int:
         """Order dimension: the maximal join-dimension over all elements."""

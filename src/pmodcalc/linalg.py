@@ -18,6 +18,15 @@ shape checked), and all input from outside this module goes through it.
 The results linalg builds itself are reduced by construction and use the
 unchecked ``Matrix._of``.  Over GF(2) rows are packed into int bitmasks
 (entry j at bit j) through bytes, with no per-bit Python loop.
+
+Maps induced on a basis chosen here are read off the echelon form that
+chose it (F: free columns, P: pivot columns of the cached rref).  The
+projection q of ``cokernel_projection`` is the identity on the columns F
+returned with it, so h*q = r forces h = r.take_cols(F); K = kernel_basis(m)
+is the identity on the rows F = ``free_columns(m)``, so K*h = g forces
+h = g.take_rows(F); and m = C*R for C = image_basis(m) = m.take_cols(P)
+and R the first rank(m) rows of rref(m).  Callers check each read-off by
+its defining product; ``solve`` and its wrappers stay the general path.
 """
 
 from __future__ import annotations
@@ -118,10 +127,6 @@ class Matrix:
         return cls._of(field, n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
                                           for i in range(n)))
 
-    @classmethod
-    def column(cls, field: FieldSpec, entries: Sequence[int]) -> "Matrix":
-        return cls(field, len(entries), 1, [[x] for x in entries])
-
     # -- basic access --------------------------------------------------
 
     @property
@@ -145,7 +150,7 @@ class Matrix:
         return all(x == 0 for row in self._data for x in row)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.field == other.field
+        return (isinstance(other, Matrix) and self.field.p == other.field.p
                 and self.shape == other.shape and self._data == other._data)
 
     def __hash__(self) -> int:
@@ -196,7 +201,7 @@ class Matrix:
         return Matrix._of(self.field, len(data), self.ncols, data)
 
     def _check_same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field:
+        if self.field.p != other.field.p:
             raise ValueError("field mismatch")
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
@@ -209,7 +214,7 @@ _set_field, _set_nrows, _set_ncols, _set_data, _set_rref = (
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product a*b, with a GF(2) bitmask fast path."""
-    if a.field != b.field:
+    if a.field.p != b.field.p:
         raise ValueError("field mismatch")
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch for product: {a.shape} @ {b.shape}")
@@ -241,7 +246,7 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
         raise ValueError("hstack of no matrices (shape would be ambiguous)")
     field, nrows = mats[0].field, mats[0].nrows
     for m in mats:
-        if m.field != field or m.nrows != nrows:
+        if m.field.p != field.p or m.nrows != nrows:
             raise ValueError("hstack shape/field mismatch")
     ncols = sum(m.ncols for m in mats)
     rows = tuple(sum(parts, ()) for parts in zip(*(m.rows() for m in mats)))
@@ -254,7 +259,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
         raise ValueError("vstack of no matrices (shape would be ambiguous)")
     field, ncols = mats[0].field, mats[0].ncols
     for m in mats:
-        if m.field != field or m.ncols != ncols:
+        if m.field.p != field.p or m.ncols != ncols:
             raise ValueError("vstack shape/field mismatch")
     rows = tuple(row for m in mats for row in m.rows())
     return Matrix._of(field, len(rows), ncols, rows)
@@ -379,6 +384,12 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def free_columns(m: Matrix) -> tuple[int, ...]:
+    """The non-pivot columns of rref(m), in increasing order."""
+    pivots = set(rref(m)[1])
+    return tuple(j for j in range(m.ncols) if j not in pivots)
+
+
 def kernel_basis(m: Matrix) -> Matrix:
     """A matrix whose columns are a basis of ker(m).
 
@@ -406,13 +417,15 @@ def image_basis(m: Matrix) -> Matrix:
     return m.take_cols(pivots)
 
 
-def cokernel_projection(m: Matrix) -> Matrix:
-    """A surjection q with q*m = 0 and rank(q) = nrows - rank(m).
+def cokernel_projection(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """A surjection q with q*m = 0 and rank(q) = nrows - rank(m), and the
+    columns free_columns(m^T) on which q is the identity.
 
-    Rows of q form the echelon basis of the left null space of m, so the
-    projection is deterministic.
+    q is the transposed kernel_basis of m^T: the echelon basis of the
+    left null space of m, so the projection is deterministic.
     """
-    return kernel_basis(m.transpose()).transpose()
+    t = m.transpose()
+    return kernel_basis(t).transpose(), free_columns(t)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
@@ -420,7 +433,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
 
     Free variables are set to 0, so the solution is deterministic.
     """
-    if a.field != b.field:
+    if a.field.p != b.field.p:
         raise ValueError("field mismatch")
     if a.nrows != b.nrows:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")

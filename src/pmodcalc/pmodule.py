@@ -9,7 +9,9 @@ cover diamond to commute, which on a distributive lattice (and every
 ``Lattice`` is one) is the whole functor axiom, since any two maximal
 chains of an interval differ by diamond flips.  All derived modules
 (images, kernels, cokernels) pick bases through the echelon convention
-of :mod:`pmodcalc.linalg`, so they are deterministic.
+of :mod:`pmodcalc.linalg`, so they are deterministic; their cover maps
+are read off the echelon form that chose those bases and checked by their
+defining products (NoFactorization names a failing cover).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import Lattice, LatticeCube, _bits
-from .linalg import (FieldSpec, Matrix, factor_through, image_basis,
-                     kernel_basis, cokernel_projection, rank, solve_left)
+from .linalg import (FieldSpec, Matrix, NoFactorization, cokernel_projection,
+                     free_columns, kernel_basis, rank, rref)
 from . import linalg
 
 
@@ -396,35 +398,21 @@ def sum_inclusion(f: PersistenceModule, g: PersistenceModule, which: int,
                   total: PersistenceModule | None = None) -> NatTrans:
     """Canonical inclusion of the first (0) or second (1) summand into f + g."""
     s = direct_sum(f, g) if total is None else total
-    lat = f.lattice
+    src = (f, g)[which]
     comps = []
-    for i in range(lat.n):
-        df, dg = f.dim_i(i), g.dim_i(i)
-        rows = df + dg
-        src = f if which == 0 else g
-        m = [[0] * src.dim_i(i) for _ in range(rows)]
-        off = 0 if which == 0 else df
-        for c in range(src.dim_i(i)):
-            m[off + c][c] = 1
-        comps.append(Matrix(f.field, rows, src.dim_i(i), m))
-    return NatTrans(f if which == 0 else g, s, comps)
+    for i in range(f.lattice.n):
+        off = f.dim_i(i) if which else 0
+        comps.append(Matrix.identity(f.field, f.dim_i(i) + g.dim_i(i))
+                     .take_cols(range(off, off + src.dim_i(i))))
+    return NatTrans(src, s, comps)
 
 
 def sum_projection(f: PersistenceModule, g: PersistenceModule, which: int,
                    total: PersistenceModule | None = None) -> NatTrans:
-    """Canonical projection of f + g onto a summand."""
-    s = direct_sum(f, g) if total is None else total
-    lat = f.lattice
-    comps = []
-    for i in range(lat.n):
-        df, dg = f.dim_i(i), g.dim_i(i)
-        tgt = f if which == 0 else g
-        m = [[0] * (df + dg) for _ in range(tgt.dim_i(i))]
-        off = 0 if which == 0 else df
-        for r in range(tgt.dim_i(i)):
-            m[r][off + r] = 1
-        comps.append(Matrix(f.field, tgt.dim_i(i), df + dg, m))
-    return NatTrans(s, f if which == 0 else g, comps)
+    """Canonical projection of f + g onto a summand: the inclusion, transposed."""
+    incl = sum_inclusion(f, g, which, total)
+    return NatTrans(incl.target, incl.source,
+                    [incl.component_i(i).transpose() for i in range(f.lattice.n)])
 
 
 def _check_compatible(f: PersistenceModule, g: PersistenceModule) -> None:
@@ -481,58 +469,75 @@ def random_module(lattice: Lattice, field: FieldSpec, seed,
 # -- pointwise image / kernel / cokernel ------------------------------------
 
 
-def image_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
-    """The pointwise image of a natural transformation, with its canonical
-    monomorphism into the target.
-
-    Cover maps are induced by factoring the target's maps through the
-    echelon image bases, so the result is deterministic and natural.
-    """
+def _induced(nt: NatTrans, dims: Sequence[int], induce) -> PersistenceModule:
+    """The module with the given dims and, on each cover u < v, the map h
+    of ``h, product, want = induce(u, v)``, once product == want."""
     lat = nt.source.lattice
-    field = nt.source.field
-    bases = [image_basis(nt.component_i(i)) for i in range(lat.n)]
-    dims = {lat.element(i): bases[i].ncols for i in range(lat.n)}
     maps = {}
     for (u, v) in lat.covers_i():
-        pushed = nt.target.cover_matrix_i(u, v) @ bases[u]
-        maps[(lat.element(u), lat.element(v))] = factor_through(pushed, bases[v])
-    module = PersistenceModule(lat, field, dims, maps)
-    mono = NatTrans(module, nt.target, bases)
-    return module, mono
+        h, product, want = induce(u, v)
+        if product != want:
+            raise NoFactorization(
+                f"no induced map on cover {lat.element(u)} < {lat.element(v)}")
+        maps[(lat.element(u), lat.element(v))] = h
+    return PersistenceModule(lat, nt.source.field,
+                             {lat.element(i): d for i, d in enumerate(dims)}, maps)
+
+
+def image_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
+    """The pointwise image of a natural nt: S -> T, with its canonical
+    monomorphism into T.  With pivot columns C_u = nt_u.take_cols(P_u) as
+    basis, nt_u = C_u R_u (R_u: the nonzero rows of rref(nt_u)), so the
+    cover map is R_v S(u->v).take_cols(P_u), checked against T(u->v) C_u.
+    """
+    lat = nt.source.lattice
+    echelon = [rref(nt.component_i(i)) for i in range(lat.n)]
+    bases = [nt.component_i(i).take_cols(piv) for i, (_, piv) in enumerate(echelon)]
+
+    def induce(u, v):
+        red, pivots = echelon[v]
+        h = (red.take_rows(range(len(pivots)))
+             @ nt.source.cover_matrix_i(u, v).take_cols(echelon[u][1]))
+        return h, bases[v] @ h, nt.target.cover_matrix_i(u, v) @ bases[u]
+
+    module = _induced(nt, [b.ncols for b in bases], induce)
+    return module, NatTrans(module, nt.target, bases)
 
 
 def kernel_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
-    """The pointwise kernel, with its canonical monomorphism into the source."""
+    """The pointwise kernel, with its canonical monomorphism into the source.
+
+    The basis K_v is the identity on the rows free_columns(nt_v), so the
+    cover map, the h with K_v h = S(u->v) K_u, is read off those rows."""
     lat = nt.source.lattice
-    field = nt.source.field
     bases = [kernel_basis(nt.component_i(i)) for i in range(lat.n)]
-    dims = {lat.element(i): bases[i].ncols for i in range(lat.n)}
-    maps = {}
-    for (u, v) in lat.covers_i():
+    free = [free_columns(nt.component_i(i)) for i in range(lat.n)]
+
+    def induce(u, v):
         pushed = nt.source.cover_matrix_i(u, v) @ bases[u]
-        maps[(lat.element(u), lat.element(v))] = factor_through(pushed, bases[v])
-    module = PersistenceModule(lat, field, dims, maps)
-    mono = NatTrans(module, nt.source, bases)
-    return module, mono
+        h = pushed.take_rows(free[v])
+        return h, bases[v] @ h, pushed
+
+    module = _induced(nt, [b.ncols for b in bases], induce)
+    return module, NatTrans(module, nt.source, bases)
 
 
 def cokernel_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
     """The pointwise cokernel, with its canonical epimorphism from the target.
 
-    The induced cover maps are the unique solutions of
-    new_map * q_u = q_v * target_map (q_u is surjective).
-    """
+    The cover map is the h with h q_u = q_v T(u->v), unique as q_u is
+    surjective, and read off the columns on which q_u is the identity."""
     lat = nt.source.lattice
-    field = nt.source.field
     projs = [cokernel_projection(nt.component_i(i)) for i in range(lat.n)]
-    dims = {lat.element(i): projs[i].nrows for i in range(lat.n)}
-    maps = {}
-    for (u, v) in lat.covers_i():
-        rhs = projs[v] @ nt.target.cover_matrix_i(u, v)
-        maps[(lat.element(u), lat.element(v))] = solve_left(projs[u], rhs)
-    module = PersistenceModule(lat, field, dims, maps)
-    epi = NatTrans(nt.target, module, projs)
-    return module, epi
+
+    def induce(u, v):
+        (qu, free), (qv, _) = projs[u], projs[v]
+        rhs = qv @ nt.target.cover_matrix_i(u, v)
+        h = rhs.take_cols(free)
+        return h, h @ qu, rhs
+
+    module = _induced(nt, [q.nrows for q, _ in projs], induce)
+    return module, NatTrans(nt.target, module, [q for q, _ in projs])
 
 
 # -- restriction along cubes -------------------------------------------------

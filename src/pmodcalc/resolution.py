@@ -1,10 +1,10 @@
 """Betti diagrams and projective dimension.
 
 Betti numbers are read off as Koszul homology of each element's
-parent-cube; the projective dimension is the largest homological degree
-with a nonzero entry.  The two equivalence reports tie projective
-dimension to the degree predicates and to the canonical comparison maps
-of the upper approximations.
+parent-cube, once per module (memoised in ``calc_cache``); the projective
+dimension is the largest homological degree with a nonzero entry.  The
+two equivalence reports tie projective dimension to the degree predicates
+and to the canonical comparison maps of the upper approximations.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ def betti(f: PersistenceModule) -> BettiDiagram:
 
     Entries above the join-dimension of a vanish automatically (the
     complex is too short), so only degrees 0..jdim(a) are inspected.
+    Memoised in ``f.calc_cache``; callers do not mutate the diagram.
     """
+    if "betti" in f.calc_cache:
+        return f.calc_cache["betti"]
     lat = f.lattice
     entries: dict[tuple[str, int], int] = {}
     for a in lat.elements:
@@ -59,7 +62,8 @@ def betti(f: PersistenceModule) -> BettiDiagram:
             h = kx.homology(i)
             if h:
                 entries[(a, i)] = h
-    return BettiDiagram(entries)
+    f.calc_cache["betti"] = diagram = BettiDiagram(entries)
+    return diagram
 
 
 def pdim(f: PersistenceModule) -> int:

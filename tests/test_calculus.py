@@ -14,7 +14,8 @@ from pmodcalc.calculus import (NotAComplex, NotDownClosed, NotUpClosed,
                                min_cross_codegree, min_cross_degree,
                                min_degree, t_lower, t_upper, tcofib, tfib)
 from pmodcalc.lattice import PairwiseCover, cube_from_cover
-from pmodcalc.linalg import rank
+from pmodcalc import calculus
+from pmodcalc.linalg import NoFactorization, rank
 from pmodcalc.pmodule import VecCube
 from pmodcalc.verify import table1_modules, nonexample_module
 
@@ -271,6 +272,23 @@ class TestGamma:
         for i in range(square.n):
             assert (recomposed.component_i(i)
                     == gu.t_result.canonical.component_i(i))
+
+
+    def test_epi_read_off_is_checked(self, grid22, gf2, monkeypatch):
+        # gamma_lower reads its epi leg off the cached reduction of each
+        # canonical component: a corrupted reduction must be caught.
+        real = calculus.rref
+
+        def corrupted(m):
+            red, pivots = real(m)
+            rows = red.to_lists()
+            if pivots:
+                rows[0][pivots[0]] = 0
+            return Matrix(m.field, m.nrows, m.ncols, rows), pivots
+
+        monkeypatch.setattr(calculus, "rref", corrupted)
+        with pytest.raises(NoFactorization):
+            gamma_lower(free_module(grid22, gf2, {"0,0": 1}), 1)
 
 
 class TestCrossEffects:

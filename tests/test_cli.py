@@ -118,6 +118,20 @@ class TestAnalyze:
         assert err.startswith("error: ") and "more than the cap of 4096" in err
         assert "Traceback" not in out + err
 
+    def test_oversized_explicit_poset_is_exit_2(self, tmp_path, capsys,
+                                                address_space_cap):
+        names = [f"e{i}" for i in range(129)]
+        covers = "".join(f"cover {u} {v}\n" for u, v in zip(names, names[1:]))
+        f = tmp_path / "long.pmod"
+        f.write_text(f"pmod 1\nfield 2\nposet elements {' '.join(names)}\n"
+                     f"{covers}end\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(f))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert err.startswith("error: ") and "more than the cap of 128" in err
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("exc", [
         NoFactorization("no solution"), NotAComplex("d_1 o d_2 != 0"),
         EquivalenceViolated("conditions disagree"),

@@ -120,6 +120,17 @@ class TestValidate:
                 ["0", "a", "b", "c", "1"],
                 [("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")])
 
+    def test_explicit_size_cap(self, monkeypatch):
+        # Checked before anything is built: 129 unrelated names would
+        # otherwise fail for lack of a bottom.
+        with pytest.raises(ValueError, match="explicit lattice has 129 elements, "
+                                             "more than the cap of 128"):
+            Lattice.from_covers([str(i) for i in range(129)], [])
+        monkeypatch.setattr(lattice, "MAX_LATTICE_ELEMENTS", 5)
+        assert chain(5).n == 5
+        with pytest.raises(ValueError, match="has 6 elements"):
+            chain(6)
+
 
 class TestJoinMeet:
     def test_grid_componentwise(self, grid22):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
-                             cokernel_projection, factor_through, hstack,
-                             image_basis, kernel_basis, rank, rref,
-                             solve, solve_left, vstack)
+                             cokernel_projection, factor_through,
+                             free_columns, hstack, image_basis, kernel_basis,
+                             rank, rref, solve, solve_left, vstack)
 from pmodcalc import linalg
 
 
@@ -102,16 +102,16 @@ class TestImage:
 
 class TestCokernelProjection:
     def test_identity_vanishes(self):
-        q = cokernel_projection(Matrix.identity(gf(2), 3))
+        q, _ = cokernel_projection(Matrix.identity(gf(2), 3))
         assert q.shape == (0, 3)
 
     def test_zero_is_identity(self):
-        q = cokernel_projection(Matrix.zeros(gf(3), 2, 4))
+        q, _ = cokernel_projection(Matrix.zeros(gf(3), 2, 4))
         assert q == Matrix.identity(gf(3), 2)
 
     def test_diagonal_vector(self):
         m = Matrix(gf(2), 2, 1, [[1], [1]])
-        q = cokernel_projection(m)
+        q, _ = cokernel_projection(m)
         assert q.shape == (1, 2)
         assert (q @ m).is_zero()
         assert rank(q) == 1
@@ -208,7 +208,7 @@ def test_kernel_columns_are_killed_and_independent(m):
 @settings(max_examples=120, deadline=None)
 @given(matrices())
 def test_cokernel_projection_contract(m):
-    q = cokernel_projection(m)
+    q, _ = cokernel_projection(m)
     assert q.nrows == m.nrows - rank(m)
     assert (q @ m).is_zero()
     assert rank(q) == q.nrows
@@ -219,9 +219,13 @@ def test_cokernel_projection_contract(m):
 def test_image_basis_spans_columns(m):
     b = image_basis(m)
     assert b.ncols == rank(m)
-    # every column of m factors through the basis
+    # every column of m factors through the basis, by the nonzero rows of
+    # rref(m): the read-off image_of and gamma_lower use
     h = factor_through(m, b)
     assert b @ h == m
+    red, pivots = rref(m)
+    assert b == m.take_cols(pivots)
+    assert h == red.take_rows(range(len(pivots)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,7 +339,7 @@ def test_every_op_matches_its_checked_rebuild(data):
     red, pivots = rref(a)
     solved = solve(a, a @ b)
     solved_left = solve_left(a, y @ a)
-    for m in (red, kernel_basis(a), cokernel_projection(a), solved, solved_left):
+    for m in (red, kernel_basis(a), cokernel_projection(a)[0], solved, solved_left):
         assert_well_formed(m)
     assert (red, pivots) == rref(Matrix(field, r, k, la))
     assert a @ solved == a @ b and solved_left @ a == y @ a
@@ -361,3 +365,46 @@ def test_public_constructor_still_checks():
         Matrix.zeros(gf(2), -1, 2)
     with pytest.raises(AttributeError):
         (Matrix.identity(gf(2), 2) @ Matrix.identity(gf(2), 2)).nrows = 3
+
+
+# -- read-offs: induced maps from the echelon bases, against the general solves --
+
+
+gf2_or_gf3_matrices = st.sampled_from([2, 3]).flatmap(lambda p: matrices(p=p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf2_or_gf3_matrices, st.data())
+def test_cokernel_read_off(m, data):
+    field = m.field
+    q, cols = cokernel_projection(m)
+    assert cols == free_columns(m.transpose())
+    assert q.take_cols(cols) == Matrix.identity(field, q.nrows)
+    k = data.draw(st.integers(0, 3))
+    h = data.draw(shaped(field, k, q.nrows))
+    assert (h @ q).take_cols(cols) == solve_left(q, h @ q) == h
+    # Any right-hand side: the read-off passes its product check exactly
+    # when the general solve finds a solution, and then equals it.
+    r = data.draw(shaped(field, k, m.nrows))
+    if r.take_cols(cols) @ q == r:
+        assert solve_left(q, r) == r.take_cols(cols)
+    else:
+        with pytest.raises(NoFactorization):
+            solve_left(q, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf2_or_gf3_matrices, st.data())
+def test_kernel_read_off(m, data):
+    field = m.field
+    basis, rows = kernel_basis(m), free_columns(m)
+    assert basis.take_rows(rows) == Matrix.identity(field, basis.ncols)
+    k = data.draw(st.integers(0, 3))
+    h = data.draw(shaped(field, basis.ncols, k))
+    assert (basis @ h).take_rows(rows) == factor_through(basis @ h, basis) == h
+    g = data.draw(shaped(field, m.ncols, k))
+    if basis @ g.take_rows(rows) == g:
+        assert factor_through(g, basis) == g.take_rows(rows)
+    else:
+        with pytest.raises(NoFactorization):
+            factor_through(g, basis)

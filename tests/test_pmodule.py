@@ -2,18 +2,22 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pmodcalc import (Matrix, NatTrans, PersistenceModule,
+from pmodcalc import (FieldSpec, Lattice, Matrix, NatTrans, PersistenceModule,
                       cube_as_module, direct_sum, free_module, hom_basis,
                       identity_nat, image_of, interval_module, is_iso,
                       kernel_of, cokernel_of, opposite_module, random_module,
                       restrict_along_cube, zero_nat)
 from pmodcalc.lattice import parent_cube, cube_from_cover, PairwiseCover
-from pmodcalc.linalg import rank
+from pmodcalc.linalg import (NoFactorization, cokernel_projection,
+                             factor_through, image_basis, kernel_basis, rank,
+                             solve_left)
 from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
                               NotConvex, NotNatural, VecCube, random_hom,
                               sum_inclusion, sum_projection)
 from pmodcalc.pmod_io import print_pmod
+from test_functor_check import lattices
 
 
 def constant_module(lat, field):
@@ -317,3 +321,127 @@ class TestOpposite:
     def test_opposite_validates(self, grid22, gf2):
         f = random_module(grid22, gf2, "op2")
         opposite_module(f).validate()
+
+
+# -- induced maps: the read-offs against the solve-based bodies they replaced --
+
+
+def image_of_oracle(nt):
+    lat = nt.source.lattice
+    bases = [image_basis(nt.component_i(i)) for i in range(lat.n)]
+    dims = {lat.element(i): bases[i].ncols for i in range(lat.n)}
+    maps = {}
+    for (u, v) in lat.covers_i():
+        pushed = nt.target.cover_matrix_i(u, v) @ bases[u]
+        maps[(lat.element(u), lat.element(v))] = factor_through(pushed, bases[v])
+    module = PersistenceModule(lat, nt.source.field, dims, maps)
+    return module, NatTrans(module, nt.target, bases)
+
+
+def kernel_of_oracle(nt):
+    lat = nt.source.lattice
+    bases = [kernel_basis(nt.component_i(i)) for i in range(lat.n)]
+    dims = {lat.element(i): bases[i].ncols for i in range(lat.n)}
+    maps = {}
+    for (u, v) in lat.covers_i():
+        pushed = nt.source.cover_matrix_i(u, v) @ bases[u]
+        maps[(lat.element(u), lat.element(v))] = factor_through(pushed, bases[v])
+    module = PersistenceModule(lat, nt.source.field, dims, maps)
+    return module, NatTrans(module, nt.source, bases)
+
+
+def cokernel_of_oracle(nt):
+    lat = nt.source.lattice
+    projs = [cokernel_projection(nt.component_i(i))[0] for i in range(lat.n)]
+    dims = {lat.element(i): projs[i].nrows for i in range(lat.n)}
+    maps = {}
+    for (u, v) in lat.covers_i():
+        rhs = projs[v] @ nt.target.cover_matrix_i(u, v)
+        maps[(lat.element(u), lat.element(v))] = solve_left(projs[u], rhs)
+    module = PersistenceModule(lat, nt.source.field, dims, maps)
+    return module, NatTrans(nt.target, module, projs)
+
+
+def outcome(construct, nt):
+    """The exception type construct(nt) raises, or its dims, every cover
+    matrix and every component of its canonical map."""
+    try:
+        module, canonical = construct(nt)
+    except (NoFactorization, NonCommutingSquare) as exc:
+        return type(exc)
+    lat = module.lattice
+    return (module.dims_by_element(),
+            [module.cover_matrix_i(u, v) for (u, v) in lat.covers_i()],
+            [canonical.component_i(i) for i in range(lat.n)])
+
+
+def one_entry_changed(nt, rng):
+    """nt with one entry of one nonzero-shaped component changed, so that
+    it is usually not natural; nt itself when every component is empty."""
+    lat, p = nt.source.lattice, nt.source.field.p
+    comps = [nt.component_i(i) for i in range(lat.n)]
+    spots = [i for i, m in enumerate(comps) if m.nrows and m.ncols]
+    if not spots:
+        return nt
+    i = rng.choice(spots)
+    rows = comps[i].to_lists()
+    r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[r][c] = (rows[r][c] + rng.randrange(1, p)) % p
+    comps[i] = Matrix(nt.source.field, len(rows), len(rows[0]), rows)
+    return NatTrans(nt.source, nt.target, comps)
+
+
+def check_against_oracles(nt) -> dict[str, bool]:
+    """kernel_of and cokernel_of agree with their oracles on any input,
+    raising or not; image_of (which needs a natural input) raises where its
+    oracle raises and otherwise agrees with it.  Returns which raised."""
+    raised = {}
+    for name, new, old in (("kernel", kernel_of, kernel_of_oracle),
+                           ("cokernel", cokernel_of, cokernel_of_oracle)):
+        got, want = outcome(new, nt), outcome(old, nt)
+        assert got == want, name
+        raised[name] = want is NoFactorization
+    got, want = outcome(image_of, nt), outcome(image_of_oracle, nt)
+    assert got == want or (got is NoFactorization and not nt.is_natural())
+    raised["image"] = got is NoFactorization
+    return raised
+
+
+@st.composite
+def hom_cases(draw):
+    """A random_hom between random modules, on a grid or a random down-set
+    lattice, over GF(2) or F_3; its source and target may coincide."""
+    lat = draw(lattices())
+    field = FieldSpec(draw(st.sampled_from([2, 3])))
+    seed = draw(st.integers(0, 10 ** 6))
+    f = random_module(lat, field, f"f{seed}", max_gens=4, max_rels=3)
+    g = f if draw(st.booleans()) else random_module(lat, field, f"g{seed}",
+                                                    max_gens=4, max_rels=3)
+    return random_hom(f, g, random.Random(seed))
+
+
+@settings(max_examples=120, deadline=None)
+@given(hom_cases(), st.booleans(), st.integers(0, 10 ** 6))
+def test_induced_maps_match_the_solve_oracles(nt, change, seed):
+    if change:
+        nt = one_entry_changed(nt, random.Random(seed))
+    raised = check_against_oracles(nt)
+    if nt.is_natural():
+        assert not any(raised.values())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_non_natural_inputs_raise_where_the_oracles_do(p):
+    field = FieldSpec(p)
+    lats = [Lattice.grid([2, 2]), Lattice.grid([1, 1, 1]), Lattice.grid([3, 2])]
+    counts = {"kernel": [0, 0], "cokernel": [0, 0], "image": [0, 0]}
+    for k in range(40):
+        lat = lats[k % len(lats)]
+        f = random_module(lat, field, f"nn-f{k}", max_gens=4, max_rels=3)
+        g = random_module(lat, field, f"nn-g{k}", max_gens=4, max_rels=3)
+        rng = random.Random(k)
+        nt = one_entry_changed(random_hom(f, g if k % 2 else f, rng), rng)
+        for name, did in check_against_oracles(nt).items():
+            counts[name][did] += 1
+    # Both outcomes occur, so the agreement above is not vacuous.
+    assert all(ok and bad for ok, bad in counts.values()), counts

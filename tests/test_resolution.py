@@ -11,6 +11,11 @@ from pmodcalc.verify import nonexample_module, table1_modules
 
 
 class TestBetti:
+    def test_computed_once_per_module(self, grid22, gf2):
+        f = random_module(grid22, gf2, "memo")
+        assert betti(f) is betti(f)
+        assert pdim(f) == betti(f).max_degree()
+
     def test_free_module_resolves_itself(self, grid22, gf2):
         gens = {"0,0": 1, "1,2": 2, "2,2": 1}
         f = free_module(grid22, gf2, gens)
