@@ -15,13 +15,12 @@ from .pmodule import (FreeModuleSpec, LatticeMismatch, NatTrans,
                       hom_basis, identity_nat, image_of, interval_module,
                       is_iso, kernel_of, opposite_module, random_module,
                       restrict_along_cube, zero_nat)
-from .calculus import (ApproxResult, KoszulComplex, NotAComplex,
-                       NotDownClosed, NotUpClosed, colim_over_downset,
-                       cr_lower, cr_upper, find_failing_cube, gamma_lower,
-                       gamma_upper, is_codegree, is_cross_codegree,
-                       is_cross_degree, is_degree, koszul, lim_over_upset,
-                       min_codegree, min_cross_codegree, min_cross_degree,
-                       min_degree, t_lower, t_upper, tcofib, tfib)
+from .calculus import (ApproxResult, KoszulComplex, NotAComplex, cr_lower,
+                       cr_upper, find_failing_cube, gamma_lower, gamma_upper,
+                       is_codegree, is_cross_codegree, is_cross_degree,
+                       is_degree, koszul, min_codegree, min_cross_codegree,
+                       min_cross_degree, min_degree, t_lower, t_upper, tcofib,
+                       tfib)
 from .resolution import (BettiDiagram, EquivalenceViolated, PdimReport, betti,
                          check_pdim_theorem_1, check_pdim_theorem_2, pdim)
 from .generators import (CubicalComplex, ImageGrid, MetricFunctionSpace,

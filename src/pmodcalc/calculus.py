@@ -8,12 +8,17 @@ homology of vector-space cubes, and the four degree predicates, each
 with a fast path through the canonical maps and a brute-force oracle
 path over enumerated bicartesian cubes.
 
-Only the lower side is computed: t_lower by a local sweep over the
-lattice, and everything upper as its dual on the opposite lattice
-(limits over meet-dimension are colimits over join-dimension there).
-Induced maps are the unique solutions against the bases linalg chose,
-read off their echelon forms, so everything downstream is deterministic.
-Per-module results are memoized on the module.
+Only the lower side is computed, each by a local sweep over the lattice
+in a linear extension, and everything upper as its dual on the opposite
+lattice (limits over meet-dimension are colimits over join-dimension
+there).  gamma_lower needs no Kan extension: the image of T_n F -> F is
+F(x) where jdim(x) <= n and otherwise the sum of F(w -> x) Gamma(w) over
+the lower covers w of x, since every y < x lies below one of them.  Each
+element's basis and cover maps are read off one echelon form, and each
+read-off is checked by its product, which is naturality of the inclusion
+on every cover into that element.  Induced maps are the unique solutions
+against the bases linalg chose, so everything downstream is
+deterministic.  Per-module results are memoized on the module.
 """
 
 from __future__ import annotations
@@ -21,19 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .lattice import Lattice, LatticeCube, bicartesian_cubes_cached, _bits
+from .lattice import LatticeCube, bicartesian_cubes_cached
 from .linalg import (Matrix, NoFactorization, factor_through, hstack,
                      cokernel_projection, rank, rref, solve_left, vstack)
 from .pmodule import (NatTrans, PersistenceModule, VecCube, cokernel_of,
-                      image_of, is_iso, opposite_module, restrict_along_cube)
-
-
-class NotDownClosed(Exception):
-    """The selected subset of the down-set is not down-closed."""
-
-
-class NotUpClosed(Exception):
-    """The selected subset of the up-set is not up-closed."""
+                      is_iso, opposite_module, restrict_along_cube)
 
 
 class NotAComplex(Exception):
@@ -45,88 +42,14 @@ class ApproxResult:
     """An approximation module together with its canonical map.
 
     ``canonical`` points into F for t_lower / gamma_lower / cr_upper and
-    out of F for t_upper / gamma_upper / cr_lower.  For gamma results,
-    ``factor`` is the other leg (epi from T for gamma_lower, mono into T
-    for gamma_upper) and ``t_result`` the underlying Kan extension.
+    out of F for t_upper / gamma_upper / cr_lower.  For gamma_lower it is
+    the inclusion of the image sweep, whose naturality is checked element
+    by element as the sweep reads each basis off its echelon form.
     """
 
     kind: str
     module: PersistenceModule
     canonical: NatTrans
-    factor: NatTrans | None = None
-    t_result: "ApproxResult | None" = None
-
-
-# -- diagram colimits -----------------------------------------------------------
-
-
-def _diagram_colimit(f: PersistenceModule, subset: list[int]) -> tuple[int, dict[int, Matrix]]:
-    """Colimit of f restricted to an induced subposet.
-
-    Computed as the cokernel of the incidence map sending a vector at u
-    (for an induced cover u < v) to transport(u,v)*x at v minus x at u.
-    Returns (dimension, cocone component per subset element).
-    """
-    lat = f.lattice
-    subset = sorted(subset)
-    offsets: dict[int, int] = {}
-    total = 0
-    for v in subset:
-        offsets[v] = total
-        total += f.dim_i(v)
-    blocks = [Matrix.zeros(f.field, total, 0)]
-    for (u, v) in lat.induced_covers(subset):
-        blocks.append(vstack([f.transport_i(u, v) if w == v else
-                              -Matrix.identity(f.field, f.dim_i(u)) if w == u else
-                              Matrix.zeros(f.field, f.dim_i(w), f.dim_i(u))
-                              for w in subset]))
-    q, _ = cokernel_projection(hstack(blocks))
-    cocones = {v: q.take_cols(range(offsets[v], offsets[v] + f.dim_i(v)))
-               for v in subset}
-    return q.nrows, cocones
-
-
-def _select_below(lat: Lattice, x: str, predicate: Callable[[str], bool],
-                  error: type[Exception], relation: str) -> list[int]:
-    """The elements of the down-set of x the predicate selects; raise
-    ``error`` naming a missing element if they are not down-closed."""
-    chosen = [v for v in _bits(lat.downset_mask(lat.index(x)))
-              if predicate(lat.element(v))]
-    chosen_mask = 0
-    for v in chosen:
-        chosen_mask |= 1 << v
-    for v in chosen:
-        below = lat.downset_mask(v) & ~chosen_mask
-        if below:
-            bad = next(_bits(below))
-            raise error(f"{lat.element(bad)} {relation} {lat.element(v)} "
-                        "is missing from the selection")
-    return chosen
-
-
-def colim_over_downset(f: PersistenceModule, x: str,
-                       predicate: Callable[[str], bool]) -> tuple[int, dict[str, Matrix]]:
-    """Colimit of f over the selected down-closed part of the down-set of x.
-
-    Raises NotDownClosed when the predicate selects a set that is not
-    down-closed inside the interval below x.
-    """
-    chosen = _select_below(f.lattice, x, predicate, NotDownClosed, "<=")
-    dim, cocones = _diagram_colimit(f, chosen)
-    return dim, {f.lattice.element(v): m for v, m in cocones.items()}
-
-
-def lim_over_upset(f: PersistenceModule, x: str,
-                   predicate: Callable[[str], bool]) -> tuple[int, dict[str, Matrix]]:
-    """Limit of f over the selected up-closed part of the up-set of x: the
-    colimit of the opposite module, with its cocones transposed into cones.
-
-    Raises NotUpClosed when the selection is not up-closed above x.
-    """
-    op = opposite_module(f)
-    chosen = _select_below(op.lattice, x, predicate, NotUpClosed, ">=")
-    dim, cocones = _diagram_colimit(op, chosen)
-    return dim, {f.lattice.element(v): m.transpose() for v, m in cocones.items()}
 
 
 # -- approximations: the lower side, and the upper side as its dual ------------
@@ -191,37 +114,61 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
 
 
 def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
-    """The cross-codegree-n approximation: the pointwise image of the
-    canonical map t_lower(f, n) -> f, as a submodule of f.
+    """The cross-codegree-n approximation: the image of the canonical map
+    T_n F -> F, as a submodule of f with its inclusion as ``canonical``.
 
-    ``canonical`` is the monomorphism into f, ``factor`` the epimorphism
-    from the Kan extension.
+    One sweep in a linear extension, with no Kan extension under it.
+    Where jdim(x) <= n, Gamma(x) = F(x) with basis B_x = I.  Elsewhere
+    Gamma(x) is spanned by the legs L_x = [F(w -> x) B_w] over the lower
+    covers w of x: B_x is the pivot columns of L_x, and the cover maps
+    Gamma(w -> x) are the column blocks of R, the nonzero rows of
+    rref(L_x).  B_x R = L_x is checked at each x (it is naturality of the
+    inclusion on every cover into x) and raises NoFactorization.
     """
+    if n < 0:
+        raise ValueError("approximation degree must be >= 0")
     cached = f.calc_cache.get(("gamma_lower", n))
     if cached is not None:
         return cached
-    t = t_lower(f, n)
-    module, mono = image_of(t.canonical)
-    # mono holds the pivot columns of each eps, so eps = mono * (the nonzero
-    # rows of rref(eps)): read off the cached reduction, and checked.
-    eps = [t.canonical.component_i(i) for i in range(f.lattice.n)]
-    epi_comps = [red.take_rows(range(len(piv))) for red, piv in map(rref, eps)]
-    monos = [mono.component_i(i) for i in range(f.lattice.n)]
-    if any(m @ r != e for m, r, e in zip(monos, epi_comps, eps)):
-        raise NoFactorization("gamma_lower: the image legs do not compose to eps")
-    epi = NatTrans(t.module, module, epi_comps)
-    result = ApproxResult("gamma_lower", module, mono, factor=epi, t_result=t)
+    lat, field = f.lattice, f.field
+    bases: list = [None] * lat.n
+    maps: dict[tuple[str, str], Matrix] = {}
+    for x in lat.topo_order():
+        ws = lat.parents_i(x)
+        legs = [f.cover_matrix_i(w, x) @ bases[w] for w in ws]
+        if len(ws) <= n:
+            bases[x] = Matrix.identity(field, f.dim_i(x))
+            blocks = legs
+        else:
+            stacked = hstack(legs)
+            red, pivots = rref(stacked)
+            bases[x] = stacked.take_cols(pivots)
+            reduced = red.take_rows(range(len(pivots)))
+            if bases[x] @ reduced != stacked:
+                raise NoFactorization(
+                    f"gamma_lower: the legs into {lat.element(x)} do not "
+                    "factor through their pivot columns")
+            blocks, offset = [], 0
+            for leg in legs:
+                blocks.append(reduced.take_cols(range(offset, offset + leg.ncols)))
+                offset += leg.ncols
+        maps.update(((lat.element(w), lat.element(x)), m)
+                    for w, m in zip(ws, blocks))
+    module = PersistenceModule(
+        lat, field, {lat.element(x): b.ncols for x, b in enumerate(bases)}, maps)
+    result = ApproxResult("gamma_lower", module, NatTrans(module, f, bases))
     f.calc_cache[("gamma_lower", n)] = result
     return result
 
 
 def cr_lower(f: PersistenceModule, n: int) -> ApproxResult:
     """The n-th cocross effect: the pointwise cokernel of t_lower(f,n) -> f,
-    with the canonical epimorphism from f."""
+    computed as the cokernel of the inclusion gamma_lower(f, n) -> f (the
+    same image), with the canonical epimorphism from f."""
     cached = f.calc_cache.get(("cr_lower", n))
     if cached is not None:
         return cached
-    module, epi = cokernel_of(t_lower(f, n).canonical)
+    module, epi = cokernel_of(gamma_lower(f, n).canonical)
     result = ApproxResult("cr_lower", module, epi)
     f.calc_cache[("cr_lower", n)] = result
     return result
@@ -241,10 +188,7 @@ def _upper(kind: str, lower: Callable[[PersistenceModule, int], ApproxResult],
     if cached is not None:
         return cached
     low = lower(opposite_module(f), n)
-    result = ApproxResult(
-        kind, opposite_module(low.module), _dual_nat(low.canonical),
-        factor=None if low.factor is None else _dual_nat(low.factor),
-        t_result=None if low.t_result is None else t_upper(f, n))
+    result = ApproxResult(kind, opposite_module(low.module), _dual_nat(low.canonical))
     f.calc_cache[(kind, n)] = result
     return result
 
@@ -258,12 +202,8 @@ def t_upper(f: PersistenceModule, n: int) -> ApproxResult:
 
 def gamma_upper(f: PersistenceModule, n: int) -> ApproxResult:
     """The cross-degree-n approximation: the pointwise image of the
-    canonical map f -> t_upper(f, n).
-
-    ``canonical`` is the epimorphism from f, ``factor`` the monomorphism
-    into the Kan extension (the duals of the legs of gamma_lower on the
-    opposite module).
-    """
+    canonical map f -> t_upper(f, n), with the canonical epimorphism from
+    f (the dual of gamma_lower's inclusion on the opposite module)."""
     return _upper("gamma_upper", gamma_lower, f, n)
 
 
@@ -458,9 +398,11 @@ def is_degree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
 
 def is_cross_codegree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
     """True iff every strongly bicartesian (n+1)-cube has vanishing total
-    cofiber after applying f (fast path: the n-th cocross effect is zero)."""
+    cofiber after applying f (fast path: the n-th cocross effect is zero,
+    that is gamma_lower(f, n), a submodule of f, has the dims of f)."""
     if _fast(method):
-        return cr_lower(f, n).module.is_zero()
+        gamma = gamma_lower(f, n).module
+        return all(gamma.dim_i(x) == f.dim_i(x) for x in range(f.lattice.n))
     return find_failing_cube(f, n, "cross_codegree") is None
 
 

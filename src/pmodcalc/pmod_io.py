@@ -11,7 +11,8 @@ the grammar and annotated fixtures.  Shape of the format:
     end
 
 Dims default to 0; maps whose source or target dimension is 0 are
-omitted and reconstructed; every other cover map must be present.
+omitted and reconstructed; every other cover map must be present.  The
+dims may sum to at most MAX_TOTAL_DIM.
 Canonical printing orders dims and maps by element declaration order,
 so parse(print(m)) round-trips byte-identically.
 """
@@ -27,6 +28,12 @@ from .pmodule import PersistenceModule
 
 class ParseError(Exception):
     """Malformed PMOD input; the message names the offending line."""
+
+
+#: The largest total dimension (sum of all dim lines) a PMOD file may
+#: declare.  One dim line needs no map lines, and the calculus costs grow
+#: about quadratically in the dims, so the sum is checked as dims are parsed.
+MAX_TOTAL_DIM = 1024
 
 
 _ID_FORBIDDEN = set("<# \t\r\n")
@@ -85,6 +92,7 @@ def parse_pmod(text: str) -> PmodDocument:
     elements: list[str] = []
     covers: list[tuple[str, str]] = []
     dims: dict[str, int] = {}
+    total_dim = 0
     maps: dict[tuple[str, str], tuple[int, list[int]]] = {}  # (lineno, entries)
     saw_header = False
     saw_poset = False
@@ -145,6 +153,10 @@ def parse_pmod(text: str) -> PmodDocument:
             if d < 0:
                 raise ParseError(f"line {lineno}: negative dimension")
             dims[el] = d
+            total_dim += d
+            if total_dim > MAX_TOTAL_DIM:
+                raise ParseError(f"line {lineno}: total dimension {total_dim} "
+                                 f"exceeds the cap of {MAX_TOTAL_DIM}")
         elif key == "map":
             if len(tokens) < 2 or "<" not in tokens[1]:
                 raise ParseError(f"line {lineno}: map needs a u<v key")

@@ -2,22 +2,26 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pmodcalc import (Matrix, free_module, interval_module, is_iso,
-                      random_module, restrict_along_cube)
-from pmodcalc.calculus import (NotAComplex, NotDownClosed, NotUpClosed,
-                               _min_satisfying, colim_over_downset, cr_lower,
+from pmodcalc import (FieldSpec, Lattice, Matrix, free_module,
+                      interval_module, is_iso, random_module,
+                      restrict_along_cube)
+from pmodcalc.calculus import (NotAComplex, _min_satisfying, cr_lower,
                                cr_upper, find_failing_cube, gamma_lower,
                                gamma_upper, is_codegree, is_cross_codegree,
                                is_cross_degree, is_degree, koszul,
-                               lim_over_upset, min_codegree,
-                               min_cross_codegree, min_cross_degree,
-                               min_degree, t_lower, t_upper, tcofib, tfib)
+                               min_codegree, min_cross_codegree,
+                               min_cross_degree, min_degree, t_lower, t_upper,
+                               tcofib, tfib)
 from pmodcalc.lattice import PairwiseCover, cube_from_cover
 from pmodcalc import calculus
-from pmodcalc.linalg import NoFactorization, rank
-from pmodcalc.pmodule import VecCube
+from pmodcalc.linalg import (NoFactorization, factor_through, hstack, rank,
+                             solve_left)
+from pmodcalc.pmodule import NatTrans, VecCube
 from pmodcalc.verify import table1_modules, nonexample_module
+from oracles import (NotDownClosed, NotUpClosed, colim_over_downset,
+                     gamma_lower_oracle, lim_over_upset)
 
 
 def constant(lat, field):
@@ -261,22 +265,30 @@ class TestGamma:
 
     def test_legs_compose_to_canonical(self, square, gf2):
         f = random_module(square, gf2, "legs")
-        gl = gamma_lower(f, 1)
-        # mono o epi recovers the Kan extension's canonical map.
-        recomposed = gl.canonical.compose(gl.factor)
+        # The epi leg T -> Gamma, solved against the inclusion: mono o epi
+        # recovers the Kan extension's canonical map.
+        tl, gl = t_lower(f, 1), gamma_lower(f, 1)
+        epi = NatTrans(tl.module, gl.module,
+                       [factor_through(tl.canonical.component_i(i),
+                                       gl.canonical.component_i(i))
+                        for i in range(square.n)])
+        recomposed = gl.canonical.compose(epi)
         for i in range(square.n):
-            assert (recomposed.component_i(i)
-                    == gl.t_result.canonical.component_i(i))
-        gu = gamma_upper(f, 1)
-        recomposed = gu.factor.compose(gu.canonical)
+            assert recomposed.component_i(i) == tl.canonical.component_i(i)
+        # Dually, the mono leg Gamma -> T solved against the epi from f.
+        tu, gu = t_upper(f, 1), gamma_upper(f, 1)
+        mono = NatTrans(gu.module, tu.module,
+                        [solve_left(gu.canonical.component_i(i),
+                                    tu.canonical.component_i(i))
+                         for i in range(square.n)])
+        recomposed = mono.compose(gu.canonical)
         for i in range(square.n):
-            assert (recomposed.component_i(i)
-                    == gu.t_result.canonical.component_i(i))
+            assert recomposed.component_i(i) == tu.canonical.component_i(i)
 
 
     def test_epi_read_off_is_checked(self, grid22, gf2, monkeypatch):
-        # gamma_lower reads its epi leg off the cached reduction of each
-        # canonical component: a corrupted reduction must be caught.
+        # gamma_lower reads each basis and its cover maps off the reduction
+        # of the stacked legs: a corrupted reduction must be caught.
         real = calculus.rref
 
         def corrupted(m):
@@ -306,6 +318,41 @@ class TestCrossEffects:
         # Dual: the cross effect of the corner module is nonzero at bottom.
         g = interval_module(square, gf2, ("0,0",))
         assert cr_upper(g, 1).module.dim("0,0") == 1
+
+
+# -- the image sweep against the image of the Kan extension -------------------
+
+
+def check_gamma_against_oracles(f, n):
+    """gamma_lower(f, n) against the image of t_lower's canonical map: a
+    natural inclusion with the same dims and column spaces, T factors
+    through it (mono o epi = eps), cr_lower has the complementary dims,
+    and is_cross_codegree agrees with cr_lower and with the cube oracle."""
+    gamma, want = gamma_lower(f, n), gamma_lower_oracle(f, n)
+    gamma.canonical.validate()
+    eps, cr = t_lower(f, n).canonical, cr_lower(f, n)
+    for x in range(f.lattice.n):
+        b, e = gamma.canonical.component_i(x), want.canonical.component_i(x)
+        assert gamma.module.dim_i(x) == want.module.dim_i(x) == b.ncols == rank(b)
+        assert rank(hstack([b, e])) == rank(b) == rank(e)
+        epi = factor_through(eps.component_i(x), b)
+        assert b @ epi == eps.component_i(x)
+        assert cr.module.dim_i(x) == f.dim_i(x) - gamma.module.dim_i(x)
+    assert (is_cross_codegree(f, n) == cr.module.is_zero()
+            == is_cross_codegree(f, n, "oracle"))
+
+
+GRIDS = ([1, 1], [2, 2], [1, 1, 1], [3, 2], [2, 1, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(GRIDS), p=st.sampled_from([2, 3]),
+       seed=st.integers(0, 10 ** 6))
+def test_gamma_sweep_matches_oracle_on_grids(shape, p, seed):
+    lat = Lattice.grid(shape)
+    f = random_module(lat, FieldSpec(p), f"gsweep{seed}", max_gens=4, max_rels=3)
+    for n in range(lat.poset_dimension() + 2):
+        check_gamma_against_oracles(f, n)
 
 
 class TestTotalFibers:

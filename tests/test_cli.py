@@ -132,6 +132,22 @@ class TestAnalyze:
         assert err.startswith("error: ") and "more than the cap of 128" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("body", [
+        "poset grid 1 1\ndim 0,0 1025\n",
+        # Eight isolated elements of dim 256: no map line is needed.
+        "poset grid 15\n" + "".join(f"dim {i} 256\n" for i in range(0, 16, 2)),
+    ], ids=["one-dim-line", "eight-isolated-elements"])
+    def test_oversized_total_dim_is_exit_2(self, tmp_path, capsys,
+                                           address_space_cap, body):
+        f = tmp_path / "heavy.pmod"
+        f.write_text(f"pmod 1\nfield 2\n{body}end\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(f))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert err.startswith("error: ") and "exceeds the cap of 1024" in err
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("exc", [
         NoFactorization("no solution"), NotAComplex("d_1 o d_2 != 0"),
         EquivalenceViolated("conditions disagree"),

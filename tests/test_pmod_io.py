@@ -3,8 +3,8 @@ from pathlib import Path
 import pytest
 
 from pmodcalc import (Lattice, free_module, interval_module, random_module)
-from pmodcalc.pmod_io import (ParseError, PmodDocument, load_module,
-                              parse_pmod, print_pmod)
+from pmodcalc.pmod_io import (MAX_TOTAL_DIM, ParseError, PmodDocument,
+                              load_module, parse_pmod, print_pmod)
 from pmodcalc.verify import nonexample_module
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -91,6 +91,13 @@ class TestParseErrors:
                 "dim 0,0 1\ndim 0,1 1\nmap 0,0<0,1 1 1\nend\n")
         with pytest.raises(ParseError, match="0,0<0,1"):
             parse_pmod(text)
+
+    def test_total_dim_cap(self):
+        head = "pmod 1\nfield 2\nposet grid 1 1\n"
+        doc = parse_pmod(head + "dim 0,0 1000\ndim 1,1 24\nend\n")
+        assert sum(doc.dims.values()) == MAX_TOTAL_DIM == 1024
+        with pytest.raises(ParseError, match="total dimension 1025 exceeds the cap of 1024"):
+            parse_pmod(head + "dim 0,0 1000\ndim 1,1 25\nend\n")
 
     def test_zero_side_map_rejected(self):
         text = ("pmod 1\nfield 2\nposet grid 1 1\n"

@@ -8,14 +8,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmodcalc import FieldSpec, Lattice, is_iso, random_module
-from pmodcalc.calculus import (colim_over_downset, gamma_lower, gamma_upper,
-                               is_codegree, is_cross_codegree, is_cross_degree,
-                               is_degree, lim_over_upset, t_lower, t_upper)
+from pmodcalc.calculus import (gamma_lower, gamma_upper, is_codegree,
+                               is_cross_codegree, is_cross_degree, is_degree,
+                               t_lower, t_upper)
 from pmodcalc.lattice import child_cube, parent_cube
 from pmodcalc.linalg import factor_through, hstack, rank, solve_left, vstack
 from pmodcalc.resolution import check_pdim_theorem_1, check_pdim_theorem_2, pdim
+from oracles import colim_over_downset, lim_over_upset
+from test_calculus import check_gamma_against_oracles
 
 GF2 = FieldSpec(2)
 
@@ -170,6 +173,17 @@ class TestDownsetLattices:
             for n in (d, d + 1):
                 assert is_iso(t_lower(f, n).canonical)
                 assert is_iso(t_upper(f, n).canonical)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(2, 4), lattice_seed=st.integers(0, 10 ** 6),
+       p=st.sampled_from([2, 3]), seed=st.integers(0, 10 ** 6))
+def test_gamma_sweep_matches_oracle_on_downset_lattices(points, lattice_seed,
+                                                        p, seed):
+    lat = downset_lattice(points, random.Random(lattice_seed))
+    f = random_module(lat, FieldSpec(p), f"dsweep{seed}", max_gens=4, max_rels=3)
+    for n in range(lat.poset_dimension() + 2):
+        check_gamma_against_oracles(f, n)
 
 
 class TestCubeDuality:

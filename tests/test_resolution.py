@@ -1,8 +1,9 @@
 import pytest
 
-from pmodcalc import (free_module, interval_module, opposite_module,
+from pmodcalc import (Lattice, free_module, interval_module, opposite_module,
                       random_module, restrict_along_cube)
-from pmodcalc.calculus import tcofib
+from pmodcalc.calculus import (is_cross_degree, is_degree, min_cross_degree,
+                               min_degree, tcofib)
 from pmodcalc.lattice import parent_cube
 from pmodcalc.pmodule import cube_as_module
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
@@ -139,6 +140,28 @@ class TestPdimTheorem2:
         f = interval_module(square, gf2, ("0,0",))
         with pytest.raises(ValueError):
             check_pdim_theorem_2(f, n=1)
+
+
+class TestNoThirdTheorem:
+    """The naive k = 3 case, "pdim <= n-3 iff degree n-2 and cross-degree
+    n-3", is false: two interval modules on {0,1}^4 over GF(2) have pdim 2
+    but are degree 2 and cross-degree 1.  No pdim check goes past n-2."""
+
+    SUPPORTS = (("0011", "0110", "1110", "1100", "0111"),
+                ("1010", "0011", "1110", "1011", "1100"))
+
+    @pytest.mark.parametrize("support", SUPPORTS)
+    def test_pdim_bound_fails_while_degree_conditions_hold(self, gf2, support):
+        lat = Lattice.grid([1, 1, 1, 1])
+        f = interval_module(lat, gf2, [",".join(el) for el in support])
+        n = lat.poset_dimension()
+        assert n == 4
+        assert (pdim(f), min_degree(f), min_cross_degree(f)) == (2, 2, 1)
+        assert is_degree(f, n - 2) and is_cross_degree(f, n - 3)
+        assert not pdim(f) <= n - 3
+        # The two theorems themselves hold on them.
+        assert check_pdim_theorem_1(f).consistent
+        assert check_pdim_theorem_2(f).consistent
 
 
 class TestDualMode:

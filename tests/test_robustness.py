@@ -6,8 +6,7 @@ import pytest
 
 from pmodcalc import (FieldSpec, Lattice, free_module, interval_module,
                       is_iso, random_module)
-from pmodcalc.calculus import (NotDownClosed, colim_over_downset,
-                               gamma_lower, gamma_upper, is_codegree,
+from pmodcalc.calculus import (gamma_lower, gamma_upper, is_codegree,
                                is_cross_codegree, is_cross_degree, is_degree,
                                min_codegree, min_cross_codegree,
                                min_cross_degree, min_degree, t_lower, t_upper)
@@ -16,6 +15,7 @@ from pmodcalc.generators import (random_image, random_metric_space,
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
 from pmodcalc.verify import table1_modules
+from oracles import NotDownClosed, colim_over_downset
 
 
 class TestOddCharacteristic:
