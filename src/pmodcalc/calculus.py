@@ -294,41 +294,23 @@ def koszul(cube: VecCube) -> KoszulComplex:
     by_size: list[list[int]] = [[] for _ in range(k + 1)]
     for mask in range(1 << k):
         by_size[mask.bit_count()].append(mask)
-    for masks in by_size:
-        masks.sort()
-    offsets: list[dict[int, int]] = []
-    dims = []
-    for i in range(k + 1):
-        masks = by_size[k - i]
-        off: dict[int, int] = {}
-        total = 0
-        for m in masks:
-            off[m] = total
-            total += cube.dims[m]
-        offsets.append(off)
-        dims.append(total)
-    p = cube.field.p
-    boundaries = []
+    dims = [sum(cube.dims[m] for m in by_size[k - i]) for i in range(k + 1)]
+    field, boundaries = cube.field, []
     for i in range(k):
-        # boundary_{i+1}: subsets of size k-i-1 into subsets of size k-i.
-        src_masks = by_size[k - i - 1]
-        rows = dims[i]
-        cols = dims[i + 1]
-        data = [[0] * cols for _ in range(rows)]
-        for s in src_masks:
-            missing = [b for b in range(k) if not (s >> b) & 1]
-            for j, t in enumerate(missing):
-                sign = 1 if j % 2 == 0 else (p - 1)
-                edge = cube.edge(s, t)
-                r0 = offsets[i][s | (1 << t)]
-                c0 = offsets[i + 1][s]
-                for r in range(edge.nrows):
-                    row = data[r0 + r]
-                    erow = edge.row(r)
-                    for c in range(edge.ncols):
-                        if erow[c]:
-                            row[c0 + c] = (row[c0 + c] + sign * erow[c]) % p
-        boundaries.append(Matrix(cube.field, rows, cols, data))
+        # boundary_{i+1} from blocks: the block from subset s (size k-i-1)
+        # into s | t is (-1)^j edge(s, t), t the j-th element missing from s.
+        rows = []
+        for tm in by_size[k - i]:
+            blocks = []
+            for s in by_size[k - i - 1]:
+                if s & ~tm:
+                    blocks.append(Matrix.zeros(field, cube.dims[tm], cube.dims[s]))
+                else:
+                    t = (tm ^ s).bit_length() - 1
+                    j = t - (s & ((1 << t) - 1)).bit_count()
+                    blocks.append(-cube.edge(s, t) if j % 2 else cube.edge(s, t))
+            rows.append(hstack(blocks))
+        boundaries.append(vstack(rows))
     for i in range(len(boundaries) - 1):
         if not (boundaries[i] @ boundaries[i + 1]).is_zero():
             raise NotAComplex(f"d_{i + 1} o d_{i + 2} != 0")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .lattice import Lattice
 from .linalg import (FieldSpec, Matrix, hstack, image_basis, kernel_basis,
-                     rref, solve)
+                     rref, solve, vstack)
 from .pmodule import PersistenceModule
 
 
@@ -275,13 +275,13 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
         ev, us = lat.element(v), [lat.element(u) for u in lat.parents_i(v)]
         if not us:
             continue
-        pos = {c: i for i, c in enumerate(cells_at[ev])}
         lifts = []
         for eu in us:
-            rows = [(0,) * dims[eu]] * len(pos)
-            for r, cell in enumerate(cells_at[eu]):
-                rows[pos[cell]] = reps[eu].row(r)
-            lifts.append(Matrix(field, len(pos), dims[eu], rows))
+            # Row r of reps[eu] lands on the same cell of ev; other cells
+            # take the zero row appended at the bottom.
+            pos = {c: i for i, c in enumerate(cells_at[eu])}
+            padded = vstack([reps[eu], Matrix.zeros(field, 1, dims[eu])])
+            lifts.append(padded.take_rows([pos.get(c, len(pos)) for c in cells_at[ev]]))
         coords = solve(basis_solver[ev], hstack(lifts)).take_rows(range(dims[ev]))
         offset = 0
         for eu in us:

@@ -3,21 +3,27 @@
 Everything downstream (persistence modules, Kan extensions, Koszul
 homology) reduces to a handful of primitives implemented here: reduced
 row echelon form, rank, kernel/image bases, cokernel projections and
-exact solving.  Matrices are immutable, stored row-major as python
-ints reduced mod p, so all results are exact for any prime modulus
-below 2**31.  Reduction always picks the leftmost pivot in the first
-nonzero row, which makes every derived basis (and hence every module
-built on top of this layer) deterministic.
+exact solving.  Matrices are immutable and stored row-major, entries
+reduced mod p, so all results are exact for any prime modulus below
+2**31.  Reduction always picks the leftmost pivot in the first nonzero
+row, which makes every derived basis (and hence every module built on
+top of this layer) deterministic.
 
 Zero-dimensional shapes (0 x n, n x 0) are first-class citizens: they
 encode maps to and from the zero space and show up constantly as cover
 maps of sparse modules.
 
-``Matrix(...)`` is the one checked constructor (entries reduced mod p,
-shape checked), and all input from outside this module goes through it.
-The results linalg builds itself are reduced by construction and use the
-unchecked ``Matrix._of``.  Over GF(2) rows are packed into int bitmasks
-(entry j at bit j) through bytes, with no per-bit Python loop.
+``Matrix(...)`` is the one checked constructor (entries reduced mod p
+with ``operator.index`` semantics, shape checked), and all input from
+outside this module goes through it.  The results linalg builds itself
+are reduced by construction and use the unchecked ``Matrix._of``.
+
+Storage.  Over GF(2) a row is an int bitmask, entry j at bit j, packed
+through bytes by the constructor; elimination and products XOR whole rows,
+``hstack`` shifts, and ``transpose`` / ``take_cols`` read each row's binary
+numeral, with no per-bit Python loop.  Rows are unpacked only where a tuple
+is read (``row``, ``rows``, ``to_lists``, ``m[i, j]``: PMOD printing and
+``hom_basis``).  Over odd p a row is a tuple of ints.
 
 Maps induced on a basis chosen here are read off the echelon form that
 chose it (F: free columns, P: pivot columns of the cached rref).  The
@@ -31,6 +37,7 @@ its defining product; ``solve`` and its wrappers stay the general path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,7 +79,7 @@ GF2 = FieldSpec(2)
 
 
 class Matrix:
-    """An immutable rows x cols matrix over F_p, row-major."""
+    """An immutable rows x cols matrix over F_p, row-major (see Storage above)."""
 
     __slots__ = ("field", "nrows", "ncols", "_data", "_rref")
 
@@ -82,14 +89,15 @@ class Matrix:
             raise ValueError("negative matrix shape")
         p = field.p
         if entries is None:
-            data = tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows))
+            data = Matrix.zeros(field, nrows, ncols)._data
         else:
             if len(entries) != nrows:
                 raise ValueError(f"expected {nrows} rows, got {len(entries)}")
-            data = tuple(tuple(int(x) % p for x in row) for row in entries)
-            for row in data:
+            for row in entries:
                 if len(row) != ncols:
                     raise ValueError(f"expected {ncols} cols, got {len(row)}")
+            data = (tuple(map(_bits_of, entries)) if p == 2 else
+                    tuple(tuple([operator.index(x) % p for x in row]) for row in entries))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
@@ -97,10 +105,10 @@ class Matrix:
         object.__setattr__(self, "_rref", None)
 
     @classmethod
-    def _of(cls, field: FieldSpec, nrows: int, ncols: int,
-            data: tuple[tuple[int, ...], ...]) -> "Matrix":
-        """Trusted construction: ``data`` must be ``nrows`` tuples of
-        ``ncols`` entries already reduced mod p.  Nothing is checked."""
+    def _of(cls, field: FieldSpec, nrows: int, ncols: int, data: tuple) -> "Matrix":
+        """Trusted construction: ``data`` must be ``nrows`` rows in the
+        storage of the field (bitmasks below 2**ncols over GF(2), tuples of
+        ``ncols`` reduced entries otherwise).  Nothing is checked."""
         m = object.__new__(cls)
         _set_field(m, field)
         _set_nrows(m, nrows)
@@ -118,14 +126,16 @@ class Matrix:
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
         if nrows < 0 or ncols < 0:
             raise ValueError("negative matrix shape")
-        return cls._of(field, nrows, ncols, ((0,) * ncols,) * nrows)
+        return cls._of(field, nrows, ncols,
+                       (0,) * nrows if field.p == 2 else ((0,) * ncols,) * nrows)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         if n < 0:
             raise ValueError("negative matrix shape")
-        return cls._of(field, n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
-                                          for i in range(n)))
+        units = [1 << i for i in range(n)]
+        return cls._of(field, n, n, tuple(units if field.p == 2 else
+                                          [_row_of_bits(u, n) for u in units]))
 
     # -- basic access --------------------------------------------------
 
@@ -135,19 +145,24 @@ class Matrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
-        return self._data[i][j]
+        if self.field.p != 2:
+            return self._data[i][j]
+        return self._data[i] >> range(self.ncols)[j] & 1
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
+        row = self._data[i]
+        return _row_of_bits(row, self.ncols) if self.field.p == 2 else row
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
+        if self.field.p == 2:
+            return tuple([_row_of_bits(r, self.ncols) for r in self._data])
         return self._data
 
     def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self._data]
+        return [list(r) for r in self.rows()]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._data for x in row)
+        return not any(self._data if self.field.p == 2 else map(any, self._data))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field.p == other.field.p
@@ -167,16 +182,15 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         p = self.field.p
-        return Matrix._of(self.field, self.nrows, self.ncols,
-                          tuple(tuple([(a + b) % p for a, b in zip(r1, r2)])
-                                for r1, r2 in zip(self._data, other._data)))
+        if p == 2:
+            data = tuple(map(operator.xor, self._data, other._data))
+        else:
+            data = tuple(tuple([(a + b) % p for a, b in zip(r1, r2)])
+                         for r1, r2 in zip(self._data, other._data))
+        return Matrix._of(self.field, self.nrows, self.ncols, data)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        p = self.field.p
-        return Matrix._of(self.field, self.nrows, self.ncols,
-                          tuple(tuple([(a - b) % p for a, b in zip(r1, r2)])
-                                for r1, r2 in zip(self._data, other._data)))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -184,17 +198,30 @@ class Matrix:
     def scale(self, c: int) -> "Matrix":
         p = self.field.p
         c %= p
+        if p == 2:
+            return self if c else Matrix.zeros(self.field, self.nrows, self.ncols)
         return Matrix._of(self.field, self.nrows, self.ncols,
                           tuple(tuple([(c * a) % p for a in r]) for r in self._data))
 
     def transpose(self) -> "Matrix":
-        data = tuple(zip(*self._data)) if self.nrows else ((),) * self.ncols
+        data = (_transpose_bits(self._data, self.ncols) if self.field.p == 2 else
+                tuple(zip(*self._data)) if self.nrows else ((),) * self.ncols)
         return Matrix._of(self.field, self.ncols, self.nrows, data)
 
     def take_cols(self, idx: Iterable[int]) -> "Matrix":
-        idx = list(idx)
-        return Matrix._of(self.field, self.nrows, len(idx),
-                          tuple(tuple([row[j] for j in idx]) for row in self._data))
+        contiguous = isinstance(idx, range) and idx.step == 1
+        if not contiguous:
+            idx = list(idx)
+        if self.field.p != 2:
+            data = tuple(tuple([row[j] for j in idx]) for row in self._data)
+        elif contiguous:
+            if idx and (idx.start < 0 or idx.stop > self.ncols):
+                raise IndexError("matrix column index out of range")
+            mask, lo = (1 << len(idx)) - 1, idx.start
+            data = tuple([r >> lo & mask for r in self._data])
+        else:
+            data = _pick_bits(self._data, self.ncols, idx)
+        return Matrix._of(self.field, self.nrows, len(idx), data)
 
     def take_rows(self, idx: Iterable[int]) -> "Matrix":
         data = tuple(self._data[i] for i in idx)
@@ -213,7 +240,8 @@ _set_field, _set_nrows, _set_ncols, _set_data, _set_rref = (
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a*b, with a GF(2) bitmask fast path."""
+    """Matrix product a*b; over GF(2) each row is the XOR of the rows of b
+    selected by the bits of the row of a."""
     if a.field.p != b.field.p:
         raise ValueError("field mismatch")
     if a.ncols != b.nrows:
@@ -221,21 +249,22 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
     p = a.field.p
     if a.nrows == 0 or b.ncols == 0 or a.ncols == 0:
         return Matrix.zeros(a.field, a.nrows, b.ncols)
-    if p == 2:
-        # Rows of a and columns of b as bitmasks; each entry is a popcount parity.
-        bcols = [_bits_of(col) for col in zip(*b.rows())]
-        return Matrix._of(a.field, a.nrows, b.ncols,
-                          tuple(tuple([(ar & bc).bit_count() & 1 for bc in bcols])
-                                for ar in map(_bits_of, a.rows())))
-    bdata = b.rows()
+    bdata = b._data
     out = []
-    for row in a.rows():
-        nonzero = [(k, x) for k, x in enumerate(row) if x]
+    if p == 2:
+        for r in a._data:
+            acc = 0
+            while r:
+                low = r & -r
+                acc ^= bdata[low.bit_length() - 1]
+                r ^= low
+            out.append(acc)
+        return Matrix._of(a.field, a.nrows, b.ncols, tuple(out))
+    for row in a._data:
         new = [0] * b.ncols
-        for k, x in nonzero:
-            brow = bdata[k]
-            for j in range(b.ncols):
-                new[j] += x * brow[j]
+        for x, brow in zip(row, bdata):
+            if x:
+                new = [v + x * y for v, y in zip(new, brow)]
         out.append(tuple([v % p for v in new]))
     return Matrix._of(a.field, a.nrows, b.ncols, tuple(out))
 
@@ -248,9 +277,14 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     for m in mats:
         if m.field.p != field.p or m.nrows != nrows:
             raise ValueError("hstack shape/field mismatch")
-    ncols = sum(m.ncols for m in mats)
-    rows = tuple(sum(parts, ()) for parts in zip(*(m.rows() for m in mats)))
-    return Matrix._of(field, nrows, ncols, rows)
+    if field.p == 2:
+        rows, shift = mats[0]._data, mats[0].ncols
+        for m in mats[1:]:
+            rows = tuple([r | x << shift for r, x in zip(rows, m._data)])
+            shift += m.ncols
+        return Matrix._of(field, nrows, shift, rows)
+    rows = tuple(sum(parts, ()) for parts in zip(*(m._data for m in mats)))
+    return Matrix._of(field, nrows, sum(m.ncols for m in mats), rows)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -261,38 +295,44 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     for m in mats:
         if m.field.p != field.p or m.ncols != ncols:
             raise ValueError("vstack shape/field mismatch")
-    rows = tuple(row for m in mats for row in m.rows())
+    rows = tuple(row for m in mats for row in m._data)
     return Matrix._of(field, len(rows), ncols, rows)
 
 
 def direct_sum(mats: Sequence[Matrix], field: FieldSpec | None = None) -> Matrix:
-    """Block-diagonal sum of the given matrices."""
+    """Block-diagonal sum of the given matrices (all over ``field`` if given)."""
     if not mats:
         if field is None:
             raise ValueError("direct_sum of no matrices needs an explicit field")
         return Matrix.zeros(field, 0, 0)
-    field = mats[0].field
-    nrows = sum(m.nrows for m in mats)
-    ncols = sum(m.ncols for m in mats)
-    rows = []
-    c0 = 0
+    field = mats[0].field if field is None else field
+    ncols, c0, blocks = sum(m.ncols for m in mats), 0, []  # hstack checks fields
     for m in mats:
-        left, right = (0,) * c0, (0,) * (ncols - c0 - m.ncols)
-        rows.extend(left + row + right for row in m.rows())
+        blocks.append(hstack([Matrix.zeros(field, m.nrows, c0), m,
+                              Matrix.zeros(field, m.nrows, ncols - c0 - m.ncols)]))
         c0 += m.ncols
-    return Matrix._of(field, nrows, ncols, tuple(rows))
+    return vstack(blocks)
 
 
-# -- echelon forms -----------------------------------------------------
+# -- GF(2) packing -----------------------------------------------------
 
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_PARITY = bytes.maketrans(bytes(range(256)), b"01" * 128)
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _bits_of(row: tuple[int, ...]) -> int:
-    """Pack a 0/1 row into an int, entry j at bit j (the last entry leads
-    the binary numeral, hence the reversal)."""
-    return int(bytes(row[::-1]).translate(_TO_DIGITS) or b"0", 2)
+def _bits_of(row: Sequence[int]) -> int:
+    """Pack a row into an int, entry j reduced mod 2 at bit j.  bytes() takes
+    a list or tuple row whole (it would read other objects as a buffer or a
+    length); entries it refuses (negative, above 255, not an int) are reduced
+    one at a time with ``operator.index``, which rejects non-integral values.
+    The last entry leads the binary numeral, hence the reversal."""
+    try:
+        digits = bytes(row) if type(row) in (list, tuple) else None
+    except (TypeError, ValueError):
+        digits = None
+    if digits is None:
+        digits = bytes([operator.index(x) & 1 for x in row])
+    return int(digits[::-1].translate(_PARITY) or b"0", 2)
 
 
 def _row_of_bits(bits: int, ncols: int) -> tuple[int, ...]:
@@ -301,7 +341,34 @@ def _row_of_bits(bits: int, ncols: int) -> tuple[int, ...]:
     return tuple(format(bits | 1 << ncols, "b")[:0:-1].encode().translate(_FROM_DIGITS))
 
 
-def _rref_gf2(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+def _pick_bits(data: tuple[int, ...], ncols: int, idx: Sequence[int]) -> tuple[int, ...]:
+    """Columns ``idx`` of packed rows, read from each row's numeral (digit
+    ncols - j is entry j, behind the sentinel) by one itemgetter."""
+    if not idx or not data:
+        return (0,) * len(data)
+    if max(idx) >= ncols:  # a negative index fails in the itemgetter
+        raise IndexError("matrix column index out of range")
+    pick, top = operator.itemgetter(*[ncols - j for j in reversed(idx)]), 1 << ncols
+    return tuple([int("".join(pick(format(r | top, "b"))), 2) for r in data])
+
+
+def _transpose_bits(data: tuple[int, ...], ncols: int) -> tuple[int, ...]:
+    """The packed columns of packed rows.  The rows' numerals, last row
+    first, are joined into one string of stride ncols + 1; column j's
+    numeral is the slice of it that starts at digit ncols - j."""
+    if not data or not ncols:
+        return (0,) * ncols
+    if len(data) == 1:
+        return _row_of_bits(data[0], ncols)
+    w, top = ncols + 1, 1 << ncols
+    s = "".join([format(r | top, "b") for r in reversed(data)])
+    return tuple([int(s[ncols - j::w], 2) for j in range(ncols)])
+
+
+# -- echelon forms -----------------------------------------------------
+
+
+def _rref_gf2(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
     mat = list(rows)
     pivots: list[int] = []
     pr = 0
@@ -368,12 +435,11 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     if cached is not None:
         return cached
     if m.field.p == 2:
-        bits, pivots = _rref_gf2([_bits_of(r) for r in m.rows()], m.ncols)
-        rows = tuple(_row_of_bits(b, m.ncols) for b in bits)
+        rows, pivots = _rref_gf2(m._data, m.ncols)
     else:
-        rows, pivots = _rref_modp(m.rows(), m.ncols, m.field.p)
-        rows = tuple(map(tuple, rows))
-    red = Matrix._of(m.field, m.nrows, m.ncols, rows)
+        rows, pivots = _rref_modp(m._data, m.ncols, m.field.p)
+        rows = map(tuple, rows)
+    red = Matrix._of(m.field, m.nrows, m.ncols, tuple(rows))
     result = (red, tuple(pivots))
     _set_rref(m, result)
     return result
@@ -395,20 +461,19 @@ def kernel_basis(m: Matrix) -> Matrix:
 
     Column count is ncols - rank(m).  The basis follows the echelon
     convention: one column per free column f, with a 1 in position f
-    and the pivot rows filled from the reduced form.
+    and the pivot rows filled from the reduced form.  Its rows are read
+    off whole: row f is a unit row, and the row of pivot column c_r is
+    minus row r of rref(m) on the free columns.
     """
     red, pivots = rref(m)
     pivot_set = set(pivots)
     free = [j for j in range(m.ncols) if j not in pivot_set]
-    p, rows = m.field.p, red.rows()
-    cols = []
-    for f in free:
-        v = [0] * m.ncols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f] % p
-        cols.append(v)
-    return Matrix._of(m.field, len(cols), m.ncols, tuple(map(tuple, cols))).transpose()
+    filled, p = red._data[:len(pivots)], m.field.p
+    filled = iter(_pick_bits(filled, m.ncols, free) if p == 2 else
+                  [tuple([-row[f] % p for f in free]) for row in filled])
+    unit = iter(Matrix.identity(m.field, len(free))._data)
+    rows = [next(filled) if j in pivot_set else next(unit) for j in range(m.ncols)]
+    return Matrix._of(m.field, m.ncols, len(free), tuple(rows))
 
 
 def image_basis(m: Matrix) -> Matrix:
@@ -443,9 +508,10 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         if c >= n:
             raise NoFactorization(
                 f"system has no solution (pivot in augmented column {c - n})")
-    x = [(0,) * b.ncols] * n
+    tail = red.take_cols(range(n, red.ncols))._data
+    x = list(Matrix.zeros(a.field, n, b.ncols)._data)
     for r, c in enumerate(pivots):
-        x[c] = red.row(r)[n:]
+        x[c] = tail[r]
     return Matrix._of(a.field, n, b.ncols, tuple(x))
 
 

@@ -99,3 +99,82 @@ def gamma_lower_oracle(f: PersistenceModule, n: int) -> ApproxResult:
     image of the canonical map t_lower(f, n) -> f, with its inclusion."""
     module, mono = image_of(t_lower(f, n).canonical)
     return ApproxResult("gamma_lower", module, mono)
+
+
+# -- dense GF(2) references for linalg -----------------------------------------
+# Lists of lists of 0/1 with one Python step per entry: the storage and the
+# loops that linalg's packed GF(2) rows replace.  Shapes are explicit, since
+# a list of no rows does not know its width.
+
+
+def dense_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over GF(2), leftmost pivot in the first
+    nonzero row, and the pivot columns."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        pr = len(pivots)
+        hit = [r for r in range(pr, len(mat)) if mat[r][c]]
+        if not hit:
+            continue
+        mat[pr], mat[hit[0]] = mat[hit[0]], mat[pr]
+        for r in range(len(mat)):
+            if r != pr and mat[r][c]:
+                mat[r] = [(x + y) % 2 for x, y in zip(mat[r], mat[pr])]
+        pivots.append(c)
+    return mat, pivots
+
+
+def dense_multiply(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:
+    return [[sum(row[t] * b[t][j] for t in range(len(b))) % 2 for j in range(ncols)]
+            for row in a]
+
+
+def dense_transpose(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def dense_take_cols(rows: list[list[int]], idx: list[int]) -> list[list[int]]:
+    return [[row[j] for j in idx] for row in rows]
+
+
+def dense_direct_sum(a: list[list[int]], acols: int, b: list[list[int]],
+                     bcols: int) -> list[list[int]]:
+    return [row + [0] * bcols for row in a] + [[0] * acols + row for row in b]
+
+
+def dense_kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """ncols x (ncols - rank): per free column f, the vector with a 1 at f
+    and the pivot entries read from the reduced form."""
+    red, pivots = dense_rref(rows, ncols)
+    cols = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = red[r][f]
+        cols.append(v)
+    return dense_transpose(cols, ncols)
+
+
+def dense_cokernel_projection(rows: list[list[int]],
+                              ncols: int) -> tuple[list[list[int]], list[int]]:
+    """The transposed kernel basis of the transpose, and the free columns
+    of the transpose."""
+    t = dense_transpose(rows, ncols)
+    k = dense_kernel_basis(t, len(rows))
+    _, pivots = dense_rref(t, len(rows))
+    return (dense_transpose(k, len(k[0]) if k else 0),
+            [j for j in range(len(rows)) if j not in pivots])
+
+
+def dense_solve(a: list[list[int]], acols: int, b: list[list[int]],
+                bcols: int) -> list[list[int]] | None:
+    """x with a*x = b and every free variable 0, or None if there is none."""
+    red, pivots = dense_rref([u + v for u, v in zip(a, b)], acols + bcols)
+    if any(c >= acols for c in pivots):
+        return None
+    x = [[0] * bcols for _ in range(acols)]
+    for r, c in enumerate(pivots):
+        x[c] = red[r][acols:]
+    return x

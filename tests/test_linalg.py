@@ -10,6 +10,10 @@ from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
                              rank, rref, solve, solve_left, vstack)
 from pmodcalc import linalg
 
+from oracles import (dense_cokernel_projection, dense_direct_sum,
+                     dense_kernel_basis, dense_multiply, dense_rref, dense_solve,
+                     dense_take_cols, dense_transpose)
+
 
 def gf(p):
     return FieldSpec(p)
@@ -290,12 +294,17 @@ def row_of_bits_oracle(bits, ncols):
 
 
 def assert_well_formed(m):
-    """m equals its checked rebuild and is stored as Matrix(...) stores it."""
+    """m equals its checked rebuild and is stored as Matrix(...) stores it:
+    over GF(2) one int bitmask below 2**ncols per row, otherwise one tuple
+    of ncols reduced ints per row."""
     assert m == Matrix(m.field, m.nrows, m.ncols, m.to_lists())
     assert type(m._data) is tuple and len(m._data) == m.nrows
     for row in m._data:
-        assert type(row) is tuple and len(row) == m.ncols
-        assert all(type(x) is int and 0 <= x < m.field.p for x in row)
+        if m.field.p == 2:
+            assert type(row) is int and 0 <= row < 2 ** m.ncols
+        else:
+            assert type(row) is tuple and len(row) == m.ncols
+            assert all(type(x) is int and 0 <= x < m.field.p for x in row)
 
 
 @st.composite
@@ -351,12 +360,85 @@ def test_gf2_packing_matches_bit_loops():
         for row in ((0,) * n, (1,) * n,
                     tuple(rng.randrange(2) for _ in range(n))):
             bits = linalg._bits_of(row)
-            assert bits == bits_of_oracle(row)
+            assert bits == bits_of_oracle(row) == linalg._bits_of(list(row))
             assert linalg._row_of_bits(bits, n) == row == row_of_bits_oracle(bits, n)
+        # Packing reduces mod 2, also for entries bytes() refuses.
+        wide = [rng.choice((0, 1, 2, 3, 255, 256, -1, -4, 2**70 + 1))
+                for _ in range(n)]
+        assert linalg._bits_of(wide) == bits_of_oracle([x % 2 for x in wide])
+        # Column selection and transposition read the numerals, not bits.
+        rows = tuple(rng.getrandbits(n) if n else 0 for _ in range(rng.randrange(5)))
+        idx = [rng.randrange(n) for _ in range(rng.randrange(6))] if n else []
+        assert linalg._pick_bits(rows, n, idx) == tuple(
+            bits_of_oracle([row_of_bits_oracle(r, n)[j] for j in idx]) for r in rows)
+        assert linalg._transpose_bits(rows, n) == tuple(
+            bits_of_oracle([(r >> j) & 1 for r in rows]) for j in range(n))
+
+
+gf2_widths = st.sampled_from([0, 1, 2, 5, 63, 64, 65, 100, 130])
+
+
+@st.composite
+def gf2_dense(draw, nrows, ncols):
+    """A dense 0/1 list of lists, each row drawn as one int below 2**ncols."""
+    rows = [draw(st.integers(0, 2 ** ncols - 1)) for _ in range(nrows)]
+    return [[(r >> j) & 1 for j in range(ncols)] for r in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_gf2_ops_match_dense_references(data):
+    """Every packed GF(2) op against its list-of-lists reference, on shapes
+    with zero sides and rows wider than a machine word."""
+    f = gf(2)
+    r = data.draw(st.sampled_from([0, 1, 2, 3, 6]))
+    k, c = data.draw(gf2_widths), data.draw(gf2_widths)
+    la, la2 = data.draw(gf2_dense(r, k)), data.draw(gf2_dense(r, k))
+    lb, lrhs = data.draw(gf2_dense(k, c)), data.draw(gf2_dense(r, c))
+    a, a2, b, rhs = (Matrix(f, r, k, la), Matrix(f, r, k, la2),
+                     Matrix(f, k, c, lb), Matrix(f, r, c, lrhs))
+    idx = data.draw(st.lists(st.integers(0, k - 1), max_size=8)) if k else []
+    lo = data.draw(st.integers(0, k))
+    hi = data.draw(st.integers(lo, k))
+    red, pivots = rref(a)
+    q, q_cols = cokernel_projection(a)
+    results = {  # name: (result, reference, reference width)
+        "rref": (red, dense_rref(la, k)[0], k),
+        "multiply": (a @ b, dense_multiply(la, lb, c), c),
+        "transpose": (a.transpose(), dense_transpose(la, k), r),
+        "take_cols": (a.take_cols(idx), dense_take_cols(la, idx), len(idx)),
+        "take_cols_range": (a.take_cols(range(lo, hi)),
+                            dense_take_cols(la, list(range(lo, hi))), hi - lo),
+        "hstack": (hstack([a, a2, rhs]),
+                   [u + v + w for u, v, w in zip(la, la2, lrhs)], 2 * k + c),
+        "vstack": (vstack([a, a2]), la + la2, k),
+        "direct_sum": (linalg.direct_sum([a, b]), dense_direct_sum(la, k, lb, c), k + c),
+        "kernel_basis": (kernel_basis(a), dense_kernel_basis(la, k), k - len(pivots)),
+        "cokernel_projection": (q, dense_cokernel_projection(la, k)[0], r),
+    }
+    for name, (m, expected, width) in results.items():
+        assert_well_formed(m)
+        assert m.shape == (len(expected), width), name
+        assert m.to_lists() == expected, name
+        assert [list(m.row(i)) for i in range(m.nrows)] == expected, name
+        assert [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)] == expected, name
+    assert list(pivots) == dense_rref(la, k)[1]
+    assert list(q_cols) == dense_cokernel_projection(la, k)[1]
+    x = data.draw(gf2_dense(k, c))
+    consistent = a @ Matrix(f, k, c, x)
+    assert solve(a, consistent).to_lists() == dense_solve(la, k, consistent.to_lists(), c)
+    expected = dense_solve(la, k, lrhs, c)
+    if expected is None:
+        with pytest.raises(NoFactorization):
+            solve(a, rhs)
+    else:
+        assert solve(a, rhs).to_lists() == expected
 
 
 def test_public_constructor_still_checks():
     assert Matrix(gf(3), 1, 3, [[4, -1, 3]]).rows() == ((1, 2, 0),)
+    assert Matrix(gf(2), 1, 4, [[3, -1, 256, 2]]).rows() == ((1, 1, 0, 0),)
+    assert Matrix(gf(2), 1, 2, [(True, False)]).rows() == ((1, 0),)
     with pytest.raises(ValueError):
         Matrix(gf(2), 2, 2, [[1, 0]])
     with pytest.raises(ValueError):
@@ -365,6 +447,37 @@ def test_public_constructor_still_checks():
         Matrix.zeros(gf(2), -1, 2)
     with pytest.raises(AttributeError):
         (Matrix.identity(gf(2), 2) @ Matrix.identity(gf(2), 2)).nrows = 3
+    # Non-integral entries fail loudly on the packed and the tuple path
+    # alike (operator.index semantics), never rounded or parsed.
+    for p in (2, 3):
+        for bad in ([[1.5, 0.7]], [[1.0, 0]], [["1", 0]], [[None, 0]], ["10"],
+                    [[0, 2**70 + 0.5]]):
+            with pytest.raises((TypeError, ValueError)):
+                Matrix(gf(p), 1, 2, bad)
+
+
+def test_column_indices_out_of_range_raise():
+    for p in (2, 3):
+        m = Matrix(gf(p), 2, 3, [[1, 0, 1], [0, 1, 1]])
+        for idx in ([3], [0, 3], range(2, 4), range(1, 4)):
+            with pytest.raises(IndexError):
+                m.take_cols(idx)
+        with pytest.raises(IndexError):
+            m[0, 3]
+        assert m.take_cols(range(3, 3)).shape == (2, 0)
+        assert m.take_cols([2, 2, 0]).to_lists() == [[1, 1, 1], [1, 1, 0]]
+
+
+def test_direct_sum_checks_fields():
+    a, b = Matrix(gf(2), 1, 1, [[1]]), Matrix(gf(3), 1, 1, [[2]])
+    with pytest.raises(ValueError):
+        linalg.direct_sum([a, b])
+    with pytest.raises(ValueError):
+        linalg.direct_sum([b, a])
+    with pytest.raises(ValueError):
+        linalg.direct_sum([a], field=gf(3))
+    assert linalg.direct_sum([a, a], field=gf(2)) == Matrix.identity(gf(2), 2)
+    assert linalg.direct_sum([], field=gf(3)) == Matrix.zeros(gf(3), 0, 0)
 
 
 # -- read-offs: induced maps from the echelon bases, against the general solves --

@@ -13,10 +13,13 @@ from hypothesis import given, settings, strategies as st
 from pmodcalc import FieldSpec, Lattice, is_iso, random_module
 from pmodcalc.calculus import (gamma_lower, gamma_upper, is_codegree,
                                is_cross_codegree, is_cross_degree, is_degree,
-                               t_lower, t_upper)
+                               min_codegree, min_cross_codegree,
+                               min_cross_degree, min_degree, t_lower, t_upper)
 from pmodcalc.lattice import child_cube, parent_cube
 from pmodcalc.linalg import factor_through, hstack, rank, solve_left, vstack
-from pmodcalc.resolution import check_pdim_theorem_1, check_pdim_theorem_2, pdim
+from pmodcalc.pmodule import opposite_module
+from pmodcalc.resolution import (betti, check_pdim_theorem_1,
+                                 check_pdim_theorem_2, pdim)
 from oracles import colim_over_downset, lim_over_upset
 from test_calculus import check_gamma_against_oracles
 
@@ -184,6 +187,34 @@ def test_gamma_sweep_matches_oracle_on_downset_lattices(points, lattice_seed,
     f = random_module(lat, FieldSpec(p), f"dsweep{seed}", max_gens=4, max_rels=3)
     for n in range(lat.poset_dimension() + 2):
         check_gamma_against_oracles(f, n)
+
+
+def betti_read_off(f, degrees):
+    """The largest jdim(a) over the elements a with a nonzero Betti number
+    in one of ``degrees``; 0 when there is none."""
+    return max((f.lattice.jdim(a) for (a, i) in betti(f).entries if i in degrees),
+               default=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=st.sampled_from([None, [1, 1], [2, 2], [1, 1, 1], [3, 2], [2, 1, 1]]),
+       points=st.integers(2, 4), lattice_seed=st.integers(0, 10 ** 6),
+       p=st.sampled_from([2, 3]), seed=st.integers(0, 10 ** 6))
+def test_degree_statistics_read_off_betti_supports(grid, points, lattice_seed, p, seed):
+    """T_n is the left Kan extension from {jdim <= n}, so f is codegree n
+    exactly when it has a presentation generated and related there, and
+    cross-codegree n exactly when it is generated there; the upper
+    statistics are the same read-offs on the opposite module, where jdim
+    is the original mdim.  Independent of the Kan extensions and of the
+    bicartesian-cube enumeration."""
+    lat = (Lattice.grid(grid) if grid else
+           downset_lattice(points, random.Random(lattice_seed)))
+    f = random_module(lat, FieldSpec(p), f"betti-read{seed}", max_gens=4, max_rels=3)
+    op = opposite_module(f)
+    assert min_codegree(f) == betti_read_off(f, (0, 1))
+    assert min_cross_codegree(f) == betti_read_off(f, (0,))
+    assert min_degree(f) == betti_read_off(op, (0, 1))
+    assert min_cross_degree(f) == betti_read_off(op, (0,))
 
 
 class TestCubeDuality:
