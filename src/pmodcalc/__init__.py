@@ -6,15 +6,15 @@ with theorem suites and generators for image and Rips bifiltrations."""
 from .linalg import FieldSpec, GF2, Matrix, NoFactorization
 from .lattice import (Lattice, LatticeCube, PairwiseCover, NoBottom,
                       NotDistributive, NotLattice, NotPairwiseCover,
-                      cube_from_cover, child_cube, enumerate_bicartesian_cubes,
-                      parent_cube)
+                      boolean_lattice, cube_from_cover, child_cube,
+                      enumerate_bicartesian_cubes, parent_cube)
 from .pmodule import (FreeModuleSpec, LatticeMismatch, NatTrans,
                       NonCommutingSquare, NotComparable, NotConnected,
-                      NotConvex, NotNatural, PersistenceModule, VecCube,
-                      cokernel_of, cube_as_module, direct_sum, free_module,
-                      hom_basis, identity_nat, image_of, interval_module,
-                      is_iso, kernel_of, opposite_module, random_module,
-                      restrict_along_cube, zero_nat)
+                      NotConvex, NotNatural, PersistenceModule, cokernel_of,
+                      direct_sum, free_module, hom_basis, identity_nat,
+                      image_of, interval_module, is_iso, kernel_of,
+                      opposite_module, random_module, restrict_along_cube,
+                      zero_nat)
 from .calculus import (ApproxResult, KoszulComplex, NotAComplex, cr_lower,
                        cr_upper, find_failing_cube, gamma_lower, gamma_upper,
                        is_codegree, is_cross_codegree, is_cross_degree,

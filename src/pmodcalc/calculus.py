@@ -4,9 +4,10 @@ This module implements the two Kan-extension approximations (t_lower /
 t_upper: restrict to the join- or meet-dimension <= n subposet and
 extend back), their image approximations (gamma_lower / gamma_upper),
 the cross effects (cr_lower / cr_upper), total (co)fibers and Koszul
-homology of vector-space cubes, and the four degree predicates, each
-with a fast path through the canonical maps and a brute-force oracle
-path over enumerated bicartesian cubes.
+homology of cubes, and the four degree predicates.  A cube is a module on
+the Boolean lattice {0,1}^k, as restrict_along_cube returns it.  The
+predicates are decided through the canonical maps; find_failing_cube is
+their brute-force oracle over enumerated bicartesian cubes.
 
 Only the lower side is computed, each by a local sweep over the lattice
 in a linear extension, and everything upper as its dual on the opposite
@@ -26,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .lattice import LatticeCube, bicartesian_cubes_cached
+from .lattice import LatticeCube, bicartesian_cubes_cached, boolean_lattice
 from .linalg import (Matrix, NoFactorization, factor_through, hstack,
                      cokernel_projection, rank, rref, solve_left, vstack)
-from .pmodule import (NatTrans, PersistenceModule, VecCube, cokernel_of,
-                      is_iso, opposite_module, restrict_along_cube)
+from .pmodule import (NatTrans, PersistenceModule, cokernel_of, is_iso,
+                      opposite_module, restrict_along_cube)
 
 
 class NotAComplex(Exception):
@@ -236,26 +237,38 @@ def gamma_upper_map(alpha: NatTrans, gamma_src: ApproxResult,
     return NatTrans(gamma_src.module, gamma_tgt.module, comps)
 
 
-# -- total (co)fibers and Koszul homology -------------------------------------
+# -- total (co)fibers and Koszul homology of cubes -----------------------------
 
 
-def tfib(cube: VecCube) -> int:
+def _arity(cube: PersistenceModule) -> int:
+    """The k of a cube: a module on boolean_lattice(k), as restrict_along_cube
+    returns it, whose value at subset mask m is dim_i(m) and whose edge adding
+    bit t to s is cover_matrix_i(s, s | 1 << t).  ValueError on other lattices."""
+    k = cube.lattice.poset_dimension()
+    if cube.lattice != boolean_lattice(k):
+        raise ValueError(f"{cube.lattice!r} is not the Boolean lattice {{0,1}}^{k}")
+    return k
+
+
+def tfib(cube: PersistenceModule) -> int:
     """Total fiber dimension: the kernel of the map from the initial vertex
     into the product of the single-bit vertices."""
-    if cube.arity == 0:
-        return cube.dims[0]
-    stacked = vstack([cube.edge(0, b) for b in range(cube.arity)])
-    return cube.dims[0] - rank(stacked)
+    k = _arity(cube)
+    if k == 0:
+        return cube.dim_i(0)
+    stacked = vstack([cube.cover_matrix_i(0, 1 << b) for b in range(k)])
+    return cube.dim_i(0) - rank(stacked)
 
 
-def tcofib(cube: VecCube) -> int:
+def tcofib(cube: PersistenceModule) -> int:
     """Total cofiber dimension: the cokernel of the map into the terminal
     vertex from the coproduct of the codimension-one vertices."""
-    if cube.arity == 0:
-        return cube.dims[0]
-    full = cube.full_mask
-    stacked = hstack([cube.edge(full & ~(1 << b), b) for b in range(cube.arity)])
-    return cube.dims[full] - rank(stacked)
+    k = _arity(cube)
+    if k == 0:
+        return cube.dim_i(0)
+    full = (1 << k) - 1
+    stacked = hstack([cube.cover_matrix_i(full & ~(1 << b), full) for b in range(k)])
+    return cube.dim_i(full) - rank(stacked)
 
 
 @dataclass
@@ -282,7 +295,7 @@ class KoszulComplex:
         return ker - (rank(d_next) if d_next is not None else 0)
 
 
-def koszul(cube: VecCube) -> KoszulComplex:
+def koszul(cube: PersistenceModule) -> KoszulComplex:
     """Build the Koszul complex of a cube and verify d o d = 0.
 
     Degree i is the direct sum of the cube values on subsets of size
@@ -290,25 +303,26 @@ def koszul(cube: VecCube) -> KoszulComplex:
     S adds one missing element t_j at a time with sign (-1)^j, the
     missing elements taken in increasing order.
     """
-    k = cube.arity
+    k = _arity(cube)
     by_size: list[list[int]] = [[] for _ in range(k + 1)]
     for mask in range(1 << k):
         by_size[mask.bit_count()].append(mask)
-    dims = [sum(cube.dims[m] for m in by_size[k - i]) for i in range(k + 1)]
+    dims = [sum(cube.dim_i(m) for m in by_size[k - i]) for i in range(k + 1)]
     field, boundaries = cube.field, []
     for i in range(k):
         # boundary_{i+1} from blocks: the block from subset s (size k-i-1)
-        # into s | t is (-1)^j edge(s, t), t the j-th element missing from s.
+        # into s | t is (-1)^j times the edge, t the j-th element missing from s.
         rows = []
         for tm in by_size[k - i]:
             blocks = []
             for s in by_size[k - i - 1]:
                 if s & ~tm:
-                    blocks.append(Matrix.zeros(field, cube.dims[tm], cube.dims[s]))
+                    blocks.append(Matrix.zeros(field, cube.dim_i(tm), cube.dim_i(s)))
                 else:
                     t = (tm ^ s).bit_length() - 1
                     j = t - (s & ((1 << t) - 1)).bit_count()
-                    blocks.append(-cube.edge(s, t) if j % 2 else cube.edge(s, t))
+                    edge = cube.cover_matrix_i(s, tm)
+                    blocks.append(-edge if j % 2 else edge)
             rows.append(hstack(blocks))
         boundaries.append(vstack(rows))
     for i in range(len(boundaries) - 1):
@@ -319,18 +333,12 @@ def koszul(cube: VecCube) -> KoszulComplex:
 
 # -- degree predicates --------------------------------------------------------
 
-_FAST = "fast"
-_ORACLE = "oracle"
 
-
-def _fast(method: str) -> bool:
-    if method not in (_FAST, _ORACLE):
-        raise ValueError(f"unknown predicate method {method!r}")
-    return method == _FAST
-
-
-def _koszul_nonzero(cube: VecCube, *degrees: int) -> bool:
+def _koszul_nonzero(cube: PersistenceModule, low: bool) -> bool:
+    """Whether Koszul homology is nonzero in degree 0 or 1 (low) or in
+    degree k or k-1 (not low)."""
     kx = koszul(cube)
+    degrees = (0, 1) if low else (kx.k, kx.k - 1)
     return any(kx.homology(i) != 0 for i in degrees)
 
 
@@ -338,9 +346,9 @@ def _koszul_nonzero(cube: VecCube, *degrees: int) -> bool:
 #: cube violates it: codegree needs the low Koszul homology to vanish
 #: (cocartesian), degree the top two degrees (cartesian), the cross
 #: predicates the total cofiber / fiber.
-_CUBE_FAILS: dict[str, Callable[[VecCube], bool]] = {
-    "codegree": lambda c: _koszul_nonzero(c, 0, 1),
-    "degree": lambda c: _koszul_nonzero(c, c.arity, c.arity - 1),
+_CUBE_FAILS: dict[str, Callable[[PersistenceModule], bool]] = {
+    "codegree": lambda c: _koszul_nonzero(c, True),
+    "degree": lambda c: _koszul_nonzero(c, False),
     "cross_codegree": lambda c: tcofib(c) != 0,
     "cross_degree": lambda c: tfib(c) != 0,
 }
@@ -348,7 +356,8 @@ _CUBE_FAILS: dict[str, Callable[[VecCube], bool]] = {
 
 def find_failing_cube(f: PersistenceModule, n: int, kind: str) -> LatticeCube | None:
     """First bicartesian (n+1)-cube (in enumeration order) witnessing the
-    failure of the given predicate, or None if the predicate holds."""
+    failure of the given predicate, or None if the predicate holds.  This
+    is the brute-force oracle of the four is_* predicates below."""
     fails = _CUBE_FAILS.get(kind)
     if fails is None:
         raise ValueError(f"unknown predicate kind {kind!r}")
@@ -358,43 +367,36 @@ def find_failing_cube(f: PersistenceModule, n: int, kind: str) -> LatticeCube | 
     return None
 
 
-def is_codegree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
-    """True iff f sends strongly bicartesian (n+1)-cubes to cocartesian ones.
-
-    Fast path: the canonical map of t_lower(f,n) is an isomorphism.
-    Oracle path: enumerate the cubes and test cocartesianness through
-    the low Koszul homology of the restricted cube.
-    """
-    if _fast(method):
-        return is_iso(t_lower(f, n).canonical)
-    return find_failing_cube(f, n, "codegree") is None
+def is_codegree(f: PersistenceModule, n: int) -> bool:
+    """True iff f sends strongly bicartesian (n+1)-cubes to cocartesian
+    ones, that is the canonical map of t_lower(f,n) is an isomorphism."""
+    return is_iso(t_lower(f, n).canonical)
 
 
-def is_degree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
-    """True iff f sends strongly bicartesian (n+1)-cubes to cartesian ones
-    (fast path: the opposite module is codegree n)."""
-    if _fast(method):
-        return is_codegree(opposite_module(f), n)
-    return find_failing_cube(f, n, "degree") is None
+def is_degree(f: PersistenceModule, n: int) -> bool:
+    """True iff f sends strongly bicartesian (n+1)-cubes to cartesian ones,
+    that is the opposite module is codegree n."""
+    return is_codegree(opposite_module(f), n)
 
 
-def is_cross_codegree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
+def is_cross_codegree(f: PersistenceModule, n: int) -> bool:
     """True iff every strongly bicartesian (n+1)-cube has vanishing total
-    cofiber after applying f (fast path: the n-th cocross effect is zero,
-    that is gamma_lower(f, n), a submodule of f, has the dims of f)."""
-    if _fast(method):
-        gamma = gamma_lower(f, n).module
-        return all(gamma.dim_i(x) == f.dim_i(x) for x in range(f.lattice.n))
-    return find_failing_cube(f, n, "cross_codegree") is None
+    cofiber after applying f, that is the n-th cocross effect is zero:
+    gamma_lower(f, n), a submodule of f, has the dims of f."""
+    gamma = gamma_lower(f, n).module
+    return all(gamma.dim_i(x) == f.dim_i(x) for x in range(f.lattice.n))
 
 
-def is_cross_degree(f: PersistenceModule, n: int, method: str = _FAST) -> bool:
+def is_cross_degree(f: PersistenceModule, n: int) -> bool:
     """True iff every strongly bicartesian (n+1)-cube has vanishing total
-    fiber after applying f (fast path: the opposite module is
-    cross-codegree n)."""
-    if _fast(method):
-        return is_cross_codegree(opposite_module(f), n)
-    return find_failing_cube(f, n, "cross_degree") is None
+    fiber after applying f, that is the opposite module is cross-codegree n."""
+    return is_cross_codegree(opposite_module(f), n)
+
+
+#: The four predicates, keyed by the kind that find_failing_cube decides.
+PREDICATES: dict[str, Callable[[PersistenceModule, int], bool]] = {
+    "codegree": is_codegree, "degree": is_degree,
+    "cross_codegree": is_cross_codegree, "cross_degree": is_cross_degree}
 
 
 def _min_satisfying(f: PersistenceModule, pred) -> int:

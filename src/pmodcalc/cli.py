@@ -16,12 +16,13 @@ import sys
 from .calculus import (NotAComplex, cr_lower, cr_upper, gamma_lower,
                        gamma_upper, min_codegree, min_cross_codegree,
                        min_cross_degree, min_degree, t_lower, t_upper)
-from .generators import (ImageGrid, MetricFunctionSpace,
+from .generators import (ImageGrid, MetricFunctionSpace, UnsupportedDimension,
                          image_bifiltration_homology, sublevel_rips_h0)
 from .lattice import Lattice, NoBottom, NotDistributive, NotLattice
 from .linalg import FieldSpec, NoFactorization, rank
-from .pmodule import (NonCommutingSquare, NotNatural, PersistenceModule,
-                      interval_module, free_module, random_module)
+from .pmodule import (NonCommutingSquare, NotConnected, NotConvex, NotNatural,
+                      PersistenceModule, interval_module, free_module,
+                      random_module)
 from .pmod_io import ParseError, load_module, print_pmod
 from .resolution import (EquivalenceViolated, betti, check_pdim_theorem_1,
                          check_pdim_theorem_2, pdim)
@@ -152,12 +153,15 @@ def _parse_generators(text: str) -> dict[str, int]:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     field = FieldSpec(args.field)
-    if args.kind == "interval":
+    if args.kind in ("interval", "free"):
         lat = Lattice.grid(args.grid)
-        module = interval_module(lat, field, _parse_support(args.support))
-    elif args.kind == "free":
-        lat = Lattice.grid(args.grid)
-        module = free_module(lat, field, _parse_generators(args.gens))
+        try:
+            if args.kind == "interval":
+                module = interval_module(lat, field, _parse_support(args.support))
+            else:
+                module = free_module(lat, field, _parse_generators(args.gens))
+        except (KeyError, NotConvex, NotConnected) as exc:  # bad support or generators
+            raise CliError(exc.args[0]) from exc
     elif args.kind == "random":
         lat = Lattice.grid(args.grid)
         module = random_module(lat, field, args.seed,
@@ -166,7 +170,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if args.file is None:
             raise CliError("gen image needs --file")
         img = ImageGrid.parse(_read_file(args.file))
-        module = image_bifiltration_homology(img, args.degree, field)
+        try:
+            module = image_bifiltration_homology(img, args.degree, field)
+        except UnsupportedDimension as exc:
+            raise CliError(str(exc)) from exc
     elif args.kind == "rips":
         if args.file is None:
             raise CliError("gen rips needs --file")

@@ -22,6 +22,7 @@ commuting cover diamonds are the whole functor axiom.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -375,10 +376,6 @@ class Lattice:
     def upset(self, v: str) -> tuple[str, ...]:
         return tuple(self.elements[i] for i in sorted(_bits(self._up[self.index(v)])))
 
-    def interval(self, u: str, v: str) -> tuple[str, ...]:
-        mask = self._up[self.index(u)] & self._down[self.index(v)]
-        return tuple(self.elements[i] for i in sorted(_bits(mask)))
-
     def topo_order(self) -> tuple[int, ...]:
         return self._topo
 
@@ -424,6 +421,14 @@ class Lattice:
     def __repr__(self) -> str:
         shape = f", grid={self.grid_shape}" if self.grid_shape else ""
         return f"Lattice({self.n} elements{shape})"
+
+
+@functools.cache
+def boolean_lattice(k: int) -> Lattice:
+    """The Boolean lattice {0,1}^k, built once per k: the grid with k axes
+    of length 2 (the one-element grid for k = 0).  Element index and
+    subset bitmask coincide, bit b being coordinate k-1-b."""
+    return Lattice.grid([1] * k or [0])
 
 
 @dataclass(frozen=True)

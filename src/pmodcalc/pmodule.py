@@ -11,7 +11,9 @@ chains of an interval differ by diamond flips.  All derived modules
 (images, kernels, cokernels) pick bases through the echelon convention
 of :mod:`pmodcalc.linalg`, so they are deterministic; their cover maps
 are read off the echelon form that chose those bases and checked by their
-defining products (NoFactorization names a failing cover).
+defining products (NoFactorization names a failing cover).  A cube of
+vector spaces is a module too: restricting f along a lattice k-cube gives
+a module on the Boolean lattice {0,1}^k.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .lattice import Lattice, LatticeCube, _bits
+from .lattice import Lattice, LatticeCube, _bits, boolean_lattice
 from .linalg import (FieldSpec, Matrix, NoFactorization, cokernel_projection,
                      free_columns, kernel_basis, rank, rref)
 from . import linalg
@@ -259,17 +261,14 @@ class NatTrans:
     def is_pointwise_epi(self) -> bool:
         return all(rank(m) == m.nrows for m in self._components)
 
-    def is_pointwise_iso(self) -> bool:
-        return all(m.nrows == m.ncols and rank(m) == m.nrows
-                   for m in self._components)
-
     def __repr__(self) -> str:
         return f"NatTrans({self.source!r} -> {self.target!r})"
 
 
 def is_iso(nt: NatTrans) -> bool:
     """True iff every component is square and invertible."""
-    return nt.is_pointwise_iso()
+    return all(m.nrows == m.ncols and rank(m) == m.nrows
+               for m in nt._components)
 
 
 def identity_nat(f: PersistenceModule) -> NatTrans:
@@ -343,9 +342,6 @@ class FreeModuleSpec:
         if any(k < 0 for _, k in gens):
             raise ValueError("negative multiplicity")
         return cls(gens)
-
-    def multiplicity(self, el: str) -> int:
-        return sum(k for e, k in self.generators if e == el)
 
 
 def _generator_list(lattice: Lattice, spec: FreeModuleSpec) -> list[int]:
@@ -543,109 +539,15 @@ def cokernel_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
 # -- restriction along cubes -------------------------------------------------
 
 
-class VecCube:
-    """A cube of vector spaces: dimensions per subset (bitmask-indexed)
-    plus one matrix per single-bit edge; larger inclusions compose."""
-
-    __slots__ = ("field", "arity", "dims", "_edges")
-
-    def __init__(self, field: FieldSpec, arity: int, dims: Sequence[int],
-                 edges: Mapping[tuple[int, int], Matrix]):
-        if len(dims) != 1 << arity:
-            raise ValueError("cube dims length mismatch")
-        self.field = field
-        self.arity = arity
-        self.dims = tuple(dims)
-        self._edges = {}
-        for mask in range(1 << arity):
-            for b in range(arity):
-                if not (mask >> b) & 1:
-                    tgt = mask | (1 << b)
-                    m = edges.get((mask, tgt))
-                    if m is None:
-                        if self.dims[mask] and self.dims[tgt]:
-                            raise ValueError(f"missing cube edge {mask}->{tgt}")
-                        m = Matrix.zeros(field, self.dims[tgt], self.dims[mask])
-                    if m.shape != (self.dims[tgt], self.dims[mask]):
-                        raise ValueError(f"cube edge {mask}->{tgt} has wrong shape")
-                    self._edges[(mask, tgt)] = m
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.arity) - 1
-
-    def edge(self, mask: int, bit: int) -> Matrix:
-        return self._edges[(mask, mask | (1 << bit))]
-
-    def map(self, src: int, dst: int) -> Matrix:
-        """The inclusion-induced map src -> dst, composing bit by bit."""
-        if src & ~dst:
-            raise ValueError("not an inclusion of subsets")
-        m = Matrix.identity(self.field, self.dims[src])
-        cur = src
-        for b in range(self.arity):
-            if (dst >> b) & 1 and not (cur >> b) & 1:
-                m = self.edge(cur, b) @ m
-                cur |= 1 << b
-        return m
-
-    def validate(self) -> "VecCube":
-        """Functoriality: all 2-face squares commute."""
-        for mask in range(1 << self.arity):
-            free = [b for b in range(self.arity) if not (mask >> b) & 1]
-            for x in range(len(free)):
-                for y in range(x + 1, len(free)):
-                    i, j = free[x], free[y]
-                    a = self.edge(mask | (1 << i), j) @ self.edge(mask, i)
-                    b = self.edge(mask | (1 << j), i) @ self.edge(mask, j)
-                    if a != b:
-                        raise NotNatural(f"cube square at mask={mask}, bits={i},{j}")
-        return self
-
-    @classmethod
-    def constant(cls, field: FieldSpec, arity: int, dim: int) -> "VecCube":
-        eye = Matrix.identity(field, dim)
-        edges = {}
-        for mask in range(1 << arity):
-            for b in range(arity):
-                if not (mask >> b) & 1:
-                    edges[(mask, mask | (1 << b))] = eye
-        return cls(field, arity, [dim] * (1 << arity), edges)
-
-
-def restrict_along_cube(f: PersistenceModule, cube: LatticeCube) -> VecCube:
-    """The composite functor: cube vertices evaluated through the module,
-    with transports as edge maps."""
-    dims = [f.dim_i(cube.value_i(mask)) for mask in range(1 << cube.arity)]
-    edges = {}
-    for mask in range(1 << cube.arity):
-        for b in range(cube.arity):
-            if not (mask >> b) & 1:
-                tgt = mask | (1 << b)
-                edges[(mask, tgt)] = f.transport_i(cube.value_i(mask),
-                                                   cube.value_i(tgt))
-    return VecCube(f.field, cube.arity, dims, edges)
-
-
-def cube_as_module(cube: VecCube) -> PersistenceModule:
-    """Reinterpret a vector-space cube as a module over the boolean lattice
-    {0,1}^arity (bit d of the subset becomes coordinate d)."""
-    if cube.arity == 0:
-        lat = Lattice.from_covers(["0"], [])
-        return PersistenceModule(lat, cube.field, {"0": cube.dims[0]}, {})
-    lat = Lattice.grid([1] * cube.arity)
-
-    def name(mask: int) -> str:
-        return ",".join(str((mask >> d) & 1) for d in range(cube.arity))
-
-    dims = {name(mask): cube.dims[mask] for mask in range(1 << cube.arity)}
-    maps = {}
-    for mask in range(1 << cube.arity):
-        for b in range(cube.arity):
-            if not (mask >> b) & 1:
-                tgt = mask | (1 << b)
-                maps[(name(mask), name(tgt))] = cube.edge(mask, b)
-    return PersistenceModule(lat, cube.field, dims, maps)
+def restrict_along_cube(f: PersistenceModule, cube: LatticeCube) -> PersistenceModule:
+    """f restricted along a lattice cube: the module on boolean_lattice(k)
+    whose value at subset mask m is f at cube vertex m, with the transports
+    of f between vertices as cover maps (checked like every module)."""
+    lat, v = boolean_lattice(cube.arity), cube.assign
+    names = lat.elements
+    return PersistenceModule(
+        lat, f.field, {names[m]: f.dim_i(x) for m, x in enumerate(v)},
+        {(names[s], names[t]): f.transport_i(v[s], v[t]) for s, t in lat.covers_i()})
 
 
 def opposite_module(f: PersistenceModule) -> PersistenceModule:

@@ -1,7 +1,8 @@
 """Betti diagrams and projective dimension.
 
-Betti numbers are read off as Koszul homology of each element's
-parent-cube, once per module (memoised in ``calc_cache``); the projective
+Betti numbers are read off as Koszul homology of f restricted along each
+element's parent cube (a module on the Boolean lattice {0,1}^jdim), once
+per module (memoised in ``calc_cache``); the projective
 dimension is the largest homological degree with a nonzero entry.  The
 two equivalence reports tie projective dimension to the degree predicates
 and to the canonical comparison maps of the upper approximations.

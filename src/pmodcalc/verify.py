@@ -15,19 +15,19 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import generators
-from .calculus import (gamma_lower, gamma_lower_map, gamma_upper,
-                       gamma_upper_map, is_cross_codegree, is_cross_degree,
-                       is_codegree, is_degree, koszul, min_codegree,
-                       min_cross_codegree, min_cross_degree, min_degree,
-                       t_lower, t_upper, tcofib, tfib)
+from .calculus import (PREDICATES, find_failing_cube, gamma_lower,
+                       gamma_lower_map, gamma_upper, gamma_upper_map, is_codegree,
+                       is_cross_codegree, is_cross_degree, is_degree, koszul,
+                       min_codegree, min_cross_codegree, min_cross_degree,
+                       min_degree, t_lower, t_upper, tcofib, tfib)
 from .lattice import Lattice, bicartesian_cubes_cached
 from .linalg import (FieldSpec, Matrix, NoFactorization, factor_through,
                      hstack, rank, solve_left, vstack)
 from .linalg import direct_sum as block_diagonal
-from .pmodule import (NatTrans, PersistenceModule, cokernel_of, cube_as_module,
-                      direct_sum, interval_module, is_iso, opposite_module,
-                      random_module, random_hom, restrict_along_cube,
-                      sum_inclusion, sum_projection)
+from .pmodule import (NatTrans, PersistenceModule, cokernel_of, direct_sum,
+                      interval_module, is_iso, opposite_module, random_module,
+                      random_hom, restrict_along_cube, sum_inclusion,
+                      sum_projection)
 from .pmod_io import print_pmod
 from .resolution import betti, check_pdim_theorem_1, check_pdim_theorem_2, pdim
 
@@ -309,7 +309,7 @@ def _distributive_law_check(report: SuiteReport, f: PersistenceModule,
     try:
         lifted = gamma_upper_map(gl.canonical, g2, h1)   # G^n of the mono
         leg1 = gamma_lower_map(lifted, c, a)             # Gm of that map
-        leg1_ok = leg1.is_pointwise_iso() and leg1.is_natural()
+        leg1_ok = is_iso(leg1) and leg1.is_natural()
     except NoFactorization:
         leg1_ok = False
     report.record("distributive-law", leg1_ok and leg2_ok, f, seed,
@@ -410,7 +410,7 @@ def _restriction_and_koszul_checks(report: SuiteReport, f: PersistenceModule,
         report.record("koszul-total-cofiber",
                       kx.homology(0) == tcofib(vc), f, seed)
         report.record("restriction-pdim-bound",
-                      pdim(cube_as_module(vc)) <= pd, f, seed)
+                      pdim(vc) <= pd, f, seed)
 
 
 def _open_question_observation(report: SuiteReport, f: PersistenceModule) -> None:
@@ -430,16 +430,10 @@ def _open_question_observation(report: SuiteReport, f: PersistenceModule) -> Non
 
 def _oracle_agreement(report: SuiteReport, f: PersistenceModule, seed: str) -> None:
     for n in (0, 1, 2):
-        report.record("oracle-codegree",
-                      is_codegree(f, n) == is_codegree(f, n, method="oracle"), f, seed)
-        report.record("oracle-degree",
-                      is_degree(f, n) == is_degree(f, n, method="oracle"), f, seed)
-        report.record("oracle-cross-codegree",
-                      is_cross_codegree(f, n) == is_cross_codegree(f, n, method="oracle"),
-                      f, seed)
-        report.record("oracle-cross-degree",
-                      is_cross_degree(f, n) == is_cross_degree(f, n, method="oracle"),
-                      f, seed)
+        for kind, holds in PREDICATES.items():
+            report.record(f"oracle-{kind.replace('_', '-')}",
+                          holds(f, n) == (find_failing_cube(f, n, kind) is None),
+                          f, seed)
         report.record("degree-implies-cross-degree",
                       (not is_degree(f, n)) or is_cross_degree(f, n), f, seed)
         report.record("codegree-implies-cross-codegree",

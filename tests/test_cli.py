@@ -270,6 +270,28 @@ class TestGen:
         code, _, err = run(capsys, "gen", "image")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("interval", "--grid", "2", "2", "--support", "0,1 1,1 1,2"),
+         "support omits 0,2 between 0,1 and 1,2"),
+        (("interval", "--grid", "1", "1", "--support", "1,0 0,1"),
+         "support splits into incomparable pieces"),
+        (("interval", "--grid", "1", "1", "--support", "9,9"),
+         "unknown lattice element '9,9'"),
+        (("free", "--grid", "1", "1", "--gens", "9,9"),
+         "unknown lattice element '9,9'"),
+        (("image", "--degree", "2"), "H_2 is out of scope"),
+    ])
+    def test_bad_input_is_exit_2(self, tmp_path, capsys, argv, message):
+        if argv[0] == "image":
+            img = tmp_path / "img.txt"
+            img.write_text("3 3 1 2\n0 0 0\n0 2 0\n0 0 0\n")
+            argv += ("--file", str(img))
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_table1_suite_passes(self, capsys):

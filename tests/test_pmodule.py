@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmodcalc import (FieldSpec, Lattice, Matrix, NatTrans, PersistenceModule,
-                      cube_as_module, direct_sum, free_module, hom_basis,
+                      boolean_lattice, direct_sum, free_module, hom_basis,
                       identity_nat, image_of, interval_module, is_iso,
                       kernel_of, cokernel_of, opposite_module, random_module,
                       restrict_along_cube, zero_nat)
@@ -14,7 +14,7 @@ from pmodcalc.linalg import (NoFactorization, cokernel_projection,
                              factor_through, image_basis, kernel_basis, rank,
                              solve_left)
 from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
-                              NotConvex, NotNatural, VecCube, random_hom,
+                              NotConvex, NotNatural, random_hom,
                               sum_inclusion, sum_projection)
 from pmodcalc.pmod_io import print_pmod
 from test_functor_check import lattices
@@ -258,31 +258,32 @@ class TestRestrictAndCubes:
         f = constant_module(square, gf2)
         cube = cube_from_cover(square, PairwiseCover("1,1", ("0,1", "1,0")))
         vc = restrict_along_cube(f, cube)
-        assert vc.dims == (1, 1, 1, 1)
+        assert vc.lattice is boolean_lattice(2)
+        assert [vc.dim_i(m) for m in range(4)] == [1, 1, 1, 1]
         vc.validate()
 
     def test_zero_cube_single_space(self, square, gf2):
         f = free_module(square, gf2, {"0,0": 2})
         cube = parent_cube(square, "0,0")
         vc = restrict_along_cube(f, cube)
-        assert vc.arity == 0 and vc.dims == (2,)
+        assert vc.lattice is boolean_lattice(0) and vc.dim_i(0) == 2
 
     def test_corner_module_on_full_square(self, square, gf2):
         f = interval_module(square, gf2, ("0,0",))
         cube = cube_from_cover(square, PairwiseCover("1,1", ("0,1", "1,0")))
         vc = restrict_along_cube(f, cube)
-        assert vc.dims == (1, 0, 0, 0)
+        assert [vc.dim_i(m) for m in range(4)] == [1, 0, 0, 0]
 
-    def test_cube_as_module_roundtrip(self, square, gf2):
+    def test_restriction_is_a_checked_module(self, square, gf2):
         f = free_module(square, gf2, {"0,0": 1, "0,1": 1})
         cube = cube_from_cover(square, PairwiseCover("1,1", ("0,1", "1,0")))
-        m = cube_as_module(restrict_along_cube(f, cube))
-        assert m.lattice.n == 4
+        m = restrict_along_cube(f, cube)
+        assert m.lattice is boolean_lattice(2)
         m.validate()
 
     def test_missing_edge_rejected(self, gf2):
         with pytest.raises(ValueError):
-            VecCube(gf2, 1, [1, 1], {})
+            PersistenceModule(boolean_lattice(1), gf2, {"0": 1, "1": 1}, {})
 
 
 class TestHomBasis:

@@ -10,12 +10,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmodcalc import FieldSpec, Lattice, is_iso, random_module
-from pmodcalc.calculus import (gamma_lower, gamma_upper, is_codegree,
-                               is_cross_codegree, is_cross_degree, is_degree,
+from pmodcalc import (FieldSpec, Lattice, boolean_lattice, is_iso,
+                      random_module, restrict_along_cube)
+from pmodcalc.calculus import (PREDICATES, find_failing_cube, gamma_lower,
+                               gamma_upper, is_cross_codegree, is_cross_degree,
                                min_codegree, min_cross_codegree,
-                               min_cross_degree, min_degree, t_lower, t_upper)
-from pmodcalc.lattice import child_cube, parent_cube
+                               min_cross_degree, min_degree, koszul, t_lower,
+                               t_upper, tcofib, tfib)
+from pmodcalc.lattice import bicartesian_cubes_cached, child_cube, parent_cube
 from pmodcalc.linalg import factor_through, hstack, rank, solve_left, vstack
 from pmodcalc.pmodule import opposite_module
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
@@ -126,11 +128,8 @@ class TestDownsetLattices:
         for li, lat in enumerate(random_lattices[:5]):
             f = random_module(lat, GF2, f"dlo{li}")
             for n in (0, 1, 2):
-                assert is_codegree(f, n) == is_codegree(f, n, "oracle")
-                assert is_degree(f, n) == is_degree(f, n, "oracle")
-                assert (is_cross_codegree(f, n)
-                        == is_cross_codegree(f, n, "oracle"))
-                assert is_cross_degree(f, n) == is_cross_degree(f, n, "oracle")
+                for kind, holds in PREDICATES.items():
+                    assert holds(f, n) == (find_failing_cube(f, n, kind) is None)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_kan_extensions_match_global_oracle(self, random_lattices, p):
@@ -215,6 +214,40 @@ def test_degree_statistics_read_off_betti_supports(grid, points, lattice_seed, p
     assert min_cross_codegree(f) == betti_read_off(f, (0,))
     assert min_degree(f) == betti_read_off(op, (0, 1))
     assert min_cross_degree(f) == betti_read_off(op, (0,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from([None, [1, 1], [2, 2], [1, 1, 1], [2, 1]]),
+       points=st.integers(2, 4), lattice_seed=st.integers(0, 10 ** 6),
+       p=st.sampled_from([2, 3]), arity=st.integers(1, 3),
+       seed=st.integers(0, 10 ** 6))
+def test_restriction_along_every_cube(grid, points, lattice_seed, p, arity, seed):
+    """f restricted along each bicartesian cube of the arity, degenerate
+    ones and ones whose edges are not covers included, is the module on
+    {0,1}^k (index = subset bitmask, bit b = coordinate k-1-b) that reads f
+    at the cube's vertices; its Koszul homology gives the total (co)fiber,
+    and restricting does not raise pdim."""
+    lat = (Lattice.grid(grid) if grid else
+           downset_lattice(points, random.Random(lattice_seed)))
+    f = random_module(lat, FieldSpec(p), f"restrict{seed}", max_gens=4, max_rels=3)
+    bound = pdim(f)
+    names = [",".join(str(m >> (arity - 1 - c) & 1) for c in range(arity))
+             for m in range(1 << arity)]
+    edges = {(m, m | 1 << b) for m in range(1 << arity) for b in range(arity)
+             if not m >> b & 1}
+    for cube in bicartesian_cubes_cached(lat, arity):
+        r, v = restrict_along_cube(f, cube), cube.assign
+        assert r.lattice is boolean_lattice(arity)
+        assert list(r.lattice.elements) == names
+        assert set(r.lattice.covers_i()) == edges
+        for m in range(1 << arity):
+            assert r.dim_i(m) == f.dim_i(v[m])
+        for s, t in edges:
+            assert r.cover_matrix_i(s, t) == f.transport_i(v[s], v[t])
+        kx = koszul(r)
+        assert kx.homology(arity) == tfib(r)
+        assert kx.homology(0) == tcofib(r)
+        assert pdim(r) <= bound
 
 
 class TestCubeDuality:

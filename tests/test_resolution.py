@@ -5,7 +5,6 @@ from pmodcalc import (Lattice, free_module, interval_module, opposite_module,
 from pmodcalc.calculus import (is_cross_degree, is_degree, min_cross_degree,
                                min_degree, tcofib)
 from pmodcalc.lattice import parent_cube
-from pmodcalc.pmodule import cube_as_module
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
 from pmodcalc.verify import nonexample_module, table1_modules
@@ -178,7 +177,7 @@ class TestRestrictionLemma:
         from pmodcalc.lattice import bicartesian_cubes_cached
         f = free_module(grid22, gf2, {"0,0": 1, "1,0": 2, "2,1": 1})
         for cube in bicartesian_cubes_cached(grid22, 2)[:25]:
-            restricted = cube_as_module(restrict_along_cube(f, cube))
+            restricted = restrict_along_cube(f, cube)
             assert pdim(restricted) <= 0
             assert betti(restricted).max_degree() <= 0
 
@@ -193,5 +192,5 @@ class TestRestrictionLemma:
             cubes += [rng.choice(bicartesian_cubes_cached(grid22, 2))
                       for _ in range(3)]
             for cube in cubes:
-                restricted = cube_as_module(restrict_along_cube(f, cube))
+                restricted = restrict_along_cube(f, cube)
                 assert pdim(restricted) <= bound

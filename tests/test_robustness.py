@@ -6,8 +6,8 @@ import pytest
 
 from pmodcalc import (FieldSpec, Lattice, free_module, interval_module,
                       is_iso, random_module)
-from pmodcalc.calculus import (gamma_lower, gamma_upper, is_codegree,
-                               is_cross_codegree, is_cross_degree, is_degree,
+from pmodcalc.calculus import (PREDICATES, find_failing_cube, gamma_lower,
+                               gamma_upper, is_cross_codegree, is_cross_degree,
                                min_codegree, min_cross_codegree,
                                min_cross_degree, min_degree, t_lower, t_upper)
 from pmodcalc.generators import (random_image, random_metric_space,
@@ -57,11 +57,8 @@ class TestOddCharacteristic:
         for seed in range(4):
             f = random_module(lat, gf3, f"orc{seed}")
             for n in (0, 1, 2):
-                assert is_codegree(f, n) == is_codegree(f, n, "oracle")
-                assert is_degree(f, n) == is_degree(f, n, "oracle")
-                assert (is_cross_codegree(f, n)
-                        == is_cross_codegree(f, n, "oracle"))
-                assert is_cross_degree(f, n) == is_cross_degree(f, n, "oracle")
+                for kind, holds in PREDICATES.items():
+                    assert holds(f, n) == (find_failing_cube(f, n, kind) is None)
 
     def test_pipelines_over_gf3(self, gf3):
         import random as _random
@@ -119,7 +116,7 @@ class TestPinchedLattice:
             for n in (0, 1, 2):
                 gl = gamma_lower(f, n)
                 assert is_cross_codegree(gl.module, n)
-                assert is_cross_codegree(gl.module, n, "oracle")
+                assert find_failing_cube(gl.module, n, "cross_codegree") is None
                 if is_cross_codegree(f, n):
                     assert is_iso(gl.canonical)
                 gu = gamma_upper(f, n)
@@ -132,11 +129,8 @@ class TestPinchedLattice:
         for seed in range(6):
             f = random_module(lat, gf2, f"pincho{seed}")
             for n in (0, 1, 2):
-                assert is_codegree(f, n) == is_codegree(f, n, "oracle")
-                assert is_degree(f, n) == is_degree(f, n, "oracle")
-                assert (is_cross_codegree(f, n)
-                        == is_cross_codegree(f, n, "oracle"))
-                assert is_cross_degree(f, n) == is_cross_degree(f, n, "oracle")
+                for kind, holds in PREDICATES.items():
+                    assert holds(f, n) == (find_failing_cube(f, n, kind) is None)
 
     def test_pdim_equivalences_hold(self, gf2):
         lat = pinched_lattice()
