@@ -104,9 +104,7 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
             offset += dims[w]
         # q is the identity on the columns free; canonical.validate() checks.
         eps[x] = hstack(legs).take_cols(free)
-    module = PersistenceModule(
-        lat, field, {lat.element(x): d for x, d in enumerate(dims)},
-        {(lat.element(u), lat.element(v)): m for (u, v), m in maps.items()})
+    module = PersistenceModule(lat, field, dims, maps)
     canonical = NatTrans(module, f, eps)
     canonical.validate()
     result = ApproxResult("t_lower", module, canonical)
@@ -133,7 +131,7 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
         return cached
     lat, field = f.lattice, f.field
     bases: list = [None] * lat.n
-    maps: dict[tuple[str, str], Matrix] = {}
+    maps: dict[tuple[int, int], Matrix] = {}
     for x in lat.topo_order():
         ws = lat.parents_i(x)
         legs = [f.cover_matrix_i(w, x) @ bases[w] for w in ws]
@@ -153,10 +151,8 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
             for leg in legs:
                 blocks.append(reduced.take_cols(range(offset, offset + leg.ncols)))
                 offset += leg.ncols
-        maps.update(((lat.element(w), lat.element(x)), m)
-                    for w, m in zip(ws, blocks))
-    module = PersistenceModule(
-        lat, field, {lat.element(x): b.ncols for x, b in enumerate(bases)}, maps)
+        maps.update(((w, x), m) for w, m in zip(ws, blocks))
+    module = PersistenceModule(lat, field, [b.ncols for b in bases], maps)
     result = ApproxResult("gamma_lower", module, NatTrans(module, f, bases))
     f.calc_cache[("gamma_lower", n)] = result
     return result

@@ -128,8 +128,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
         raise CliError("--n must be >= 0")
     result = _APPROX_OPS[args.op](_load(args.file, args.field), args.n)
     sys.stdout.write(print_pmod(result.module))
-    for el in result.module.lattice.elements:
-        print(f"# canonical-map-rank {el} {rank(result.canonical.component(el))}")
+    for i, el in enumerate(result.module.lattice.elements):
+        print(f"# canonical-map-rank {el} {rank(result.canonical.component_i(i))}")
     return 0
 
 

@@ -140,13 +140,6 @@ class MetricFunctionSpace:
 # -- cubical complexes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Cell:
-    dim: int
-    verts: tuple[tuple[int, int], ...]   # pixel coordinates (x, y)
-    boundary: tuple[tuple[int, int], ...]  # (cell index, sign) pairs, filled later
-
-
 class CubicalComplex:
     """The cubical complex of an image grid: pixels, axis edges, squares.
 
@@ -248,45 +241,45 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
         raise UnsupportedDimension("more than 3 channels is out of scope")
     complex_ = CubicalComplex(img)
     lat = Lattice.grid([img.max_value] * img.channels)
-    levels = {el: tuple(int(c) for c in el.split(",")) for el in lat.elements}
-
-    reps: dict[str, Matrix] = {}       # chosen cycle reps in local chain coords
-    basis_solver: dict[str, Matrix] = {}  # [reps | boundary basis] per element
-    cells_at: dict[str, list[int]] = {}
-    dims: dict[str, int] = {}
-    for el in lat.elements:
-        av, ae, aq = complex_.active(levels[el])
+    # Per element index (grid elements are in lexicographic order): cycle
+    # reps over the active cells cells_at, and [reps | boundary basis].
+    reps: list[Matrix] = []
+    basis_solver: list[Matrix] = []
+    cells_at: list[list[int]] = []
+    for level in itertools.product(range(img.max_value + 1), repeat=img.channels):
+        av, ae, aq = complex_.active(level)
         d1 = complex_.boundary_1(field, av, ae)
         if degree == 0:
             cycles, bounds = Matrix.identity(field, len(av)), image_basis(d1)
-            cells_at[el] = av
+            cells_at.append(av)
         else:
             cycles = kernel_basis(d1)
             bounds = image_basis(complex_.boundary_2(field, ae, aq))
-            cells_at[el] = ae
-        reps[el] = h = _homology_reps(cycles, bounds)
-        basis_solver[el] = hstack([h, bounds])
-        dims[el] = h.ncols
+            cells_at.append(ae)
+        h = _homology_reps(cycles, bounds)
+        reps.append(h)
+        basis_solver.append(hstack([h, bounds]))
+    dims = [h.ncols for h in reps]
 
     maps = {}
     for v in range(lat.n):
-        # One solve per element: basis_solver[ev] has independent columns,
+        # One solve per element: basis_solver[v] has independent columns,
         # so the lifts from all lower covers share its row operations.
-        ev, us = lat.element(v), [lat.element(u) for u in lat.parents_i(v)]
+        us = lat.parents_i(v)
         if not us:
             continue
         lifts = []
-        for eu in us:
-            # Row r of reps[eu] lands on the same cell of ev; other cells
+        for u in us:
+            # Row r of reps[u] lands on the same cell of v; other cells
             # take the zero row appended at the bottom.
-            pos = {c: i for i, c in enumerate(cells_at[eu])}
-            padded = vstack([reps[eu], Matrix.zeros(field, 1, dims[eu])])
-            lifts.append(padded.take_rows([pos.get(c, len(pos)) for c in cells_at[ev]]))
-        coords = solve(basis_solver[ev], hstack(lifts)).take_rows(range(dims[ev]))
+            pos = {c: i for i, c in enumerate(cells_at[u])}
+            padded = vstack([reps[u], Matrix.zeros(field, 1, dims[u])])
+            lifts.append(padded.take_rows([pos.get(c, len(pos)) for c in cells_at[v]]))
+        coords = solve(basis_solver[v], hstack(lifts)).take_rows(range(dims[v]))
         offset = 0
-        for eu in us:
-            maps[(eu, ev)] = coords.take_cols(range(offset, offset + dims[eu]))
-            offset += dims[eu]
+        for u in us:
+            maps[(u, v)] = coords.take_cols(range(offset, offset + dims[u]))
+            offset += dims[u]
     return PersistenceModule(lat, field, dims, maps)
 
 
@@ -348,23 +341,20 @@ def sublevel_rips_h0(space: MetricFunctionSpace,
     length <= r; cover maps send a component class to the class of the
     component containing it."""
     lat = Lattice.grid([len(space.a_levels) - 1, len(space.r_levels) - 1])
-    comps: dict[str, list[list[int]]] = {}
-    for el in lat.elements:
-        ia, ir = (int(c) for c in el.split(","))
-        comps[el] = _components(space, space.a_levels[ia], space.r_levels[ir])
-    dims = {el: len(c) for el, c in comps.items()}
+    # Per element index: grid elements (a, r) are in lexicographic order.
+    comps = [_components(space, a, r)
+             for a, r in itertools.product(space.a_levels, space.r_levels)]
     maps = {}
     for (u, v) in lat.covers_i():
-        eu, ev = lat.element(u), lat.element(v)
         target_of = {}
-        for ti, comp in enumerate(comps[ev]):
+        for ti, comp in enumerate(comps[v]):
             for pt in comp:
                 target_of[pt] = ti
-        data = [[0] * len(comps[eu]) for _ in range(len(comps[ev]))]
-        for si, comp in enumerate(comps[eu]):
+        data = [[0] * len(comps[u]) for _ in range(len(comps[v]))]
+        for si, comp in enumerate(comps[u]):
             data[target_of[comp[0]]][si] = 1
-        maps[(eu, ev)] = Matrix(field, len(comps[ev]), len(comps[eu]), data)
-    return PersistenceModule(lat, field, dims, maps)
+        maps[(u, v)] = Matrix(field, len(comps[v]), len(comps[u]), data)
+    return PersistenceModule(lat, field, [len(c) for c in comps], maps)
 
 
 # -- random instances for the suites -------------------------------------------

@@ -468,9 +468,6 @@ class LatticeCube:
         if len(self.assign) != 1 << self.arity:
             raise ValueError("cube assignment has wrong length")
 
-    def value_i(self, mask: int) -> int:
-        return self.assign[mask]
-
     def value(self, mask: int) -> str:
         return self.lattice.elements[self.assign[mask]]
 

@@ -65,17 +65,20 @@ class PmodDocument:
         p = self.field_p if field_p is None else field_p
         field = FieldSpec(p)
         lattice = self.build_lattice()
+        index = lattice.index
+        dims = [0] * lattice.n
+        for el, d in self.dims.items():
+            dims[index(el)] = d
         maps = {}
         for (u, v), rows in self.maps.items():
-            dv = self.dims.get(v, 0)
-            du = self.dims.get(u, 0)
-            maps[(u, v)] = Matrix(field, dv, du, rows)
-        return PersistenceModule(lattice, field, self.dims, maps)
+            ui, vi = index(u), index(v)
+            maps[(ui, vi)] = Matrix(field, dims[vi], dims[ui], rows)
+        return PersistenceModule(lattice, field, dims, maps)
 
     @classmethod
     def from_module(cls, module: PersistenceModule) -> "PmodDocument":
         lat = module.lattice
-        dims = {el: module.dim(el) for el in lat.elements if module.dim(el)}
+        dims = {el: d for el, d in module.dims_by_element().items() if d}
         maps = {}
         for (u, v) in lat.covers_i():
             m = module.cover_matrix_i(u, v)

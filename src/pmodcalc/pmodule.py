@@ -14,10 +14,16 @@ are read off the echelon form that chose those bases and checked by their
 defining products (NoFactorization names a failing cover).  A cube of
 vector spaces is a module too: restricting f along a lattice k-cube gives
 a module on the Boolean lattice {0,1}^k.
+
+Module data is keyed by element index (the position in
+``lattice.elements``): one dim and one natural-map component per index,
+one cover map per index pair.  Names are resolved only where text comes
+in (the PMOD reader, ``interval_module``, ``free_module``).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -59,42 +65,54 @@ class NotConnected(Exception):
 
 class PersistenceModule:
     """A functor from a finite distributive lattice to F_p vector spaces,
-    checked on construction (raises NonCommutingSquare)."""
+    checked on construction (raises NonCommutingSquare).
+
+    ``dims[i]`` is the dimension at element index i; ``cover_maps[(u, v)]``
+    is the dims[v] x dims[u] Matrix of the cover u < v, omissible when a
+    side is zero.  Anything else raises TypeError or ValueError.
+    """
 
     __slots__ = ("lattice", "field", "_dims", "_maps", "_transports",
                  "calc_cache")
 
-    def __init__(self, lattice: Lattice, field: FieldSpec,
-                 dims: Mapping[str, int],
-                 cover_maps: Mapping[tuple[str, str], Matrix | Sequence[Sequence[int]]] | None = None):
+    def __init__(self, lattice: Lattice, field: FieldSpec, dims: Sequence[int],
+                 cover_maps: Mapping[tuple[int, int], Matrix] | None = None):
         self.lattice = lattice
         self.field = field
-        dvec = [0] * lattice.n
-        for el, d in dims.items():
+        name = lattice.element
+        if isinstance(dims, Mapping):
+            raise TypeError("dims must be a sequence indexed by element, "
+                            "not a mapping")
+        dvec = self._dims = tuple(map(operator.index, dims))
+        if len(dvec) != lattice.n:
+            raise ValueError(f"{len(dvec)} dims for {lattice.n} elements")
+        for i, d in enumerate(dvec):
             if d < 0:
-                raise ValueError(f"negative dimension at {el}")
-            dvec[lattice.index(el)] = int(d)
-        self._dims = tuple(dvec)
+                raise ValueError(f"negative dimension at {name(i)}")
         cover_maps = dict(cover_maps or {})
         maps: dict[tuple[int, int], Matrix] = {}
         for (u, v) in lattice.covers_i():
             du, dv = dvec[u], dvec[v]
-            key = (lattice.element(u), lattice.element(v))
-            m = cover_maps.pop(key, None)
+            m = cover_maps.pop((u, v), None)
             if m is None:
                 if du > 0 and dv > 0:
-                    raise ValueError(f"missing cover map for {key[0]} < {key[1]}")
+                    raise ValueError(f"missing cover map for {name(u)} < {name(v)}")
                 m = Matrix.zeros(field, dv, du)
             elif not isinstance(m, Matrix):
-                m = Matrix(field, dv, du, m)
+                raise TypeError(f"cover map for {name(u)} < {name(v)} is not a Matrix")
             if m.shape != (dv, du) or m.field != field:
                 raise ValueError(
-                    f"cover map for {key[0]} < {key[1]} has shape {m.shape}, "
+                    f"cover map for {name(u)} < {name(v)} has shape {m.shape}, "
                     f"expected {(dv, du)}")
             maps[(u, v)] = m
         if cover_maps:
             bad = next(iter(cover_maps))
-            raise ValueError(f"map key {bad[0]} < {bad[1]} is not a Hasse cover")
+            try:
+                u, v = map(name, bad)
+            except (TypeError, IndexError):
+                raise TypeError(f"map key {bad!r} is not a pair of element "
+                                "indices") from None
+            raise ValueError(f"map key {u} < {v} is not a Hasse cover")
         self._maps = maps
         self._transports: dict[tuple[int, int], Matrix] = {}
         self.calc_cache: dict = {}
@@ -193,12 +211,13 @@ class PersistenceModule:
 
 
 class NatTrans:
-    """A natural transformation between modules on the same lattice."""
+    """A natural transformation between modules on the same lattice:
+    ``components[i]`` is its Matrix at element index i, one per element."""
 
     __slots__ = ("source", "target", "_components")
 
     def __init__(self, source: PersistenceModule, target: PersistenceModule,
-                 components: Mapping[str, Matrix] | Sequence[Matrix]):
+                 components: Sequence[Matrix]):
         if source.lattice != target.lattice:
             raise LatticeMismatch("natural transformation across lattices")
         if source.field != target.field:
@@ -206,22 +225,17 @@ class NatTrans:
         self.source = source
         self.target = target
         lat = source.lattice
-        if isinstance(components, Mapping):
-            comp = [None] * lat.n
-            for el, m in components.items():
-                comp[lat.index(el)] = m
-        else:
-            comp = list(components)
-        for i in range(lat.n):
-            m = comp[i]
+        comp = self._components = tuple(components)
+        if len(comp) != lat.n:
+            raise ValueError(f"{len(comp)} components for {lat.n} elements")
+        for i, m in enumerate(comp):
             want = (target.dim_i(i), source.dim_i(i))
-            if m is None:
-                comp[i] = m = Matrix.zeros(source.field, *want)
+            if not isinstance(m, Matrix):
+                raise TypeError(f"component at {lat.element(i)} is not a Matrix")
             if m.shape != want:
                 raise ValueError(
                     f"component at {lat.element(i)} has shape {m.shape}, "
                     f"expected {want}")
-        self._components = tuple(comp)
 
     def component(self, el: str) -> Matrix:
         return self._components[self.source.lattice.index(el)]
@@ -315,12 +329,10 @@ def interval_module(lattice: Lattice, field: FieldSpec,
         raise NotConnected(
             f"support splits into incomparable pieces "
             f"(e.g. {lattice.element(sorted(todo)[0])})")
-    dims = {lattice.element(i): 1 for i in sup}
-    maps = {}
-    for (u, v) in lattice.covers_i():
-        if u in sup and v in sup:
-            maps[(lattice.element(u), lattice.element(v))] = Matrix.identity(field, 1)
-    return PersistenceModule(lattice, field, dims, maps)
+    one = Matrix.identity(field, 1)
+    return PersistenceModule(
+        lattice, field, [int(i in sup) for i in range(lattice.n)],
+        {(u, v): one for (u, v) in lattice.covers_i() if u in sup and v in sup})
 
 
 def _mask_of(indices: Iterable[int]) -> int:
@@ -344,26 +356,21 @@ class FreeModuleSpec:
         return cls(gens)
 
 
-def _generator_list(lattice: Lattice, spec: FreeModuleSpec) -> list[int]:
-    """Generator birth elements (as indices), in global coordinate order."""
-    gens: list[int] = []
-    by_idx = sorted((lattice.index(el), k) for el, k in spec.generators)
-    for i, k in by_idx:
-        gens.extend([i] * k)
-    return gens
-
-
 def free_module(lattice: Lattice, field: FieldSpec,
                 spec: FreeModuleSpec | Mapping[str, int]) -> PersistenceModule:
     """The free module on the given generators: dimension at x counts the
     generators born at or below x; cover maps are coordinate inclusions."""
     if not isinstance(spec, FreeModuleSpec):
         spec = FreeModuleSpec.from_mapping(spec)
-    gens = _generator_list(lattice, spec)
+    return _free_on(lattice, field, sorted(
+        i for el, k in spec.generators for i in [lattice.index(el)] * k))
+
+
+def _free_on(lattice: Lattice, field: FieldSpec, gens: list[int]) -> PersistenceModule:
+    """The free module with one generator born at each index in the sorted gens."""
     # Coordinates at x: positions of generators whose birth element is <= x.
-    coords = {x: [gi for gi, b in enumerate(gens) if lattice.leq_i(b, x)]
-              for x in range(lattice.n)}
-    dims = {lattice.element(x): len(coords[x]) for x in range(lattice.n)}
+    coords = [[gi for gi, b in enumerate(gens) if lattice.leq_i(b, x)]
+              for x in range(lattice.n)]
     maps = {}
     for (u, v) in lattice.covers_i():
         cu, cv = coords[u], coords[v]
@@ -373,21 +380,16 @@ def free_module(lattice: Lattice, field: FieldSpec,
         m = [[0] * len(cu) for _ in range(len(cv))]
         for c, g in enumerate(cu):
             m[posv[g]][c] = 1
-        maps[(lattice.element(u), lattice.element(v))] = Matrix(
-            field, len(cv), len(cu), m)
-    return PersistenceModule(lattice, field, dims, maps)
+        maps[(u, v)] = Matrix(field, len(cv), len(cu), m)
+    return PersistenceModule(lattice, field, [len(c) for c in coords], maps)
 
 
 def direct_sum(f: PersistenceModule, g: PersistenceModule) -> PersistenceModule:
     """Pointwise direct sum: dimensions add, maps are block diagonal."""
     _check_compatible(f, g)
-    lat = f.lattice
-    dims = {lat.element(i): f.dim_i(i) + g.dim_i(i) for i in range(lat.n)}
-    maps = {}
-    for (u, v) in lat.covers_i():
-        maps[(lat.element(u), lat.element(v))] = linalg.direct_sum(
-            [f.cover_matrix_i(u, v), g.cover_matrix_i(u, v)])
-    return PersistenceModule(lat, f.field, dims, maps)
+    return PersistenceModule(
+        f.lattice, f.field, [a + b for a, b in zip(f._dims, g._dims)],
+        {cov: linalg.direct_sum([m, g._maps[cov]]) for cov, m in f._maps.items()})
 
 
 def sum_inclusion(f: PersistenceModule, g: PersistenceModule, which: int,
@@ -419,17 +421,16 @@ def _check_compatible(f: PersistenceModule, g: PersistenceModule) -> None:
 
 
 def random_free_map(lattice: Lattice, field: FieldSpec, rng: random.Random,
-                    gens0: Sequence[str], gens1: Sequence[str]) -> NatTrans:
-    """A random natural map between free modules on the given generators.
+                    gens0: Sequence[int], gens1: Sequence[int]) -> NatTrans:
+    """A random natural map between free modules on the given generators
+    (birth element indices).
 
     Hom([b,-), [a,-)) is one-dimensional when a <= b and zero otherwise,
     so a natural map is exactly a coefficient for every such pair;
     naturality is automatic.
     """
-    q0 = free_module(lattice, field, _count(gens0))
-    q1 = free_module(lattice, field, _count(gens1))
-    g0 = _generator_list(lattice, FreeModuleSpec.from_mapping(_count(gens0)))
-    g1 = _generator_list(lattice, FreeModuleSpec.from_mapping(_count(gens1)))
+    g0, g1 = sorted(gens0), sorted(gens1)
+    q0, q1 = _free_on(lattice, field, g0), _free_on(lattice, field, g1)
     coeff = [[rng.randrange(field.p) if lattice.leq_i(a, b) else 0
               for b in g1] for a in g0]
     comps = []
@@ -441,13 +442,6 @@ def random_free_map(lattice: Lattice, field: FieldSpec, rng: random.Random,
     return NatTrans(q1, q0, comps)
 
 
-def _count(items: Sequence[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for x in items:
-        out[x] = out.get(x, 0) + 1
-    return out
-
-
 def random_module(lattice: Lattice, field: FieldSpec, seed,
                   max_gens: int = 3, max_rels: int = 2) -> PersistenceModule:
     """A random module, built as the cokernel of a random map between
@@ -455,8 +449,8 @@ def random_module(lattice: Lattice, field: FieldSpec, seed,
     rng = random.Random(f"pmodcalc:{seed}")
     n0 = rng.randint(0, max_gens)
     n1 = rng.randint(0, max_rels)
-    gens0 = [lattice.elements[rng.randrange(lattice.n)] for _ in range(n0)]
-    gens1 = [lattice.elements[rng.randrange(lattice.n)] for _ in range(n1)]
+    gens0 = [rng.randrange(lattice.n) for _ in range(n0)]
+    gens1 = [rng.randrange(lattice.n) for _ in range(n1)]
     alpha = random_free_map(lattice, field, rng, gens0, gens1)
     module, _ = cokernel_of(alpha)
     return module
@@ -475,9 +469,8 @@ def _induced(nt: NatTrans, dims: Sequence[int], induce) -> PersistenceModule:
         if product != want:
             raise NoFactorization(
                 f"no induced map on cover {lat.element(u)} < {lat.element(v)}")
-        maps[(lat.element(u), lat.element(v))] = h
-    return PersistenceModule(lat, nt.source.field,
-                             {lat.element(i): d for i, d in enumerate(dims)}, maps)
+        maps[(u, v)] = h
+    return PersistenceModule(lat, nt.source.field, dims, maps)
 
 
 def image_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
@@ -544,10 +537,9 @@ def restrict_along_cube(f: PersistenceModule, cube: LatticeCube) -> PersistenceM
     whose value at subset mask m is f at cube vertex m, with the transports
     of f between vertices as cover maps (checked like every module)."""
     lat, v = boolean_lattice(cube.arity), cube.assign
-    names = lat.elements
     return PersistenceModule(
-        lat, f.field, {names[m]: f.dim_i(x) for m, x in enumerate(v)},
-        {(names[s], names[t]): f.transport_i(v[s], v[t]) for s, t in lat.covers_i()})
+        lat, f.field, [f.dim_i(x) for x in v],
+        {(s, t): f.transport_i(v[s], v[t]) for s, t in lat.covers_i()})
 
 
 def opposite_module(f: PersistenceModule) -> PersistenceModule:
@@ -559,10 +551,8 @@ def opposite_module(f: PersistenceModule) -> PersistenceModule:
     """
     op = f.calc_cache.get("opposite")
     if op is None:
-        lat = f.lattice
-        maps = {(lat.element(v), lat.element(u)): m.transpose()
-                for (u, v), m in f._maps.items()}
-        op = PersistenceModule(lat.opposite(), f.field, f.dims_by_element(), maps)
+        op = PersistenceModule(f.lattice.opposite(), f.field, f._dims,
+                               {(v, u): m.transpose() for (u, v), m in f._maps.items()})
         op.calc_cache["opposite"] = f
         f.calc_cache["opposite"] = op
     return op

@@ -132,12 +132,10 @@ def nonexample_module(field: FieldSpec) -> PersistenceModule:
     """The indecomposable module over {0,1}^3 with one-dimensional spaces
     at the three coatoms mapping into a plane by (1 1), (1 0), (0 1)."""
     lat = Lattice.grid([1, 1, 1])
-    dims = {"1,1,0": 1, "1,0,1": 1, "0,1,1": 1, "1,1,1": 2}
-    maps = {
-        ("1,1,0", "1,1,1"): [[1], [1]],
-        ("1,0,1", "1,1,1"): [[1], [0]],
-        ("0,1,1", "1,1,1"): [[0], [1]],
-    }
+    # Element index = the binary numeral of the coordinates: 3 is "0,1,1".
+    dims = [0, 0, 0, 1, 0, 1, 1, 2]
+    maps = {(u, 7): Matrix(field, 2, 1, col)
+            for u, col in ((6, [[1], [1]]), (5, [[1], [0]]), (3, [[0], [1]]))}
     return PersistenceModule(lat, field, dims, maps)
 
 
@@ -149,9 +147,8 @@ def gamma1_example(field: FieldSpec) -> tuple[PersistenceModule,
     lat = unit_square()
     f = interval_module(lat, field, ("1,1",))
     g = interval_module(lat, field, ("0,0", "1,0", "0,1", "1,1"))
-    comps = {el: Matrix(field, g.dim(el), f.dim(el),
-                        [[1]] if f.dim(el) else None)
-             for el in lat.elements}
+    comps = [Matrix(field, g.dim_i(i), f.dim_i(i), [[1]] if f.dim_i(i) else None)
+             for i in range(lat.n)]
     alpha = NatTrans(f, g, comps).validate()
     return f, g, alpha
 

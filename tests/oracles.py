@@ -4,7 +4,10 @@ The global Kan-extension oracle computes a (co)limit over the whole
 selected index below (above) an element as the cokernel of one incidence
 map, with no sweep.  ``gamma_lower_oracle`` is the image of the canonical
 map of the Kan extension ``t_lower``, the definition the image sweep of
-``gamma_lower`` replaces.
+``gamma_lower`` replaces.  The solve-based image, kernel and cokernel
+bodies are the references for the echelon read-offs of ``image_of``,
+``kernel_of`` and ``cokernel_of``, and ``functor_axiom_oracle`` walks every
+up-set where construction checks only cover diamonds.
 """
 
 from __future__ import annotations
@@ -13,8 +16,11 @@ from typing import Callable
 
 from pmodcalc.calculus import ApproxResult, t_lower
 from pmodcalc.lattice import Lattice, _bits
-from pmodcalc.linalg import Matrix, cokernel_projection, hstack, vstack
-from pmodcalc.pmodule import PersistenceModule, image_of, opposite_module
+from pmodcalc.linalg import (Matrix, cokernel_projection, factor_through,
+                             hstack, image_basis, kernel_basis, solve_left,
+                             vstack)
+from pmodcalc.pmodule import (NatTrans, PersistenceModule, image_of,
+                              opposite_module)
 
 
 class NotDownClosed(Exception):
@@ -99,6 +105,72 @@ def gamma_lower_oracle(f: PersistenceModule, n: int) -> ApproxResult:
     image of the canonical map t_lower(f, n) -> f, with its inclusion."""
     module, mono = image_of(t_lower(f, n).canonical)
     return ApproxResult("gamma_lower", module, mono)
+
+
+# -- induced maps: the solve-based bodies the echelon read-offs replaced -------
+
+
+def image_of_oracle(nt):
+    lat = nt.source.lattice
+    bases = [image_basis(nt.component_i(i)) for i in range(lat.n)]
+    maps = {(u, v): factor_through(nt.target.cover_matrix_i(u, v) @ bases[u], bases[v])
+            for (u, v) in lat.covers_i()}
+    module = PersistenceModule(lat, nt.source.field, [b.ncols for b in bases], maps)
+    return module, NatTrans(module, nt.target, bases)
+
+
+def kernel_of_oracle(nt):
+    lat = nt.source.lattice
+    bases = [kernel_basis(nt.component_i(i)) for i in range(lat.n)]
+    maps = {(u, v): factor_through(nt.source.cover_matrix_i(u, v) @ bases[u], bases[v])
+            for (u, v) in lat.covers_i()}
+    module = PersistenceModule(lat, nt.source.field, [b.ncols for b in bases], maps)
+    return module, NatTrans(module, nt.source, bases)
+
+
+def cokernel_of_oracle(nt):
+    lat = nt.source.lattice
+    projs = [cokernel_projection(nt.component_i(i))[0] for i in range(lat.n)]
+    maps = {(u, v): solve_left(projs[u], projs[v] @ nt.target.cover_matrix_i(u, v))
+            for (u, v) in lat.covers_i()}
+    module = PersistenceModule(lat, nt.source.field, [q.nrows for q in projs], maps)
+    return module, NatTrans(nt.target, module, projs)
+
+
+# -- the functor axiom on every up-set -------------------------------------------
+
+
+class Unchecked:
+    """Dimensions and cover maps on a lattice, as the oracle reads them,
+    without the check a PersistenceModule runs on construction."""
+
+    def __init__(self, lattice, field, dims, maps):
+        self.lattice, self.field = lattice, field
+        self._dims, self._maps = dims, maps
+
+    def dim_i(self, i):
+        return self._dims[i]
+
+    def cover_matrix_i(self, u, v):
+        return self._maps[(u, v)]
+
+
+def functor_axiom_oracle(f) -> bool:
+    """Whether all cover paths between any two elements compose to the
+    same map: for every u, walk the up-set of u in a linear extension and
+    compare the routes through every lower cover of each element."""
+    lat = f.lattice
+    for u in range(lat.n):
+        acc = {u: Matrix.identity(f.field, f.dim_i(u))}
+        for v in lat.topo_order():
+            if v == u or not lat.leq_i(u, v):
+                continue
+            routes = [f.cover_matrix_i(w, v) @ acc[w]
+                      for w in lat.parents_i(v) if lat.leq_i(u, w)]
+            if any(r != routes[0] for r in routes[1:]):
+                return False
+            acc[v] = routes[0]
+    return True
 
 
 # -- dense GF(2) references for linalg -----------------------------------------

@@ -365,8 +365,7 @@ class TestTotalFibers:
 
     def test_one_cube_kernel_cokernel(self, gf2):
         m = Matrix(gf2, 2, 3, [[1, 0, 1], [0, 1, 1]])
-        c = PersistenceModule(boolean_lattice(1), gf2, {"0": 3, "1": 2},
-                              {("0", "1"): m})
+        c = PersistenceModule(boolean_lattice(1), gf2, [3, 2], {(0, 1): m})
         assert tfib(c) == 3 - rank(m)
         assert tcofib(c) == 2 - rank(m)
 
@@ -395,7 +394,7 @@ class TestTotalFibers:
 
 class TestKoszul:
     def test_zero_cube(self, gf2):
-        c = PersistenceModule(boolean_lattice(2), gf2, {})
+        c = PersistenceModule(boolean_lattice(2), gf2, [0] * 4)
         k = koszul(c)
         assert all(k.homology(i) == 0 for i in range(3))
 
@@ -409,15 +408,13 @@ class TestKoszul:
         # A non-functorial square is rejected when the cube is built; one
         # broken behind the check makes d o d pick up the commutator defect.
         lat = boolean_lattice(2)
-        e = lat.elements
         one = Matrix.identity(gf2, 1)
         zero = Matrix(gf2, 1, 1, [[0]])
-        dims = dict.fromkeys(e, 1)
         with pytest.raises(NonCommutingSquare):
-            PersistenceModule(lat, gf2, dims, {(e[0], e[1]): one, (e[0], e[2]): one,
-                                               (e[1], e[3]): one, (e[2], e[3]): zero})
-        c = PersistenceModule(lat, gf2, dims, {(e[0], e[1]): one, (e[0], e[2]): one,
-                                               (e[1], e[3]): one, (e[2], e[3]): one})
+            PersistenceModule(lat, gf2, [1] * 4, {(0, 1): one, (0, 2): one,
+                                                  (1, 3): one, (2, 3): zero})
+        c = PersistenceModule(lat, gf2, [1] * 4, {(0, 1): one, (0, 2): one,
+                                                  (1, 3): one, (2, 3): one})
         c._maps[(2, 3)] = zero
         with pytest.raises(NotAComplex):
             koszul(c)

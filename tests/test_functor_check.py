@@ -1,6 +1,6 @@
 """The functor-axiom check every module runs on construction (commuting
-cover diamonds) against the full walk over every up-set, kept here as
-the reference oracle."""
+cover diamonds) against the full walk over every up-set, the reference
+oracle ``functor_axiom_oracle`` of tests/oracles.py."""
 
 import random
 
@@ -11,42 +11,10 @@ from pmodcalc import (FieldSpec, Lattice, Matrix, PersistenceModule,
                       cokernel_of, direct_sum, image_of, kernel_of,
                       opposite_module, random_module, t_lower, t_upper)
 from pmodcalc.pmodule import NonCommutingSquare, random_hom
+from oracles import Unchecked, functor_axiom_oracle
 from test_random_lattices import downset_lattice
 
 GRIDS = ([1, 1], [2, 2], [1, 1, 1], [3, 2], [2, 1, 1])
-
-
-class Unchecked:
-    """Dimensions and cover maps on a lattice, as the oracle reads them,
-    without the check a PersistenceModule runs on construction."""
-
-    def __init__(self, lattice, field, dims, maps):
-        self.lattice, self.field = lattice, field
-        self._dims, self._maps = dims, maps
-
-    def dim_i(self, i):
-        return self._dims[i]
-
-    def cover_matrix_i(self, u, v):
-        return self._maps[(u, v)]
-
-
-def functor_axiom_oracle(f) -> bool:
-    """Whether all cover paths between any two elements compose to the
-    same map: for every u, walk the up-set of u in a linear extension and
-    compare the routes through every lower cover of each element."""
-    lat = f.lattice
-    for u in range(lat.n):
-        acc = {u: Matrix.identity(f.field, f.dim_i(u))}
-        for v in lat.topo_order():
-            if v == u or not lat.leq_i(u, v):
-                continue
-            routes = [f.cover_matrix_i(w, v) @ acc[w]
-                      for w in lat.parents_i(v) if lat.leq_i(u, w)]
-            if any(r != routes[0] for r in routes[1:]):
-                return False
-            acc[v] = routes[0]
-    return True
 
 
 @st.composite
@@ -85,12 +53,11 @@ def test_construction_rejects_exactly_what_the_oracle_rejects(case):
     assert functor_axiom_oracle(f)
     dims = [f.dim_i(i) for i in range(lat.n)]
     functorial = functor_axiom_oracle(Unchecked(lat, f.field, dims, maps))
-    named = {(lat.element(u), lat.element(v)): m for (u, v), m in maps.items()}
     if functorial:
-        PersistenceModule(lat, f.field, f.dims_by_element(), named)
+        PersistenceModule(lat, f.field, dims, maps)
     else:
         with pytest.raises(NonCommutingSquare):
-            PersistenceModule(lat, f.field, f.dims_by_element(), named)
+            PersistenceModule(lat, f.field, dims, maps)
 
 
 @pytest.mark.parametrize("p", [2, 3])

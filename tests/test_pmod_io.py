@@ -1,11 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pmodcalc import (Lattice, free_module, interval_module, random_module)
+from pmodcalc import (FieldSpec, Lattice, Matrix, free_module, interval_module,
+                      random_module)
 from pmodcalc.pmod_io import (MAX_TOTAL_DIM, ParseError, PmodDocument,
                               load_module, parse_pmod, print_pmod)
 from pmodcalc.verify import nonexample_module
+from test_functor_check import lattices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -41,11 +44,43 @@ class TestRoundTrip:
             "map 0,1<1,1 1 0", "map 1,0<1,1 1 0 0 1"]
 
 
+@st.composite
+def modules(draw):
+    """A random module on a grid or on a down-set lattice whose elements
+    are declared in a random order, over GF(2) or F_3."""
+    lat = draw(lattices())
+    if lat.grid_shape is None:
+        lat = Lattice.from_covers(draw(st.permutations(lat.elements)), lat.covers())
+    field = FieldSpec(draw(st.sampled_from([2, 3])))
+    return random_module(lat, field, draw(st.integers(0, 10 ** 6)),
+                         max_gens=4, max_rels=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(modules())
+def test_load_of_print_is_the_module(module):
+    # Printing writes element names; loading resolves them back to indices.
+    text = print_pmod(module)
+    again = load_module(text)
+    assert again == module
+    assert print_pmod(again) == text
+
+
 class TestFixtures:
     def test_corner_fixture(self, gf2):
         module = load_module((FIXTURES / "corner.pmod").read_text())
         lat = Lattice.grid([1, 1])
         assert module == interval_module(lat, gf2, ("0,0",))
+
+    def test_diamond_fixture_is_read_by_name(self, gf2):
+        # Declared top first: index order is not a linear extension.
+        module = load_module((FIXTURES / "diamond.pmod").read_text())
+        lat = module.lattice
+        assert lat.elements == ("top", "a", "b", "bot")
+        assert lat.topo_order()[0] == 3
+        assert [module.dim_i(i) for i in range(4)] == [2, 2, 1, 1]
+        assert module.cover_matrix("a", "top") == Matrix(gf2, 2, 2, [[1, 0], [1, 0]])
+        assert module.transport("bot", "top") == Matrix(gf2, 2, 1, [[1], [1]])
 
     def test_nonexample_fixture(self, gf2):
         module = load_module((FIXTURES / "nonexample.pmod").read_text())
@@ -58,7 +93,7 @@ class TestFixtures:
 
     def test_fixture_bodies_are_canonical(self):
         # Stripping comments from a fixture yields exactly the printer output.
-        for name in ("corner", "nonexample", "free"):
+        for name in ("corner", "nonexample", "free", "diamond"):
             text = (FIXTURES / f"{name}.pmod").read_text()
             body = "\n".join(
                 stripped for line in text.splitlines()

@@ -10,13 +10,12 @@ from pmodcalc import (FieldSpec, Lattice, Matrix, NatTrans, PersistenceModule,
                       kernel_of, cokernel_of, opposite_module, random_module,
                       restrict_along_cube, zero_nat)
 from pmodcalc.lattice import parent_cube, cube_from_cover, PairwiseCover
-from pmodcalc.linalg import (NoFactorization, cokernel_projection,
-                             factor_through, image_basis, kernel_basis, rank,
-                             solve_left)
+from pmodcalc.linalg import NoFactorization, rank
 from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
                               NotConvex, NotNatural, random_hom,
                               sum_inclusion, sum_projection)
 from pmodcalc.pmod_io import print_pmod
+from oracles import cokernel_of_oracle, image_of_oracle, kernel_of_oracle
 from test_functor_check import lattices
 
 
@@ -30,11 +29,11 @@ class TestValidateFunctor:
         assert f.validate() is f
 
     def test_non_commuting_square(self, square, gf2):
-        dims = {el: 1 for el in square.elements}
-        maps = {("0,0", "0,1"): [[1]], ("0,0", "1,0"): [[1]],
-                ("0,1", "1,1"): [[1]], ("1,0", "1,1"): [[0]]}
+        # Indices 0..3 are 0,0 0,1 1,0 1,1; the route through 1,0 is zero.
+        one, zero = Matrix.identity(gf2, 1), Matrix.zeros(gf2, 1, 1)
+        maps = {(0, 1): one, (0, 2): one, (1, 3): one, (2, 3): zero}
         with pytest.raises(NonCommutingSquare):
-            PersistenceModule(square, gf2, dims, maps)
+            PersistenceModule(square, gf2, [1] * 4, maps)
 
     def test_interval_modules_ok(self, square, gf2):
         supports = [s for k in range(1, 5)
@@ -47,13 +46,48 @@ class TestValidateFunctor:
             assert m.validate() is m
 
     def test_missing_map_rejected(self, square, gf2):
-        with pytest.raises(ValueError):
-            PersistenceModule(square, gf2, {el: 1 for el in square.elements}, {})
+        with pytest.raises(ValueError, match="missing cover map for 0,0 < 0,1"):
+            PersistenceModule(square, gf2, [1] * 4, {})
 
     def test_non_cover_key_rejected(self, square, gf2):
-        with pytest.raises(ValueError):
-            PersistenceModule(square, gf2, {"0,0": 1, "1,1": 1},
-                              {("0,0", "1,1"): [[1]]})
+        with pytest.raises(ValueError, match="map key 0,0 < 1,1 is not a Hasse cover"):
+            PersistenceModule(square, gf2, [1, 0, 0, 1],
+                              {(0, 3): Matrix.identity(gf2, 1)})
+
+
+class TestConstructorKeys:
+    """Module data is keyed by element index; names are refused loudly."""
+
+    def test_dims_length_must_match(self, square, gf2):
+        for dims in ([1] * 3, [1] * 5):
+            with pytest.raises(ValueError, match="for 4 elements"):
+                PersistenceModule(square, gf2, dims)
+
+    def test_negative_dim_rejected(self, square, gf2):
+        with pytest.raises(ValueError, match="negative dimension at 1,0"):
+            PersistenceModule(square, gf2, [0, 0, -1, 0])
+
+    def test_dims_mapping_or_names_rejected(self, square, gf2):
+        for dims in ({el: 1 for el in square.elements}, dict.fromkeys(range(4), 1),
+                     list(square.elements)):
+            with pytest.raises(TypeError):
+                PersistenceModule(square, gf2, dims)
+
+    def test_list_of_lists_map_rejected(self, square, gf2):
+        with pytest.raises(TypeError, match="cover map for 0,0 < 0,1 is not a Matrix"):
+            PersistenceModule(square, gf2, [1, 1, 0, 0], {(0, 1): [[1]]})
+
+    def test_name_keyed_map_rejected(self, square, gf2):
+        one = Matrix.identity(gf2, 1)
+        with pytest.raises(TypeError, match="not a pair of element indices"):
+            PersistenceModule(square, gf2, [1, 0, 0, 0], {("0,0", "0,1"): one})
+
+    def test_components_keyed_by_index(self, square, gf2):
+        f = constant_module(square, gf2)
+        with pytest.raises(ValueError, match="3 components for 4 elements"):
+            NatTrans(f, f, [Matrix.identity(gf2, 1)] * 3)
+        with pytest.raises(TypeError, match="component at 0,0 is not a Matrix"):
+            NatTrans(f, f, {el: Matrix.identity(gf2, 1) for el in square.elements})
 
 
 class TestTransport:
@@ -247,8 +281,7 @@ class TestIsIso:
 
     def test_naturality_check(self, square, gf2):
         f = constant_module(square, gf2)
-        comps = {el: Matrix.identity(gf2, 1) for el in square.elements}
-        comps["1,1"] = Matrix(gf2, 1, 1, [[0]])
+        comps = [Matrix.identity(gf2, 1)] * 3 + [Matrix(gf2, 1, 1, [[0]])]
         with pytest.raises(NotNatural):
             NatTrans(f, f, comps).validate()
 
@@ -283,7 +316,7 @@ class TestRestrictAndCubes:
 
     def test_missing_edge_rejected(self, gf2):
         with pytest.raises(ValueError):
-            PersistenceModule(boolean_lattice(1), gf2, {"0": 1, "1": 1}, {})
+            PersistenceModule(boolean_lattice(1), gf2, [1, 1], {})
 
 
 class TestHomBasis:
@@ -325,42 +358,7 @@ class TestOpposite:
 
 
 # -- induced maps: the read-offs against the solve-based bodies they replaced --
-
-
-def image_of_oracle(nt):
-    lat = nt.source.lattice
-    bases = [image_basis(nt.component_i(i)) for i in range(lat.n)]
-    dims = {lat.element(i): bases[i].ncols for i in range(lat.n)}
-    maps = {}
-    for (u, v) in lat.covers_i():
-        pushed = nt.target.cover_matrix_i(u, v) @ bases[u]
-        maps[(lat.element(u), lat.element(v))] = factor_through(pushed, bases[v])
-    module = PersistenceModule(lat, nt.source.field, dims, maps)
-    return module, NatTrans(module, nt.target, bases)
-
-
-def kernel_of_oracle(nt):
-    lat = nt.source.lattice
-    bases = [kernel_basis(nt.component_i(i)) for i in range(lat.n)]
-    dims = {lat.element(i): bases[i].ncols for i in range(lat.n)}
-    maps = {}
-    for (u, v) in lat.covers_i():
-        pushed = nt.source.cover_matrix_i(u, v) @ bases[u]
-        maps[(lat.element(u), lat.element(v))] = factor_through(pushed, bases[v])
-    module = PersistenceModule(lat, nt.source.field, dims, maps)
-    return module, NatTrans(module, nt.source, bases)
-
-
-def cokernel_of_oracle(nt):
-    lat = nt.source.lattice
-    projs = [cokernel_projection(nt.component_i(i))[0] for i in range(lat.n)]
-    dims = {lat.element(i): projs[i].nrows for i in range(lat.n)}
-    maps = {}
-    for (u, v) in lat.covers_i():
-        rhs = projs[v] @ nt.target.cover_matrix_i(u, v)
-        maps[(lat.element(u), lat.element(v))] = solve_left(projs[u], rhs)
-    module = PersistenceModule(lat, nt.source.field, dims, maps)
-    return module, NatTrans(nt.target, module, projs)
+# (image_of_oracle, kernel_of_oracle and cokernel_of_oracle in oracles.py)
 
 
 def outcome(construct, nt):
