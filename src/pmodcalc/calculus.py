@@ -5,9 +5,9 @@ t_upper: restrict to the join- or meet-dimension <= n subposet and
 extend back), their image approximations (gamma_lower / gamma_upper),
 the cross effects (cr_lower / cr_upper), total (co)fibers and Koszul
 homology of cubes, and the four degree predicates.  A cube is a module on
-the Boolean lattice {0,1}^k, as restrict_along_cube returns it.  The
-predicates are decided through the canonical maps; find_failing_cube is
-their brute-force oracle over enumerated bicartesian cubes.
+the Boolean lattice {0,1}^k, as restrict_along_cube returns it.
+find_failing_cube is the brute-force oracle of the predicates over
+enumerated bicartesian cubes.
 
 Only the lower side is computed, each by a local sweep over the lattice
 in a linear extension, and everything upper as its dual on the opposite
@@ -20,6 +20,23 @@ read-off is checked by its product, which is naturality of the inclusion
 on every cover into that element.  Induced maps are the unique solutions
 against the bases linalg chose, so everything downstream is
 deterministic.  Per-module results are memoized on the module.
+
+The degree statistics and predicates build neither T_n F nor Gamma_n F.
+Take x with lower covers w_1..w_k, the cover maps C_x = [F(w_a -> x)]
+side by side, and R_x, the relation matrix t_lower's sweep glues T(x) by
+(_relations), here built from F's own cover maps.  Induct along the
+linear extension: if T_n F -> F is an isomorphism below x and k > n,
+then T_n(x) = coker R_x and the canonical map at x is the one C_x
+induces; im R_x lies in ker C_x, so it is an isomorphism exactly when
+C_x is onto and ker C_x = im R_x.  Those two conditions are beta^0_x =
+dim F(x) - rank C_x = 0 and beta^1_x = dim ker C_x - rank R_x = 0, the
+Koszul H_0 and H_1 of parent_cube(x).  So min_codegree is the largest
+jdim(x) with beta^0_x or beta^1_x != 0.  By gamma_lower's induction, if
+Gamma_n F = F below x and k > n, Gamma_n(x) is the image of C_x, which
+is F(x) exactly when beta^0_x = 0; so min_cross_codegree is the largest
+jdim(x) with beta^0_x != 0.  Both come from one sweep of the cover maps
+of f (_read_off), and the degree and cross-degree are the same on the
+opposite module.
 """
 
 from __future__ import annotations
@@ -30,7 +47,7 @@ from typing import Callable
 from .lattice import LatticeCube, bicartesian_cubes_cached, boolean_lattice
 from .linalg import (Matrix, NoFactorization, factor_through, hstack,
                      cokernel_projection, rank, rref, solve_left, vstack)
-from .pmodule import (NatTrans, PersistenceModule, cokernel_of, is_iso,
+from .pmodule import (NatTrans, PersistenceModule, cokernel_of,
                       opposite_module, restrict_along_cube)
 
 
@@ -87,16 +104,8 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
             eps[x] = Matrix.identity(field, dims[x])
             maps.update(((w, x), leg) for w, leg in zip(ws, legs))
             continue
-        total = sum(dims[w] for w in ws)
-        blocks = [Matrix.zeros(field, total, 0)]
-        for a in range(len(ws)):
-            for b in range(a + 1, len(ws)):
-                m = lat.meet_i(ws[a], ws[b])
-                blocks.append(vstack([
-                    maps[(m, w)] if w == ws[a] else
-                    -maps[(m, w)] if w == ws[b] else
-                    Matrix.zeros(field, dims[w], dims[m]) for w in ws]))
-        q, free = cokernel_projection(hstack(blocks))
+        q, free = cokernel_projection(_relations(
+            f, ws, lambda m, w: maps[(m, w)], dims.__getitem__))
         dims[x] = q.nrows
         offset = 0
         for w in ws:
@@ -110,6 +119,24 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     result = ApproxResult("t_lower", module, canonical)
     f.calc_cache[("t_lower", n)] = result
     return result
+
+
+def _relations(f: PersistenceModule, ws: tuple[int, ...], cover, dim) -> Matrix:
+    """The relations T(x) is glued by, over the lower covers ws of x: the
+    sum of the values at w_a ^ w_b, a < b, into the sum of the values at
+    w_a, with blocks +cover(m, w_a) and -cover(m, w_b).  ``cover`` and
+    ``dim`` read the module the sweep is gluing."""
+    lat, field = f.lattice, f.field
+    blocks = [Matrix.zeros(field, sum(dim(w) for w in ws), 0)]
+    for a in range(len(ws)):
+        for b in range(a + 1, len(ws)):
+            m = lat.meet_i(ws[a], ws[b])
+            if dim(m):
+                blocks.append(vstack([
+                    cover(m, w) if w == ws[a] else
+                    -cover(m, w) if w == ws[b] else
+                    Matrix.zeros(field, dim(w), dim(m)) for w in ws]))
+    return hstack(blocks)
 
 
 def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
@@ -363,30 +390,40 @@ def find_failing_cube(f: PersistenceModule, n: int, kind: str) -> LatticeCube | 
     return None
 
 
+def _check_degree(n: int) -> None:
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+
+
 def is_codegree(f: PersistenceModule, n: int) -> bool:
     """True iff f sends strongly bicartesian (n+1)-cubes to cocartesian
-    ones, that is the canonical map of t_lower(f,n) is an isomorphism."""
-    return is_iso(t_lower(f, n).canonical)
+    ones, that is the canonical map of t_lower(f,n) is an isomorphism:
+    min_codegree(f) <= n."""
+    _check_degree(n)
+    return min_codegree(f) <= n
 
 
 def is_degree(f: PersistenceModule, n: int) -> bool:
     """True iff f sends strongly bicartesian (n+1)-cubes to cartesian ones,
-    that is the opposite module is codegree n."""
-    return is_codegree(opposite_module(f), n)
+    that is the opposite module is codegree n: min_degree(f) <= n."""
+    _check_degree(n)
+    return min_degree(f) <= n
 
 
 def is_cross_codegree(f: PersistenceModule, n: int) -> bool:
     """True iff every strongly bicartesian (n+1)-cube has vanishing total
-    cofiber after applying f, that is the n-th cocross effect is zero:
-    gamma_lower(f, n), a submodule of f, has the dims of f."""
-    gamma = gamma_lower(f, n).module
-    return all(gamma.dim_i(x) == f.dim_i(x) for x in range(f.lattice.n))
+    cofiber after applying f, that is gamma_lower(f, n) = f:
+    min_cross_codegree(f) <= n."""
+    _check_degree(n)
+    return min_cross_codegree(f) <= n
 
 
 def is_cross_degree(f: PersistenceModule, n: int) -> bool:
     """True iff every strongly bicartesian (n+1)-cube has vanishing total
-    fiber after applying f, that is the opposite module is cross-codegree n."""
-    return is_cross_codegree(opposite_module(f), n)
+    fiber after applying f, that is the opposite module is cross-codegree
+    n: min_cross_degree(f) <= n."""
+    _check_degree(n)
+    return min_cross_degree(f) <= n
 
 
 #: The four predicates, keyed by the kind that find_failing_cube decides.
@@ -395,27 +432,52 @@ PREDICATES: dict[str, Callable[[PersistenceModule, int], bool]] = {
     "cross_codegree": is_cross_codegree, "cross_degree": is_cross_degree}
 
 
-def _min_satisfying(f: PersistenceModule, pred) -> int:
-    top = f.lattice.poset_dimension()
-    for n in range(top + 1):
-        if pred(f, n):
-            return n
-    # Every predicate holds at the poset dimension for a genuine module.
-    raise AssertionError(f"the predicate fails at every n <= {top}")
+def _read_off(f: PersistenceModule) -> tuple[int, int]:
+    """(min_codegree(f), min_cross_codegree(f)), memoised: the largest
+    jdim(x) with beta^0_x or beta^1_x != 0, and with beta^0_x != 0 (the
+    module docstring says why).  Elements are visited by decreasing jdim,
+    and the sweep stops at the first that cannot raise either maximum.
+    """
+    cached = f.calc_cache.get("read_off")
+    if cached is not None:
+        return cached
+    lat = f.lattice
+    codegree = cross = 0
+    for x in sorted(range(lat.n), key=lambda x: len(lat.parents_i(x)), reverse=True):
+        ws = lat.parents_i(x)
+        k = len(ws)
+        if k <= cross:
+            break
+        dx, total = f.dim_i(x), sum(f.dim_i(w) for w in ws)
+        rank_c = rank(hstack([f.cover_matrix_i(w, x) for w in ws])) if dx and total else 0
+        kernel = total - rank_c
+        if dx > rank_c:
+            codegree, cross = max(codegree, k), k
+        elif k > codegree and kernel and kernel > rank(
+                _relations(f, ws, f.cover_matrix_i, f.dim_i)):
+            codegree = k
+    f.calc_cache["read_off"] = result = (codegree, cross)
+    return result
 
 
 def min_codegree(f: PersistenceModule) -> int:
-    """Least n for which f is codegree n (at most the poset dimension)."""
-    return _min_satisfying(f, is_codegree)
+    """Least n for which f is codegree n, read off as the module docstring
+    says."""
+    return _read_off(f)[0]
 
 
 def min_degree(f: PersistenceModule) -> int:
-    return _min_satisfying(f, is_degree)
+    """Least n for which f is degree n: min_codegree of the opposite module."""
+    return _read_off(opposite_module(f))[0]
 
 
 def min_cross_codegree(f: PersistenceModule) -> int:
-    return _min_satisfying(f, is_cross_codegree)
+    """Least n for which f is cross-codegree n, read off as the module
+    docstring says."""
+    return _read_off(f)[1]
 
 
 def min_cross_degree(f: PersistenceModule) -> int:
-    return _min_satisfying(f, is_cross_degree)
+    """Least n for which f is cross-degree n: min_cross_codegree of the
+    opposite module."""
+    return _read_off(opposite_module(f))[1]

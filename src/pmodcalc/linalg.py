@@ -486,11 +486,32 @@ def cokernel_projection(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """A surjection q with q*m = 0 and rank(q) = nrows - rank(m), and the
     columns free_columns(m^T) on which q is the identity.
 
-    q is the transposed kernel_basis of m^T: the echelon basis of the
-    left null space of m, so the projection is deterministic.
+    q is the transposed kernel_basis of m^T: the echelon basis of the left
+    null space of m, so the projection is deterministic.  It is read off
+    rref(m^T) whole: the row of q of free column f is the unit at f, plus,
+    at the pivot column c of each pivot row r, minus entry f of row r.
     """
-    t = m.transpose()
-    return kernel_basis(t).transpose(), free_columns(t)
+    red, pivots = rref(m.transpose())
+    n, p = m.nrows, m.field.p
+    pivot_set = set(pivots)
+    free = tuple(j for j in range(n) if j not in pivot_set)
+    if p == 2:
+        at = {1 << f: i for i, f in enumerate(free)}
+        q = [1 << f for f in free]
+        for c, row in zip(pivots, red._data):
+            bit, row = 1 << c, row ^ 1 << c
+            while row:
+                low = row & -row
+                q[at[low]] |= bit
+                row ^= low
+        return Matrix._of(m.field, len(free), n, tuple(q)), free
+    rows = [[0] * n for _ in free]
+    for row, f in zip(rows, free):
+        row[f] = 1
+    for c, pivot_row in zip(pivots, red._data):
+        for row, f in zip(rows, free):
+            row[c] = -pivot_row[f] % p
+    return Matrix._of(m.field, len(free), n, tuple(map(tuple, rows))), free
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:

@@ -4,22 +4,27 @@ The global Kan-extension oracle computes a (co)limit over the whole
 selected index below (above) an element as the cokernel of one incidence
 map, with no sweep.  ``gamma_lower_oracle`` is the image of the canonical
 map of the Kan extension ``t_lower``, the definition the image sweep of
-``gamma_lower`` replaces.  The solve-based image, kernel and cokernel
-bodies are the references for the echelon read-offs of ``image_of``,
-``kernel_of`` and ``cokernel_of``, and ``functor_axiom_oracle`` walks every
-up-set where construction checks only cover diamonds.
+``gamma_lower`` replaces.  ``PREDICATE_ORACLES`` decides the four degree
+predicates by their definitions through the approximations, where the
+package reads them off the cover maps.  The solve-based image, kernel and
+cokernel bodies are the references for the echelon read-offs of
+``image_of``, ``kernel_of`` and ``cokernel_of``, and
+``functor_axiom_oracle`` walks every up-set where construction checks only
+cover diamonds.  ``check_interval_oracle`` is the pairwise support check
+that ``interval_module`` replaced.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from pmodcalc.calculus import ApproxResult, t_lower
+from pmodcalc.calculus import ApproxResult, gamma_lower, t_lower
 from pmodcalc.lattice import Lattice, _bits
 from pmodcalc.linalg import (Matrix, cokernel_projection, factor_through,
-                             hstack, image_basis, kernel_basis, solve_left,
-                             vstack)
-from pmodcalc.pmodule import (NatTrans, PersistenceModule, image_of,
+                             free_columns, hstack, image_basis, kernel_basis,
+                             solve_left, vstack)
+from pmodcalc.pmodule import (NatTrans, NotConnected, NotConvex,
+                              PersistenceModule, image_of, is_iso,
                               opposite_module)
 
 
@@ -107,6 +112,27 @@ def gamma_lower_oracle(f: PersistenceModule, n: int) -> ApproxResult:
     return ApproxResult("gamma_lower", module, mono)
 
 
+def is_codegree_oracle(f: PersistenceModule, n: int) -> bool:
+    """Codegree n by definition: the canonical map T_n F -> F is an iso."""
+    return is_iso(t_lower(f, n).canonical)
+
+
+def is_cross_codegree_oracle(f: PersistenceModule, n: int) -> bool:
+    """Cross-codegree n by definition: Gamma_n F = F, that is the image
+    of T_n F -> F, a submodule of f, has the dims of f."""
+    gamma = gamma_lower(f, n).module
+    return all(gamma.dim_i(x) == f.dim_i(x) for x in range(f.lattice.n))
+
+
+#: The four predicates through the approximations, keyed like PREDICATES;
+#: the upper ones on the opposite module.
+PREDICATE_ORACLES: dict[str, Callable[[PersistenceModule, int], bool]] = {
+    "codegree": is_codegree_oracle,
+    "degree": lambda f, n: is_codegree_oracle(opposite_module(f), n),
+    "cross_codegree": is_cross_codegree_oracle,
+    "cross_degree": lambda f, n: is_cross_codegree_oracle(opposite_module(f), n)}
+
+
 # -- induced maps: the solve-based bodies the echelon read-offs replaced -------
 
 
@@ -126,6 +152,13 @@ def kernel_of_oracle(nt):
             for (u, v) in lat.covers_i()}
     module = PersistenceModule(lat, nt.source.field, [b.ncols for b in bases], maps)
     return module, NatTrans(module, nt.source, bases)
+
+
+def cokernel_projection_oracle(m):
+    """The transposed kernel basis of m^T, and the free columns of m^T: the
+    body the read-off of ``cokernel_projection`` replaced."""
+    t = m.transpose()
+    return kernel_basis(t).transpose(), free_columns(t)
 
 
 def cokernel_of_oracle(nt):
@@ -171,6 +204,38 @@ def functor_axiom_oracle(f) -> bool:
                 return False
             acc[v] = routes[0]
     return True
+
+
+# -- interval supports -------------------------------------------------------------
+
+
+def check_interval_oracle(lattice: Lattice, sup: set[int]) -> None:
+    """Raise NotConvex unless everything between each comparable pair of
+    the support is in it, then NotConnected unless its comparability
+    graph is connected; pair by pair, cubic in the support."""
+    mask = 0
+    for i in sup:
+        mask |= 1 << i
+    for u in sorted(sup):
+        for v in sorted(sup):
+            if lattice.leq_i(u, v):
+                missing = lattice.upset_mask(u) & lattice.downset_mask(v) & ~mask
+                if missing:
+                    raise NotConvex(
+                        f"support omits {lattice.element(next(_bits(missing)))} "
+                        f"between {lattice.element(u)} and {lattice.element(v)}")
+    todo = set(sup)
+    stack = [min(sup)]
+    todo.discard(stack[0])
+    while stack:
+        x = stack.pop()
+        for y in list(todo):
+            if lattice.leq_i(x, y) or lattice.leq_i(y, x):
+                todo.discard(y)
+                stack.append(y)
+    if todo:
+        raise NotConnected(f"support splits into incomparable pieces "
+                           f"(e.g. {lattice.element(min(todo))})")
 
 
 # -- dense GF(2) references for linalg -----------------------------------------

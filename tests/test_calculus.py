@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pmodcalc import (FieldSpec, Lattice, Matrix, PersistenceModule,
                       boolean_lattice, free_module, interval_module, is_iso,
                       random_module, restrict_along_cube)
-from pmodcalc.calculus import (PREDICATES, NotAComplex, _min_satisfying,
+from pmodcalc.calculus import (PREDICATES, NotAComplex,
                                cr_lower, cr_upper, find_failing_cube, gamma_lower,
                                gamma_upper, is_codegree, is_cross_codegree,
                                is_cross_degree, is_degree, koszul,
@@ -463,9 +463,27 @@ class TestPredicates:
         assert tcofib(vc) != 0
         assert find_failing_cube(constant(square, gf2), 0, "cross_codegree") is None
 
-    def test_min_statistic_raises_when_no_n_satisfies(self, square, gf2):
-        with pytest.raises(AssertionError):
-            _min_satisfying(constant(square, gf2), lambda f, n: False)
+    def test_min_statistic_is_least_and_within_the_poset_dimension(self, gf2):
+        # The bound the old search asserted once it ran out of n: every
+        # statistic is at most the poset dimension, holds there by the
+        # cube oracle, and fails one below.
+        cube3 = boolean_lattice(3)
+        stats = {"codegree": min_codegree, "degree": min_degree,
+                 "cross_codegree": min_cross_codegree,
+                 "cross_degree": min_cross_degree}
+        for seed in range(4):
+            f = random_module(cube3, gf2, f"least{seed}")
+            for kind, stat in stats.items():
+                s = stat(f)
+                assert 0 <= s <= cube3.poset_dimension()
+                assert find_failing_cube(f, s, kind) is None
+                assert s == 0 or find_failing_cube(f, s - 1, kind) is not None
+
+    def test_negative_degree_rejected(self, square, gf2):
+        f = constant(square, gf2)
+        for holds in PREDICATES.values():
+            with pytest.raises(ValueError):
+                holds(f, -1)
 
     def test_degree_implies_cross_degree(self, grid22, gf2):
         for seed in range(5):

@@ -10,7 +10,8 @@ from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
                              rank, rref, solve, solve_left, vstack)
 from pmodcalc import linalg
 
-from oracles import (dense_cokernel_projection, dense_direct_sum,
+from oracles import (cokernel_projection_oracle, dense_cokernel_projection,
+                     dense_direct_sum,
                      dense_kernel_basis, dense_multiply, dense_rref, dense_solve,
                      dense_take_cols, dense_transpose)
 
@@ -216,6 +217,14 @@ def test_cokernel_projection_contract(m):
     assert q.nrows == m.nrows - rank(m)
     assert (q @ m).is_zero()
     assert rank(q) == q.nrows
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_dim=9))
+def test_cokernel_projection_is_the_transposed_kernel_basis(m):
+    # The read-off of rref(m^T) is bit-identical to the transposes it
+    # replaced.
+    assert cokernel_projection(m) == cokernel_projection_oracle(m)
 
 
 @settings(max_examples=100, deadline=None)

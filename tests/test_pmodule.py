@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
                               NotConvex, NotNatural, random_hom,
                               sum_inclusion, sum_projection)
 from pmodcalc.pmod_io import print_pmod
-from oracles import cokernel_of_oracle, image_of_oracle, kernel_of_oracle
+from oracles import (check_interval_oracle, cokernel_of_oracle, image_of_oracle,
+                     kernel_of_oracle)
 from test_functor_check import lattices
 
 
@@ -143,6 +145,49 @@ class TestInterval:
     def test_not_connected(self, square, gf2):
         with pytest.raises(NotConnected):
             interval_module(square, gf2, ("1,0", "0,1"))
+
+
+@st.composite
+def supports(draw):
+    """A lattice and a nonempty support on it: a random subset, or the
+    convex hull of one (which may still be disconnected)."""
+    lat = draw(lattices())
+    sup = draw(st.sets(st.integers(0, lat.n - 1), min_size=1, max_size=lat.n))
+    if draw(st.booleans()):
+        up = down = 0
+        for i in sup:
+            up |= lat.upset_mask(i)
+            down |= lat.downset_mask(i)
+        sup = {i for i in range(lat.n) if (up & down) >> i & 1}
+    return lat, sup
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=supports())
+def test_interval_checks_match_the_pairwise_oracle(case):
+    """The linear convexity and cover-walk checks reject exactly what the
+    pairwise checks reject, with the same exception; a named gap g lies
+    between two named support elements u <= g <= v and is not in it."""
+    lat, sup = case
+    try:
+        check_interval_oracle(lat, sup)
+        want = None
+    except (NotConvex, NotConnected) as exc:
+        want = exc
+    try:
+        f = interval_module(lat, FieldSpec(2), [lat.element(i) for i in sup])
+    except (NotConvex, NotConnected) as exc:
+        assert type(exc) is type(want)
+        if isinstance(exc, NotConvex):
+            gap, u, v = (lat.index(el) for el in re.fullmatch(
+                r"support omits (\S+) between (\S+) and (\S+)", str(exc)).groups())
+            assert gap not in sup and u in sup and v in sup
+            assert lat.leq_i(u, gap) and lat.leq_i(gap, v)
+        else:
+            assert str(exc) == str(want)
+    else:
+        assert want is None
+        assert [f.dim_i(i) for i in range(lat.n)] == [int(i in sup) for i in range(lat.n)]
 
 
 class TestFree:

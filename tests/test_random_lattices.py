@@ -22,7 +22,7 @@ from pmodcalc.linalg import factor_through, hstack, rank, solve_left, vstack
 from pmodcalc.pmodule import opposite_module
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
-from oracles import colim_over_downset, lim_over_upset
+from oracles import PREDICATE_ORACLES, colim_over_downset, lim_over_upset
 from test_calculus import check_gamma_against_oracles
 
 GF2 = FieldSpec(2)
@@ -56,6 +56,12 @@ def downset_lattice(n_points, rng):
     covers = [(names[a], names[b]) for a in downsets for b in downsets
               if a < b and len(b) == len(a) + 1]
     return Lattice.from_covers([names[s] for s in downsets], covers)
+
+
+def random_lattice(grid, points, lattice_seed):
+    """The grid of the given shape, or else a random down-set lattice."""
+    return (Lattice.grid(grid) if grid else
+            downset_lattice(points, random.Random(lattice_seed)))
 
 
 @pytest.fixture(scope="module")
@@ -206,14 +212,50 @@ def test_degree_statistics_read_off_betti_supports(grid, points, lattice_seed, p
     statistics are the same read-offs on the opposite module, where jdim
     is the original mdim.  Independent of the Kan extensions and of the
     bicartesian-cube enumeration."""
-    lat = (Lattice.grid(grid) if grid else
-           downset_lattice(points, random.Random(lattice_seed)))
+    lat = random_lattice(grid, points, lattice_seed)
     f = random_module(lat, FieldSpec(p), f"betti-read{seed}", max_gens=4, max_rels=3)
     op = opposite_module(f)
     assert min_codegree(f) == betti_read_off(f, (0, 1))
     assert min_cross_codegree(f) == betti_read_off(f, (0,))
     assert min_degree(f) == betti_read_off(op, (0, 1))
     assert min_cross_degree(f) == betti_read_off(op, (0,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=st.sampled_from([None, [1, 1, 1], [2, 1, 1], [2, 2]]),
+       points=st.integers(2, 4), lattice_seed=st.integers(0, 10 ** 6),
+       p=st.sampled_from([2, 3]), seed=st.integers(0, 10 ** 6))
+def test_predicates_match_the_approximations_and_the_cubes(grid, points,
+                                                           lattice_seed, p, seed):
+    """Each is_* predicate, read off the cover maps, equals its definition
+    through t_lower / gamma_lower (on the opposite module for the upper
+    ones) and the bicartesian-cube oracle, for every n up to dim + 1.
+    Elements of jdim 3 exercise the signs of the relation matrix over F_3."""
+    lat = random_lattice(grid, points, lattice_seed)
+    f = random_module(lat, FieldSpec(p), f"read-off{seed}", max_gens=5, max_rels=4)
+    for n in range(lat.poset_dimension() + 2):
+        for kind, holds in PREDICATES.items():
+            got = holds(f, n)
+            assert got == PREDICATE_ORACLES[kind](f, n), (kind, n)
+            assert got == (find_failing_cube(f, n, kind) is None), (kind, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=st.sampled_from([None, [1, 1, 1], [2, 2], [3, 2]]),
+       points=st.integers(2, 4), lattice_seed=st.integers(0, 10 ** 6),
+       p=st.sampled_from([2, 3]), seed=st.integers(0, 10 ** 6))
+def test_statistics_build_no_approximation(grid, points, lattice_seed, p, seed):
+    """The four statistics and predicates leave no t_lower or gamma_lower
+    result in the cache of f or of its opposite module."""
+    lat = random_lattice(grid, points, lattice_seed)
+    f = random_module(lat, FieldSpec(p), f"no-kan{seed}", max_gens=4, max_rels=3)
+    for stat in (min_degree, min_cross_degree, min_codegree, min_cross_codegree):
+        stat(f)
+    for holds in PREDICATES.values():
+        holds(f, 0)
+    for cache in (f.calc_cache, opposite_module(f).calc_cache):
+        assert not [key for key in cache if isinstance(key, tuple)
+                    and key[0] in ("t_lower", "gamma_lower")]
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,8 +269,7 @@ def test_restriction_along_every_cube(grid, points, lattice_seed, p, arity, seed
     {0,1}^k (index = subset bitmask, bit b = coordinate k-1-b) that reads f
     at the cube's vertices; its Koszul homology gives the total (co)fiber,
     and restricting does not raise pdim."""
-    lat = (Lattice.grid(grid) if grid else
-           downset_lattice(points, random.Random(lattice_seed)))
+    lat = random_lattice(grid, points, lattice_seed)
     f = random_module(lat, FieldSpec(p), f"restrict{seed}", max_gens=4, max_rels=3)
     bound = pdim(f)
     names = [",".join(str(m >> (arity - 1 - c) & 1) for c in range(arity))
