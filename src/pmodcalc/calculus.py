@@ -21,10 +21,17 @@ on every cover into that element.  Induced maps are the unique solutions
 against the bases linalg chose, so everything downstream is
 deterministic.  Per-module results are memoized on the module.
 
+The local Koszul complex at x is the Koszul complex of F on
+parent_cube(x), the Boolean interval from the meet of the lower covers
+w_1..w_k of x up to x; each of its edges is a cover, so _boundary reads
+every boundary d_i straight off the cover maps.  d_1 = C_x = [F(w_a ->
+x)], the cover maps side by side, and d_2 = -R_x, the relations t_lower's
+sweep glues T(x) by (there built from T's own cover maps).  koszul builds
+the whole complex, on a parent cube of F or on a cube module's whole
+lattice, and resolution's betti takes its homology at every element.
+
 The degree statistics and predicates build neither T_n F nor Gamma_n F.
-Take x with lower covers w_1..w_k, the cover maps C_x = [F(w_a -> x)]
-side by side, and R_x, the relation matrix t_lower's sweep glues T(x) by
-(_relations), here built from F's own cover maps.  Induct along the
+With C_x and R_x built from F's own cover maps, induct along the
 linear extension: if T_n F -> F is an isomorphism below x and k > n,
 then T_n(x) = coker R_x and the canonical map at x is the one C_x
 induces; im R_x lies in ker C_x, so it is an isomorphism exactly when
@@ -42,6 +49,7 @@ opposite module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 from .lattice import LatticeCube, bicartesian_cubes_cached, boolean_lattice
@@ -81,8 +89,11 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     F(x) itself.  Otherwise the index below x is the union of the indices
     below the lower covers w of x, overlapping in the index below w ^ w',
     which is a lower cover of both (the lattice is distributive); so T(x)
-    is the cokernel of the sum of T(w ^ w') into the sum of T(w), and the
-    cover maps T(w) -> T(x) are the blocks of that projection.
+    is the cokernel of the sum of T(w ^ w') into the sum of T(w), d_2 of
+    the local Koszul complex of T at x, and the cover maps T(w) -> T(x)
+    are the blocks of that projection.  Where T(x) = 0 for want of input
+    (F(x) = 0 with jdim(x) <= n, or every T(w) = 0) nothing is computed,
+    and the cover maps into x are the constructor's zeros.
     Naturality of the canonical map is checked; the result, like every
     module, is checked on construction.
     """
@@ -97,6 +108,9 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     maps: dict[tuple[int, int], Matrix] = {}
     for x in lat.topo_order():
         ws = lat.parents_i(x)
+        if not (f.dim_i(x) if len(ws) <= n else any(dims[w] for w in ws)):
+            eps[x] = Matrix.zeros(field, f.dim_i(x), 0)  # T(x) = 0
+            continue
         # The canonical map restricted to each T(w): through F(w) into F(x).
         legs = [f.cover_matrix_i(w, x) @ eps[w] for w in ws]
         if len(ws) <= n:
@@ -104,8 +118,8 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
             eps[x] = Matrix.identity(field, dims[x])
             maps.update(((w, x), leg) for w, leg in zip(ws, legs))
             continue
-        q, free = cokernel_projection(_relations(
-            f, ws, lambda m, w: maps[(m, w)], dims.__getitem__))
+        q, free = cokernel_projection(_boundary(
+            f, x, 2, lambda m, w: maps[(m, w)], dims.__getitem__))
         dims[x] = q.nrows
         offset = 0
         for w in ws:
@@ -121,21 +135,36 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     return result
 
 
-def _relations(f: PersistenceModule, ws: tuple[int, ...], cover, dim) -> Matrix:
-    """The relations T(x) is glued by, over the lower covers ws of x: the
-    sum of the values at w_a ^ w_b, a < b, into the sum of the values at
-    w_a, with blocks +cover(m, w_a) and -cover(m, w_b).  ``cover`` and
-    ``dim`` read the module the sweep is gluing."""
-    lat, field = f.lattice, f.field
-    blocks = [Matrix.zeros(field, sum(dim(w) for w in ws), 0)]
-    for a in range(len(ws)):
-        for b in range(a + 1, len(ws)):
-            m = lat.meet_i(ws[a], ws[b])
-            if dim(m):
-                blocks.append(vstack([
-                    cover(m, w) if w == ws[a] else
-                    -cover(m, w) if w == ws[b] else
-                    Matrix.zeros(field, dim(w), dim(m)) for w in ws]))
+def _boundary(f: PersistenceModule, x: int, i: int, cover, dim) -> Matrix:
+    """d_i of the local Koszul complex at x (module docstring).  With ws
+    the lower covers of x, degree i is the sum of the values at the meets
+    of the i-subsets T of ws (x for T empty), subsets in combinations
+    order; the block from T to T - {t} is (-1)^j cover(^T, ^(T - {t})),
+    t at position j of T.  ``cover`` and ``dim`` read the module the
+    complex is taken of, and are not asked for a zero row or column."""
+    lat, field, ws = f.lattice, f.field, f.lattice.parents_i(x)
+
+    def meet(subset):
+        v = x
+        for t in subset:
+            v = lat.meet_i(v, ws[t])
+        return v
+
+    lower = list(combinations(range(len(ws)), i - 1))
+    row_of = {s: r for r, s in enumerate(lower)}
+    faces = [meet(s) for s in lower]
+    blocks = [Matrix.zeros(field, sum(map(dim, faces)), 0)]
+    for subset in combinations(range(len(ws)), i):
+        m = meet(subset)
+        if not dim(m):
+            continue
+        column = [Matrix.zeros(field, dim(v), dim(m)) for v in faces]
+        for j in range(i):
+            r = row_of[subset[:j] + subset[j + 1:]]
+            if dim(faces[r]):
+                edge = cover(m, faces[r])
+                column[r] = -edge if j % 2 else edge
+        blocks.append(vstack(column))
     return hstack(blocks)
 
 
@@ -149,7 +178,8 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
     covers w of x: B_x is the pivot columns of L_x, and the cover maps
     Gamma(w -> x) are the column blocks of R, the nonzero rows of
     rref(L_x).  B_x R = L_x is checked at each x (it is naturality of the
-    inclusion on every cover into x) and raises NoFactorization.
+    inclusion on every cover into x) and raises NoFactorization.  Where
+    F(x) = 0, Gamma(x) = 0 and nothing is computed.
     """
     if n < 0:
         raise ValueError("approximation degree must be >= 0")
@@ -160,6 +190,9 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
     bases: list = [None] * lat.n
     maps: dict[tuple[int, int], Matrix] = {}
     for x in lat.topo_order():
+        if not f.dim_i(x):
+            bases[x] = Matrix.zeros(field, 0, 0)
+            continue
         ws = lat.parents_i(x)
         legs = [f.cover_matrix_i(w, x) @ bases[w] for w in ws]
         if len(ws) <= n:
@@ -296,12 +329,14 @@ def tcofib(cube: PersistenceModule) -> int:
 
 @dataclass
 class KoszulComplex:
-    """The Koszul chain complex of a k-cube: degree i collects the subsets
-    of size k-i, with alternating-sign differentials."""
+    """A Koszul chain complex on a k-cube: degree i collects the vertices
+    at the meets of i of the lower covers of the top, with alternating-sign
+    differentials.  The rank of each boundary is taken once."""
 
     k: int
     dims: tuple[int, ...]            # chain dimensions, degrees 0..k
     boundaries: tuple[Matrix, ...]   # boundary i+1: degree i+1 -> degree i
+    ranks: tuple[int, ...]           # rank of boundary i+1
 
     def boundary(self, i: int) -> Matrix | None:
         """The differential from degree i to degree i-1 (None off range)."""
@@ -310,48 +345,45 @@ class KoszulComplex:
         return None
 
     def homology(self, i: int) -> int:
-        if i < 0 or i > self.k:
+        if i < 0 or i > self.k or not self.dims[i]:
             return 0
-        d_i = self.boundary(i)
-        ker = self.dims[i] - (rank(d_i) if d_i is not None else 0)
-        d_next = self.boundary(i + 1)
-        return ker - (rank(d_next) if d_next is not None else 0)
+        return (self.dims[i] - (self.ranks[i - 1] if i else 0)
+                - (self.ranks[i] if i < self.k else 0))
 
 
-def koszul(cube: PersistenceModule) -> KoszulComplex:
-    """Build the Koszul complex of a cube and verify d o d = 0.
+def koszul(f: PersistenceModule, cube: LatticeCube | None = None) -> KoszulComplex:
+    """The Koszul complex of f on a cube, with d o d = 0 checked.
 
-    Degree i is the direct sum of the cube values on subsets of size
-    k - i (subsets ordered by bitmask); the differential out of a subset
-    S adds one missing element t_j at a time with sign (-1)^j, the
-    missing elements taken in increasing order.
+    With ``cube`` the parent cube of an element x of f's lattice, this is
+    the local Koszul complex at x (module docstring), every edge a cover;
+    with none, f must be a cube (a module on {0,1}^k, as
+    restrict_along_cube returns it) and the complex is that of its whole
+    lattice, x its top.  The boundaries are _boundary's.  A complex zero
+    at every vertex is returned with nothing computed; otherwise a cube
+    that is not a parent cube is a ValueError.  NotAComplex when
+    d o d != 0, which the cover-diamond check of every module rules out
+    short of a sign or layout bug.
     """
-    k = _arity(cube)
-    by_size: list[list[int]] = [[] for _ in range(k + 1)]
-    for mask in range(1 << k):
-        by_size[mask.bit_count()].append(mask)
-    dims = [sum(cube.dim_i(m) for m in by_size[k - i]) for i in range(k + 1)]
-    field, boundaries = cube.field, []
-    for i in range(k):
-        # boundary_{i+1} from blocks: the block from subset s (size k-i-1)
-        # into s | t is (-1)^j times the edge, t the j-th element missing from s.
-        rows = []
-        for tm in by_size[k - i]:
-            blocks = []
-            for s in by_size[k - i - 1]:
-                if s & ~tm:
-                    blocks.append(Matrix.zeros(field, cube.dim_i(tm), cube.dim_i(s)))
-                else:
-                    t = (tm ^ s).bit_length() - 1
-                    j = t - (s & ((1 << t) - 1)).bit_count()
-                    edge = cube.cover_matrix_i(s, tm)
-                    blocks.append(-edge if j % 2 else edge)
-            rows.append(hstack(blocks))
-        boundaries.append(vstack(rows))
+    lat = f.lattice
+    if cube is None:
+        k = _arity(f)
+        x, vertices = lat.n - 1, range(lat.n)
+    elif cube.lattice is not lat:
+        raise ValueError(f"{cube.describe()} is not a cube of the module's lattice")
+    else:
+        k, x, vertices = cube.arity, cube.assign[-1], cube.assign
+    if not any(map(f.dim_i, vertices)):
+        empty = Matrix.zeros(f.field, 0, 0)
+        return KoszulComplex(k, (0,) * (k + 1), (empty,) * k, (0,) * k)
+    if cube is not None and lat.parents_i(x) != tuple(
+            cube.assign[cube.full_mask ^ 1 << b] for b in range(k)):
+        raise ValueError(f"{cube.describe()} is not the parent cube of its top")
+    boundaries = [_boundary(f, x, i, f.cover_matrix_i, f.dim_i) for i in range(1, k + 1)]
     for i in range(len(boundaries) - 1):
         if not (boundaries[i] @ boundaries[i + 1]).is_zero():
             raise NotAComplex(f"d_{i + 1} o d_{i + 2} != 0")
-    return KoszulComplex(k, tuple(dims), tuple(boundaries))
+    dims = (f.dim_i(x),) + tuple(d.ncols for d in boundaries)
+    return KoszulComplex(k, dims, tuple(boundaries), tuple(map(rank, boundaries)))
 
 
 # -- degree predicates --------------------------------------------------------
@@ -449,12 +481,12 @@ def _read_off(f: PersistenceModule) -> tuple[int, int]:
         if k <= cross:
             break
         dx, total = f.dim_i(x), sum(f.dim_i(w) for w in ws)
-        rank_c = rank(hstack([f.cover_matrix_i(w, x) for w in ws])) if dx and total else 0
+        rank_c = rank(_boundary(f, x, 1, f.cover_matrix_i, f.dim_i)) if dx and total else 0
         kernel = total - rank_c
         if dx > rank_c:
             codegree, cross = max(codegree, k), k
         elif k > codegree and kernel and kernel > rank(
-                _relations(f, ws, f.cover_matrix_i, f.dim_i)):
+                _boundary(f, x, 2, f.cover_matrix_i, f.dim_i)):
             codegree = k
     f.calc_cache["read_off"] = result = (codegree, cross)
     return result

@@ -72,9 +72,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pd = pdim(module)
     reports = []
     if lat.poset_dimension() >= 1:
-        reports.append(check_pdim_theorem_1(module, strict=False))
+        reports.append(check_pdim_theorem_1(module))
     if lat.poset_dimension() >= 2:
-        reports.append(check_pdim_theorem_2(module, strict=False))
+        reports.append(check_pdim_theorem_2(module))
     if args.json:
         payload = {
             "field": module.field.p,

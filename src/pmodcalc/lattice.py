@@ -527,14 +527,21 @@ def cube_from_cover(lattice: Lattice, cover: PairwiseCover) -> LatticeCube:
 
 
 def parent_cube(lattice: Lattice, a: str) -> LatticeCube:
-    """The cube spanned by a and its lower covers (meets fill the rest).
+    """The cube spanned by a and its lower covers (meets fill the rest), as
+    cube_from_cover builds it: the full subset maps to a, any other subset
+    S to the meet of the lower covers not in S.  Any two lower covers join
+    to a, so they are a pairwise cover and none is checked.
 
     An element with no lower covers yields the 0-cube at that element.
     """
-    parents = lattice.parents(a)
-    if not parents:
-        return LatticeCube(lattice, 0, (lattice.index(a),))
-    return cube_from_cover(lattice, PairwiseCover(a, parents))
+    top = lattice.index(a)
+    parts = lattice.parents_i(top)
+    full = (1 << len(parts)) - 1
+    assign = [top] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        b = (full & ~mask).bit_length() - 1  # a part not in mask
+        assign[mask] = lattice.meet_i(assign[mask | 1 << b], parts[b])
+    return LatticeCube(lattice, len(parts), tuple(assign))
 
 
 def child_cube(lattice: Lattice, a: str) -> LatticeCube:

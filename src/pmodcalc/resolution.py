@@ -1,21 +1,22 @@
 """Betti diagrams and projective dimension.
 
-Betti numbers are read off as Koszul homology of f restricted along each
-element's parent cube (a module on the Boolean lattice {0,1}^jdim), once
-per module (memoised in ``calc_cache``); the projective
-dimension is the largest homological degree with a nonzero entry.  The
-two equivalence reports tie projective dimension to the degree predicates
-and to the canonical comparison maps of the upper approximations.
+Betti numbers are the homology of the local Koszul complex at each
+element, calculus.koszul of f on its parent cube, whose boundaries are
+read straight off the cover maps of f with no module built; a cube zero
+at every vertex costs one look at its dims.  The diagram is memoised
+in ``calc_cache``; the projective dimension is the largest homological
+degree with a nonzero entry.  The two equivalence reports tie projective
+dimension to the degree predicates and to the canonical comparison maps of
+the upper approximations, read on the opposite module as lower ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (gamma_upper, is_cross_degree, is_degree, koszul,
-                       t_upper)
+from .calculus import gamma_lower, is_cross_degree, is_degree, koszul, t_lower
 from .lattice import parent_cube
-from .pmodule import PersistenceModule, is_iso, restrict_along_cube
+from .pmodule import PersistenceModule, is_iso, opposite_module
 
 
 class EquivalenceViolated(Exception):
@@ -46,20 +47,21 @@ class BettiDiagram:
 
 
 def betti(f: PersistenceModule) -> BettiDiagram:
-    """The Betti diagram of f: entry (a, i) is the i-th Koszul homology of
-    f restricted along the parent-cube of a.
+    """The Betti diagram of f: entry (a, i) is the i-th homology of the
+    local Koszul complex at a, ``koszul`` of f on parent_cube(a), read
+    straight off the cover maps of f.
 
-    Entries above the join-dimension of a vanish automatically (the
-    complex is too short), so only degrees 0..jdim(a) are inspected.
-    Memoised in ``f.calc_cache``; callers do not mutate the diagram.
+    A cube zero at every vertex costs one look at its dims, and each
+    boundary's rank is taken once.  Memoised in ``f.calc_cache``; callers
+    do not mutate the diagram.
     """
     if "betti" in f.calc_cache:
         return f.calc_cache["betti"]
     lat = f.lattice
     entries: dict[tuple[str, int], int] = {}
     for a in lat.elements:
-        kx = koszul(restrict_along_cube(f, parent_cube(lat, a)))
-        for i in range(lat.jdim(a) + 1):
+        kx = koszul(f, parent_cube(lat, a))
+        for i in range(kx.k + 1):
             h = kx.homology(i)
             if h:
                 entries[(a, i)] = h
@@ -111,6 +113,10 @@ def check_pdim_theorem_1(f: PersistenceModule, n: int | None = None,
     n defaults to the lattice dimension (the theorem's hypothesis).  A
     caller may pass a different n to probe what happens off-hypothesis;
     the report then only records the three outcomes.
+
+    The third condition is read on the opposite module, where that epi
+    is the transpose of the inclusion gamma_lower(f^op, n-1) -> f^op, an
+    isomorphism exactly when the epi is; no upper result is built.
     """
     dim = f.lattice.poset_dimension()
     if n is None:
@@ -119,7 +125,7 @@ def check_pdim_theorem_1(f: PersistenceModule, n: int | None = None,
         raise ValueError("pdim equivalence needs n >= 1")
     c1 = pdim(f) <= n - 1
     c2 = is_cross_degree(f, n - 1)
-    c3 = is_iso(gamma_upper(f, n - 1).canonical)
+    c3 = is_iso(gamma_lower(opposite_module(f), n - 1).canonical)
     report = PdimReport("pdim-theorem-1", n, dim, (c1, c2, c3),
                         hypothesis_ok=(n == dim))
     if strict and report.hypothesis_ok and not report.consistent:
@@ -131,7 +137,11 @@ def check_pdim_theorem_2(f: PersistenceModule, n: int | None = None,
                          strict: bool = True) -> PdimReport:
     """Equivalence check: pdim(f) <= n-2, (f degree n-1 and cross-degree
     n-2), and the composite f -> gamma_upper(f, n-2) -> t_upper of it at
-    level n-1 an isomorphism."""
+    level n-1 an isomorphism.
+
+    As in theorem 1, the composite is read on the opposite module: with
+    g = gamma_lower(f^op, n-2), it is the transpose of t_lower(g, n-1) ->
+    g -> f^op."""
     dim = f.lattice.poset_dimension()
     if n is None:
         n = dim
@@ -139,9 +149,8 @@ def check_pdim_theorem_2(f: PersistenceModule, n: int | None = None,
         raise ValueError("pdim equivalence needs n >= 2")
     c1 = pdim(f) <= n - 2
     c2 = is_degree(f, n - 1) and is_cross_degree(f, n - 2)
-    g = gamma_upper(f, n - 2)
-    t = t_upper(g.module, n - 1)
-    c3 = is_iso(t.canonical.compose(g.canonical))
+    g = gamma_lower(opposite_module(f), n - 2)
+    c3 = is_iso(g.canonical.compose(t_lower(g.module, n - 1).canonical))
     report = PdimReport("pdim-theorem-2", n, dim, (c1, c2, c3),
                         hypothesis_ok=(n == dim))
     if strict and report.hypothesis_ok and not report.consistent:

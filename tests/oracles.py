@@ -11,21 +11,29 @@ cokernel bodies are the references for the echelon read-offs of
 ``image_of``, ``kernel_of`` and ``cokernel_of``, and
 ``functor_axiom_oracle`` walks every up-set where construction checks only
 cover diamonds.  ``check_interval_oracle`` is the pairwise support check
-that ``interval_module`` replaced.
+that ``interval_module`` replaced.  ``betti_oracle`` takes the Koszul
+homology of f restricted along every parent cube, a checked module on
+{0,1}^k, by the cube complex ``koszul`` built before it took its
+boundaries from the degree read-off's local layout; ``betti`` reads the
+local complex off the cover maps of f.  The ``canonical_iso_*_oracle``
+pair reads the pdim theorems' canonical-map conditions on the upper
+approximations of f itself, where the reports read them on the lower
+side of the opposite module.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from pmodcalc.calculus import ApproxResult, gamma_lower, t_lower
-from pmodcalc.lattice import Lattice, _bits
+from pmodcalc.calculus import (ApproxResult, gamma_lower, gamma_upper, t_lower,
+                               t_upper)
+from pmodcalc.lattice import Lattice, _bits, parent_cube
 from pmodcalc.linalg import (Matrix, cokernel_projection, factor_through,
                              free_columns, hstack, image_basis, kernel_basis,
-                             solve_left, vstack)
+                             rank, solve_left, vstack)
 from pmodcalc.pmodule import (NatTrans, NotConnected, NotConvex,
                               PersistenceModule, image_of, is_iso,
-                              opposite_module)
+                              opposite_module, restrict_along_cube)
 
 
 class NotDownClosed(Exception):
@@ -131,6 +139,67 @@ PREDICATE_ORACLES: dict[str, Callable[[PersistenceModule, int], bool]] = {
     "degree": lambda f, n: is_codegree_oracle(opposite_module(f), n),
     "cross_codegree": is_cross_codegree_oracle,
     "cross_degree": lambda f, n: is_cross_codegree_oracle(opposite_module(f), n)}
+
+
+# -- Betti numbers and the pdim theorems' canonical maps --------------------------
+
+
+def koszul_homology_oracle(cube: PersistenceModule) -> list[int]:
+    """Koszul homology of a cube (a module on {0,1}^k) by degree, from the
+    complex ``koszul`` built before it read its boundaries off the local
+    layout of ``calculus._boundary``: degree i sums the values on subsets
+    of size k - i in bitmask order, and the block from subset s into
+    s | t is (-1)^j times the edge, t the j-th element missing from s.
+    d o d = 0 is asserted."""
+    k = cube.lattice.poset_dimension()
+    by_size: list[list[int]] = [[] for _ in range(k + 1)]
+    for mask in range(1 << k):
+        by_size[mask.bit_count()].append(mask)
+    dims = [sum(cube.dim_i(m) for m in by_size[k - i]) for i in range(k + 1)]
+    boundaries = []
+    for i in range(k):
+        rows = []
+        for tm in by_size[k - i]:
+            blocks = []
+            for s in by_size[k - i - 1]:
+                if s & ~tm:
+                    blocks.append(Matrix.zeros(cube.field, cube.dim_i(tm), cube.dim_i(s)))
+                else:
+                    t = (tm ^ s).bit_length() - 1
+                    j = t - (s & ((1 << t) - 1)).bit_count()
+                    edge = cube.cover_matrix_i(s, tm)
+                    blocks.append(-edge if j % 2 else edge)
+            rows.append(hstack(blocks))
+        boundaries.append(vstack(rows))
+    assert all((a @ b).is_zero() for a, b in zip(boundaries, boundaries[1:]))
+    ranks = [0] + [rank(d) for d in boundaries] + [0]
+    return [dims[i] - ranks[i] - ranks[i + 1] for i in range(k + 1)]
+
+
+def betti_oracle(f: PersistenceModule) -> dict[tuple[str, int], int]:
+    """The nonzero Betti numbers of f, keyed like ``BettiDiagram.entries``:
+    the Koszul homology of f restricted along the parent cube of every
+    element, by ``koszul_homology_oracle``."""
+    lat, entries = f.lattice, {}
+    for a in lat.elements:
+        cube = restrict_along_cube(f, parent_cube(lat, a))
+        for i, h in enumerate(koszul_homology_oracle(cube)):
+            if h:
+                entries[(a, i)] = h
+    return entries
+
+
+def canonical_iso_1_oracle(f: PersistenceModule, n: int) -> bool:
+    """Theorem 1's third condition on f's own lattice: the canonical epi
+    f -> gamma_upper(f, n-1) is an isomorphism."""
+    return is_iso(gamma_upper(f, n - 1).canonical)
+
+
+def canonical_iso_2_oracle(f: PersistenceModule, n: int) -> bool:
+    """Theorem 2's third condition on f's own lattice: the composite
+    f -> gamma_upper(f, n-2) -> t_upper of it at n-1 is an isomorphism."""
+    g = gamma_upper(f, n - 2)
+    return is_iso(t_upper(g.module, n - 1).canonical.compose(g.canonical))
 
 
 # -- induced maps: the solve-based bodies the echelon read-offs replaced -------

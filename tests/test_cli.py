@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pmodcalc import cli
+from pmodcalc import cli, resolution
 from pmodcalc.calculus import NotAComplex
 from pmodcalc.cli import main
 from pmodcalc.linalg import NoFactorization
@@ -162,6 +162,19 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(FIXTURES / "corner.pmod"))
         assert code == 1
         assert err.startswith("error: ")
+        assert "Traceback" not in out + err
+
+    def test_disagreeing_pdim_conditions_are_exit_1(self, monkeypatch, capsys):
+        # analyze runs each pdim check at n = lattice dimension, where the
+        # three conditions must agree; flipping the canonical-map one is
+        # an implementation bug, reported as exit 1 with nothing on stdout.
+        real = resolution.is_iso
+        monkeypatch.setattr(resolution, "is_iso", lambda nt: not real(nt))
+        code, out, err = run(capsys, "analyze", str(FIXTURES / "corner.pmod"),
+                             "--json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "pdim-theorem-1" in err
         assert "Traceback" not in out + err
 
 

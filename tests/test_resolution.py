@@ -1,13 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pmodcalc import (Lattice, free_module, interval_module, opposite_module,
+import pmodcalc
+from pmodcalc import (FieldSpec, Lattice, PersistenceModule, direct_sum,
+                      free_module, interval_module, opposite_module,
                       random_module, restrict_along_cube)
-from pmodcalc.calculus import (is_cross_degree, is_degree, min_cross_degree,
-                               min_degree, tcofib)
-from pmodcalc.lattice import parent_cube
+from pmodcalc.calculus import (_boundary, is_cross_degree, is_degree, koszul,
+                               min_cross_degree, min_degree, tcofib)
+from pmodcalc.lattice import LatticeCube, parent_cube
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
 from pmodcalc.verify import nonexample_module, table1_modules
+from oracles import (betti_oracle, canonical_iso_1_oracle, canonical_iso_2_oracle,
+                     koszul_homology_oracle)
+from test_random_lattices import random_lattice
 
 
 class TestBetti:
@@ -194,3 +200,144 @@ class TestRestrictionLemma:
             for cube in cubes:
                 restricted = restrict_along_cube(f, cube)
                 assert pdim(restricted) <= bound
+
+
+# -- the local Koszul complex and the F^op route, against their oracles ----------
+
+LATTICES = dict(grid=st.sampled_from([None, [1, 1], [2, 2], [1, 1, 1], [3, 2], [2, 1, 1]]),
+                points=st.integers(2, 4), lattice_seed=st.integers(0, 10 ** 6))
+KINDS = ("zero", "free", "interval", "random")
+
+
+def sample_module(lat, field, kind, seed):
+    """The zero module, a free module or an interval nonzero only in a top
+    corner (generated at, or the up-set of, one of the last three elements
+    of a linear extension), or a random module."""
+    c = lat.topo_order()[-1 - seed % min(3, lat.n)]
+    if kind == "zero":
+        return free_module(lat, field, {})
+    if kind == "free":
+        return free_module(lat, field, {lat.element(c): 1 + seed % 2, lat.top(): 1})
+    if kind == "interval":
+        return interval_module(lat, field, [lat.element(v) for v in range(lat.n)
+                                            if lat.leq_i(c, v)])
+    return random_module(lat, field, f"local{seed}", max_gens=4, max_rels=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**LATTICES, p=st.sampled_from([2, 3]), kind=st.sampled_from(KINDS),
+       seed=st.integers(0, 10 ** 6))
+def test_betti_matches_restricted_koszul_oracle(grid, points, lattice_seed, p,
+                                                kind, seed):
+    """betti takes one local Koszul complex per element off the cover maps
+    of f: it restricts f along no cube and builds no module, and agrees
+    with the Koszul homology of f restricted along every parent cube.
+    ``koszul`` of a cube module agrees with the oracle's cube complex."""
+    lat = random_lattice(grid, points, lattice_seed)
+    f = sample_module(lat, FieldSpec(p), kind, seed)
+    built, complexes = [], []
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("betti restricted f along a cube")
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_koszul(*args, **kwargs):
+        complexes.append(args)
+        return real_koszul(*args, **kwargs)
+
+    real_init, real_koszul = PersistenceModule.__init__, pmodcalc.calculus.koszul
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (pmodcalc, pmodcalc.pmodule, pmodcalc.calculus,
+                    pmodcalc.resolution):
+            if hasattr(mod, "restrict_along_cube"):
+                mp.setattr(mod, "restrict_along_cube", forbidden)
+        mp.setattr(pmodcalc.resolution, "koszul", counting_koszul)
+        mp.setattr(PersistenceModule, "__init__", counting_init)
+        got = betti(f).entries
+    assert not built
+    assert len(complexes) == lat.n
+    assert got == betti_oracle(f)
+    if kind == "zero":
+        assert got == {}
+    for a in lat.elements:
+        cube = restrict_along_cube(f, parent_cube(lat, a))
+        kx = koszul(cube)
+        assert [kx.homology(i) for i in range(kx.k + 1)] == koszul_homology_oracle(cube)
+
+
+def test_koszul_takes_only_parent_cubes_of_the_module_lattice(grid22, gf2):
+    """A cube with a nonzero vertex whose edges are not the covers into its
+    top, or a cube of another lattice, is refused, not silently misread."""
+    f = free_module(grid22, gf2, {"0,0": 1})
+    long_edge = LatticeCube(grid22, 1, (grid22.index("0,0"), grid22.index("2,0")))
+    with pytest.raises(ValueError):
+        koszul(f, long_edge)
+    with pytest.raises(ValueError):
+        koszul(f, parent_cube(Lattice.grid([2, 3]), "1,1"))
+    assert koszul(f, parent_cube(grid22, "2,0")).homology(0) == 0
+
+
+@pytest.mark.parametrize("shape", [[1, 1, 1], [2, 1, 1], [1, 1, 1, 1]])
+def test_local_complex_signs_over_f3(shape, gf3):
+    """Where jdim >= 3 the signs of the local complex are not row and column
+    scalings of one another, so over F_3 a wrong sign shows: each d_i o
+    d_(i+1) is zero and the diagram matches the oracle."""
+    lat = Lattice.grid(shape)
+    for seed in range(6):
+        f = random_module(lat, gf3, f"signs{seed}", max_gens=5, max_rels=4)
+        for x in range(lat.n):
+            ds = [_boundary(f, x, i, f.cover_matrix_i, f.dim_i)
+                  for i in range(1, lat.jdim(lat.element(x)) + 1)]
+            assert all((a @ b).is_zero() for a, b in zip(ds, ds[1:]))
+        assert betti(f).entries == betti_oracle(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**LATTICES, p=st.sampled_from([2, 3]), kind=st.sampled_from(KINDS),
+       seed=st.integers(0, 10 ** 6))
+def test_third_condition_on_opposite_matches_upper_oracle(grid, points,
+                                                          lattice_seed, p, kind, seed):
+    """The canonical-map condition, read on F^op with gamma_lower and
+    t_lower, equals the dualised-back upper one for every n the check
+    accepts (off-hypothesis n included), and neither check leaves an
+    upper approximation in the cache of f."""
+    lat = random_lattice(grid, points, lattice_seed)
+    f = sample_module(lat, FieldSpec(p), kind, seed)
+    d = lat.poset_dimension()
+    reports = ([(check_pdim_theorem_1(f, n, strict=False), canonical_iso_1_oracle, n)
+                for n in range(1, d + 2)]
+               + [(check_pdim_theorem_2(f, n, strict=False), canonical_iso_2_oracle, n)
+                  for n in range(2, d + 2)])
+    assert not [key for key in f.calc_cache if isinstance(key, tuple)
+                and key[0] in ("gamma_upper", "t_upper")]
+    for report, oracle, n in reports:
+        assert report.conditions[2] == oracle(f, n), (report.theorem, n)
+        if report.hypothesis_ok:
+            assert report.consistent
+
+
+@settings(max_examples=40, deadline=None)
+@given(**LATTICES, p=st.sampled_from([2, 3]),
+       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+       seeds=st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)))
+def test_direct_sums(grid, points, lattice_seed, p, kinds, seeds):
+    """Over F + G, Betti numbers add entrywise, pdim is the larger of the
+    two, and each pdim-theorem condition is the AND of those of F and G."""
+    lat = random_lattice(grid, points, lattice_seed)
+    field = FieldSpec(p)
+    f, g = (sample_module(lat, field, k, s) for k, s in zip(kinds, seeds))
+    s = direct_sum(f, g)
+    want = dict(betti(f).entries)
+    for key, v in betti(g).entries.items():
+        want[key] = want.get(key, 0) + v
+    assert betti(s).entries == want
+    assert pdim(s) == max(pdim(f), pdim(g))
+    d = lat.poset_dimension()
+    checks = ([check_pdim_theorem_1] if d >= 1 else []) + (
+        [check_pdim_theorem_2] if d >= 2 else [])
+    for check in checks:
+        cf, cg, cs = (check(m).conditions for m in (f, g, s))
+        assert cs == tuple(a and b for a, b in zip(cf, cg)), check.__name__
