@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 assertion/analysis failure, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -205,7 +206,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else ANALYSIS_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    is, so every ``main`` call shares it.  ``command`` names the subcommand,
+    whose handler is ``cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="pmodcalc",
         description="Exact functor calculus on multipersistence modules "
@@ -217,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--field", type=int, default=None,
                            help="override the field modulus from the file")
     p_analyze.add_argument("--json", action="store_true")
-    p_analyze.set_defaults(fn=cmd_analyze)
 
     p_approx = sub.add_parser("approx", help="emit an approximation as PMOD")
     p_approx.add_argument("file")
@@ -225,11 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=list(_APPROX_OPS))
     p_approx.add_argument("--n", type=int, required=True)
     p_approx.add_argument("--field", type=int, default=None)
-    p_approx.set_defaults(fn=cmd_approx)
 
     p_gen = sub.add_parser("gen", help="generate a module as PMOD")
     p_gen.add_argument("kind", choices=["interval", "free", "random", "image", "rips"])
-    p_gen.add_argument("--grid", type=int, nargs="+", default=[1, 1],
+    p_gen.add_argument("--grid", type=int, nargs="+", default=(1, 1),
                        help="chain bounds m1 m2 ... for {0..m1} x {0..m2} x ...")
     p_gen.add_argument("--support", default="",
                        help="interval support, e.g. '0,0 1,0'")
@@ -243,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--degree", type=int, default=1,
                        help="homology degree for the image pipeline (0 or 1)")
     p_gen.add_argument("--field", type=int, default=2)
-    p_gen.set_defaults(fn=cmd_gen)
 
     p_verify = sub.add_parser("verify", help="run a theorem suite")
     p_verify.add_argument("--suite", required=True)
@@ -251,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--field", type=int, default=2)
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(fn=cmd_verify)
 
     return parser
 
@@ -263,7 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.fn(args)
+        # Looked up at each call: the shared parser holds no handler.
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

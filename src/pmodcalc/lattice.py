@@ -6,16 +6,18 @@ meet queries and subposet extraction stay cheap for the ~100-element
 grids the generators produce.
 
 A lattice is built either from an explicit cover list or as a product
-of chains (``Lattice.grid``), and every lattice is distributive.  A
-grid's order, covers and join / meet tables are read off the element
+of chains (``Lattice.grid``), and every lattice is distributive.  Join
+and meet are read off the order masks, one rule for every lattice: the
+upper bounds of i and j are the up-set of their join, and the lower
+bounds the down-set of their meet, so two {mask: index} dicts of n
+entries find both.  A grid's order and covers are read off the element
 coordinates, with no pairwise comparison; it may have at most
-``MAX_GRID_ELEMENTS`` elements, as its two tables are quadratic.  Grids
-are distributive by construction, and so is the opposite of a
-distributive lattice.  An explicit lattice may have at most
-``MAX_LATTICE_ELEMENTS`` elements, and is checked on construction:
-an order without a unique bottom or with a missing join or meet is
-rejected while the tables are built, and ``validate`` then checks the
-tables and distributivity.  Modules rely on this: on a distributive
+``MAX_GRID_ELEMENTS`` elements, a bound on the input.  Grids are
+distributive by construction, and so is the opposite of a distributive
+lattice.  An explicit lattice may have at most ``MAX_LATTICE_ELEMENTS``
+elements, and is checked on construction by ``validate``: an order
+without a unique bottom or with a missing join or meet is rejected, and
+then distributivity is checked.  Modules rely on this: on a distributive
 lattice the meet of two lower covers of v is covered by both, so
 commuting cover diamonds are the whole functor axiom.
 """
@@ -45,11 +47,11 @@ class NotPairwiseCover(Exception):
     """Parts of a claimed pairwise cover do not pairwise join to the top."""
 
 
-#: Largest grid ``Lattice.grid`` builds: its join and meet tables hold n^2
-#: entries each, 33.5M together at this size.
+#: Largest grid ``Lattice.grid`` builds, a bound on the input: every module
+#: on a grid stores and sweeps one value per element.
 MAX_GRID_ELEMENTS = 4096
 
-#: Largest lattice ``Lattice.from_covers`` builds (its checks are cubic).
+#: Largest lattice ``Lattice.from_covers`` builds (its checks are quadratic).
 MAX_LATTICE_ELEMENTS = 128
 
 
@@ -84,62 +86,32 @@ def _reach(order: Iterable[int], succ: Sequence[Iterable[int]]) -> list[int]:
     return masks
 
 
-def _join_meet_tables(elements: Sequence[str], up: list[int],
-                      down: list[int]) -> tuple[list[list[int]], list[list[int]]]:
-    """Join and meet tables of an order given by its up / down masks;
-    raises NoBottom / NotLattice where a bottom, join or meet is missing."""
-    n = len(elements)
-    minimal = [i for i in range(n) if down[i] == (1 << i)]
-    if len(minimal) != 1:
-        raise NoBottom(f"{len(minimal)} minimal elements, need exactly 1")
-    join = [[-1] * n for _ in range(n)]
-    meet = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            jv = _extreme_of(up[i] & up[j], up)
-            if jv < 0:
-                raise NotLattice(f"no least upper bound for {elements[i]}, {elements[j]}")
-            mv = _extreme_of(down[i] & down[j], down)
-            if mv < 0:
-                raise NotLattice(
-                    f"no greatest lower bound for {elements[i]}, {elements[j]}")
-            join[i][j] = join[j][i] = jv
-            meet[i][j] = meet[j][i] = mv
-    return join, meet
-
-
-def _extreme_of(mask: int, cone: list[int]) -> int:
-    """The element of mask whose cone (up or down mask) holds all of mask, or -1."""
-    for c in _bits(mask):
-        if mask & ~cone[c] == 0:
-            return c
-    return -1
-
-
 class Lattice:
-    """A finite lattice with precomputed order, join/meet and Hasse tables."""
+    """A finite lattice with precomputed order masks and Hasse tables."""
 
-    __slots__ = ("elements", "_idx", "n", "_up", "_down", "_join", "_meet",
+    __slots__ = ("elements", "_idx", "n", "_up", "_down", "_by_up", "_by_down",
                  "_covers", "_parents", "_children", "_topo", "grid_shape",
                  "_cube_cache", "_opposite")
 
     def __init__(self, elements: Sequence[str], up: list[int], down: list[int],
                  parents: list[tuple[int, ...]], children: list[tuple[int, ...]],
-                 join: list[list[int]], meet: list[list[int]],
                  topo: tuple[int, ...] | None = None,
                  grid_shape: tuple[int, ...] | None = None):
         # Not meant to be called directly: from_covers, grid and opposite
-        # build the tables, this only stores them.
+        # build the masks and Hasse tables, this stores them and builds the
+        # {up mask: index} and {down mask: index} dicts.
         self.elements = tuple(elements)
         self.n = len(self.elements)
         self._idx = {e: i for i, e in enumerate(self.elements)}
         self._up, self._down = up, down
         self._parents, self._children = parents, children
         self._covers = tuple((i, j) for i, cs in enumerate(children) for j in cs)
-        self._join, self._meet = join, meet
-        # Linear extension: sort by downset size, ties by index.
+        self._by_up = {m: i for i, m in enumerate(up)}
+        self._by_down = {m: i for i, m in enumerate(down)}
+        # Linear extension: sort by downset size, ties by index (sorted is
+        # stable).
         self._topo = topo if topo is not None else tuple(
-            sorted(range(self.n), key=lambda i: (down[i].bit_count(), i)))
+            sorted(range(self.n), key=[d.bit_count() for d in down].__getitem__))
         self.grid_shape = grid_shape
         self._cube_cache: dict[int, list["LatticeCube"]] = {}
         self._opposite: Lattice | None = None
@@ -203,9 +175,8 @@ class Lattice:
                 if up[i] & down[j] & ~(1 << i) & ~(1 << j) == 0:
                     parents[j].append(i)
                     children[i].append(j)
-        join, meet = _join_meet_tables(elements, up, down)
         return cls(elements, up, down, [tuple(ps) for ps in parents],
-                   [tuple(cs) for cs in children], join, meet).validate()
+                   [tuple(cs) for cs in children]).validate()
 
     @classmethod
     def grid(cls, maxes: Sequence[int]) -> "Lattice":
@@ -213,75 +184,66 @@ class Lattice:
 
         Elements are "i1,i2,...,in" in lexicographic order; covers bump a
         single coordinate (at index stride (m_{k+1}+1)...(m_n+1) for axis
-        k), and join / meet are the coordinatewise max / min.  All of it is
-        read off the coordinates, and grids are distributive by
-        construction, so ``validate`` is not run.
+        k).  All of it is read off the coordinates, and grids are
+        distributive by construction, so ``validate`` is not run.
         """
         maxes = tuple(int(m) for m in maxes)
         n = grid_size(maxes)
         coords = list(itertools.product(*(range(m + 1) for m in maxes)))
         strides = [math.prod(m + 1 for m in maxes[k + 1:]) for k in range(len(maxes))]
-        parents = [tuple(sorted(i - s for c, s in zip(t, strides) if c))
+        # Strides fall along the axes that have covers, so parents come out
+        # ascending, and children too when the axes are read backwards.
+        parents = [tuple(i - s for c, s in zip(t, strides) if c)
                    for i, t in enumerate(coords)]
-        children = [tuple(sorted(i + s for c, m, s in zip(t, maxes, strides) if c < m))
+        backwards = list(zip(maxes, strides))[::-1]
+        children = [tuple(i + s for c, (m, s) in zip(reversed(t), backwards) if c < m)
                     for i, t in enumerate(coords)]
         down, up = _reach(range(n), parents), _reach(reversed(range(n)), children)
-
-        def table(pick):
-            # Built from the last axis out: in a grid with one more axis in
-            # front, the row of (c, t) runs over the new coordinate x and
-            # repeats the row of t, shifted to pick(c, x) at the old size.
-            rows, size = [[0]], 1
-            for m in reversed(maxes):
-                shifted = [[[y * size + e for e in row] for row in rows]
-                           for y in range(m + 1)]
-                rows = [list(itertools.chain.from_iterable(
-                            shifted[pick(c, x)][t] for x in range(m + 1)))
-                        for c in range(m + 1) for t in range(size)]
-                size *= m + 1
-            return rows
-
         return cls([",".join(map(str, t)) for t in coords], up, down, parents,
-                   children, table(max), table(min), grid_shape=maxes)
+                   children, grid_shape=maxes)
 
     # -- validation ------------------------------------------------------
 
     def validate(self) -> "Lattice":
-        """Check the partial order, the join/meet tables and distributivity.
+        """Check that the order is a distributive lattice.
 
-        Raises the first violation found (NotLattice / NotDistributive);
-        returns self when everything holds.  A missing bottom, join or
-        meet is already rejected on construction.
+        Raises the first violation found (NoBottom / NotLattice /
+        NotDistributive); returns self when everything holds.  A pair of
+        elements has a join exactly when its common upper bounds are the
+        up-set of some element, and a meet likewise; ``join_i`` and
+        ``meet_i`` look those elements up.
         """
-        n = self.n
-        # Transitivity of the closure is structural; recheck cheaply.
-        for i in range(n):
-            for j in _bits(self._up[i]):
-                if self._up[j] & ~self._up[i]:
-                    raise NotLattice(
-                        f"order not transitive at {self.elements[i]} <= {self.elements[j]}")
-        # Join/meet tables must be genuine least upper / greatest lower bounds.
+        n, up, down, name = self.n, self._up, self._down, self.elements
+        minimal = [i for i in range(n) if down[i] == (1 << i)]
+        if len(minimal) != 1:
+            raise NoBottom(f"{len(minimal)} minimal elements, need exactly 1")
         for i in range(n):
             for j in range(i, n):
-                jv = self._join[i][j]
-                ub = self._up[i] & self._up[j]
-                if not (ub & (1 << jv)) or (ub & ~self._up[jv]):
+                if up[i] & up[j] not in self._by_up:
+                    raise NotLattice(f"no least upper bound for {name[i]}, {name[j]}")
+                if down[i] & down[j] not in self._by_down:
                     raise NotLattice(
-                        f"join table wrong at {self.elements[i]}, {self.elements[j]}")
-                mv = self._meet[i][j]
-                lb = self._down[i] & self._down[j]
-                if not (lb & (1 << mv)) or (lb & ~self._down[mv]):
+                        f"no greatest lower bound for {name[i]}, {name[j]}")
+        # Transitivity of the closure is structural; recheck cheaply.
+        for i in range(n):
+            for j in _bits(up[i]):
+                if up[j] & ~up[i]:
                     raise NotLattice(
-                        f"meet table wrong at {self.elements[i]}, {self.elements[j]}")
-        for x in range(n):
-            mx = self._meet[x]
-            for y in range(n):
-                for z in range(y, n):
-                    if mx[self._join[y][z]] != self._join[mx[y]][mx[z]]:
-                        raise NotDistributive(
-                            "lattice is not distributive: "
-                            f"x^(yvz) != (x^y)v(x^z) for x={self.elements[x]}, "
-                            f"y={self.elements[y]}, z={self.elements[z]}")
+                        f"order not transitive at {name[i]} <= {name[j]}")
+        # Distributive exactly when each join-irreducible j (one lower
+        # cover) below y v z is below y or z.  A j that is not names a
+        # failing triple: j^(yvz) = j, while j^y and j^z lie strictly
+        # below j, hence below its one lower cover, and so does their join.
+        irr = sum(1 << i for i, ps in enumerate(self._parents) if len(ps) == 1)
+        for y in range(n):
+            for z in range(y + 1, n):
+                bad = down[self.join_i(y, z)] & irr & ~(down[y] | down[z])
+                if bad:
+                    x = (bad & -bad).bit_length() - 1
+                    raise NotDistributive(
+                        "lattice is not distributive: "
+                        f"x^(yvz) != (x^y)v(x^z) for x={name[x]}, "
+                        f"y={name[y]}, z={name[z]}")
         return self
 
     # -- id/index bridging ----------------------------------------------
@@ -304,16 +266,18 @@ class Lattice:
         return bool(self._up[i] & (1 << j))
 
     def join(self, u: str, v: str) -> str:
-        return self.elements[self._join[self.index(u)][self.index(v)]]
+        return self.elements[self.join_i(self.index(u), self.index(v))]
 
     def meet(self, u: str, v: str) -> str:
-        return self.elements[self._meet[self.index(u)][self.index(v)]]
+        return self.elements[self.meet_i(self.index(u), self.index(v))]
 
     def join_i(self, i: int, j: int) -> int:
-        return self._join[i][j]
+        """The element whose up-set is the common upper bounds of i and j."""
+        return self._by_up[self._up[i] & self._up[j]]
 
     def meet_i(self, i: int, j: int) -> int:
-        return self._meet[i][j]
+        """The element whose down-set is the common lower bounds of i and j."""
+        return self._by_down[self._down[i] & self._down[j]]
 
     def bottom(self) -> str:
         # Construction guarantees a unique bottom and (all joins existing)
@@ -398,13 +362,13 @@ class Lattice:
     def opposite(self) -> "Lattice":
         """The same elements with the order reversed.
 
-        Built once by swapping the order, join/meet and Hasse tables, and
+        Built once by swapping the order masks and the Hasse tables, and
         memoised both ways: the opposite of the opposite is this lattice.
         """
         op = self._opposite
         if op is None:
             op = Lattice(self.elements, self._down, self._up, self._children,
-                         self._parents, self._meet, self._join, self._topo[::-1])
+                         self._parents, self._topo[::-1])
             op._opposite = self
             self._opposite = op
         return op

@@ -81,8 +81,8 @@ class PmodDocument:
         dims = {el: d for el, d in module.dims_by_element().items() if d}
         maps = {}
         for (u, v) in lat.covers_i():
-            m = module.cover_matrix_i(u, v)
-            if m.nrows and m.ncols:
+            if module.dim_i(u) and module.dim_i(v):
+                m = module.cover_matrix_i(u, v)
                 maps[(lat.element(u), lat.element(v))] = m.to_lists()
         if lat.grid_shape is not None:
             return cls(module.field.p, lat.grid_shape, None, (), dims, maps)

@@ -2,8 +2,10 @@
 constructors every suite needs (intervals, free modules, direct sums,
 random cokernels).
 
-A module stores one matrix per Hasse cover; transports along arbitrary
-u <= v are composed lazily along the first-parent chain and cached.
+A module stores one matrix per Hasse cover whose two sides are nonzero;
+a cover with a zero side has the zero map, which is made only when asked
+for.  Transports along arbitrary u <= v are composed lazily along the
+first-parent chain and cached.
 Every module is checked on construction: ``validate`` requires every
 cover diamond to commute, which on a distributive lattice (and every
 ``Lattice`` is one) is the whole functor axiom, since any two maximal
@@ -17,8 +19,9 @@ a module on the Boolean lattice {0,1}^k.
 
 Module data is keyed by element index (the position in
 ``lattice.elements``): one dim and one natural-map component per index,
-one cover map per index pair.  Names are resolved only where text comes
-in (the PMOD reader, ``interval_module``, ``free_module``).
+one cover map per index pair with both sides nonzero.  Names are
+resolved only where text comes in (the PMOD reader, ``interval_module``,
+``free_module``).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import Lattice, LatticeCube, _bits, boolean_lattice
@@ -69,7 +73,9 @@ class PersistenceModule:
 
     ``dims[i]`` is the dimension at element index i; ``cover_maps[(u, v)]``
     is the dims[v] x dims[u] Matrix of the cover u < v, omissible when a
-    side is zero.  Anything else raises TypeError or ValueError.
+    side is zero.  Anything else raises TypeError or ValueError.  Only the
+    maps with both sides nonzero are stored; a zero-sided one passed in is
+    checked and dropped, and ``cover_matrix_i`` makes its zero on demand.
     """
 
     __slots__ = ("lattice", "field", "_dims", "_maps", "_transports",
@@ -91,20 +97,22 @@ class PersistenceModule:
                 raise ValueError(f"negative dimension at {name(i)}")
         cover_maps = dict(cover_maps or {})
         maps: dict[tuple[int, int], Matrix] = {}
-        for (u, v) in lattice.covers_i():
+        # The covers that need a map, and those given one, in covers_i order:
+        # every other cover has a zero side and nothing to check.
+        for (u, v) in sorted(set(_covers_between(lattice, dvec, dvec)).union(
+                key for key in cover_maps if _is_cover(lattice, key))):
             du, dv = dvec[u], dvec[v]
             m = cover_maps.pop((u, v), None)
             if m is None:
-                if du > 0 and dv > 0:
-                    raise ValueError(f"missing cover map for {name(u)} < {name(v)}")
-                m = Matrix.zeros(field, dv, du)
-            elif not isinstance(m, Matrix):
+                raise ValueError(f"missing cover map for {name(u)} < {name(v)}")
+            if not isinstance(m, Matrix):
                 raise TypeError(f"cover map for {name(u)} < {name(v)} is not a Matrix")
             if m.shape != (dv, du) or m.field != field:
                 raise ValueError(
                     f"cover map for {name(u)} < {name(v)} has shape {m.shape}, "
                     f"expected {(dv, du)}")
-            maps[(u, v)] = m
+            if du and dv:
+                maps[(u, v)] = m
         if cover_maps:
             bad = next(iter(cover_maps))
             try:
@@ -139,12 +147,14 @@ class PersistenceModule:
         return self.cover_matrix_i(self.lattice.index(u), self.lattice.index(v))
 
     def cover_matrix_i(self, u: int, v: int) -> Matrix:
-        try:
-            return self._maps[(u, v)]
-        except KeyError:
-            raise KeyError(
-                f"{self.lattice.element(u)} < {self.lattice.element(v)} "
-                "is not a Hasse cover") from None
+        """The map of the cover u < v; a new zero where a side is zero."""
+        m = self._maps.get((u, v))
+        if m is not None:
+            return m
+        lat = self.lattice
+        if not _is_cover(lat, (u, v)):
+            raise KeyError(f"{lat.element(u)} < {lat.element(v)} is not a Hasse cover")
+        return Matrix.zeros(self.field, self._dims[v], self._dims[u])
 
     def transport(self, u: str, v: str) -> Matrix:
         """The composite map F(u <= v): the stored matrix for a cover,
@@ -158,12 +168,15 @@ class PersistenceModule:
         if not lat.leq_i(u, v):
             raise NotComparable(
                 f"{lat.element(u)} is not below {lat.element(v)}")
+        du, dv = self._dims[u], self._dims[v]
+        if not (du and dv):
+            return Matrix.zeros(self.field, dv, du)
         cached = self._maps.get((u, v)) or self._transports.get((u, v))
         if cached is not None:
             return cached
         for w in lat.parents_i(v):
             if lat.leq_i(u, w):
-                m = self._maps[(w, v)] @ self.transport_i(u, w)
+                m = self.cover_matrix_i(w, v) @ self.transport_i(u, w)
                 self._transports[(u, v)] = m
                 return m
         raise AssertionError("cover chain search failed")  # unreachable
@@ -177,18 +190,23 @@ class PersistenceModule:
         F(w -> v) F(u -> w) = F(w' -> v) F(u -> w').  The lattice is
         distributive, so u is covered by both w and w' and any two cover
         paths from a to b are linked by such diamond flips.  Reads only
-        the stored cover maps.
+        the stored cover maps: a path through a zero middle vertex is zero,
+        so a diamond with u or v zero, or with both middles zero, holds.
         """
         lat, maps, dims = self.lattice, self._maps, self._dims
-        for v in range(lat.n):
-            if not dims[v]:
-                continue
+        for v in compress(range(lat.n), dims):
             ps = lat.parents_i(v)
             for a, w1 in enumerate(ps):
                 for w2 in ps[a + 1:]:
+                    if not (dims[w1] or dims[w2]):
+                        continue
                     u = lat.meet_i(w1, w2)
-                    if dims[u] and (maps[(w1, v)] @ maps[(u, w1)]
-                                    != maps[(w2, v)] @ maps[(u, w2)]):
+                    if not dims[u]:
+                        continue
+                    # F(w -> v) F(u -> w), None for zero when F(w) = 0.
+                    p1 = maps[(w1, v)] @ maps[(u, w1)] if dims[w1] else None
+                    p2 = maps[(w2, v)] @ maps[(u, w2)] if dims[w2] else None
+                    if not _agree(p1, p2):
                         raise NonCommutingSquare(
                             lat.element(u), lat.element(v),
                             lat.element(w1), lat.element(w2))
@@ -228,14 +246,13 @@ class NatTrans:
         comp = self._components = tuple(components)
         if len(comp) != lat.n:
             raise ValueError(f"{len(comp)} components for {lat.n} elements")
-        for i, m in enumerate(comp):
-            want = (target.dim_i(i), source.dim_i(i))
+        for i, (m, rows, cols) in enumerate(zip(comp, target._dims, source._dims)):
             if not isinstance(m, Matrix):
                 raise TypeError(f"component at {lat.element(i)} is not a Matrix")
-            if m.shape != want:
+            if m.nrows != rows or m.ncols != cols:
                 raise ValueError(
                     f"component at {lat.element(i)} has shape {m.shape}, "
-                    f"expected {want}")
+                    f"expected {(rows, cols)}")
 
     def component(self, el: str) -> Matrix:
         return self._components[self.source.lattice.index(el)]
@@ -244,12 +261,15 @@ class NatTrans:
         return self._components[i]
 
     def validate(self) -> "NatTrans":
-        """Check every naturality square over a Hasse cover."""
-        lat = self.source.lattice
-        for (u, v) in lat.covers_i():
-            lhs = self.target.cover_matrix_i(u, v) @ self._components[u]
-            rhs = self._components[v] @ self.source.cover_matrix_i(u, v)
-            if lhs != rhs:
+        """Check every naturality square over a Hasse cover u < v:
+        T(u -> v) a_u = a_v S(u -> v).  Both sides are empty where S(u) or
+        T(v) is 0, and a side through T(u) = 0 or S(v) = 0 is zero."""
+        src, tgt, comp = self.source, self.target, self._components
+        lat = src.lattice
+        for (u, v) in _covers_between(lat, src._dims, tgt._dims):
+            lhs = tgt._maps[(u, v)] @ comp[u] if tgt._dims[u] else None
+            rhs = comp[v] @ src._maps[(u, v)] if src._dims[v] else None
+            if not _agree(lhs, rhs):
                 raise NotNatural(
                     f"naturality fails on cover {lat.element(u)} < {lat.element(v)}")
         return self
@@ -277,6 +297,29 @@ class NatTrans:
 
     def __repr__(self) -> str:
         return f"NatTrans({self.source!r} -> {self.target!r})"
+
+
+def _agree(a: Matrix | None, b: Matrix | None) -> bool:
+    """Whether two products of one shape are equal, None standing for zero."""
+    if a is None:
+        return b is None or b.is_zero()
+    return a.is_zero() if b is None else a == b
+
+
+def _is_cover(lattice: Lattice, key) -> bool:
+    """Whether key is a pair (u, v) of element indices with u < v a cover."""
+    try:
+        u, v = key
+        return 0 <= u < lattice.n and v in lattice.children_i(u)
+    except (TypeError, ValueError):
+        return False
+
+
+def _covers_between(lattice: Lattice, below: Sequence[int],
+                    above: Sequence[int]) -> list[tuple[int, int]]:
+    """The covers u < v with below[u] and above[v] nonzero, in covers_i order."""
+    return [(u, v) for u in compress(range(lattice.n), below)
+            for v in lattice.children_i(u) if above[v]]
 
 
 def is_iso(nt: NatTrans) -> bool:
@@ -388,9 +431,11 @@ def _free_on(lattice: Lattice, field: FieldSpec, gens: list[int]) -> Persistence
 def direct_sum(f: PersistenceModule, g: PersistenceModule) -> PersistenceModule:
     """Pointwise direct sum: dimensions add, maps are block diagonal."""
     _check_compatible(f, g)
+    dims = [a + b for a, b in zip(f._dims, g._dims)]
     return PersistenceModule(
-        f.lattice, f.field, [a + b for a, b in zip(f._dims, g._dims)],
-        {cov: linalg.direct_sum([m, g._maps[cov]]) for cov, m in f._maps.items()})
+        f.lattice, f.field, dims,
+        {(u, v): linalg.direct_sum([f.cover_matrix_i(u, v), g.cover_matrix_i(u, v)])
+         for (u, v) in _covers_between(f.lattice, dims, dims)})
 
 
 def sum_inclusion(f: PersistenceModule, g: PersistenceModule, which: int,
@@ -578,7 +623,7 @@ def hom_basis(source: PersistenceModule, target: PersistenceModule) -> list[NatT
         total += target.dim_i(i) * source.dim_i(i)
     rows: list[list[int]] = []
     p = field.p
-    for (u, v) in lat.covers_i():
+    for (u, v) in _covers_between(lat, source._dims, target._dims):
         tm = target.cover_matrix_i(u, v)
         sm = source.cover_matrix_i(u, v)
         for r in range(target.dim_i(v)):

@@ -18,7 +18,12 @@ boundaries from the degree read-off's local layout; ``betti`` reads the
 local complex off the cover maps of f.  The ``canonical_iso_*_oracle``
 pair reads the pdim theorems' canonical-map conditions on the upper
 approximations of f itself, where the reports read them on the lower
-side of the opposite module.
+side of the opposite module.  ``join_oracle`` and ``meet_oracle`` scan the
+common upper (lower) bounds for one that lies below (above) all of them,
+where ``Lattice`` looks the join (meet) up by its up-set (down-set) mask.
+``Dense`` keeps a matrix for every cover, zeros included, as modules did
+before they stored only the maps between nonzero spaces; its transports,
+opposite and direct sum are composed from those matrices.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Callable
 from pmodcalc.calculus import (ApproxResult, gamma_lower, gamma_upper, t_lower,
                                t_upper)
 from pmodcalc.lattice import Lattice, _bits, parent_cube
+from pmodcalc import linalg
 from pmodcalc.linalg import (Matrix, cokernel_projection, factor_through,
                              free_columns, hstack, image_basis, kernel_basis,
                              rank, solve_left, vstack)
@@ -239,6 +245,27 @@ def cokernel_of_oracle(nt):
     return module, NatTrans(nt.target, module, projs)
 
 
+# -- join and meet by scanning the bounds ------------------------------------------
+
+
+def _extreme_of(mask: int, cone: Callable[[int], int]) -> int:
+    """The element of mask whose cone (up or down mask) holds all of mask, or -1."""
+    for c in _bits(mask):
+        if mask & ~cone(c) == 0:
+            return c
+    return -1
+
+
+def join_oracle(lat: Lattice, i: int, j: int) -> int:
+    """The least upper bound of i and j, or -1 when there is none."""
+    return _extreme_of(lat.upset_mask(i) & lat.upset_mask(j), lat.upset_mask)
+
+
+def meet_oracle(lat: Lattice, i: int, j: int) -> int:
+    """The greatest lower bound of i and j, or -1 when there is none."""
+    return _extreme_of(lat.downset_mask(i) & lat.downset_mask(j), lat.downset_mask)
+
+
 # -- the functor axiom on every up-set -------------------------------------------
 
 
@@ -255,6 +282,41 @@ class Unchecked:
 
     def cover_matrix_i(self, u, v):
         return self._maps[(u, v)]
+
+
+class Dense(Unchecked):
+    """Unchecked storage with a matrix for every cover, zero-sided ones
+    included."""
+
+    @classmethod
+    def of(cls, f: PersistenceModule) -> "Dense":
+        """f's maps between nonzero spaces, with zeros made here for the rest."""
+        dims = [f.dim_i(i) for i in range(f.lattice.n)]
+        return cls(f.lattice, f.field, dims,
+                   {(u, v): f.cover_matrix_i(u, v) if dims[u] and dims[v]
+                    else Matrix.zeros(f.field, dims[v], dims[u])
+                    for (u, v) in f.lattice.covers_i()})
+
+    def transport_i(self, u, v):
+        """F(u <= v), composed over every element between them in a linear
+        extension, each through its first lower cover above u."""
+        lat = self.lattice
+        acc = {u: Matrix.identity(self.field, self._dims[u])}
+        for w in lat.topo_order():
+            if w != u and lat.leq_i(u, w) and lat.leq_i(w, v):
+                p = next(p for p in lat.parents_i(w) if lat.leq_i(u, p))
+                acc[w] = self._maps[(p, w)] @ acc[p]
+        return acc[v]
+
+    def opposite(self) -> "Dense":
+        return Dense(self.lattice.opposite(), self.field, self._dims,
+                     {(v, u): m.transpose() for (u, v), m in self._maps.items()})
+
+    def direct_sum(self, other: "Dense") -> "Dense":
+        return Dense(self.lattice, self.field,
+                     [a + b for a, b in zip(self._dims, other._dims)],
+                     {cov: linalg.direct_sum([m, other._maps[cov]])
+                      for cov, m in self._maps.items()})
 
 
 def functor_axiom_oracle(f) -> bool:

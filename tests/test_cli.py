@@ -332,3 +332,17 @@ class TestVerify:
 
     def test_usage_error_no_args(self, capsys):
         assert main([]) == 2
+
+
+class TestSharedParser:
+    def test_one_parser_and_no_state_between_calls(self, capsys):
+        # The parser is built once; a call's options do not reach the next,
+        # and a usage error leaves it usable.
+        assert cli.build_parser() is cli.build_parser()
+        code, out, _ = run(capsys, "gen", "interval", "--grid", "2", "2",
+                           "--support", "2,2", "--field", "3")
+        assert code == 0 and "poset grid 2 2" in out and "field 3" in out
+        assert main(["gen", "interval", "--grid"]) == 2
+        code, out, _ = run(capsys, "gen", "interval", "--support", "0,0")
+        assert code == 0
+        assert out == "pmod 1\nfield 2\nposet grid 1 1\ndim 0,0 1\nend\n"

@@ -8,6 +8,7 @@ from pmodcalc.lattice import (Lattice, NoBottom, NotDistributive,
                               bicartesian_cubes_cached, child_cube,
                               cube_from_cover, enumerate_bicartesian_cubes,
                               parent_cube)
+from oracles import join_oracle, meet_oracle
 
 
 def chain(n):
@@ -86,7 +87,9 @@ class TestValidate:
         assert square.validate() is square
 
     def test_m3_not_distributive(self):
-        with pytest.raises(NotDistributive):
+        # The message names the first pair y < z in element order whose
+        # join lies over a join-irreducible x below neither.
+        with pytest.raises(NotDistributive, match=r"for x=c, y=a, z=b$"):
             m3()
 
     def test_grid_ok(self, grid22):
@@ -104,18 +107,24 @@ class TestValidate:
 
     def test_non_lattice_rejected_without_validation(self):
         # a, b < c, d: no least upper bound of a and b.
-        with pytest.raises(NotLattice):
+        with pytest.raises(NotLattice, match="no least upper bound for a, b"):
             Lattice.from_covers(
                 ["0", "a", "b", "c", "d"],
                 [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"),
                  ("a", "d"), ("b", "d")])
+        # c, d < a, b: no greatest lower bound of a and b.
+        with pytest.raises(NotLattice, match="no greatest lower bound for a, b"):
+            Lattice.from_covers(
+                ["0", "a", "b", "c", "d", "1"],
+                [("0", "c"), ("0", "d"), ("c", "a"), ("c", "b"),
+                 ("d", "a"), ("d", "b"), ("a", "1"), ("b", "1")])
 
     def test_cycle_rejected(self):
         with pytest.raises(NotLattice):
             Lattice.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
 
     def test_pentagon_not_distributive(self):
-        with pytest.raises(NotDistributive):
+        with pytest.raises(NotDistributive, match=r"for x=c, y=a, z=b$"):
             Lattice.from_covers(
                 ["0", "a", "b", "c", "1"],
                 [("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")])
@@ -373,7 +382,10 @@ class TestGridFromCoordinates:
     def assert_same_tables(a, b):
         assert a.elements == b.elements
         assert a._up == b._up and a._down == b._down
-        assert a._join == b._join and a._meet == b._meet
+        for i in range(a.n):
+            for j in range(a.n):
+                assert a.join_i(i, j) == b.join_i(i, j) == join_oracle(a, i, j)
+                assert a.meet_i(i, j) == b.meet_i(i, j) == meet_oracle(a, i, j)
         assert a.covers_i() == b.covers_i()
         for i in range(a.n):
             assert a.parents_i(i) == b.parents_i(i)

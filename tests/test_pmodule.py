@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,8 @@ from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
                               NotConvex, NotNatural, random_hom,
                               sum_inclusion, sum_projection)
 from pmodcalc.pmod_io import print_pmod
-from oracles import (check_interval_oracle, cokernel_of_oracle, image_of_oracle,
-                     kernel_of_oracle)
+from oracles import (Dense, check_interval_oracle, cokernel_of_oracle,
+                     image_of_oracle, kernel_of_oracle)
 from test_functor_check import lattices
 
 
@@ -188,6 +189,110 @@ def test_interval_checks_match_the_pairwise_oracle(case):
     else:
         assert want is None
         assert [f.dim_i(i) for i in range(lat.n)] == [int(i in sup) for i in range(lat.n)]
+
+
+# -- sparse cover-map storage ------------------------------------------------
+
+
+@st.composite
+def modules_on(draw, lat, field):
+    """A module on lat: free on one to three generators drawn from the
+    corner below the top (elements with at most four elements above), the
+    interval [a, b] of two comparable elements, or a random module."""
+    kind = draw(st.sampled_from(["free", "interval", "random"]))
+    if kind == "free":
+        corner = [i for i in range(lat.n) if lat.upset_mask(i).bit_count() <= 4]
+        gens = draw(st.lists(st.sampled_from(corner), min_size=1, max_size=3))
+        return free_module(lat, field, Counter(lat.element(g) for g in gens))
+    if kind == "interval":
+        a = draw(st.integers(0, lat.n - 1))
+        b = draw(st.sampled_from([i for i in range(lat.n) if lat.leq_i(a, i)]))
+        return interval_module(lat, field, [
+            lat.element(i) for i in range(lat.n) if lat.leq_i(a, i) and lat.leq_i(i, b)])
+    return random_module(lat, field, draw(st.integers(0, 10 ** 6)),
+                         max_gens=4, max_rels=3)
+
+
+@st.composite
+def module_pairs(draw):
+    """Two modules on one grid or down-set lattice, over GF(2) or F_3."""
+    lat = draw(lattices())
+    field = FieldSpec(draw(st.sampled_from([2, 3])))
+    return draw(modules_on(lat, field)), draw(modules_on(lat, field))
+
+
+def assert_sparse_like(f, dense):
+    """f stores only maps between nonzero spaces, and reads as dense does."""
+    lat = f.lattice
+    assert all(f.dim_i(u) and f.dim_i(v) for u, v in f._maps)
+    for u, v in lat.covers_i():
+        m = f.cover_matrix_i(u, v)
+        assert m.shape == (f.dim_i(v), f.dim_i(u))
+        assert m == dense.cover_matrix_i(u, v)
+        if not (f.dim_i(u) and f.dim_i(v)):
+            assert m.is_zero() and (u, v) not in f._maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=module_pairs())
+def test_sparse_storage_matches_dense_storage(pair):
+    """Cover maps, transports, the opposite module and direct sums read the
+    same as from storage that keeps a matrix for every cover; a module built
+    from every cover map, zeros included, equals the module itself."""
+    f, g = pair
+    lat = f.lattice
+    dense = Dense.of(f)
+    assert_sparse_like(f, dense)
+    for u in range(lat.n):
+        for v in range(lat.n):
+            if lat.leq_i(u, v):
+                assert f.transport_i(u, v) == dense.transport_i(u, v)
+    assert_sparse_like(opposite_module(f), dense.opposite())
+    assert_sparse_like(direct_sum(f, g), dense.direct_sum(Dense.of(g)))
+    assert PersistenceModule(lat, f.field, dense._dims, dense._maps) == f
+
+
+class TestSparseStorage:
+    def test_non_cover_is_a_key_error(self, square, gf2):
+        f = free_module(square, gf2, {"1,1": 1})
+        for u, v in [(0, 3), (1, 0), (0, 0), (-1, 3)]:
+            with pytest.raises(KeyError, match="is not a Hasse cover"):
+                f.cover_matrix_i(u, v)
+
+    def test_zero_sided_map_is_checked_then_dropped(self, square, gf2):
+        # Indices 0..3 are 0,0 0,1 1,0 1,1.
+        one = Matrix.identity(gf2, 1)
+        maps = {(0, 1): Matrix.zeros(gf2, 0, 1), (1, 3): Matrix.zeros(gf2, 1, 0),
+                (0, 2): one, (2, 3): Matrix.zeros(gf2, 1, 1)}
+        f = PersistenceModule(square, gf2, [1, 0, 1, 1], maps)
+        assert set(f._maps) == {(0, 2), (2, 3)}
+        with pytest.raises(ValueError, match=r"cover map for 0,0 < 0,1 has shape \(1, 1\), "
+                                             r"expected \(0, 1\)"):
+            PersistenceModule(square, gf2, [1, 0, 1, 1], {**maps, (0, 1): one})
+        with pytest.raises(TypeError, match="cover map for 0,1 < 1,1 is not a Matrix"):
+            PersistenceModule(square, gf2, [1, 0, 1, 1], {**maps, (1, 3): [[]]})
+
+    def test_diamond_through_one_zero_middle(self, square, gf2):
+        # The route through 0,1 is zero, as F(0,1) = 0, so the route through
+        # 1,0 must be zero too.
+        one, zero = Matrix.identity(gf2, 1), Matrix.zeros(gf2, 1, 1)
+        with pytest.raises(NonCommutingSquare):
+            PersistenceModule(square, gf2, [1, 0, 1, 1], {(0, 2): one, (2, 3): one})
+        PersistenceModule(square, gf2, [1, 0, 1, 1], {(0, 2): one, (2, 3): zero})
+        PersistenceModule(square, gf2, [1, 0, 0, 1], {})
+
+    def test_naturality_through_a_zero_space(self, square, gf2):
+        one, none = Matrix.identity(gf2, 1), Matrix.zeros(gf2, 0, 1)
+        const = constant_module(square, gf2)
+        # The target is 0 at 0,1 but not at 1,1: a_(1,1) F(0,1 -> 1,1) != 0.
+        top = interval_module(square, gf2, ("1,1",))
+        with pytest.raises(NotNatural, match="cover 0,1 < 1,1"):
+            NatTrans(const, top, [none, none, none, one]).validate()
+        # The source is 0 at 0,1 but not at 0,0: G(0,0 -> 0,1) a_(0,0) != 0.
+        bottom = interval_module(square, gf2, ("0,0",))
+        with pytest.raises(NotNatural, match="cover 0,0 < 0,1"):
+            NatTrans(bottom, const, [one] + [none.transpose()] * 3).validate()
+        assert NatTrans(const, top, [none] * 3 + [Matrix.zeros(gf2, 1, 1)]).is_natural()
 
 
 class TestFree:

@@ -22,7 +22,8 @@ from pmodcalc.linalg import factor_through, hstack, rank, solve_left, vstack
 from pmodcalc.pmodule import opposite_module
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
-from oracles import PREDICATE_ORACLES, colim_over_downset, lim_over_upset
+from oracles import (PREDICATE_ORACLES, colim_over_downset, join_oracle,
+                     lim_over_upset, meet_oracle)
 from test_calculus import check_gamma_against_oracles
 
 GF2 = FieldSpec(2)
@@ -181,6 +182,20 @@ class TestDownsetLattices:
             for n in (d, d + 1):
                 assert is_iso(t_lower(f, n).canonical)
                 assert is_iso(t_upper(f, n).canonical)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(1, 5), lattice_seed=st.integers(0, 10 ** 6))
+def test_join_and_meet_match_the_bound_scan(points, lattice_seed):
+    """join_i / meet_i, looked up by the up- and down-set masks, are the
+    least upper and greatest lower bounds a scan of all bounds finds, on
+    a down-set lattice and on its opposite."""
+    lat = downset_lattice(points, random.Random(lattice_seed))
+    for lt in (lat, lat.opposite()):
+        for i in range(lt.n):
+            for j in range(lt.n):
+                assert lt.join_i(i, j) == join_oracle(lt, i, j) >= 0
+                assert lt.meet_i(i, j) == meet_oracle(lt, i, j) >= 0
 
 
 @settings(max_examples=60, deadline=None)
