@@ -17,8 +17,9 @@ import sys
 from .calculus import (NotAComplex, cr_lower, cr_upper, gamma_lower,
                        gamma_upper, min_codegree, min_cross_codegree,
                        min_cross_degree, min_degree, t_lower, t_upper)
-from .generators import (ImageGrid, MetricFunctionSpace, UnsupportedDimension,
-                         image_bifiltration_homology, sublevel_rips_h0)
+from .generators import (EulerCountMismatch, ImageGrid, MetricFunctionSpace,
+                         UnsupportedDimension, image_bifiltration_homology,
+                         sublevel_rips_h0)
 from .lattice import Lattice, NoBottom, NotDistributive, NotLattice
 from .linalg import FieldSpec, NoFactorization, rank
 from .pmodule import (NonCommutingSquare, NotConnected, NotConvex, NotNatural,
@@ -35,7 +36,7 @@ ANALYSIS_ERROR = 1
 #: Internal failures an analysis can raise; reported as exit 1, never as a
 #: traceback.
 ANALYSIS_FAILURES = (NoFactorization, NotAComplex, EquivalenceViolated,
-                     NonCommutingSquare, NotNatural)
+                     NonCommutingSquare, NotNatural, EulerCountMismatch)
 
 
 class CliError(Exception):

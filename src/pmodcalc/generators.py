@@ -1,10 +1,13 @@
 """Module generators from data: cubical sublevel bifiltrations of
 multi-channel images, and sublevel-Rips H0 of finite metric spaces.
 
-Image homology is computed exactly over the module's field: cycle bases
-are pushed forward along chain inclusions and reduced against boundary
-bases, with all basis choices pinned by the echelon convention.  The
-Rips side only needs connected components, tracked by union-find.
+Both pipelines take H0 from connected components, tracked by union-find:
+the module is free on the components at each threshold, and one helper
+builds it for both.  Image H1 is computed exactly over the module's field,
+but only at thresholds where its Euler count |E| - |V| + c - |Q| is
+nonzero: there cycle bases are pushed forward along chain inclusions and
+reduced against boundary bases, with all basis choices pinned by the
+echelon convention, and the count is checked against the elimination.
 """
 
 from __future__ import annotations
@@ -173,23 +176,26 @@ class CubicalComplex:
         self.vertex_filt = [self._vfilt(x, y) for (x, y) in self.vertices]
         self.edge_filt = [self._max_filt([u, v]) for (u, v) in self.edges]
         self.square_filt = [self._max_filt(list(q)) for q in self.squares]
+        # The distinct filtration vectors, and each cell's position among them.
+        ids: dict[tuple[int, ...], int] = {}
+        self._vector_ids = [[ids.setdefault(f, len(ids)) for f in filt] for filt in
+                            (self.vertex_filt, self.edge_filt, self.square_filt)]
+        self._vectors = list(ids)
 
     def _vfilt(self, x: int, y: int) -> tuple[int, ...]:
         return tuple(self.img.values[c][y][x] for c in range(self.img.channels))
 
     def _max_filt(self, vids: list[int]) -> tuple[int, ...]:
-        filts = [self.vertex_filt[v] for v in vids]
-        return tuple(max(f[c] for f in filts) for c in range(self.img.channels))
+        return tuple(map(max, *[self.vertex_filt[v] for v in vids]))
 
     def active(self, level: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
-        """Indices of the vertices / edges / squares in the sublevel complex."""
-        av = [i for i, f in enumerate(self.vertex_filt)
-              if all(a <= b for a, b in zip(f, level))]
-        ae = [i for i, f in enumerate(self.edge_filt)
-              if all(a <= b for a, b in zip(f, level))]
-        aq = [i for i, f in enumerate(self.square_filt)
-              if all(a <= b for a, b in zip(f, level))]
-        return av, ae, aq
+        """Indices of the vertices / edges / squares in the sublevel complex,
+        each in increasing order.  Membership is decided once per distinct
+        filtration vector, not once per cell."""
+        ok = [all(a <= b for a, b in zip(f, level)) for f in self._vectors]
+        pick = ok.__getitem__
+        return tuple(list(itertools.compress(range(len(ids)), map(pick, ids)))
+                     for ids in self._vector_ids)
 
     def boundary_1(self, field: FieldSpec, av: list[int], ae: list[int]) -> Matrix:
         """Vertex x edge boundary matrix of the sublevel complex."""
@@ -226,14 +232,88 @@ def _homology_reps(cycles: Matrix, boundaries: Matrix) -> Matrix:
     return cycles.take_cols(chosen)
 
 
+class EulerCountMismatch(Exception):
+    """The eliminated H1 of a sublevel complex disagrees with its Euler
+    count: a fault in the package, never in the input."""
+
+
+def _h1_count(vertices: int, edges: int, squares: int, components: int) -> int:
+    """dim H1 of a planar cubical complex (see image_bifiltration_homology)."""
+    return edges - vertices + components - squares
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # Keep the smaller label as the root so components are canonical.
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+    def components(self, points: list[int]) -> list[list[int]]:
+        """The components of the increasing ``points``, each increasing,
+        ordered by least point: that point is the root, so it comes first."""
+        comps: dict[int, list[int]] = {}
+        find = self.find
+        for i in points:
+            comps.setdefault(find(i), []).append(i)
+        return list(comps.values())
+
+
+def _free_on_components(lat: Lattice, field: FieldSpec,
+                        comps: list[list[list[int]]]) -> PersistenceModule:
+    """The H0 module of a filtered graph: free on the components
+    ``comps[i]`` at element i, with a component's class sent to that of the
+    component holding its first point."""
+    where = [{pt: ti for ti, comp in enumerate(cs) for pt in comp} for cs in comps]
+    maps = {}
+    for (u, v) in lat.covers_i():
+        if comps[u] and comps[v]:
+            data = [[0] * len(comps[u]) for _ in range(len(comps[v]))]
+            for si, comp in enumerate(comps[u]):
+                data[where[v][comp[0]]][si] = 1
+            maps[(u, v)] = Matrix(field, len(comps[v]), len(comps[u]), data)
+    return PersistenceModule(lat, field, [len(c) for c in comps], maps)
+
+
 def image_bifiltration_homology(img: ImageGrid, degree: int,
                                 field: FieldSpec) -> PersistenceModule:
     """H_degree of the sublevel cubical bifiltration of a multi-channel
     image, as a module over the threshold grid {0..max}^channels.
 
-    Supports degree 0 and 1 on 2D images with up to 3 channels.  Cover
-    maps push cycle representatives forward along the chain inclusion
-    and reduce them in the target homology basis.
+    Supports degree 0 and 1 on 2D images with up to 3 channels.  At each
+    threshold the components of the active pixel graph come from one
+    union-find over the active vertices and edges.
+
+    H0 is ``_free_on_components`` of those components.  This is the basis
+    the reduction of ``[image_basis(d1) | I]`` picks: a unit vector e_w is
+    a pivot unless an earlier active vertex of its component exists, since
+    e_w - e_u is a boundary exactly when u and w share a component.  So the
+    representatives are the least active vertex of each component, ordered
+    by vertex index, and every vertex is homologous to its component's
+    representative with coefficient 1, over every p.  The union-find keeps
+    the smaller label as the root, so its components are listed the same
+    way, and a cover map sends each class to that of the component holding
+    its representative.
+
+    For H1, dim H1 = |E| - |V| + c - |Q| at each threshold: rank d1 is
+    |V| - c over any field, and d2 is injective, because a nonzero square
+    chain has an extreme square (greatest y, then greatest x) whose top
+    edge no other square of the chain has.  Where this count is 0 nothing
+    is eliminated.  Elsewhere cycle representatives are chosen by
+    reduction against the boundaries, their number is checked against the
+    count (``EulerCountMismatch``), and cover maps push them forward along
+    the chain inclusion and reduce them in the target homology basis.
     """
     if degree not in (0, 1):
         raise UnsupportedDimension(f"H_{degree} is out of scope for 2D images")
@@ -241,31 +321,43 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
         raise UnsupportedDimension("more than 3 channels is out of scope")
     complex_ = CubicalComplex(img)
     lat = Lattice.grid([img.max_value] * img.channels)
-    # Per element index (grid elements are in lexicographic order): cycle
-    # reps over the active cells cells_at, and [reps | boundary basis].
-    reps: list[Matrix] = []
-    basis_solver: list[Matrix] = []
-    cells_at: list[list[int]] = []
-    for level in itertools.product(range(img.max_value + 1), repeat=img.channels):
-        av, ae, aq = complex_.active(level)
-        d1 = complex_.boundary_1(field, av, ae)
-        if degree == 0:
-            cycles, bounds = Matrix.identity(field, len(av)), image_basis(d1)
-            cells_at.append(av)
-        else:
-            cycles = kernel_basis(d1)
+    # Per element index (grid elements are in lexicographic order).
+    actives = [complex_.active(level) for level in
+               itertools.product(range(img.max_value + 1), repeat=img.channels)]
+    comps = []
+    for av, ae, _ in actives:
+        uf = _UnionFind(len(complex_.vertices))
+        for e in ae:
+            uf.union(*complex_.edges[e])
+        comps.append(uf.components(av))
+    if degree == 0:
+        return _free_on_components(lat, field, comps)
+    # Where H1 is nonzero: cycle reps over the active edges cells_at, and
+    # [reps | boundary basis].
+    reps: dict[int, Matrix] = {}
+    basis_solver: dict[int, Matrix] = {}
+    cells_at: dict[int, list[int]] = {}
+    dims = []
+    for i, ((av, ae, aq), cs) in enumerate(zip(actives, comps)):
+        count = _h1_count(len(av), len(ae), len(aq), len(cs))
+        if count:
+            cycles = kernel_basis(complex_.boundary_1(field, av, ae))
             bounds = image_basis(complex_.boundary_2(field, ae, aq))
-            cells_at.append(ae)
-        h = _homology_reps(cycles, bounds)
-        reps.append(h)
-        basis_solver.append(hstack([h, bounds]))
-    dims = [h.ncols for h in reps]
+            h = _homology_reps(cycles, bounds)
+            if h.ncols != count:
+                raise EulerCountMismatch(
+                    f"H1 at {lat.element(i)} has dim {h.ncols}, "
+                    f"but the Euler count is {count}")
+            reps[i] = h
+            basis_solver[i] = hstack([h, bounds])
+            cells_at[i] = ae
+        dims.append(count)
 
     maps = {}
-    for v in range(lat.n):
+    for v in reps:
         # One solve per element: basis_solver[v] has independent columns,
         # so the lifts from all lower covers share its row operations.
-        us = lat.parents_i(v)
+        us = [u for u in lat.parents_i(v) if u in reps]
         if not us:
             continue
         lifts = []
@@ -303,58 +395,33 @@ def sublevel_intersection_check(img: ImageGrid) -> bool:
 # -- sublevel-Rips H0 ----------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Keep the smaller label as the root so components are canonical.
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _components(space: MetricFunctionSpace, a: int, r: int) -> list[list[int]]:
-    pts = [i for i, v in enumerate(space.values) if v <= a]
-    uf = _UnionFind(len(space.values))
-    for i, j in itertools.combinations(pts, 2):
-        if space.dist[i][j] <= r:
-            uf.union(i, j)
-    comps: dict[int, list[int]] = {}
-    for i in pts:
-        comps.setdefault(uf.find(i), []).append(i)
-    return [comps[k] for k in sorted(comps)]
-
-
 def sublevel_rips_h0(space: MetricFunctionSpace,
                      field: FieldSpec) -> PersistenceModule:
     """H0 of the sublevel-Rips bifiltration: at threshold (a, r), the free
     space on connected components of the graph on {f <= a} with edges of
     length <= r; cover maps send a component class to the class of the
-    component containing it."""
+    component containing it (``_free_on_components``).
+
+    For each a, one union-find takes the edges among {f <= a} in order of
+    length and is read at each r level, so no level is built from scratch.
+    Its roots are the least points of their components, as they would be
+    from scratch, so the components are listed the same way.
+    """
     lat = Lattice.grid([len(space.a_levels) - 1, len(space.r_levels) - 1])
     # Per element index: grid elements (a, r) are in lexicographic order.
-    comps = [_components(space, a, r)
-             for a, r in itertools.product(space.a_levels, space.r_levels)]
-    maps = {}
-    for (u, v) in lat.covers_i():
-        target_of = {}
-        for ti, comp in enumerate(comps[v]):
-            for pt in comp:
-                target_of[pt] = ti
-        data = [[0] * len(comps[u]) for _ in range(len(comps[v]))]
-        for si, comp in enumerate(comps[u]):
-            data[target_of[comp[0]]][si] = 1
-        maps[(u, v)] = Matrix(field, len(comps[v]), len(comps[u]), data)
-    return PersistenceModule(lat, field, [len(c) for c in comps], maps)
+    comps = []
+    for a in space.a_levels:
+        pts = [i for i, v in enumerate(space.values) if v <= a]
+        edges = sorted((space.dist[i][j], i, j)
+                       for i, j in itertools.combinations(pts, 2))
+        uf = _UnionFind(len(space.values))
+        k = 0
+        for r in space.r_levels:
+            while k < len(edges) and edges[k][0] <= r:
+                uf.union(edges[k][1], edges[k][2])
+                k += 1
+            comps.append(uf.components(pts))
+    return _free_on_components(lat, field, comps)
 
 
 # -- random instances for the suites -------------------------------------------

@@ -446,7 +446,10 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    """Rank over F_p.  Always in [0, min(nrows, ncols)]."""
+    """Rank over F_p.  Always in [0, min(nrows, ncols)]; a matrix with no
+    rows or no columns has rank 0, read with no elimination."""
+    if not (m.nrows and m.ncols):
+        return 0
     return len(rref(m)[1])
 
 

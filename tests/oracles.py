@@ -24,19 +24,29 @@ where ``Lattice`` looks the join (meet) up by its up-set (down-set) mask.
 ``Dense`` keeps a matrix for every cover, zeros included, as modules did
 before they stored only the maps between nonzero spaces; its transports,
 opposite and direct sum are composed from those matrices.
+``image_bifiltration_homology_oracle`` eliminates H0 and H1 at every
+threshold, with the sublevel cells from the per-cell ``active_oracle``,
+where the package reads H0 off union-find components and eliminates H1
+only where its Euler count is nonzero; ``sublevel_rips_h0_oracle`` builds
+each threshold's components from scratch, where the package sweeps the
+edges of each function level once in order of length.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 from pmodcalc.calculus import (ApproxResult, gamma_lower, gamma_upper, t_lower,
                                t_upper)
+from pmodcalc.generators import (CubicalComplex, ImageGrid,
+                                 MetricFunctionSpace, UnsupportedDimension,
+                                 _UnionFind, _homology_reps)
 from pmodcalc.lattice import Lattice, _bits, parent_cube
 from pmodcalc import linalg
-from pmodcalc.linalg import (Matrix, cokernel_projection, factor_through,
-                             free_columns, hstack, image_basis, kernel_basis,
-                             rank, solve_left, vstack)
+from pmodcalc.linalg import (FieldSpec, Matrix, cokernel_projection,
+                             factor_through, free_columns, hstack, image_basis,
+                             kernel_basis, rank, solve, solve_left, vstack)
 from pmodcalc.pmodule import (NatTrans, NotConnected, NotConvex,
                               PersistenceModule, image_of, is_iso,
                               opposite_module, restrict_along_cube)
@@ -446,3 +456,111 @@ def dense_solve(a: list[list[int]], acols: int, b: list[list[int]],
     for r, c in enumerate(pivots):
         x[c] = red[r][acols:]
     return x
+
+
+# -- data pipelines --------------------------------------------------------
+
+
+def active_oracle(complex_: CubicalComplex,
+                  level: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """Indices of the vertices / edges / squares in the sublevel complex,
+    one comparison per cell."""
+    av = [i for i, f in enumerate(complex_.vertex_filt)
+          if all(a <= b for a, b in zip(f, level))]
+    ae = [i for i, f in enumerate(complex_.edge_filt)
+          if all(a <= b for a, b in zip(f, level))]
+    aq = [i for i, f in enumerate(complex_.square_filt)
+          if all(a <= b for a, b in zip(f, level))]
+    return av, ae, aq
+
+
+def image_bifiltration_homology_oracle(img: ImageGrid, degree: int,
+                                       field: FieldSpec) -> PersistenceModule:
+    """H_degree of the sublevel cubical bifiltration of a multi-channel
+    image, as a module over the threshold grid {0..max}^channels.
+
+    Supports degree 0 and 1 on 2D images with up to 3 channels.  Cover
+    maps push cycle representatives forward along the chain inclusion
+    and reduce them in the target homology basis.
+    """
+    if degree not in (0, 1):
+        raise UnsupportedDimension(f"H_{degree} is out of scope for 2D images")
+    if img.channels > 3:
+        raise UnsupportedDimension("more than 3 channels is out of scope")
+    complex_ = CubicalComplex(img)
+    lat = Lattice.grid([img.max_value] * img.channels)
+    # Per element index (grid elements are in lexicographic order): cycle
+    # reps over the active cells cells_at, and [reps | boundary basis].
+    reps: list[Matrix] = []
+    basis_solver: list[Matrix] = []
+    cells_at: list[list[int]] = []
+    for level in itertools.product(range(img.max_value + 1), repeat=img.channels):
+        av, ae, aq = active_oracle(complex_, level)
+        d1 = complex_.boundary_1(field, av, ae)
+        if degree == 0:
+            cycles, bounds = Matrix.identity(field, len(av)), image_basis(d1)
+            cells_at.append(av)
+        else:
+            cycles = kernel_basis(d1)
+            bounds = image_basis(complex_.boundary_2(field, ae, aq))
+            cells_at.append(ae)
+        h = _homology_reps(cycles, bounds)
+        reps.append(h)
+        basis_solver.append(hstack([h, bounds]))
+    dims = [h.ncols for h in reps]
+
+    maps = {}
+    for v in range(lat.n):
+        # One solve per element: basis_solver[v] has independent columns,
+        # so the lifts from all lower covers share its row operations.
+        us = lat.parents_i(v)
+        if not us:
+            continue
+        lifts = []
+        for u in us:
+            # Row r of reps[u] lands on the same cell of v; other cells
+            # take the zero row appended at the bottom.
+            pos = {c: i for i, c in enumerate(cells_at[u])}
+            padded = vstack([reps[u], Matrix.zeros(field, 1, dims[u])])
+            lifts.append(padded.take_rows([pos.get(c, len(pos)) for c in cells_at[v]]))
+        coords = solve(basis_solver[v], hstack(lifts)).take_rows(range(dims[v]))
+        offset = 0
+        for u in us:
+            maps[(u, v)] = coords.take_cols(range(offset, offset + dims[u]))
+            offset += dims[u]
+    return PersistenceModule(lat, field, dims, maps)
+
+
+def _rips_components_oracle(space: MetricFunctionSpace, a: int, r: int) -> list[list[int]]:
+    pts = [i for i, v in enumerate(space.values) if v <= a]
+    uf = _UnionFind(len(space.values))
+    for i, j in itertools.combinations(pts, 2):
+        if space.dist[i][j] <= r:
+            uf.union(i, j)
+    comps: dict[int, list[int]] = {}
+    for i in pts:
+        comps.setdefault(uf.find(i), []).append(i)
+    return [comps[k] for k in sorted(comps)]
+
+
+def sublevel_rips_h0_oracle(space: MetricFunctionSpace,
+                            field: FieldSpec) -> PersistenceModule:
+    """H0 of the sublevel-Rips bifiltration: at threshold (a, r), the free
+    space on connected components of the graph on {f <= a} with edges of
+    length <= r; cover maps send a component class to the class of the
+    component containing it."""
+    lat = Lattice.grid([len(space.a_levels) - 1, len(space.r_levels) - 1])
+    # Per element index: grid elements (a, r) are in lexicographic order.
+    comps = [_rips_components_oracle(space, a, r)
+             for a, r in itertools.product(space.a_levels, space.r_levels)]
+    maps = {}
+    for (u, v) in lat.covers_i():
+        target_of = {}
+        for ti, comp in enumerate(comps[v]):
+            for pt in comp:
+                target_of[pt] = ti
+        data = [[0] * len(comps[u]) for _ in range(len(comps[v]))]
+        for si, comp in enumerate(comps[u]):
+            data[target_of[comp[0]]][si] = 1
+        maps[(u, v)] = Matrix(field, len(comps[v]), len(comps[u]), data)
+    return PersistenceModule(lat, field, [len(c) for c in comps], maps)

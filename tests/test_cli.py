@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pmodcalc import cli, resolution
+from pmodcalc import cli, generators, resolution
 from pmodcalc.calculus import NotAComplex
 from pmodcalc.cli import main
 from pmodcalc.linalg import NoFactorization
@@ -270,6 +270,17 @@ class TestGen:
         assert code == 0
         module = load_module(out)
         assert module.dims_by_element() == {"0": 1, "1": 1, "2": 0}
+
+    def test_wrong_euler_count_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        img = tmp_path / "img.txt"
+        img.write_text("3 3 1 2\n0 0 0\n0 2 0\n0 0 0\n")
+        count = generators._h1_count
+        monkeypatch.setattr(generators, "_h1_count",
+                            lambda *sizes: count(*sizes) + 1)
+        code, out, err = run(capsys, "gen", "image", "--file", str(img))
+        assert code == 1
+        assert out == "" and err.startswith("error: ") and "Euler count" in err
+        assert "Traceback" not in err
 
     def test_rips_pipeline(self, tmp_path, capsys):
         space = tmp_path / "space.txt"

@@ -1,14 +1,19 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import (active_oracle, image_bifiltration_homology_oracle,
+                     sublevel_rips_h0_oracle)
+from pmodcalc import generators
 from pmodcalc.calculus import min_cross_codegree, min_cross_degree
-from pmodcalc.generators import (CubicalComplex, ImageGrid,
+from pmodcalc.generators import (CubicalComplex, EulerCountMismatch, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
                                  image_bifiltration_homology, random_image,
                                  random_metric_space, sublevel_intersection_check,
                                  sublevel_rips_h0)
-from pmodcalc.linalg import rank
+from pmodcalc.linalg import FieldSpec, rank
 from pmodcalc.resolution import pdim
 from pmodcalc.verify import run_suite
 
@@ -138,6 +143,70 @@ class TestImagePipeline:
         with pytest.raises(UnsupportedDimension):
             image_bifiltration_homology(img, 2, gf2)
 
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_wrong_euler_count_raises(self, gf2, monkeypatch, delta):
+        # The ring image has H1 = 1 at levels 0 and 1 and 0 at level 2, so
+        # a count off by one in either direction meets an elimination.
+        img = ImageGrid.from_lists([[[0, 0, 0], [0, 2, 0], [0, 0, 0]]], 2)
+        count = generators._h1_count
+        monkeypatch.setattr(generators, "_h1_count",
+                            lambda *sizes: count(*sizes) + delta)
+        with pytest.raises(EulerCountMismatch, match="Euler count"):
+            image_bifiltration_homology(img, 1, gf2)
+
+
+def _components(complex_: CubicalComplex, av: list[int], ae: list[int]) -> int:
+    """The number of components of the active pixel graph, by search."""
+    nbrs: dict[int, list[int]] = {v: [] for v in av}
+    for e in ae:
+        u, v = complex_.edges[e]
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen: set[int] = set()
+    count = 0
+    for start in av:
+        if start not in seen:
+            count += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                for w in nbrs[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return count
+
+
+@st.composite
+def images(draw) -> ImageGrid:
+    channels, width, height = (draw(st.integers(1, 3)), draw(st.integers(1, 6)),
+                               draw(st.integers(1, 6)))
+    top = draw(st.integers(1, 3))
+    pixels = st.lists(st.integers(0, top), min_size=width, max_size=width)
+    chans = draw(st.lists(st.lists(pixels, min_size=height, max_size=height),
+                          min_size=channels, max_size=channels))
+    return ImageGrid.from_lists(chans, top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(img=images(), p=st.sampled_from([2, 3]))
+def test_image_homology_matches_the_oracle(img, p):
+    """H0 and H1 equal the elimination at every threshold; every H1 dim is
+    the Euler count |E| - |V| + c - |Q|, with c found by search; and the
+    sublevel cells are those of the per-cell definition."""
+    field = FieldSpec(p)
+    h0, h1 = (image_bifiltration_homology(img, d, field) for d in (0, 1))
+    assert h0 == image_bifiltration_homology_oracle(img, 0, field)
+    assert h1 == image_bifiltration_homology_oracle(img, 1, field)
+    complex_ = CubicalComplex(img)
+    levels = itertools.product(range(img.max_value + 1), repeat=img.channels)
+    for i, level in enumerate(levels):
+        av, ae, aq = active_oracle(complex_, level)
+        assert complex_.active(level) == (av, ae, aq)
+        c = _components(complex_, av, ae)
+        assert h0.dim_i(i) == c
+        assert h1.dim_i(i) == len(ae) - len(av) + c - len(aq)
+
 
 class TestMetricSpace:
     def test_parse(self):
@@ -194,3 +263,18 @@ class TestRipsPipeline:
         rng = random.Random("ripsv")
         space = random_metric_space(rng, 5)
         sublevel_rips_h0(space, gf2).validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.integers(0, 4), min_size=1, max_size=7),
+       data=st.data(), p=st.sampled_from([2, 3]))
+def test_rips_h0_matches_the_oracle(values, data, p):
+    """The sweep in order of length gives the module built from scratch at
+    every threshold, ties in length included."""
+    n = len(values)
+    dist = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        dist[i][j] = dist[j][i] = data.draw(st.integers(0, 6))
+    space = MetricFunctionSpace.from_data(values, dist)
+    field = FieldSpec(p)
+    assert sublevel_rips_h0(space, field) == sublevel_rips_h0_oracle(space, field)
