@@ -21,6 +21,17 @@ on every cover into that element.  Induced maps are the unique solutions
 against the bases linalg chose, so everything downstream is
 deterministic.  Per-module results are memoized on the module.
 
+An approximation that changes nothing returns its input: the result's
+module is f itself, with identity components, and shares f's memo.
+Each lower sweep tracks whether its canonical component (B_x, eps[x]) has
+been the identity at every element so far; while it has, the legs into x
+are f's own cover maps, so the maps made at x are f's exactly when the
+component at x is the identity too (for t_lower, when also the cokernel
+projection equals the legs).  That result equals the module the sweep
+would build, dims and stored maps alike, so no check is dropped.  Where
+n >= the lattice dimension or f is zero no sweep runs.  The upper side
+gets the same through the two-way memo of opposite_module.
+
 The local Koszul complex at x is the Koszul complex of F on
 parent_cube(x), the Boolean interval from the meet of the lower covers
 w_1..w_k of x up to x; each of its edges is a cover, so _boundary reads
@@ -55,7 +66,7 @@ from typing import Callable
 from .lattice import LatticeCube, bicartesian_cubes_cached, boolean_lattice
 from .linalg import (Matrix, NoFactorization, factor_through, hstack,
                      cokernel_projection, rank, rref, solve_left, vstack)
-from .pmodule import (NatTrans, PersistenceModule, cokernel_of,
+from .pmodule import (NatTrans, PersistenceModule, cokernel_of, identity_nat,
                       opposite_module, restrict_along_cube)
 
 
@@ -71,6 +82,12 @@ class ApproxResult:
     out of F for t_upper / gamma_upper / cr_lower.  For gamma_lower it is
     the inclusion of the image sweep, whose naturality is checked element
     by element as the sweep reads each basis off its echelon form.
+
+    For t and gamma, ``module`` is f itself and ``canonical`` the identity
+    where the approximation changes nothing: the approximations are
+    universal, so a module satisfying the predicate is its own, and equal
+    in dims and stored maps to the module a sweep would build (module
+    docstring).
     """
 
     kind: str
@@ -93,23 +110,26 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     the local Koszul complex of T at x, and the cover maps T(w) -> T(x)
     are the blocks of that projection.  Where T(x) = 0 for want of input
     (F(x) = 0 with jdim(x) <= n, or every T(w) = 0) nothing is computed,
-    and the cover maps into x are the constructor's zeros.
-    Naturality of the canonical map is checked; the result, like every
-    module, is checked on construction.
+    and the cover maps into x are the constructor's zeros.  While every
+    eps is the identity the legs are f's own cover maps, so T(x) = F(x)
+    exactly when the projection equals them and eps[x] is the identity;
+    if that holds at every x the result is f itself (module docstring).
+    Otherwise naturality of the canonical map is checked; the result,
+    like every module, is checked on construction.
     """
-    if n < 0:
-        raise ValueError("approximation degree must be >= 0")
-    cached = f.calc_cache.get(("t_lower", n))
+    cached = _cached_or_unchanged(f, "t_lower", n)
     if cached is not None:
         return cached
     lat, field = f.lattice, f.field
     dims = [0] * lat.n
     eps: list = [None] * lat.n
     maps: dict[tuple[int, int], Matrix] = {}
+    same = True  # T(y) = F(y) with eps[y] = I at every y swept so far
     for x in lat.topo_order():
         ws = lat.parents_i(x)
         if not (f.dim_i(x) if len(ws) <= n else any(dims[w] for w in ws)):
             eps[x] = Matrix.zeros(field, f.dim_i(x), 0)  # T(x) = 0
+            same = same and not f.dim_i(x)
             continue
         # The canonical map restricted to each T(w): through F(w) into F(x).
         legs = [f.cover_matrix_i(w, x) @ eps[w] for w in ws]
@@ -125,14 +145,31 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
         for w in ws:
             maps[(w, x)] = q.take_cols(range(offset, offset + dims[w]))
             offset += dims[w]
-        # q is the identity on the columns free; canonical.validate() checks.
-        eps[x] = hstack(legs).take_cols(free)
-    module = PersistenceModule(lat, field, dims, maps)
+        # q is the identity on the columns free; canonical.validate(), or
+        # the identity test of eps[x] below, checks.
+        stacked = hstack(legs)
+        eps[x] = stacked.take_cols(free)
+        same = (same and q == stacked
+                and eps[x] == Matrix.identity(field, f.dim_i(x)))
+    module = f if same else PersistenceModule(lat, field, dims, maps)
     canonical = NatTrans(module, f, eps)
-    canonical.validate()
+    if not same:  # with f itself eps is the identity, natural as it stands
+        canonical.validate()
     result = ApproxResult("t_lower", module, canonical)
     f.calc_cache[("t_lower", n)] = result
     return result
+
+
+def _cached_or_unchanged(f: PersistenceModule, kind: str, n: int) -> ApproxResult | None:
+    """The memoised lower result ``kind`` of f at n; else, where no sweep
+    can change f (n >= the lattice dimension, so every jdim(x) <= n, or f
+    zero), f itself with identity components, memoised; else None."""
+    if n < 0:
+        raise ValueError("approximation degree must be >= 0")
+    cached = f.calc_cache.get((kind, n))
+    if cached is None and (n >= f.lattice.poset_dimension() or f.is_zero()):
+        cached = f.calc_cache[(kind, n)] = ApproxResult(kind, f, identity_nat(f))
+    return cached
 
 
 def _boundary(f: PersistenceModule, x: int, i: int, cover, dim) -> Matrix:
@@ -179,19 +216,20 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
     Gamma(w -> x) are the column blocks of R, the nonzero rows of
     rref(L_x).  B_x R = L_x is checked at each x (it is naturality of the
     inclusion on every cover into x) and raises NoFactorization.  Where
-    F(x) = 0, Gamma(x) = 0 and nothing is computed.
+    F(x) = 0, Gamma(x) = 0 and nothing is computed.  While every B is
+    the identity, L_x is f's own cover maps, and so is R when B_x = I by
+    that check; if B_x = I at every x the result is f itself (module
+    docstring).
     """
-    if n < 0:
-        raise ValueError("approximation degree must be >= 0")
-    cached = f.calc_cache.get(("gamma_lower", n))
+    cached = _cached_or_unchanged(f, "gamma_lower", n)
     if cached is not None:
         return cached
     lat, field = f.lattice, f.field
-    bases: list = [None] * lat.n
+    bases: list = [Matrix.zeros(field, 0, 0)] * lat.n  # Gamma(x) = 0 unless set
     maps: dict[tuple[int, int], Matrix] = {}
+    same = True  # B_y = I at every y swept so far
     for x in lat.topo_order():
         if not f.dim_i(x):
-            bases[x] = Matrix.zeros(field, 0, 0)
             continue
         ws = lat.parents_i(x)
         legs = [f.cover_matrix_i(w, x) @ bases[w] for w in ws]
@@ -207,12 +245,14 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
                 raise NoFactorization(
                     f"gamma_lower: the legs into {lat.element(x)} do not "
                     "factor through their pivot columns")
+            same = same and bases[x] == Matrix.identity(field, f.dim_i(x))
             blocks, offset = [], 0
             for leg in legs:
                 blocks.append(reduced.take_cols(range(offset, offset + leg.ncols)))
                 offset += leg.ncols
         maps.update(((w, x), m) for w, m in zip(ws, blocks))
-    module = PersistenceModule(lat, field, [b.ncols for b in bases], maps)
+    module = f if same else PersistenceModule(
+        lat, field, [b.ncols for b in bases], maps)
     result = ApproxResult("gamma_lower", module, NatTrans(module, f, bases))
     f.calc_cache[("gamma_lower", n)] = result
     return result
@@ -337,12 +377,6 @@ class KoszulComplex:
     dims: tuple[int, ...]            # chain dimensions, degrees 0..k
     boundaries: tuple[Matrix, ...]   # boundary i+1: degree i+1 -> degree i
     ranks: tuple[int, ...]           # rank of boundary i+1
-
-    def boundary(self, i: int) -> Matrix | None:
-        """The differential from degree i to degree i-1 (None off range)."""
-        if 1 <= i <= self.k:
-            return self.boundaries[i - 1]
-        return None
 
     def homology(self, i: int) -> int:
         if i < 0 or i > self.k or not self.dims[i]:

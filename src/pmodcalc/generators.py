@@ -291,9 +291,11 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
     """H_degree of the sublevel cubical bifiltration of a multi-channel
     image, as a module over the threshold grid {0..max}^channels.
 
-    Supports degree 0 and 1 on 2D images with up to 3 channels.  At each
-    threshold the components of the active pixel graph come from one
-    union-find over the active vertices and edges.
+    Supports degree 0 and 1 on 2D images with up to 3 channels.  The
+    components of the active pixel graph at each threshold come from one
+    union-find per chain of the last coordinate, along which the active
+    edges only grow: it unions each edge once, at the level of the chain
+    that is its last filtration coordinate.
 
     H0 is ``_free_on_components`` of those components.  This is the basis
     the reduction of ``[image_basis(d1) | I]`` picks: a unit vector e_w is
@@ -324,12 +326,16 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
     # Per element index (grid elements are in lexicographic order).
     actives = [complex_.active(level) for level in
                itertools.product(range(img.max_value + 1), repeat=img.channels)]
-    comps = []
-    for av, ae, _ in actives:
+    comps, top = [], img.max_value
+    for start in range(0, lat.n, top + 1):
         uf = _UnionFind(len(complex_.vertices))
-        for e in ae:
-            uf.union(*complex_.edges[e])
-        comps.append(uf.components(av))
+        levels: list[list[int]] = [[] for _ in range(top + 1)]
+        for e in actives[start + top][1]:
+            levels[complex_.edge_filt[e][-1]].append(e)
+        for (av, _, _), new in zip(actives[start:start + top + 1], levels):
+            for e in new:
+                uf.union(*complex_.edges[e])
+            comps.append(uf.components(av))
     if degree == 0:
         return _free_on_components(lat, field, comps)
     # Where H1 is nonzero: cycle reps over the active edges cells_at, and

@@ -91,7 +91,7 @@ class Lattice:
 
     __slots__ = ("elements", "_idx", "n", "_up", "_down", "_by_up", "_by_down",
                  "_covers", "_parents", "_children", "_topo", "grid_shape",
-                 "_cube_cache", "_opposite")
+                 "_cube_cache", "_opposite", "_dimension")
 
     def __init__(self, elements: Sequence[str], up: list[int], down: list[int],
                  parents: list[tuple[int, ...]], children: list[tuple[int, ...]],
@@ -113,6 +113,7 @@ class Lattice:
         self._topo = topo if topo is not None else tuple(
             sorted(range(self.n), key=[d.bit_count() for d in down].__getitem__))
         self.grid_shape = grid_shape
+        self._dimension = max(map(len, parents), default=0)
         self._cube_cache: dict[int, list["LatticeCube"]] = {}
         self._opposite: Lattice | None = None
 
@@ -259,9 +260,6 @@ class Lattice:
 
     # -- order queries ----------------------------------------------------
 
-    def leq(self, u: str, v: str) -> bool:
-        return bool(self._up[self.index(u)] & (1 << self.index(v)))
-
     def leq_i(self, i: int, j: int) -> bool:
         return bool(self._up[i] & (1 << j))
 
@@ -311,22 +309,10 @@ class Lattice:
         """Join-dimension: the number of lower covers of v."""
         return len(self._parents[self.index(v)])
 
-    def mdim(self, v: str) -> int:
-        """Meet-dimension: the number of upper covers of v."""
-        return len(self._children[self.index(v)])
-
-    def join_irreducibles(self) -> tuple[str, ...]:
-        """Elements that are not joins of strictly smaller elements.
-
-        In a finite distributive lattice these are exactly the elements
-        with a single lower cover (the bottom never qualifies).
-        """
-        return tuple(self.elements[i] for i in range(self.n)
-                     if len(self._parents[i]) == 1)
-
     def poset_dimension(self) -> int:
-        """Order dimension: the maximal join-dimension over all elements."""
-        return max((len(ps) for ps in self._parents), default=0)
+        """Order dimension: the maximal join-dimension over all elements,
+        found once when the lattice is built."""
+        return self._dimension
 
     def downset_mask(self, i: int) -> int:
         return self._down[i]
@@ -336,9 +322,6 @@ class Lattice:
 
     def downset(self, v: str) -> tuple[str, ...]:
         return tuple(self.elements[i] for i in sorted(_bits(self._down[self.index(v)])))
-
-    def upset(self, v: str) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in sorted(_bits(self._up[self.index(v)])))
 
     def topo_order(self) -> tuple[int, ...]:
         return self._topo
@@ -450,19 +433,6 @@ class LatticeCube:
         full = self.full_mask
         return tuple(self.value(full & ~(1 << i)) for i in range(self.arity))
 
-    def is_strongly_bicartesian(self) -> bool:
-        """True iff the assignment preserves all joins and meets of subsets."""
-        lat = self.lattice
-        size = 1 << self.arity
-        for s in range(size):
-            for t in range(s, size):
-                a, b = self.assign[s], self.assign[t]
-                if self.assign[s | t] != lat.join_i(a, b):
-                    return False
-                if self.assign[s & t] != lat.meet_i(a, b):
-                    return False
-        return True
-
     def describe(self) -> str:
         return (f"cube(top={self.top()}, parts={','.join(self.parts())})"
                 if self.arity else f"cube(point={self.bottom()})")
@@ -509,23 +479,11 @@ def parent_cube(lattice: Lattice, a: str) -> LatticeCube:
 
 
 def child_cube(lattice: Lattice, a: str) -> LatticeCube:
-    """The dual cube: a at the empty subset, joins of upper covers above."""
-    children = [lattice.index(c) for c in lattice.children(a)]
-    k = len(children)
-    ai = lattice.index(a)
-    if k == 0:
-        return LatticeCube(lattice, 0, (ai,))
-    assign = []
-    for mask in range(1 << k):
-        if mask == 0:
-            assign.append(ai)
-            continue
-        cur = -1
-        for i in range(k):
-            if (mask >> i) & 1:
-                cur = children[i] if cur < 0 else lattice.join_i(cur, children[i])
-        assign.append(cur)
-    return LatticeCube(lattice, k, tuple(assign))
+    """The dual cube: a at the empty subset, joins of upper covers above.
+    It is the parent cube of a in the opposite lattice, subset S there
+    being the complement of S here."""
+    op = parent_cube(lattice.opposite(), a)
+    return LatticeCube(lattice, op.arity, op.assign[::-1])
 
 
 def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[LatticeCube]:

@@ -143,9 +143,6 @@ class PersistenceModule:
     def is_zero(self) -> bool:
         return all(d == 0 for d in self._dims)
 
-    def cover_matrix(self, u: str, v: str) -> Matrix:
-        return self.cover_matrix_i(self.lattice.index(u), self.lattice.index(v))
-
     def cover_matrix_i(self, u: int, v: int) -> Matrix:
         """The map of the cover u < v; a new zero where a side is zero."""
         m = self._maps.get((u, v))

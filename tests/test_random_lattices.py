@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmodcalc import (FieldSpec, Lattice, boolean_lattice, is_iso,
+from pmodcalc import (FieldSpec, Lattice, Matrix, boolean_lattice, is_iso,
                       random_module, restrict_along_cube)
 from pmodcalc.calculus import (PREDICATES, find_failing_cube, gamma_lower,
                                gamma_upper, is_cross_codegree, is_cross_degree,
@@ -22,8 +22,10 @@ from pmodcalc.linalg import factor_through, hstack, rank, solve_left, vstack
 from pmodcalc.pmodule import opposite_module
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
-from oracles import (PREDICATE_ORACLES, colim_over_downset, join_oracle,
-                     lim_over_upset, meet_oracle)
+from oracles import (PREDICATE_ORACLES, colim_over_downset,
+                     gamma_lower_sweep_oracle, is_strongly_bicartesian,
+                     join_oracle, leq, lim_over_upset, mdim, meet_oracle,
+                     t_lower_sweep_oracle)
 from test_calculus import check_gamma_against_oracles
 
 GF2 = FieldSpec(2)
@@ -89,7 +91,7 @@ class TestDownsetLattices:
             for v in lat.elements:
                 if v == lat.bottom():
                     continue
-                below = [u for u in lat.elements if lat.leq(u, v) and u != v]
+                below = [u for u in lat.elements if leq(lat, u, v) and u != v]
                 if not any(lat.join(x, y) == v for x in below for y in below):
                     out.append(v)
             return out
@@ -97,7 +99,7 @@ class TestDownsetLattices:
         def oracle_jdim(lat, v):
             if v == lat.bottom():
                 return 0
-            irr = [j for j in brute_irreducibles(lat) if lat.leq(j, v)]
+            irr = [j for j in brute_irreducibles(lat) if leq(lat, j, v)]
             for k in range(1, len(irr) + 1):
                 for combo in itertools.combinations(irr, k):
                     acc = combo[0]
@@ -114,8 +116,8 @@ class TestDownsetLattices:
     def test_parent_child_cubes_bicartesian(self, random_lattices):
         for lat in random_lattices:
             for v in lat.elements:
-                assert parent_cube(lat, v).is_strongly_bicartesian()
-                assert child_cube(lat, v).is_strongly_bicartesian()
+                assert is_strongly_bicartesian(parent_cube(lat, v))
+                assert is_strongly_bicartesian(child_cube(lat, v))
 
     def test_gamma_approximation_properties(self, random_lattices):
         for li, lat in enumerate(random_lattices):
@@ -157,7 +159,7 @@ class TestDownsetLattices:
                         hstack([f.transport(v, x) for v in cocones]))
                     assert low.module.dim(x) == dim
                     assert rank(low.canonical.component(x)) == rank(induced)
-                    dim, cones = lim_over_upset(f, x, lambda v: lat.mdim(v) <= n)
+                    dim, cones = lim_over_upset(f, x, lambda v: mdim(lat, v) <= n)
                     induced = factor_through(
                         vstack([f.transport(x, v) for v in cones]),
                         vstack(list(cones.values())))
@@ -253,6 +255,64 @@ def test_predicates_match_the_approximations_and_the_cubes(grid, points,
             got = holds(f, n)
             assert got == PREDICATE_ORACLES[kind](f, n), (kind, n)
             assert got == (find_failing_cube(f, n, kind) is None), (kind, n)
+
+
+#: Each lower approximation with the sweep that always builds a new module.
+LOWER_SWEEPS = ((t_lower, t_lower_sweep_oracle),
+                (gamma_lower, gamma_lower_sweep_oracle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from([None, [1, 1], [2, 2], [1, 1, 1], [3, 2], [2, 1, 1]]),
+       points=st.integers(2, 4), lattice_seed=st.integers(0, 10 ** 6),
+       p=st.sampled_from([2, 3]), kind=st.sampled_from(("random", "free", "gamma")),
+       seed=st.integers(0, 10 ** 6))
+def test_lower_sweeps_return_f_exactly_when_they_change_nothing(
+        grid, points, lattice_seed, p, kind, seed):
+    """For every n from 0 to dim + 1, t_lower and gamma_lower equal the
+    sweeps that always build a new module, in module and canonical
+    components, and return f itself exactly when that module is f with
+    identity components; the upper side follows through the opposite.
+    Free modules and Gamma_k of a random module are often unchanged."""
+    lat = random_lattice(grid, points, lattice_seed)
+    field = FieldSpec(p)
+    d = lat.poset_dimension()
+    f = random_module(lat, field, f"same{seed}", max_gens=4,
+                      max_rels=0 if kind == "free" else 3)
+    if kind == "gamma":
+        f = gamma_lower_sweep_oracle(f, seed % (d + 1)).module
+    op = opposite_module(f)
+    for n in range(d + 2):
+        for fast, slow in LOWER_SWEEPS:
+            got, want = fast(f, n), slow(f, n)
+            assert got.module == want.module, (fast.__name__, n)
+            assert all(got.canonical.component_i(i) == want.canonical.component_i(i)
+                       for i in range(lat.n)), (fast.__name__, n)
+            unchanged = want.module == f and all(
+                want.canonical.component_i(i) == Matrix.identity(field, f.dim_i(i))
+                for i in range(lat.n))
+            assert (got.module is f) == unchanged, (fast.__name__, n)
+            assert fast(f, n) is got
+        for upper, lower in ((t_upper, t_lower), (gamma_upper, gamma_lower)):
+            assert (upper(f, n).module is f) == (lower(op, n).module is op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from([None, [1, 1], [2, 2], [1, 1, 1], [2, 1, 1]]),
+       points=st.integers(2, 4), lattice_seed=st.integers(0, 10 ** 6),
+       p=st.sampled_from([2, 3]), seed=st.integers(0, 10 ** 6))
+def test_lower_approximations_are_idempotent_on_the_same_object(
+        grid, points, lattice_seed, p, seed):
+    """Gamma_n Gamma_n F and T_n T_n F are the very objects Gamma_n F and
+    T_n F, with identity canonical maps."""
+    lat = random_lattice(grid, points, lattice_seed)
+    f = random_module(lat, FieldSpec(p), f"idem{seed}", max_gens=4, max_rels=3)
+    for n in range(lat.poset_dimension() + 2):
+        for approx in (gamma_lower, t_lower):
+            once = approx(f, n).module
+            twice = approx(once, n)
+            assert twice.module is once, (approx.__name__, n)
+            assert is_iso(twice.canonical)
 
 
 @settings(max_examples=30, deadline=None)

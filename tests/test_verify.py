@@ -9,6 +9,7 @@ from pmodcalc.verify import (SuiteReport, UnknownSuite, gamma1_example,
                              approximation_preserves_cross_predicate,
                              nonexample_module, run_suite, suite_names,
                              TABLE1_ROWS)
+from oracles import cover_matrix
 
 
 class TestCorpus:
@@ -20,9 +21,9 @@ class TestCorpus:
 
     def test_nonexample_matrices(self, gf2):
         f = nonexample_module(gf2)
-        assert f.cover_matrix("0,1,1", "1,1,1").to_lists() == [[0], [1]]
-        assert f.cover_matrix("1,0,1", "1,1,1").to_lists() == [[1], [0]]
-        assert f.cover_matrix("1,1,0", "1,1,1").to_lists() == [[1], [1]]
+        assert cover_matrix(f, "0,1,1", "1,1,1").to_lists() == [[0], [1]]
+        assert cover_matrix(f, "1,0,1", "1,1,1").to_lists() == [[1], [0]]
+        assert cover_matrix(f, "1,1,0", "1,1,1").to_lists() == [[1], [1]]
 
     def test_gamma1_example_pieces(self, gf2):
         f, g, alpha = gamma1_example(gf2)
