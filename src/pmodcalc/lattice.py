@@ -266,9 +266,6 @@ class Lattice:
     def join(self, u: str, v: str) -> str:
         return self.elements[self.join_i(self.index(u), self.index(v))]
 
-    def meet(self, u: str, v: str) -> str:
-        return self.elements[self.meet_i(self.index(u), self.index(v))]
-
     def join_i(self, i: int, j: int) -> int:
         """The element whose up-set is the common upper bounds of i and j."""
         return self._by_up[self._up[i] & self._up[j]]
@@ -291,18 +288,12 @@ class Lattice:
     def covers_i(self) -> tuple[tuple[int, int], ...]:
         return self._covers
 
-    def parents(self, v: str) -> tuple[str, ...]:
-        """Lower covers of v (elements that v covers)."""
-        return tuple(self.elements[i] for i in self._parents[self.index(v)])
-
-    def children(self, v: str) -> tuple[str, ...]:
-        """Upper covers of v (elements covering v)."""
-        return tuple(self.elements[i] for i in self._children[self.index(v)])
-
     def parents_i(self, i: int) -> tuple[int, ...]:
+        """Lower covers of i (elements that i covers)."""
         return self._parents[i]
 
     def children_i(self, i: int) -> tuple[int, ...]:
+        """Upper covers of i (elements covering i)."""
         return self._children[i]
 
     def jdim(self, v: str) -> int:
@@ -319,9 +310,6 @@ class Lattice:
 
     def upset_mask(self, i: int) -> int:
         return self._up[i]
-
-    def downset(self, v: str) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in sorted(_bits(self._down[self.index(v)])))
 
     def topo_order(self) -> tuple[int, ...]:
         return self._topo

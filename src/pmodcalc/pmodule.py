@@ -43,7 +43,7 @@ class LatticeMismatch(Exception):
 
 
 class NotComparable(Exception):
-    """transport(u, v) requested for incomparable u, v."""
+    """transport_i(u, v) requested for incomparable u, v."""
 
 
 class NonCommutingSquare(Exception):
@@ -153,12 +153,9 @@ class PersistenceModule:
             raise KeyError(f"{lat.element(u)} < {lat.element(v)} is not a Hasse cover")
         return Matrix.zeros(self.field, self._dims[v], self._dims[u])
 
-    def transport(self, u: str, v: str) -> Matrix:
+    def transport_i(self, u: int, v: int) -> Matrix:
         """The composite map F(u <= v): the stored matrix for a cover,
         otherwise composed along the first-parent chain and cached."""
-        return self.transport_i(self.lattice.index(u), self.lattice.index(v))
-
-    def transport_i(self, u: int, v: int) -> Matrix:
         if u == v:
             return Matrix.identity(self.field, self._dims[u])
         lat = self.lattice

@@ -13,6 +13,7 @@ the upper approximations, read on the opposite module as lower ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .calculus import gamma_lower, is_cross_degree, is_degree, koszul, t_lower
 from .lattice import parent_cube
@@ -105,32 +106,39 @@ class PdimReport:
                 f"degree-conditions={c2} canonical-iso={c3}{tag}")
 
 
+def _pdim_check(k: int, f: PersistenceModule, n: int | None, strict: bool,
+                conditions: Callable[[int], tuple[bool, bool, bool]]) -> PdimReport:
+    """The frame both theorems share: n defaults to the lattice dimension
+    (the theorem's hypothesis) and must be at least k; the report records
+    ``conditions(n)`` and, when strict and on-hypothesis, raises if they
+    disagree.  A caller may pass a different n to probe what happens
+    off-hypothesis; the report then only records the three outcomes."""
+    dim = f.lattice.poset_dimension()
+    if n is None:
+        n = dim
+    if n < k:
+        raise ValueError(f"pdim equivalence needs n >= {k}")
+    report = PdimReport(f"pdim-theorem-{k}", n, dim, conditions(n),
+                        hypothesis_ok=(n == dim))
+    if strict and report.hypothesis_ok and not report.consistent:
+        raise EquivalenceViolated(report.describe())
+    return report
+
+
 def check_pdim_theorem_1(f: PersistenceModule, n: int | None = None,
                          strict: bool = True) -> PdimReport:
     """Equivalence check: pdim(f) <= n-1, f cross-degree n-1, and the
-    canonical epi f -> gamma_upper(f, n-1) an isomorphism.
-
-    n defaults to the lattice dimension (the theorem's hypothesis).  A
-    caller may pass a different n to probe what happens off-hypothesis;
-    the report then only records the three outcomes.
+    canonical epi f -> gamma_upper(f, n-1) an isomorphism.  n defaults
+    to the lattice dimension, as both theorems do (``_pdim_check``).
 
     The third condition is read on the opposite module, where that epi
     is the transpose of the inclusion gamma_lower(f^op, n-1) -> f^op, an
     isomorphism exactly when the epi is; no upper result is built.
     """
-    dim = f.lattice.poset_dimension()
-    if n is None:
-        n = dim
-    if n < 1:
-        raise ValueError("pdim equivalence needs n >= 1")
-    c1 = pdim(f) <= n - 1
-    c2 = is_cross_degree(f, n - 1)
-    c3 = is_iso(gamma_lower(opposite_module(f), n - 1).canonical)
-    report = PdimReport("pdim-theorem-1", n, dim, (c1, c2, c3),
-                        hypothesis_ok=(n == dim))
-    if strict and report.hypothesis_ok and not report.consistent:
-        raise EquivalenceViolated(report.describe())
-    return report
+    return _pdim_check(1, f, n, strict, lambda n: (
+        pdim(f) <= n - 1,
+        is_cross_degree(f, n - 1),
+        is_iso(gamma_lower(opposite_module(f), n - 1).canonical)))
 
 
 def check_pdim_theorem_2(f: PersistenceModule, n: int | None = None,
@@ -142,17 +150,9 @@ def check_pdim_theorem_2(f: PersistenceModule, n: int | None = None,
     As in theorem 1, the composite is read on the opposite module: with
     g = gamma_lower(f^op, n-2), it is the transpose of t_lower(g, n-1) ->
     g -> f^op."""
-    dim = f.lattice.poset_dimension()
-    if n is None:
-        n = dim
-    if n < 2:
-        raise ValueError("pdim equivalence needs n >= 2")
-    c1 = pdim(f) <= n - 2
-    c2 = is_degree(f, n - 1) and is_cross_degree(f, n - 2)
-    g = gamma_lower(opposite_module(f), n - 2)
-    c3 = is_iso(g.canonical.compose(t_lower(g.module, n - 1).canonical))
-    report = PdimReport("pdim-theorem-2", n, dim, (c1, c2, c3),
-                        hypothesis_ok=(n == dim))
-    if strict and report.hypothesis_ok and not report.consistent:
-        raise EquivalenceViolated(report.describe())
-    return report
+    def conditions(n: int) -> tuple[bool, bool, bool]:
+        g = gamma_lower(opposite_module(f), n - 2)
+        return (pdim(f) <= n - 2,
+                is_degree(f, n - 1) and is_cross_degree(f, n - 2),
+                is_iso(g.canonical.compose(t_lower(g.module, n - 1).canonical)))
+    return _pdim_check(2, f, n, strict, conditions)

@@ -5,14 +5,25 @@ theorems, pdim equivalences, oracle agreement, pipeline bounds) over a
 corpus of fixed modules plus seeded random ones, and aggregates results
 in a machine-readable report.  Every failure entry carries a replayable
 seed and the offending module serialized as PMOD.
+
+The upper side is the lower side of the opposite module: gamma_upper(f, n)
+is gamma_lower(f^op, n) transposed, and transposing keeps isomorphisms,
+dimensions, naturality and factorisations while it swaps monos and epis.
+So the theorem suite checks each approximation property once, in one
+lower-side battery run on f and on f^op (f's companions taken opposite
+too).  The second run is recorded under the upper names of ``_UPPER``,
+the names reports have always used, with each counterexample mapped
+back onto f's lattice.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 from . import generators
 from .calculus import (PREDICATES, find_failing_cube, gamma_lower,
@@ -20,9 +31,8 @@ from .calculus import (PREDICATES, find_failing_cube, gamma_lower,
                        is_cross_codegree, is_cross_degree, is_degree, koszul,
                        min_codegree, min_cross_codegree, min_cross_degree,
                        min_degree, t_lower, t_upper, tcofib, tfib)
-from .lattice import Lattice, bicartesian_cubes_cached
-from .linalg import (FieldSpec, Matrix, NoFactorization, factor_through,
-                     hstack, rank, solve_left, vstack)
+from .lattice import Lattice, LatticeCube, bicartesian_cubes_cached, parent_cube
+from .linalg import FieldSpec, Matrix, NoFactorization, factor_through, rank
 from .linalg import direct_sum as block_diagonal
 from .pmodule import (NatTrans, PersistenceModule, cokernel_of, direct_sum,
                       interval_module, is_iso, opposite_module, random_module,
@@ -117,13 +127,9 @@ TABLE1_ROWS: tuple[tuple[str, tuple[str, ...], tuple[int, int, int, int]], ...] 
 )
 
 
-def unit_square() -> Lattice:
-    return Lattice.grid([1, 1])
-
-
 def table1_modules(field: FieldSpec) -> list[tuple[str, PersistenceModule,
                                                    tuple[int, int, int, int]]]:
-    lat = unit_square()
+    lat = Lattice.grid([1, 1])
     return [(name, interval_module(lat, field, support), expected)
             for name, support, expected in TABLE1_ROWS]
 
@@ -144,7 +150,7 @@ def gamma1_example(field: FieldSpec) -> tuple[PersistenceModule,
     """The pair showing that the cross-codegree approximation does not
     commute with cokernels: the top-only interval included in the
     constant module over {0,1}^2."""
-    lat = unit_square()
+    lat = Lattice.grid([1, 1])
     f = interval_module(lat, field, ("1,1",))
     g = interval_module(lat, field, ("0,0", "1,0", "0,1", "1,1"))
     comps = [Matrix(field, g.dim_i(i), f.dim_i(i), [[1]] if f.dim_i(i) else None)
@@ -155,55 +161,59 @@ def gamma1_example(field: FieldSpec) -> tuple[PersistenceModule,
 
 # -- shared checks ----------------------------------------------------------------
 
+#: How a battery records one outcome: (property, passed, module, seed).
+Record = Callable[[str, bool, PersistenceModule, str], None]
 
-def _gamma_battery(report: SuiteReport, f: PersistenceModule, seed: str) -> None:
-    """Defining properties of the image approximations for n in {0,1,2}:
-    each gamma module satisfies its cross predicate, and whenever the
-    input already satisfies it the canonical map is an isomorphism."""
+#: The name under which each lower-side property of f^op is recorded as
+#: an upper-side property of f.  Transposing swaps monos and epis, so the
+#: inclusion's and the projection's checks trade names.
+_UPPER = {
+    "gamma-lower-is-cross-codegree": "gamma-upper-is-cross-degree",
+    "gamma-lower-iso-on-cross-codegree": "gamma-upper-iso-on-cross-degree",
+    "idempotent-comonad": "idempotent-monad",
+    "tower-mono-lower": "tower-epi-upper",
+    "direct-sum-lower": "direct-sum-upper",
+    "preserves-mono-lower": "preserves-epi-upper",
+    "preserves-epi-lower": "preserves-mono-upper",
+    "universal-property-lower": "universal-property-upper",
+    "tk-preserves-cross-codegree": "tk-preserves-cross-degree",
+    "pdim-theorem-1": "pdim-theorem-1-dual",
+    "pdim-theorem-2": "pdim-theorem-2-dual",
+}
+_UPPER_NOTES = {"pdim-theorem-1-dual": "injective-dimension analogue via the opposite lattice"}
+
+
+def _upper_record(report: SuiteReport) -> Record:
+    """Records f^op's lower-side battery as f's upper side: each name
+    through ``_UPPER``, each module back on f's lattice (the opposite memo)."""
+    def record(prop: str, passed: bool, module: PersistenceModule, seed: str) -> None:
+        name = _UPPER[prop]
+        report.record(name, passed, opposite_module(module), seed,
+                      note=_UPPER_NOTES.get(name))
+    return record
+
+
+def _gamma_battery(record: Record, f: PersistenceModule, seed: str) -> None:
+    """Γ_n f is cross-codegree n, and Γ_n f -> f an iso when f already
+    is (n = 0, 1, 2); Γ_0 and Γ_1 are idempotent, and the canonical maps
+    make Γ_0 f -> Γ_1 f -> Γ_2 f a tower of natural monos."""
     for n in (0, 1, 2):
         gl = gamma_lower(f, n)
-        report.record("gamma-lower-is-cross-codegree", is_cross_codegree(gl.module, n), f, seed)
-        gu = gamma_upper(f, n)
-        report.record("gamma-upper-is-cross-degree", is_cross_degree(gu.module, n), f, seed)
+        record("gamma-lower-is-cross-codegree", is_cross_codegree(gl.module, n), f, seed)
         if is_cross_codegree(f, n):
-            report.record("gamma-lower-iso-on-cross-codegree", is_iso(gl.canonical), f, seed)
-        if is_cross_degree(f, n):
-            report.record("gamma-upper-iso-on-cross-degree", is_iso(gu.canonical), f, seed)
-
-
-def _tower_checks(report: SuiteReport, f: PersistenceModule, seed: str) -> None:
-    lat = f.lattice
-    for n, m in ((0, 1), (1, 2)):
-        gn, gm = gamma_lower(f, n), gamma_lower(f, m)
+            record("gamma-lower-iso-on-cross-codegree", is_iso(gl.canonical), f, seed)
+    for n in (0, 1):
+        gn, gm = gamma_lower(f, n), gamma_lower(f, n + 1)
+        record("idempotent-comonad", is_iso(gamma_lower(gn.module, n).canonical), f, seed)
         try:
             comps = [factor_through(gn.canonical.component_i(i),
                                     gm.canonical.component_i(i))
-                     for i in range(lat.n)]
+                     for i in range(f.lattice.n)]
             step = NatTrans(gn.module, gm.module, comps)
             ok = step.is_pointwise_mono() and step.is_natural()
         except NoFactorization:
             ok = False
-        report.record("tower-mono-lower", ok, f, seed)
-        un, um = gamma_upper(f, n), gamma_upper(f, m)
-        try:
-            comps = [solve_left(um.canonical.component_i(i),
-                                un.canonical.component_i(i))
-                     for i in range(lat.n)]
-            step = NatTrans(um.module, un.module, comps)
-            ok = step.is_pointwise_epi() and step.is_natural()
-        except NoFactorization:
-            ok = False
-        report.record("tower-epi-upper", ok, f, seed)
-
-
-def _idempotence_checks(report: SuiteReport, f: PersistenceModule, seed: str) -> None:
-    for n in (0, 1):
-        gl = gamma_lower(f, n)
-        report.record("idempotent-comonad",
-                      is_iso(gamma_lower(gl.module, n).canonical), f, seed)
-        gu = gamma_upper(f, n)
-        report.record("idempotent-monad",
-                      is_iso(gamma_upper(gu.module, n).canonical), f, seed)
+        record("tower-mono-lower", ok, f, seed)
 
 
 def _convergence_check(report: SuiteReport, f: PersistenceModule, seed: str) -> None:
@@ -212,83 +222,44 @@ def _convergence_check(report: SuiteReport, f: PersistenceModule, seed: str) -> 
     report.record("convergence-at-dimension", ok, f, seed)
 
 
-def _direct_sum_checks(report: SuiteReport, f: PersistenceModule,
+def _spans_agree(a: Matrix, b: Matrix) -> bool:
+    """Whether a and b factor through each other: equal column spaces."""
+    try:
+        factor_through(a, b)
+        factor_through(b, a)
+    except NoFactorization:
+        return False
+    return True
+
+
+def _direct_sum_checks(record: Record, f: PersistenceModule,
                        g: PersistenceModule, s: PersistenceModule,
                        seed: str) -> None:
+    """Γ_n of s = f + g is Γ_n f + Γ_n g, as a submodule of s; and Γ_1
+    keeps the inclusion f -> s mono and the projection s -> g epi."""
     lat = f.lattice
     for n in (0, 1):
         gs, gf, gg = gamma_lower(s, n), gamma_lower(f, n), gamma_lower(g, n)
+        # Same submodule of f + g: the block-diagonal monos must span the
+        # same column space as the sum's mono, both ways.
         ok = all(gs.module.dim_i(i) == gf.module.dim_i(i) + gg.module.dim_i(i)
-                 for i in range(lat.n))
-        if ok:
-            # Same submodule of f + g: the block-diagonal monos must span
-            # the same column space as the sum's mono, both ways.
-            for i in range(lat.n):
-                blk = block_diagonal([gf.canonical.component_i(i),
-                                      gg.canonical.component_i(i)])
-                try:
-                    factor_through(blk, gs.canonical.component_i(i))
-                    factor_through(gs.canonical.component_i(i), blk)
-                except NoFactorization:
-                    ok = False
-                    break
-        report.record("direct-sum-lower", ok, s, seed)
-        us, uf, ug = gamma_upper(s, n), gamma_upper(f, n), gamma_upper(g, n)
-        ok = all(us.module.dim_i(i) == uf.module.dim_i(i) + ug.module.dim_i(i)
-                 for i in range(lat.n))
-        if ok:
-            # The comparison map against the blocked epis must be an iso.
-            try:
-                for i in range(lat.n):
-                    df = f.dim_i(i)
-                    ds = s.dim_i(i)
-                    uf_c = uf.canonical.component_i(i)
-                    ug_c = ug.canonical.component_i(i)
-                    blocked = vstack([
-                        hstack([uf_c, Matrix.zeros(f.field, uf_c.nrows, ds - df)]),
-                        hstack([Matrix.zeros(f.field, ug_c.nrows, df), ug_c]),
-                    ])
-                    cmp_map = solve_left(us.canonical.component_i(i), blocked)
-                    if cmp_map.nrows != cmp_map.ncols or rank(cmp_map) != cmp_map.nrows:
-                        ok = False
-                        break
-            except NoFactorization:
-                ok = False
-        report.record("direct-sum-upper", ok, s, seed)
-
-
-def _mono_epi_checks(report: SuiteReport, f: PersistenceModule,
-                     g: PersistenceModule, s: PersistenceModule,
-                     seed: str) -> None:
-    incl = sum_inclusion(f, g, 0, total=s)
-    proj = sum_projection(f, g, 1, total=s)
-    for n in (1,):
-        gf, gs, gg = gamma_lower(f, n), gamma_lower(s, n), gamma_lower(g, n)
+                 for i in range(lat.n)) and all(
+            _spans_agree(block_diagonal([gf.canonical.component_i(i),
+                                         gg.canonical.component_i(i)]),
+                         gs.canonical.component_i(i)) for i in range(lat.n))
+        record("direct-sum-lower", ok, s, seed)
+    gf, gs, gg = gamma_lower(f, 1), gamma_lower(s, 1), gamma_lower(g, 1)
+    for prop, alpha, src, tgt, holds in (
+            ("preserves-mono-lower", sum_inclusion(f, g, 0, total=s), gf, gs,
+             NatTrans.is_pointwise_mono),
+            ("preserves-epi-lower", sum_projection(f, g, 1, total=s), gs, gg,
+             NatTrans.is_pointwise_epi)):
         try:
-            lowered = gamma_lower_map(incl, gf, gs)
-            ok = lowered.is_pointwise_mono() and lowered.is_natural()
+            lowered = gamma_lower_map(alpha, src, tgt)
+            ok = holds(lowered) and lowered.is_natural()
         except NoFactorization:
             ok = False
-        report.record("preserves-mono-lower", ok, f, seed)
-        try:
-            lowered = gamma_lower_map(proj, gs, gg)
-            ok = lowered.is_pointwise_epi() and lowered.is_natural()
-        except NoFactorization:
-            ok = False
-        report.record("preserves-epi-lower", ok, f, seed)
-        uf, us, ug = gamma_upper(f, n), gamma_upper(s, n), gamma_upper(g, n)
-        try:
-            raised = gamma_upper_map(incl, uf, us)
-            ok = raised.is_pointwise_mono() and raised.is_natural()
-        except NoFactorization:
-            ok = False
-        report.record("preserves-mono-upper", ok, f, seed)
-        try:
-            raised = gamma_upper_map(proj, us, ug)
-            ok = raised.is_pointwise_epi() and raised.is_natural()
-        except NoFactorization:
-            ok = False
-        report.record("preserves-epi-upper", ok, f, seed)
+        record(prop, ok, f, seed)
 
 
 def _distributive_law_check(report: SuiteReport, f: PersistenceModule,
@@ -296,7 +267,6 @@ def _distributive_law_check(report: SuiteReport, f: PersistenceModule,
     """Both legs of the canonical comparison
     gamma_lower gamma_upper F <- gamma_lower gamma_upper gamma_lower F -> gamma_upper gamma_lower F
     must be pointwise isomorphisms."""
-    lat = f.lattice
     gl = gamma_lower(f, m)                       # G1 = Gm F, mono e: G1 -> F
     g2 = gamma_upper(gl.module, n)               # G2 = G^n Gm F, epi G1 -> G2
     c = gamma_lower(g2.module, m)                # C = Gm G^n Gm F, mono C -> G2
@@ -313,101 +283,69 @@ def _distributive_law_check(report: SuiteReport, f: PersistenceModule,
                   note=f"checked (m,n)=({m},{n}) legs of the canonical comparison")
 
 
-def _universal_property_checks(report: SuiteReport, f: PersistenceModule,
-                               h: PersistenceModule, rng: random.Random,
-                               seed: str) -> None:
-    n = 1
+def approximation_preserves_cross_predicate(f: PersistenceModule, k: int, n: int) -> bool:
+    """If f is cross-codegree n, so is its level-k Kan approximation
+    t_lower(f, k).  The cross-degree statement for t_upper is this one
+    on the opposite module."""
+    return not is_cross_codegree(f, n) or is_cross_codegree(t_lower(f, k).module, n)
+
+
+def _lower_battery(record: Record, f: PersistenceModule, g: PersistenceModule,
+                   s: PersistenceModule, h: PersistenceModule,
+                   rng: random.Random, seed: str) -> None:
+    """Every lower-side property of f; s = f + g, and a random map into f
+    from Γ_1 h (cross-codegree 1 by theorem A) must factor uniquely
+    through the canonical mono Γ_1 f -> f."""
+    _gamma_battery(record, f, seed)
+    _direct_sum_checks(record, f, g, s, seed)
     lat = f.lattice
-    g = gamma_lower(h, n).module              # cross-codegree n by theorem A
-    alpha = random_hom(g, f, rng)
-    gl = gamma_lower(f, n)
+    src = gamma_lower(h, 1).module
+    alpha = random_hom(src, f, rng)
+    gl = gamma_lower(f, 1)
     try:
-        comps = [factor_through(alpha.component_i(i), gl.canonical.component_i(i))
-                 for i in range(lat.n)]
-        lift = NatTrans(g, gl.module, comps)
+        lift = NatTrans(src, gl.module,
+                        [factor_through(alpha.component_i(i), gl.canonical.component_i(i))
+                         for i in range(lat.n)])
         recomposed = gl.canonical.compose(lift)
-        ok = lift.is_natural() and all(
-            recomposed.component_i(i) == alpha.component_i(i)
-            for i in range(lat.n))
         # Uniqueness: the canonical map is pointwise mono, so any two
         # factorizations agree.
-        ok = ok and gl.canonical.is_pointwise_mono()
+        ok = lift.is_natural() and gl.canonical.is_pointwise_mono() and all(
+            recomposed.component_i(i) == alpha.component_i(i) for i in range(lat.n))
     except NoFactorization:
         ok = False
-    report.record("universal-property-lower", ok, f, seed)
-    gup = gamma_upper(h, n).module            # cross-degree n by theorem A
-    beta = random_hom(f, gup, rng)
-    gu = gamma_upper(f, n)
-    try:
-        comps = [solve_left(gu.canonical.component_i(i), beta.component_i(i))
-                 for i in range(lat.n)]
-        lift = NatTrans(gu.module, gup, comps)
-        recomposed = lift.compose(gu.canonical)
-        ok = lift.is_natural() and all(
-            recomposed.component_i(i) == beta.component_i(i)
-            for i in range(lat.n))
-        ok = ok and gu.canonical.is_pointwise_epi()
-    except NoFactorization:
-        ok = False
-    report.record("universal-property-upper", ok, f, seed)
-
-
-def _approximation_preserves_cross_predicates(report: SuiteReport, f: PersistenceModule, seed: str) -> None:
+    record("universal-property-lower", ok, f, seed)
     for k, n in ((1, 0), (2, 1), (0, 1)):
         if is_cross_codegree(f, n):
-            report.record("tk-preserves-cross-codegree",
-                          approximation_preserves_cross_predicate(f, k, n, side="lower"), f, seed)
-        if is_cross_degree(f, n):
-            report.record("tk-preserves-cross-degree",
-                          approximation_preserves_cross_predicate(f, k, n, side="upper"), f, seed)
-
-
-def approximation_preserves_cross_predicate(f: PersistenceModule, k: int, n: int,
-                    side: str = "lower") -> bool:
-    """If f is cross-(co)degree n, so is its level-k Kan approximation."""
-    if side == "lower":
-        if not is_cross_codegree(f, n):
-            return True
-        return is_cross_codegree(t_lower(f, k).module, n)
-    if side == "upper":
-        if not is_cross_degree(f, n):
-            return True
-        return is_cross_degree(t_upper(f, k).module, n)
-    raise ValueError(f"unknown side {side!r}")
-
-
-def _pdim_checks(report: SuiteReport, f: PersistenceModule, seed: str) -> None:
-    d = f.lattice.poset_dimension()
+            record("tk-preserves-cross-codegree",
+                   approximation_preserves_cross_predicate(f, k, n), f, seed)
+    d = lat.poset_dimension()
     if d >= 1:
-        r1 = check_pdim_theorem_1(f, strict=False)
-        report.record("pdim-theorem-1", r1.consistent, f, seed)
-        r1d = check_pdim_theorem_1(opposite_module(f), strict=False)
-        report.record("pdim-theorem-1-dual", r1d.consistent, f, seed,
-                      note="injective-dimension analogue via the opposite lattice")
+        record("pdim-theorem-1", check_pdim_theorem_1(f, strict=False).consistent, f, seed)
     if d >= 2:
-        r2 = check_pdim_theorem_2(f, strict=False)
-        report.record("pdim-theorem-2", r2.consistent, f, seed)
-        r2d = check_pdim_theorem_2(opposite_module(f), strict=False)
-        report.record("pdim-theorem-2-dual", r2d.consistent, f, seed)
+        record("pdim-theorem-2", check_pdim_theorem_2(f, strict=False).consistent, f, seed)
+
+
+def _koszul_check(report: SuiteReport, f: PersistenceModule, cube: LatticeCube,
+                  seed: str) -> PersistenceModule:
+    """Koszul homology of f along the cube against the product and
+    coproduct formulas; returns the restricted cube module."""
+    vc = restrict_along_cube(f, cube)
+    kx = koszul(vc)
+    report.record("koszul-total-fiber", kx.homology(cube.arity) == tfib(vc), f, seed)
+    report.record("koszul-total-cofiber", kx.homology(0) == tcofib(vc), f, seed)
+    return vc
 
 
 def _restriction_and_koszul_checks(report: SuiteReport, f: PersistenceModule,
                                    rng: random.Random, seed: str) -> None:
-    from .lattice import parent_cube
     lat = f.lattice
     pd = pdim(f)
     cubes = [parent_cube(lat, el) for el in lat.elements]
     pool = bicartesian_cubes_cached(lat, 2)
     cubes.extend(rng.choice(pool) for _ in range(3))
     for cube in cubes:
-        vc = restrict_along_cube(f, cube)
-        kx = koszul(vc)
-        report.record("koszul-total-fiber",
-                      kx.homology(cube.arity) == tfib(vc), f, seed)
-        report.record("koszul-total-cofiber",
-                      kx.homology(0) == tcofib(vc), f, seed)
-        report.record("restriction-pdim-bound",
-                      pdim(vc) <= pd, f, seed)
+        vc = _koszul_check(report, f, cube, seed)
+        report.record("restriction-pdim-bound", pdim(vc) <= pd, f, seed)
 
 
 def _open_question_observation(report: SuiteReport, f: PersistenceModule) -> None:
@@ -423,18 +361,6 @@ def _open_question_observation(report: SuiteReport, f: PersistenceModule) -> Non
                    equal_dims=1 if same else 0,
                    unequal_dims=0 if same else 1,
                    note="dimension comparison only; never asserted")
-
-
-def _oracle_agreement(report: SuiteReport, f: PersistenceModule, seed: str) -> None:
-    for n in (0, 1, 2):
-        for kind, holds in PREDICATES.items():
-            report.record(f"oracle-{kind.replace('_', '-')}",
-                          holds(f, n) == (find_failing_cube(f, n, kind) is None),
-                          f, seed)
-        report.record("degree-implies-cross-degree",
-                      (not is_degree(f, n)) or is_cross_degree(f, n), f, seed)
-        report.record("codegree-implies-cross-codegree",
-                      (not is_codegree(f, n)) or is_cross_codegree(f, n), f, seed)
 
 
 # -- suites -----------------------------------------------------------------------
@@ -494,7 +420,8 @@ def _suite_gamma1_colimit(report: SuiteReport, field: FieldSpec, seed: int,
 
 
 def _theorem_suite(report: SuiteReport, field: FieldSpec, seed: int, trials: int,
-                   lattice: Lattice, include_table1: bool) -> None:
+                   shape: list[int], include_table1: bool) -> None:
+    lattice = Lattice.grid(shape)
     corpus: list[tuple[str, PersistenceModule]] = []
     if include_table1:
         corpus.extend((f"table1:{name}", m) for name, m, _ in table1_modules(field))
@@ -504,34 +431,16 @@ def _theorem_suite(report: SuiteReport, field: FieldSpec, seed: int, trials: int
         corpus.append((f"random:{label}", random_module(lattice, field, label)))
     for label, f in corpus:
         rng = random.Random(f"battery:{label}")
-        _gamma_battery(report, f, label)
-        _idempotence_checks(report, f, label)
-        _tower_checks(report, f, label)
-        _convergence_check(report, f, label)
         g = random_module(f.lattice, field, f"companion:{label}")
-        s = direct_sum(f, g)
-        _direct_sum_checks(report, f, g, s, label)
-        _mono_epi_checks(report, f, g, s, label)
+        h = random_module(f.lattice, field, f"source:{label}")
+        modules = (f, g, direct_sum(f, g), h)
+        _lower_battery(report.record, *modules, rng, label)
+        _lower_battery(_upper_record(report), *map(opposite_module, modules), rng, label)
+        _convergence_check(report, f, label)
         for m, n in ((1, 0), (0, 1)):
             _distributive_law_check(report, f, m, n, label)
-        h = random_module(f.lattice, field, f"source:{label}")
-        _universal_property_checks(report, f, h, rng, label)
-        _approximation_preserves_cross_predicates(report, f, label)
-        _pdim_checks(report, f, label)
         _restriction_and_koszul_checks(report, f, rng, label)
         _open_question_observation(report, f)
-
-
-def _suite_theorems_2param(report: SuiteReport, field: FieldSpec, seed: int,
-                           trials: int) -> None:
-    _theorem_suite(report, field, seed, trials, Lattice.grid([2, 2]),
-                   include_table1=True)
-
-
-def _suite_theorems_3param(report: SuiteReport, field: FieldSpec, seed: int,
-                           trials: int) -> None:
-    _theorem_suite(report, field, seed, trials, Lattice.grid([1, 1, 1]),
-                   include_table1=False)
 
 
 def _suite_oracle(report: SuiteReport, field: FieldSpec, seed: int,
@@ -546,59 +455,54 @@ def _suite_oracle(report: SuiteReport, field: FieldSpec, seed: int,
         corpus.append((f"random-2param:{label}", random_module(lat2, field, label)))
         label = f"{seed}:cube:{i}"
         corpus.append((f"random-3param:{label}", random_module(lat3, field, label)))
-    for label, f in corpus:
-        _oracle_agreement(report, f, label)
+    for (label, f), n in itertools.product(corpus, (0, 1, 2)):
+        for kind, holds in PREDICATES.items():
+            report.record(f"oracle-{kind.replace('_', '-')}",
+                          holds(f, n) == (find_failing_cube(f, n, kind) is None), f, label)
+        report.record("degree-implies-cross-degree",
+                      not is_degree(f, n) or is_cross_degree(f, n), f, label)
+        report.record("codegree-implies-cross-codegree",
+                      not is_codegree(f, n) or is_cross_codegree(f, n), f, label)
     # Koszul homology against the product/coproduct formulas on random cubes.
     rng = random.Random(f"oracle-cubes:{seed}")
     cube_count = 0
     while cube_count < max(100, trials):
         lat = lat2 if rng.random() < 0.5 else lat3
         f = random_module(lat, field, f"cube-module:{seed}:{cube_count}")
-        arity = rng.choice([1, 2, 3])
-        pool = bicartesian_cubes_cached(lat, arity)
-        cube = rng.choice(pool)
-        vc = restrict_along_cube(f, cube)
-        kx = koszul(vc)
-        report.record("koszul-total-fiber", kx.homology(arity) == tfib(vc),
-                      f, f"{seed}:{cube_count}")
-        report.record("koszul-total-cofiber", kx.homology(0) == tcofib(vc),
-                      f, f"{seed}:{cube_count}")
+        cube = rng.choice(bicartesian_cubes_cached(lat, rng.choice([1, 2, 3])))
+        _koszul_check(report, f, cube, f"{seed}:{cube_count}")
         cube_count += 1
 
 
 def _suite_pipelines(report: SuiteReport, field: FieldSpec, seed: int,
                      trials: int) -> None:
     for i in range(trials):
-        rng = random.Random(f"image:{seed}:{i}")
-        img = generators.random_image(rng, 5, 5, channels=2, max_value=2)
+        label = f"image:{seed}:{i}"
+        img = generators.random_image(random.Random(label), 5, 5, channels=2, max_value=2)
         h1 = generators.image_bifiltration_homology(img, 1, field)
-        report.record("image-h1-cross-degree-le-1",
-                      min_cross_degree(h1) <= 1, h1, f"image:{seed}:{i}")
-        report.record("image-h1-pdim-le-1", pdim(h1) <= 1, h1, f"image:{seed}:{i}")
+        report.record("image-h1-cross-degree-le-1", min_cross_degree(h1) <= 1, h1, label)
+        report.record("image-h1-pdim-le-1", pdim(h1) <= 1, h1, label)
         report.record("image-sublevel-intersections",
-                      generators.sublevel_intersection_check(img), h1,
-                      f"image:{seed}:{i}")
+                      generators.sublevel_intersection_check(img), h1, label)
     for i in range(trials):
-        rng = random.Random(f"rips:{seed}:{i}")
-        space = generators.random_metric_space(rng, 6)
+        label = f"rips:{seed}:{i}"
+        space = generators.random_metric_space(random.Random(label), 6)
         h0 = generators.sublevel_rips_h0(space, field)
-        report.record("rips-h0-cross-codegree-le-1",
-                      min_cross_codegree(h0) <= 1, h0, f"rips:{seed}:{i}")
+        report.record("rips-h0-cross-codegree-le-1", min_cross_codegree(h0) <= 1, h0, label)
         lat = h0.lattice
         surjective = all(
             rank(h0.cover_matrix_i(u, v)) == h0.cover_matrix_i(u, v).nrows
             for (u, v) in lat.covers_i()
             if lat.element(u).split(",")[0] == lat.element(v).split(",")[0])
-        report.record("rips-h0-r-maps-surjective", surjective, h0,
-                      f"rips:{seed}:{i}")
+        report.record("rips-h0-r-maps-surjective", surjective, h0, label)
 
 
 _SUITES = {
     "table1": (_suite_table1, 1),
     "nonexample": (_suite_nonexample, 1),
     "gamma1-colimit": (_suite_gamma1_colimit, 1),
-    "theorems-2param": (_suite_theorems_2param, 200),
-    "theorems-3param": (_suite_theorems_3param, 100),
+    "theorems-2param": (lambda *a: _theorem_suite(*a, [2, 2], include_table1=True), 200),
+    "theorems-3param": (lambda *a: _theorem_suite(*a, [1, 1, 1], include_table1=False), 100),
     "oracle": (_suite_oracle, 12),
     "pipelines": (_suite_pipelines, 20),
 }
@@ -616,7 +520,7 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
         t0 = time.perf_counter()
         combined = SuiteReport("all", seed, trials or 0)
         for sub in _SUITES:
-            sub_report = run_suite(sub, seed=seed, trials=trials)
+            sub_report = run_suite(sub, seed=seed, trials=trials, field_p=field_p)
             for prop, stat in sub_report.properties.items():
                 combined.properties[f"{sub}/{prop}"] = stat
             for key, val in sub_report.observations.items():

@@ -34,8 +34,9 @@ edges of each function level once in order of length.
 lower sweeps as they were before they returned f itself where they change
 nothing: they always build and check a new module.  The element-name
 queries at the end (``leq``, ``mdim``, ``upset``, ``join_irreducibles``,
-``is_strongly_bicartesian``, ``cover_matrix``) are used only by the tests,
-so they live here rather than in the package.
+``is_strongly_bicartesian``, ``cover_matrix``, ``downset``, ``meet``,
+``parents``, ``children``, ``transport``) are used only by the tests, so
+they live here rather than in the package, which works by element index.
 """
 
 from __future__ import annotations
@@ -675,3 +676,25 @@ def is_strongly_bicartesian(cube: LatticeCube) -> bool:
 
 def cover_matrix(f: PersistenceModule, u: str, v: str) -> Matrix:
     return f.cover_matrix_i(f.lattice.index(u), f.lattice.index(v))
+
+
+def downset(lat: Lattice, v: str) -> tuple[str, ...]:
+    return tuple(lat.element(i) for i in sorted(_bits(lat.downset_mask(lat.index(v)))))
+
+
+def meet(lat: Lattice, u: str, v: str) -> str:
+    return lat.element(lat.meet_i(lat.index(u), lat.index(v)))
+
+
+def parents(lat: Lattice, v: str) -> tuple[str, ...]:
+    """Lower covers of v (elements that v covers)."""
+    return tuple(lat.element(i) for i in lat.parents_i(lat.index(v)))
+
+
+def children(lat: Lattice, v: str) -> tuple[str, ...]:
+    """Upper covers of v (elements covering v)."""
+    return tuple(lat.element(i) for i in lat.children_i(lat.index(v)))
+
+
+def transport(f: PersistenceModule, u: str, v: str) -> Matrix:
+    return f.transport_i(f.lattice.index(u), f.lattice.index(v))

@@ -8,7 +8,7 @@ from pmodcalc import (FieldSpec, Lattice, Matrix, free_module, interval_module,
 from pmodcalc.pmod_io import (MAX_TOTAL_DIM, ParseError, PmodDocument,
                               load_module, parse_pmod, print_pmod)
 from pmodcalc.verify import nonexample_module
-from oracles import cover_matrix
+from oracles import cover_matrix, transport
 from test_functor_check import lattices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -81,7 +81,7 @@ class TestFixtures:
         assert lat.topo_order()[0] == 3
         assert [module.dim_i(i) for i in range(4)] == [2, 2, 1, 1]
         assert cover_matrix(module, "a", "top") == Matrix(gf2, 2, 2, [[1, 0], [1, 0]])
-        assert module.transport("bot", "top") == Matrix(gf2, 2, 1, [[1], [1]])
+        assert transport(module, "bot", "top") == Matrix(gf2, 2, 1, [[1], [1]])
 
     def test_nonexample_fixture(self, gf2):
         module = load_module((FIXTURES / "nonexample.pmod").read_text())

@@ -25,7 +25,7 @@ from pmodcalc.resolution import (betti, check_pdim_theorem_1,
 from oracles import (PREDICATE_ORACLES, colim_over_downset,
                      gamma_lower_sweep_oracle, is_strongly_bicartesian,
                      join_oracle, leq, lim_over_upset, mdim, meet_oracle,
-                     t_lower_sweep_oracle)
+                     t_lower_sweep_oracle, transport)
 from test_calculus import check_gamma_against_oracles
 
 GF2 = FieldSpec(2)
@@ -156,12 +156,12 @@ class TestDownsetLattices:
                         f, x, lambda v: lat.jdim(v) <= n)
                     induced = solve_left(
                         hstack(list(cocones.values())),
-                        hstack([f.transport(v, x) for v in cocones]))
+                        hstack([transport(f, v, x) for v in cocones]))
                     assert low.module.dim(x) == dim
                     assert rank(low.canonical.component(x)) == rank(induced)
                     dim, cones = lim_over_upset(f, x, lambda v: mdim(lat, v) <= n)
                     induced = factor_through(
-                        vstack([f.transport(x, v) for v in cones]),
+                        vstack([transport(f, x, v) for v in cones]),
                         vstack(list(cones.values())))
                     assert up.module.dim(x) == dim
                     assert rank(up.canonical.component(x)) == rank(induced)
