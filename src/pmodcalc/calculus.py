@@ -37,9 +37,10 @@ parent_cube(x), the Boolean interval from the meet of the lower covers
 w_1..w_k of x up to x; each of its edges is a cover, so _boundary reads
 every boundary d_i straight off the cover maps.  d_1 = C_x = [F(w_a ->
 x)], the cover maps side by side, and d_2 = -R_x, the relations t_lower's
-sweep glues T(x) by (there built from T's own cover maps).  koszul builds
-the whole complex, on a parent cube of F or on a cube module's whole
-lattice, and resolution's betti takes its homology at every element.
+sweep glues T(x) by (there built from T's own cover maps).  One record
+per element in f's memo keeps the chain dims and boundary ranks built so
+far, filled only as far as a caller asks (_local_betti): koszul (so betti)
+reads the whole complex there, the degree statistics only beta^0, beta^1.
 
 The degree statistics and predicates build neither T_n F nor Gamma_n F.
 With C_x and R_x built from F's own cover maps, induct along the
@@ -52,20 +53,21 @@ Koszul H_0 and H_1 of parent_cube(x).  So min_codegree is the largest
 jdim(x) with beta^0_x or beta^1_x != 0.  By gamma_lower's induction, if
 Gamma_n F = F below x and k > n, Gamma_n(x) is the image of C_x, which
 is F(x) exactly when beta^0_x = 0; so min_cross_codegree is the largest
-jdim(x) with beta^0_x != 0.  Both come from one sweep of the cover maps
-of f (_read_off), and the degree and cross-degree are the same on the
+jdim(x) with beta^0_x != 0.  Both come from one sweep of f's records
+(_read_off), and the degree and cross-degree are the same on the
 opposite module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Callable
 
 from .lattice import LatticeCube, bicartesian_cubes_cached, boolean_lattice
 from .linalg import (Matrix, NoFactorization, factor_through, hstack,
-                     cokernel_projection, rank, rref, solve_left, vstack)
+                     cokernel_projection, rank, rref, vstack)
 from .pmodule import (NatTrans, PersistenceModule, cokernel_of, identity_nat,
                       opposite_module, restrict_along_cube)
 
@@ -323,16 +325,6 @@ def gamma_lower_map(alpha: NatTrans, gamma_src: ApproxResult,
     return NatTrans(gamma_src.module, gamma_tgt.module, comps)
 
 
-def gamma_upper_map(alpha: NatTrans, gamma_src: ApproxResult,
-                    gamma_tgt: ApproxResult) -> NatTrans:
-    """The induced map gamma_upper F -> gamma_upper G of alpha: F -> G,
-    the unique solution against the canonical epimorphisms."""
-    comps = [solve_left(gamma_src.canonical.component_i(i),
-                        gamma_tgt.canonical.component_i(i) @ alpha.component_i(i))
-             for i in range(alpha.source.lattice.n)]
-    return NatTrans(gamma_src.module, gamma_tgt.module, comps)
-
-
 # -- total (co)fibers and Koszul homology of cubes -----------------------------
 
 
@@ -369,34 +361,26 @@ def tcofib(cube: PersistenceModule) -> int:
 
 @dataclass
 class KoszulComplex:
-    """A Koszul chain complex on a k-cube: degree i collects the vertices
-    at the meets of i of the lower covers of the top, with alternating-sign
-    differentials.  The rank of each boundary is taken once."""
+    """The homology of the Koszul complex on a k-cube, whose degree i sums
+    the vertices at the meets of i of the lower covers of the top."""
 
     k: int
-    dims: tuple[int, ...]            # chain dimensions, degrees 0..k
-    boundaries: tuple[Matrix, ...]   # boundary i+1: degree i+1 -> degree i
-    ranks: tuple[int, ...]           # rank of boundary i+1
+    betti: tuple[int, ...]  # dim H_i, degrees 0..k
 
     def homology(self, i: int) -> int:
-        if i < 0 or i > self.k or not self.dims[i]:
-            return 0
-        return (self.dims[i] - (self.ranks[i - 1] if i else 0)
-                - (self.ranks[i] if i < self.k else 0))
+        return self.betti[i] if 0 <= i <= self.k else 0
 
 
 def koszul(f: PersistenceModule, cube: LatticeCube | None = None) -> KoszulComplex:
-    """The Koszul complex of f on a cube, with d o d = 0 checked.
+    """The Koszul complex of f on a cube, read off f's record at its top x.
 
     With ``cube`` the parent cube of an element x of f's lattice, this is
-    the local Koszul complex at x (module docstring), every edge a cover;
-    with none, f must be a cube (a module on {0,1}^k, as
-    restrict_along_cube returns it) and the complex is that of its whole
-    lattice, x its top.  The boundaries are _boundary's.  A complex zero
-    at every vertex is returned with nothing computed; otherwise a cube
-    that is not a parent cube is a ValueError.  NotAComplex when
-    d o d != 0, which the cover-diamond check of every module rules out
-    short of a sign or layout bug.
+    the local Koszul complex at x (module docstring); with none, f must be
+    a cube (a module on {0,1}^k, as restrict_along_cube returns it), and x
+    is its top, lat.n - 1.  A complex zero at every vertex is returned with
+    nothing computed; otherwise a cube that is not a parent cube is a
+    ValueError.  NotAComplex when d o d != 0, which the cover-diamond
+    check of every module rules out short of a sign or layout bug.
     """
     lat = f.lattice
     if cube is None:
@@ -407,17 +391,36 @@ def koszul(f: PersistenceModule, cube: LatticeCube | None = None) -> KoszulCompl
     else:
         k, x, vertices = cube.arity, cube.assign[-1], cube.assign
     if not any(map(f.dim_i, vertices)):
-        empty = Matrix.zeros(f.field, 0, 0)
-        return KoszulComplex(k, (0,) * (k + 1), (empty,) * k, (0,) * k)
+        return KoszulComplex(k, (0,) * (k + 1))
     if cube is not None and lat.parents_i(x) != tuple(
             cube.assign[cube.full_mask ^ 1 << b] for b in range(k)):
         raise ValueError(f"{cube.describe()} is not the parent cube of its top")
-    boundaries = [_boundary(f, x, i, f.cover_matrix_i, f.dim_i) for i in range(1, k + 1)]
-    for i in range(len(boundaries) - 1):
-        if not (boundaries[i] @ boundaries[i + 1]).is_zero():
-            raise NotAComplex(f"d_{i + 1} o d_{i + 2} != 0")
-    dims = (f.dim_i(x),) + tuple(d.ncols for d in boundaries)
-    return KoszulComplex(k, dims, tuple(boundaries), tuple(map(rank, boundaries)))
+    return KoszulComplex(k, tuple(_local_betti(f, x, k)))
+
+
+def _local_betti(f: PersistenceModule, x: int, i: int) -> list[int]:
+    """[beta^0_x, .., beta^i_x] for i <= k = jdim(x), off f's record at x of
+    the chain dims c_j and boundary ranks r_j of the local Koszul complex:
+    beta^j_x = c_j - r_j - r_(j+1).  A call extends it to degree min(i + 1,
+    k), building and ranking d_(j+1) only where d_j leaves a kernel, checked
+    against d_j, which is built again if an earlier call ranked it."""
+    records = f.calc_cache.setdefault("koszul", {})
+    chain = records.get(x) or records.setdefault(x, [(f.dim_i(x), 0)])  # (c_j, r_j)
+    k, below = len(f.lattice.parents_i(x)), None  # below: d_j, if this call built it
+    for j in range(len(chain) - 1, min(i + 1, k)):
+        if chain[j][0] == chain[j][1]:  # d_j leaves no kernel, so d_(j+1) = 0
+            d, cr = None, (sum(f.dim_i(reduce(f.lattice.meet_i, s, x))
+                               for s in combinations(f.lattice.parents_i(x), j + 1)), 0)
+        else:
+            d = _boundary(f, x, j + 1, f.cover_matrix_i, f.dim_i)
+            if j and d.ncols:
+                below = below or _boundary(f, x, j, f.cover_matrix_i, f.dim_i)
+                if not (below @ d).is_zero():
+                    raise NotAComplex(f"d_{j} o d_{j + 1} != 0 at {f.lattice.element(x)}")
+            cr = d.ncols, rank(d)
+        chain.append(cr)
+        below = d
+    return [c - r - (chain[j + 1][1] if j < k else 0) for j, (c, r) in enumerate(chain[:i + 1])]
 
 
 # -- degree predicates --------------------------------------------------------
@@ -514,13 +517,11 @@ def _read_off(f: PersistenceModule) -> tuple[int, int]:
         k = len(ws)
         if k <= cross:
             break
-        dx, total = f.dim_i(x), sum(f.dim_i(w) for w in ws)
-        rank_c = rank(_boundary(f, x, 1, f.cover_matrix_i, f.dim_i)) if dx and total else 0
-        kernel = total - rank_c
-        if dx > rank_c:
+        if not (f.dim_i(x) or any(map(f.dim_i, ws))):
+            continue  # beta^0_x = beta^1_x = 0
+        if _local_betti(f, x, 0)[0]:
             codegree, cross = max(codegree, k), k
-        elif k > codegree and kernel and kernel > rank(
-                _boundary(f, x, 2, f.cover_matrix_i, f.dim_i)):
+        elif k > codegree and _local_betti(f, x, 1)[1]:
             codegree = k
     f.calc_cache["read_off"] = result = (codegree, cross)
     return result

@@ -196,7 +196,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         print(report.to_json())
     else:
-        print(f"suite {report.suite}: seed={report.seed} trials={report.trials} "
+        trials = "default" if report.trials is None else report.trials
+        print(f"suite {report.suite}: seed={report.seed} trials={trials} "
               f"wall={report.wall_time_s:.2f}s")
         for name, stat in sorted(report.properties.items()):
             line = f"  {name}: pass={stat.passed} fail={stat.failed}"

@@ -1,10 +1,10 @@
 """Betti diagrams and projective dimension.
 
 Betti numbers are the homology of the local Koszul complex at each
-element, calculus.koszul of f on its parent cube, whose boundaries are
-read straight off the cover maps of f with no module built; a cube zero
-at every vertex costs one look at its dims.  The diagram is memoised
-in ``calc_cache``; the projective dimension is the largest homological
+element, calculus.koszul of f on its parent cube, read off the cover maps
+of f into the record the degree statistics share; a cube zero at every
+vertex costs one look at its dims.  The diagram is memoised in
+``calc_cache``; the projective dimension is the largest homological
 degree with a nonzero entry.  The two equivalence reports tie projective
 dimension to the degree predicates and to the canonical comparison maps of
 the upper approximations, read on the opposite module as lower ones.
@@ -53,8 +53,8 @@ def betti(f: PersistenceModule) -> BettiDiagram:
     straight off the cover maps of f.
 
     A cube zero at every vertex costs one look at its dims, and each
-    boundary's rank is taken once.  Memoised in ``f.calc_cache``; callers
-    do not mutate the diagram.
+    boundary's rank is taken once, in the record the statistics share.
+    Memoised in ``f.calc_cache``; callers do not mutate the diagram.
     """
     if "betti" in f.calc_cache:
         return f.calc_cache["betti"]
@@ -62,10 +62,7 @@ def betti(f: PersistenceModule) -> BettiDiagram:
     entries: dict[tuple[str, int], int] = {}
     for a in lat.elements:
         kx = koszul(f, parent_cube(lat, a))
-        for i in range(kx.k + 1):
-            h = kx.homology(i)
-            if h:
-                entries[(a, i)] = h
+        entries.update(((a, i), h) for i, h in enumerate(kx.betti) if h)
     f.calc_cache["betti"] = diagram = BettiDiagram(entries)
     return diagram
 

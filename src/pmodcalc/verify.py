@@ -26,8 +26,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 from . import generators
-from .calculus import (PREDICATES, find_failing_cube, gamma_lower,
-                       gamma_lower_map, gamma_upper, gamma_upper_map, is_codegree,
+from .calculus import (PREDICATES, _dual_nat, find_failing_cube, gamma_lower,
+                       gamma_lower_map, gamma_upper, is_codegree,
                        is_cross_codegree, is_cross_degree, is_degree, koszul,
                        min_codegree, min_cross_codegree, min_cross_degree,
                        min_degree, t_lower, t_upper, tcofib, tfib)
@@ -59,7 +59,7 @@ class PropertyStat:
 class SuiteReport:
     suite: str
     seed: int
-    trials: int
+    trials: int | None  # None for "all" run at each suite's default count
     properties: dict[str, PropertyStat] = dc_field(default_factory=dict)
     observations: dict[str, dict] = dc_field(default_factory=dict)
     wall_time_s: float = 0.0
@@ -274,7 +274,8 @@ def _distributive_law_check(report: SuiteReport, f: PersistenceModule,
     h1 = gamma_upper(f, n)                       # H1 = G^n F, epi F -> H1
     a = gamma_lower(h1.module, m)                # A = Gm G^n F, mono A -> H1
     try:
-        lifted = gamma_upper_map(gl.canonical, g2, h1)   # G^n of the mono
+        lifted = _dual_nat(gamma_lower_map(_dual_nat(gl.canonical),  # G^n of the mono
+            gamma_lower(opposite_module(f), n), gamma_lower(opposite_module(gl.module), n)))
         leg1 = gamma_lower_map(lifted, c, a)             # Gm of that map
         leg1_ok = is_iso(leg1) and leg1.is_natural()
     except NoFactorization:
@@ -518,7 +519,7 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
     field = FieldSpec(field_p)
     if name == "all":
         t0 = time.perf_counter()
-        combined = SuiteReport("all", seed, trials or 0)
+        combined = SuiteReport("all", seed, trials)
         for sub in _SUITES:
             sub_report = run_suite(sub, seed=seed, trials=trials, field_p=field_p)
             for prop, stat in sub_report.properties.items():

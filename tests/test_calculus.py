@@ -21,7 +21,8 @@ from pmodcalc.linalg import (NoFactorization, factor_through, hstack, rank,
 from pmodcalc.pmodule import NatTrans, NonCommutingSquare, NotNatural, direct_sum
 from pmodcalc.verify import table1_modules, nonexample_module
 from oracles import (NotDownClosed, NotUpClosed, colim_over_downset, downset,
-                     gamma_lower_oracle, gamma_lower_sweep_oracle, leq,
+                     gamma_lower_oracle, gamma_lower_sweep_oracle,
+                     koszul_homology_oracle, leq,
                      lim_over_upset, mdim, t_lower_sweep_oracle, transport,
                      upset)
 
@@ -452,11 +453,45 @@ class TestKoszul:
         with pytest.raises(NonCommutingSquare):
             PersistenceModule(lat, gf2, [1] * 4, {(0, 1): one, (0, 2): one,
                                                   (1, 3): one, (2, 3): zero})
-        c = PersistenceModule(lat, gf2, [1] * 4, {(0, 1): one, (0, 2): one,
-                                                  (1, 3): one, (2, 3): one})
-        c._maps[(2, 3)] = zero
+
+        def broken():
+            c = PersistenceModule(lat, gf2, [1] * 4, {(0, 1): one, (0, 2): one,
+                                                      (1, 3): one, (2, 3): one})
+            c._maps[(2, 3)] = zero
+            return c
+
         with pytest.raises(NotAComplex):
-            koszul(c)
+            koszul(broken())
+        # The degree statistics read the same record, so they fail as loudly,
+        # before koszul and after it.
+        c = broken()
+        for read in (min_codegree, koszul, min_codegree):
+            with pytest.raises(NotAComplex):
+                read(c)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_boundary_above_an_injective_one_is_not_ranked(self, p):
+        """On {0,1}^3 with d_1 injective, d_2 is zero and is not built to be
+        ranked; d_3 is then checked against a d_2 built for that check.
+        Filling the record from the statistics first gives the same
+        complex, and both agree with the cube-complex oracle."""
+        field, lat = FieldSpec(p), boolean_lattice(3)
+        maps = {(0, 1 << t): Matrix.identity(field, 1) for t in range(3)}
+        maps.update({(1 << t, 1 << t | 1 << u): Matrix.zeros(field, 1, 1)
+                     for t in range(3) for u in range(3) if u != t})
+        maps.update({(7 ^ 1 << t, 7): Matrix(field, 3, 1, [[int(u == t)] for u in range(3)])
+                     for t in range(3)})
+        ranked, real_rank = [], calculus.rank
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(calculus, "rank", lambda m: ranked.append(m.ncols) or real_rank(m))
+            c = PersistenceModule(lat, field, [1] * 7 + [3], maps)
+            kx = koszul(c)
+        assert ranked == [3, 1]  # d_1 and d_3
+        assert c.calc_cache["koszul"][7] == [(3, 0), (3, 3), (3, 0), (1, 1)]  # (c_j, r_j)
+        assert [kx.homology(i) for i in range(4)] == koszul_homology_oracle(c) == [0, 0, 2, 0]
+        stats_first = PersistenceModule(lat, field, [1] * 7 + [3], maps)
+        min_codegree(stats_first)
+        assert koszul(stats_first) == kx
 
     def test_homology_matches_total_fibers(self, grid22, gf2):
         rng = random.Random("kz")

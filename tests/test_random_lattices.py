@@ -22,7 +22,7 @@ from pmodcalc.linalg import factor_through, hstack, rank, solve_left, vstack
 from pmodcalc.pmodule import opposite_module
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
-from oracles import (PREDICATE_ORACLES, colim_over_downset,
+from oracles import (PREDICATE_ORACLES, betti_oracle, colim_over_downset,
                      gamma_lower_sweep_oracle, is_strongly_bicartesian,
                      join_oracle, leq, lim_over_upset, mdim, meet_oracle,
                      t_lower_sweep_oracle, transport)
@@ -228,14 +228,22 @@ def test_degree_statistics_read_off_betti_supports(grid, points, lattice_seed, p
     cross-codegree n exactly when it is generated there; the upper
     statistics are the same read-offs on the opposite module, where jdim
     is the original mdim.  Independent of the Kan extensions and of the
-    bicartesian-cube enumeration."""
+    bicartesian-cube enumeration.
+
+    Both read one Koszul record per element, filled as far as each asks:
+    on an equal fresh module, the Betti diagrams first and then the
+    statistics give the same answers as the other way round."""
     lat = random_lattice(grid, points, lattice_seed)
-    f = random_module(lat, FieldSpec(p), f"betti-read{seed}", max_gens=4, max_rels=3)
+    f, g = (random_module(lat, FieldSpec(p), f"betti-read{seed}", max_gens=4, max_rels=3)
+            for _ in range(2))
     op = opposite_module(f)
-    assert min_codegree(f) == betti_read_off(f, (0, 1))
-    assert min_cross_codegree(f) == betti_read_off(f, (0,))
-    assert min_degree(f) == betti_read_off(op, (0, 1))
-    assert min_cross_degree(f) == betti_read_off(op, (0,))
+    stats = (min_codegree(f), min_cross_codegree(f), min_degree(f), min_cross_degree(f))
+    assert stats == (betti_read_off(f, (0, 1)), betti_read_off(f, (0,)),
+                     betti_read_off(op, (0, 1)), betti_read_off(op, (0,)))
+    for m, fresh in ((f, g), (op, opposite_module(g))):
+        assert betti(fresh).entries == betti(m).entries == betti_oracle(m)
+    assert stats == (min_codegree(g), min_cross_codegree(g), min_degree(g),
+                     min_cross_degree(g))
 
 
 @settings(max_examples=30, deadline=None)

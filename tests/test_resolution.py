@@ -6,6 +6,7 @@ from pmodcalc import (FieldSpec, Lattice, PersistenceModule, direct_sum,
                       free_module, interval_module, opposite_module,
                       random_module, restrict_along_cube)
 from pmodcalc.calculus import (_boundary, is_cross_degree, is_degree, koszul,
+                               min_codegree, min_cross_codegree,
                                min_cross_degree, min_degree, tcofib)
 from pmodcalc.lattice import LatticeCube, parent_cube
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
@@ -72,6 +73,20 @@ class TestBetti:
             for (el, i), v in betti(f).entries.items():
                 assert i <= grid22.jdim(el)
                 assert v > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_statistics_after_betti_build_no_boundary(self, gf2, seed, monkeypatch):
+        """betti fills every element's local Koszul record; the lower
+        statistics read beta^0 and beta^1 off it and build nothing."""
+        f = random_module(Lattice.grid([3, 3]), gf2, f"spy{seed}", max_gens=4, max_rels=3)
+        betti(f)
+
+        def forbidden(*args):
+            raise AssertionError("a boundary was built again")
+
+        monkeypatch.setattr(pmodcalc.calculus, "_boundary", forbidden)
+        min_codegree(f)
+        min_cross_codegree(f)
 
 
 class TestPdim:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pmodcalc import Lattice, interval_module, random_module, verify
+from pmodcalc import Lattice, cli, interval_module, random_module, verify
 from pmodcalc.calculus import is_cross_codegree, is_cross_degree, t_upper
 from pmodcalc.pmod_io import load_module
 from pmodcalc.pmodule import cokernel_of, opposite_module
@@ -108,6 +108,19 @@ class TestRunSuite:
         report = run_suite("all", seed=0, trials=1, field_p=3)
         assert report.ok
         assert seen == {3}
+
+    def test_all_reports_no_trial_count_when_each_suite_runs_its_own(
+            self, monkeypatch, capsys):
+        def stub(report, field, seed, trials):
+            report.record("runs", True, note=f"trials={trials}")
+
+        monkeypatch.setattr(verify, "_SUITES", {"one": (stub, 1), "five": (stub, 5)})
+        report = run_suite("all")
+        assert report.to_dict()["trials"] is None
+        assert report.properties["five/runs"].note == "trials=5"
+        assert run_suite("all", trials=2).to_dict()["trials"] == 2
+        assert cli.main(["verify", "--suite", "all"]) == 0
+        assert capsys.readouterr().out.startswith("suite all: seed=0 trials=default ")
 
 
 #: The theorem suites at trials 4, one column per run below: the pass
