@@ -27,12 +27,20 @@ class UnsupportedDimension(Exception):
     """Homology degree / channel count outside the supported desk-scale range."""
 
 
+#: The largest image ``ImageGrid`` takes, a bound on the input, as its
+#: threshold levels times the square of its pixel count: about what the H1
+#: elimination costs.  A 32 x 32 image at 16 levels is at the cap.
+MAX_IMAGE_COST = 1 << 24
+
+
 @dataclass(frozen=True)
 class ImageGrid:
     """A small raster image with one or more integer channels.
 
     ``values[c][y][x]`` is the value of channel c at pixel (x, y); all
-    values lie in [0, max_value].
+    values lie in [0, max_value].  An image of more than MAX_IMAGE_COST
+    (threshold levels x pixels^2) is rejected here, before any complex is
+    built from it.
     """
 
     width: int
@@ -48,6 +56,11 @@ class ImageGrid:
             raise ValueError("image needs at least one channel")
         if len(self.values) != self.channels:
             raise ValueError("channel count mismatch")
+        pixels, levels = self.width * self.height, (self.max_value + 1) ** self.channels
+        if (cost := levels * pixels ** 2) > MAX_IMAGE_COST:
+            raise ValueError(f"image of {pixels} pixels at {levels} threshold levels "
+                             f"costs {cost} (levels x pixels^2), more than the cap "
+                             f"of {MAX_IMAGE_COST}")
         for chan in self.values:
             if len(chan) != self.height or any(len(r) != self.width for r in chan):
                 raise ValueError("image is not rectangular")
@@ -75,11 +88,8 @@ class ImageGrid:
         body = rows[1:]
         if len(body) != h * c:
             raise ValueError(f"expected {h * c} pixel rows, got {len(body)}")
-        chans = [body[i * h:(i + 1) * h] for i in range(c)]
-        img = cls.from_lists(chans, m)
-        if img.width != w:
-            raise ValueError("row width does not match header")
-        return img
+        chans = [body[i * h:(i + 1) * h] for i in range(c)] if h > 0 else []
+        return cls(w, h, c, m, tuple(tuple(map(tuple, chan)) for chan in chans))
 
 
 def _int_rows(text: str) -> list[list[int]]:

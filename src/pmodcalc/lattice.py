@@ -426,44 +426,36 @@ class LatticeCube:
                 if self.arity else f"cube(point={self.bottom()})")
 
 
-def cube_from_cover(lattice: Lattice, cover: PairwiseCover) -> LatticeCube:
-    """The strongly bicartesian cube generated by a pairwise cover:
-    the full subset maps to the top, any other subset S to the meet of
-    the parts not in S."""
-    cover.validate(lattice)
-    k = len(cover.parts)
-    vi = lattice.index(cover.top)
-    idx = [lattice.index(x) for x in cover.parts]
-    full = (1 << k) - 1
-    assign = []
-    for mask in range(1 << k):
-        if mask == full:
-            assign.append(vi)
-            continue
-        cur = -1
-        for i in range(k):
-            if not (mask >> i) & 1:
-                cur = idx[i] if cur < 0 else lattice.meet_i(cur, idx[i])
-        assign.append(cur)
-    return LatticeCube(lattice, k, tuple(assign))
-
-
-def parent_cube(lattice: Lattice, a: str) -> LatticeCube:
-    """The cube spanned by a and its lower covers (meets fill the rest), as
-    cube_from_cover builds it: the full subset maps to a, any other subset
-    S to the meet of the lower covers not in S.  Any two lower covers join
-    to a, so they are a pairwise cover and none is checked.
-
-    An element with no lower covers yields the 0-cube at that element.
-    """
-    top = lattice.index(a)
-    parts = lattice.parents_i(top)
+def _meet_cube(lattice: Lattice, top: int, parts: Sequence[int]) -> LatticeCube:
+    """The cube with top at the full subset and, at any other subset S, the
+    meet of the parts not in S: filled downwards, S from S + {b} for the
+    highest b not in S.  The parts must lie below top."""
     full = (1 << len(parts)) - 1
     assign = [top] * (full + 1)
     for mask in range(full - 1, -1, -1):
         b = (full & ~mask).bit_length() - 1  # a part not in mask
         assign[mask] = lattice.meet_i(assign[mask | 1 << b], parts[b])
     return LatticeCube(lattice, len(parts), tuple(assign))
+
+
+def cube_from_cover(lattice: Lattice, cover: PairwiseCover) -> LatticeCube:
+    """The strongly bicartesian cube generated by a pairwise cover:
+    the full subset maps to the top, any other subset S to the meet of
+    the parts not in S."""
+    cover.validate(lattice)
+    return _meet_cube(lattice, lattice.index(cover.top),
+                      [lattice.index(x) for x in cover.parts])
+
+
+def parent_cube(lattice: Lattice, a: str) -> LatticeCube:
+    """The cube spanned by a and its lower covers (meets fill the rest), as
+    cube_from_cover builds it.  Any two lower covers join to a, so they
+    are a pairwise cover and none is checked.
+
+    An element with no lower covers yields the 0-cube at that element.
+    """
+    top = lattice.index(a)
+    return _meet_cube(lattice, top, lattice.parents_i(top))
 
 
 def child_cube(lattice: Lattice, a: str) -> LatticeCube:
@@ -476,7 +468,7 @@ def child_cube(lattice: Lattice, a: str) -> LatticeCube:
 
 def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[LatticeCube]:
     """All strongly bicartesian cubes of the given arity, one per unordered
-    pairwise cover per top element.
+    pairwise cover per top element, as cube_from_cover builds them.
 
     Tops are visited in element order and parts as sorted multisets, so
     the enumeration order is deterministic.  Degenerate covers (parts
@@ -485,21 +477,10 @@ def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[Lattic
     if arity < 1:
         raise ValueError("cube enumeration needs arity >= 1")
     for vi in range(lattice.n):
-        below = sorted(_bits(lattice.downset_mask(vi)))
+        below = _bits(lattice.downset_mask(vi))  # ascending
         for parts in itertools.combinations_with_replacement(below, arity):
-            ok = True
-            for a in range(arity):
-                for b in range(a + 1, arity):
-                    if lattice.join_i(parts[a], parts[b]) != vi:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield cube_from_cover(
-                    lattice,
-                    PairwiseCover(lattice.elements[vi],
-                                  tuple(lattice.elements[i] for i in parts)))
+            if all(lattice.join_i(x, y) == vi for x, y in itertools.combinations(parts, 2)):
+                yield _meet_cube(lattice, vi, parts)
 
 
 def bicartesian_cubes_cached(lattice: Lattice, arity: int) -> list[LatticeCube]:

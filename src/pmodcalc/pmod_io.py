@@ -12,16 +12,15 @@ the grammar and annotated fixtures.  Shape of the format:
 
 Dims default to 0; maps whose source or target dimension is 0 are
 omitted and reconstructed; every other cover map must be present.  The
-dims may sum to at most MAX_TOTAL_DIM.
-Canonical printing orders dims and maps by element declaration order,
-so parse(print(m)) round-trips byte-identically.
+dims may sum to at most MAX_TOTAL_DIM.  The reader builds the lattice
+once and resolves each name against it; the printer reads the module's
+lattice, dims and stored cover maps, in element and cover order, so
+load(print(m)) round-trips byte-identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lattice import Lattice, grid_size
+from .lattice import Lattice
 from .linalg import FieldSpec, Matrix
 from .pmodule import PersistenceModule
 
@@ -45,60 +44,22 @@ def _check_id(token: str, lineno: int) -> str:
     return token
 
 
-@dataclass
-class PmodDocument:
-    """Parsed (or to-be-printed) PMOD content, prior to module construction."""
-
-    field_p: int
-    grid: tuple[int, ...] | None
-    elements: tuple[str, ...] | None          # explicit mode only
-    covers: tuple[tuple[str, str], ...]       # explicit mode only
-    dims: dict[str, int]
-    maps: dict[tuple[str, str], list[list[int]]]
-
-    def build_lattice(self) -> Lattice:
-        if self.grid is not None:
-            return Lattice.grid(self.grid)
-        return Lattice.from_covers(self.elements, self.covers)
-
-    def to_module(self, field_p: int | None = None) -> PersistenceModule:
-        p = self.field_p if field_p is None else field_p
-        field = FieldSpec(p)
-        lattice = self.build_lattice()
-        index = lattice.index
-        dims = [0] * lattice.n
-        for el, d in self.dims.items():
-            dims[index(el)] = d
-        maps = {}
-        for (u, v), rows in self.maps.items():
-            ui, vi = index(u), index(v)
-            maps[(ui, vi)] = Matrix(field, dims[vi], dims[ui], rows)
-        return PersistenceModule(lattice, field, dims, maps)
-
-    @classmethod
-    def from_module(cls, module: PersistenceModule) -> "PmodDocument":
-        lat = module.lattice
-        dims = {el: d for el, d in module.dims_by_element().items() if d}
-        maps = {}
-        for (u, v) in lat.covers_i():
-            if module.dim_i(u) and module.dim_i(v):
-                m = module.cover_matrix_i(u, v)
-                maps[(lat.element(u), lat.element(v))] = m.to_lists()
-        if lat.grid_shape is not None:
-            return cls(module.field.p, lat.grid_shape, None, (), dims, maps)
-        return cls(module.field.p, None, lat.elements, lat.covers(), dims, maps)
-
-
-def parse_pmod(text: str) -> PmodDocument:
-    field_p: int | None = None
+def load_module(text: str, field_p: int | None = None) -> PersistenceModule:
+    """Parse PMOD text and build the validated module, over F_field_p if
+    given, else over the file's field.  Lines after the header may come in
+    any order.  Errors come in this order: line checks (a ``cover`` line
+    with a grid poset, wherever it is, among them), missing lines, the
+    lattice, unknown names and map shapes (each naming its line), the
+    field modulus, then the module's own checks."""
+    file_p: int | None = None
     grid: tuple[int, ...] | None = None
     elements: list[str] = []
     covers: list[tuple[str, str]] = []
-    dims: dict[str, int] = {}
+    first_cover = 0
+    dims: dict[str, tuple[int, int]] = {}  # element -> (lineno, dim)
     total_dim = 0
     maps: dict[tuple[str, str], tuple[int, list[int]]] = {}  # (lineno, entries)
     saw_header = False
-    saw_poset = False
     ended = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -114,16 +75,15 @@ def parse_pmod(text: str) -> PmodDocument:
             saw_header = True
             continue
         if key == "field":
-            if field_p is not None or len(tokens) != 2:
+            if file_p is not None or len(tokens) != 2:
                 raise ParseError(f"line {lineno}: bad or repeated field line")
             try:
-                field_p = int(tokens[1])
+                file_p = int(tokens[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: field modulus must be an integer")
         elif key == "poset":
-            if saw_poset or len(tokens) < 2:
+            if grid is not None or elements or len(tokens) < 2:
                 raise ParseError(f"line {lineno}: bad or repeated poset line")
-            saw_poset = True
             if tokens[1] == "grid":
                 try:
                     grid = tuple(int(t) for t in tokens[2:])
@@ -138,11 +98,12 @@ def parse_pmod(text: str) -> PmodDocument:
             else:
                 raise ParseError(f"line {lineno}: poset must be 'grid' or 'elements'")
         elif key == "cover":
-            if grid is not None:
-                raise ParseError(f"line {lineno}: cover lines not allowed with grid")
-            if len(tokens) != 3:
-                raise ParseError(f"line {lineno}: cover needs two elements")
-            covers.append((_check_id(tokens[1], lineno), _check_id(tokens[2], lineno)))
+            first_cover = first_cover or lineno
+            if grid is None:
+                if len(tokens) != 3:
+                    raise ParseError(f"line {lineno}: cover needs two elements")
+                covers.append((_check_id(tokens[1], lineno),
+                               _check_id(tokens[2], lineno)))
         elif key == "dim":
             if len(tokens) != 3:
                 raise ParseError(f"line {lineno}: dim needs element and value")
@@ -155,7 +116,7 @@ def parse_pmod(text: str) -> PmodDocument:
                 raise ParseError(f"line {lineno}: dimension must be an integer")
             if d < 0:
                 raise ParseError(f"line {lineno}: negative dimension")
-            dims[el] = d
+            dims[el] = (lineno, d)
             total_dim += d
             if total_dim > MAX_TOTAL_DIM:
                 raise ParseError(f"line {lineno}: total dimension {total_dim} "
@@ -179,65 +140,60 @@ def parse_pmod(text: str) -> PmodDocument:
             ended = True
         else:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
+        # A cover line is an error with a grid poset, before or after it.
+        if first_cover and grid is not None:
+            raise ParseError(f"line {first_cover}: cover lines not allowed with grid")
     if not saw_header:
         raise ParseError("missing 'pmod 1' header")
-    if field_p is None:
+    if file_p is None:
         raise ParseError("missing field line")
-    if not saw_poset:
+    if grid is None and not elements:
         raise ParseError("missing poset line")
     if not ended:
         raise ParseError("missing 'end' line")
-    known = set(elements) if grid is None else _grid_element_names(grid)
-    for el in dims:
-        if el not in known:
-            raise ParseError(f"dim refers to unknown element {el!r}")
-    shaped_maps: dict[tuple[str, str], list[list[int]]] = {}
+    lattice = (Lattice.grid(grid) if grid is not None
+               else Lattice.from_covers(elements, covers))
+    dvec = [0] * lattice.n
+    for el, (lineno, d) in dims.items():
+        try:
+            dvec[lattice.index(el)] = d
+        except KeyError:
+            raise ParseError(f"line {lineno}: dim refers to unknown element {el!r}") from None
+    rows_of = {}
     for (u, v), (lineno, entries) in maps.items():
-        if u not in known or v not in known:
-            raise ParseError(f"line {lineno}: map {u}<{v} mentions unknown elements")
-        rows, cols = dims.get(v, 0), dims.get(u, 0)
+        try:
+            ui, vi = lattice.index(u), lattice.index(v)
+        except KeyError:
+            raise ParseError(f"line {lineno}: map {u}<{v} mentions unknown elements") from None
+        rows, cols = dvec[vi], dvec[ui]
         if rows * cols != len(entries):
             raise ParseError(
                 f"line {lineno}: map {u}<{v} needs {rows}x{cols} = {rows * cols} "
                 f"entries, got {len(entries)}")
         if rows == 0 or cols == 0:
-            raise ParseError(
-                f"line {lineno}: map {u}<{v} has a zero-dimensional side; omit it")
-        shaped_maps[(u, v)] = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
-    return PmodDocument(field_p, grid, tuple(elements) or None,
-                        tuple(covers), dims, shaped_maps)
-
-
-def _grid_element_names(grid: tuple[int, ...]) -> set[str]:
-    import itertools
-    grid_size(grid)  # bounds the set below
-    return {",".join(str(c) for c in t)
-            for t in itertools.product(*(range(m + 1) for m in grid))}
+            raise ParseError(f"line {lineno}: map {u}<{v} has a zero-dimensional side; omit it")
+        rows_of[ui, vi] = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
+    field = FieldSpec(file_p if field_p is None else field_p)
+    return PersistenceModule(lattice, field, dvec, {
+        (u, v): Matrix(field, dvec[v], dvec[u], rows) for (u, v), rows in rows_of.items()})
 
 
 def print_pmod(module: PersistenceModule) -> str:
     """Canonical PMOD text for a module (declaration-ordered, stable)."""
-    doc = PmodDocument.from_module(module)
     lat = module.lattice
-    out = ["pmod 1", f"field {doc.field_p}"]
-    if doc.grid is not None:
-        out.append("poset grid " + " ".join(str(g) for g in doc.grid))
+    name = lat.element
+    out = ["pmod 1", f"field {module.field.p}"]
+    if lat.grid_shape is not None:
+        out.append("poset grid " + " ".join(map(str, lat.grid_shape)))
     else:
-        out.append("poset elements " + " ".join(doc.elements))
-        for (u, v) in doc.covers:
-            out.append(f"cover {u} {v}")
-    for el in lat.elements:
-        if doc.dims.get(el):
-            out.append(f"dim {el} {doc.dims[el]}")
-    for (u, v) in lat.covers():
-        rows = doc.maps.get((u, v))
-        if rows is not None:
-            flat = " ".join(str(x) for row in rows for x in row)
-            out.append(f"map {u}<{v} {flat}")
+        out.append("poset elements " + " ".join(lat.elements))
+        out.extend(f"cover {u} {v}" for u, v in lat.covers())
+    out.extend(f"dim {name(i)} {module.dim_i(i)}" for i in range(lat.n)
+               if module.dim_i(i))
+    for u, v in lat.covers_i():
+        if module.dim_i(u) and module.dim_i(v):
+            flat = " ".join(str(x) for row in module.cover_matrix_i(u, v).rows()
+                            for x in row)
+            out.append(f"map {name(u)}<{name(v)} {flat}")
     out.append("end")
     return "\n".join(out) + "\n"
-
-
-def load_module(text: str, field_p: int | None = None) -> PersistenceModule:
-    """Parse PMOD text and build the validated module."""
-    return parse_pmod(text).to_module(field_p)

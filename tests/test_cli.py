@@ -290,6 +290,17 @@ class TestGen:
         module = load_module(out)
         assert module.dim("0,0") == 2
 
+    def test_oversized_image_is_exit_2(self, tmp_path, capsys):
+        # 60 x 60 pixels at 16 levels: about 9 s of H1 elimination uncapped.
+        img = tmp_path / "big.txt"
+        img.write_text("60 60 1 15\n" + ("0 15 " * 30 + "\n") * 60)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "image", "--file", str(img))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == ("error: image of 3600 pixels at 16 threshold levels costs "
+                       "207360000 (levels x pixels^2), more than the cap of 16777216\n")
+
     def test_image_without_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "image")
         assert code == 2

@@ -41,6 +41,26 @@ class TestImageGrid:
         with pytest.raises(ValueError):
             ImageGrid.from_lists([[[0, 1], [0]]], 2)
 
+    def test_cost_cap_boundary(self):
+        # Constructed only: levels x pixels^2 is checked before any complex.
+        assert generators.MAX_IMAGE_COST == 16 * 1024 ** 2
+        img = ImageGrid.from_lists([[[0] * 32] * 32], 15)  # 16 levels
+        assert (img.width, img.height) == (32, 32)
+        two = ImageGrid.from_lists([[[0] * 32] * 16] * 2, 3)  # 512 pixels, 64 levels
+        assert two.channels == 2
+        with pytest.raises(ValueError, match=r"image of 1024 pixels at 17 threshold levels "
+                           r"costs 17825792 \(levels x pixels\^2\), more than the cap "
+                           r"of 16777216"):
+            ImageGrid.from_lists([[[0] * 32] * 32], 16)
+        with pytest.raises(ValueError, match="525 pixels at 64 threshold levels"):
+            ImageGrid.from_lists([[[0] * 25] * 21] * 2, 7)
+
+    @pytest.mark.parametrize("header", ["1 0 1 1", "2 1 0 1", "0 1 1 1\n0"],
+                             ids=["no-rows", "no-channels", "no-columns"])
+    def test_parse_rejects_empty_shapes(self, header):
+        with pytest.raises(ValueError, match="at least one"):
+            ImageGrid.parse(header + "\n")
+
 
 class TestCubicalComplex:
     def test_cell_counts(self):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmodcalc import lattice
 from pmodcalc.lattice import (Lattice, NoBottom, NotDistributive,
@@ -11,6 +12,7 @@ from pmodcalc.lattice import (Lattice, NoBottom, NotDistributive,
 from oracles import (children, downset, is_strongly_bicartesian,
                      join_irreducibles, join_oracle, leq, mdim, meet,
                      meet_oracle, parents, upset)
+from test_functor_check import lattices
 
 
 def chain(n):
@@ -320,6 +322,32 @@ class TestEnumeration:
         for cube in enumerate_bicartesian_cubes(grid22, 2):
             again = cube_from_cover(grid22, PairwiseCover(cube.top(), cube.parts()))
             assert again.assign == cube.assign
+
+    @settings(max_examples=40, deadline=None)
+    @given(lat=lattices(), arity=st.integers(1, 3))
+    def test_enumerated_cubes_are_those_of_their_covers(self, lat, arity):
+        # Tops ascending, parts as sorted multisets, every pairwise cover
+        # once; each cube is cube_from_cover of its parts, and each subset
+        # holds the meet of the parts not in it.
+        cubes = list(enumerate_bicartesian_cubes(lat, arity))
+        full = (1 << arity) - 1
+        keys = [(c.assign[full], tuple(c.assign[full & ~(1 << i)] for i in range(arity)))
+                for c in cubes]
+        assert keys == sorted(
+            (v, parts) for v in range(lat.n)
+            for parts in itertools.combinations_with_replacement(range(lat.n), arity)
+            if all(join_oracle(lat, x, y) == v for x, y in itertools.combinations(parts, 2))
+            and all(leq(lat, lat.element(x), lat.element(v)) for x in parts))
+        for cube, (v, parts) in zip(cubes, keys):
+            again = cube_from_cover(lat, PairwiseCover(
+                lat.element(v), tuple(map(lat.element, parts))))
+            assert again.assign == cube.assign
+            for mask in range(full):
+                missing = [p for i, p in enumerate(parts) if not mask >> i & 1]
+                acc = missing[0]
+                for x in missing[1:]:
+                    acc = meet_oracle(lat, acc, x)
+                assert cube.assign[mask] == acc
 
     def test_all_enumerated_preserve_joins_and_meets(self, grid22):
         for cube in enumerate_bicartesian_cubes(grid22, 2):

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pmodcalc import (FieldSpec, Lattice, Matrix, free_module, interval_module,
                       random_module)
-from pmodcalc.pmod_io import (MAX_TOTAL_DIM, ParseError, PmodDocument,
-                              load_module, parse_pmod, print_pmod)
+from pmodcalc.pmod_io import MAX_TOTAL_DIM, ParseError, load_module, print_pmod
 from pmodcalc.verify import nonexample_module
 from oracles import cover_matrix, transport
 from test_functor_check import lattices
@@ -116,66 +115,80 @@ class TestParseErrors:
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
-            parse_pmod("field 2\nposet grid 1 1\nend\n")
+            load_module("field 2\nposet grid 1 1\nend\n")
 
     def test_unknown_key(self):
         with pytest.raises(ParseError, match="unknown key"):
-            parse_pmod("pmod 1\nfield 2\nposet grid 1 1\nfrobnicate 1\nend\n")
+            load_module("pmod 1\nfield 2\nposet grid 1 1\nfrobnicate 1\nend\n")
 
     def test_bad_matrix_shape_names_key(self):
         text = ("pmod 1\nfield 2\nposet grid 1 1\n"
                 "dim 0,0 1\ndim 0,1 1\nmap 0,0<0,1 1 1\nend\n")
         with pytest.raises(ParseError, match="0,0<0,1"):
-            parse_pmod(text)
+            load_module(text)
 
     def test_total_dim_cap(self):
         head = "pmod 1\nfield 2\nposet grid 1 1\n"
-        doc = parse_pmod(head + "dim 0,0 1000\ndim 1,1 24\nend\n")
-        assert sum(doc.dims.values()) == MAX_TOTAL_DIM == 1024
+        module = load_module(head + "dim 0,0 1000\ndim 1,1 24\nend\n")
+        assert module.total_dim() == MAX_TOTAL_DIM == 1024
         with pytest.raises(ParseError, match="total dimension 1025 exceeds the cap of 1024"):
-            parse_pmod(head + "dim 0,0 1000\ndim 1,1 25\nend\n")
+            load_module(head + "dim 0,0 1000\ndim 1,1 25\nend\n")
 
     def test_zero_side_map_rejected(self):
         text = ("pmod 1\nfield 2\nposet grid 1 1\n"
                 "dim 0,0 1\nmap 0,0<0,1\nend\n")
         with pytest.raises(ParseError, match="zero-dimensional"):
-            parse_pmod(text)
+            load_module(text)
 
     def test_repeated_dim(self):
         text = "pmod 1\nfield 2\nposet grid 1 1\ndim 0,0 1\ndim 0,0 2\nend\n"
         with pytest.raises(ParseError, match="repeated dim"):
-            parse_pmod(text)
+            load_module(text)
 
     def test_content_after_end(self):
         with pytest.raises(ParseError, match="after 'end'"):
-            parse_pmod("pmod 1\nfield 2\nposet grid 1 1\nend\ndim 0,0 1\n")
+            load_module("pmod 1\nfield 2\nposet grid 1 1\nend\ndim 0,0 1\n")
 
     def test_missing_end(self):
         with pytest.raises(ParseError, match="missing 'end'"):
-            parse_pmod("pmod 1\nfield 2\nposet grid 1 1\n")
+            load_module("pmod 1\nfield 2\nposet grid 1 1\n")
 
     def test_unknown_element_in_dim(self):
         with pytest.raises(ParseError, match="unknown element"):
-            parse_pmod("pmod 1\nfield 2\nposet grid 1 1\ndim 5,5 1\nend\n")
+            load_module("pmod 1\nfield 2\nposet grid 1 1\ndim 5,5 1\nend\n")
+
+    @pytest.mark.parametrize("poset", ["grid 1 1", "elements bot a b top\n"
+                                       "cover bot a\ncover bot b\ncover a top\ncover b top"])
+    def test_unknown_names_name_their_line(self, poset):
+        head = f"pmod 1\nfield 2\nposet {poset}\n"
+        lineno = head.count("\n") + 2  # after one comment or blank line
+        line = f"^line {lineno}: "
+        with pytest.raises(ParseError, match=line + "dim refers to unknown element 'zz'$"):
+            load_module(head + "# comment\ndim zz 1\nend\n")
+        with pytest.raises(ParseError, match=line + "map zz<yy mentions unknown elements$"):
+            load_module(head + "\nmap zz<yy 1\nend\n")
 
     def test_cover_with_grid_rejected(self):
         text = "pmod 1\nfield 2\nposet grid 1 1\ncover 0,0 0,1\nend\n"
         with pytest.raises(ParseError, match="not allowed with grid"):
-            parse_pmod(text)
+            load_module(text)
+
+    def test_cover_before_grid_rejected(self):
+        # Lines after the header may come in any order, so a cover line is
+        # an error with a grid poset wherever it stands.
+        text = "pmod 1\nfield 2\ncover 0,0 0,1\nposet grid 1 1\nend\n"
+        with pytest.raises(ParseError, match="^line 3: cover lines not allowed with grid$"):
+            load_module(text)
 
     def test_missing_cover_map_detected_at_build(self):
-        # Parses fine, but the module constructor requires the map.
+        # Every line is well formed, but the module constructor requires the map.
         text = ("pmod 1\nfield 2\nposet grid 1 1\n"
                 "dim 0,0 1\ndim 0,1 1\nend\n")
-        doc = parse_pmod(text)
         with pytest.raises(ValueError, match="missing cover map"):
-            doc.to_module()
+            load_module(text)
 
 
-class TestDocument:
-    def test_from_module_grid_shape(self, square, gf2):
+class TestPrinter:
+    def test_grid_module_prints_its_shape_and_nonzero_dims(self, square, gf2):
         module = interval_module(square, gf2, ("0,0",))
-        doc = PmodDocument.from_module(module)
-        assert doc.grid == (1, 1)
-        assert doc.dims == {"0,0": 1}
-        assert doc.maps == {}
+        assert print_pmod(module) == "pmod 1\nfield 2\nposet grid 1 1\ndim 0,0 1\nend\n"
