@@ -4,15 +4,13 @@ distributive lattices: approximation functors, cross effects, total
 with theorem suites and generators for image and Rips bifiltrations."""
 
 from .linalg import FieldSpec, GF2, Matrix, NoFactorization
-from .lattice import (Lattice, LatticeCube, PairwiseCover, NoBottom,
-                      NotDistributive, NotLattice, NotPairwiseCover,
-                      boolean_lattice, cube_from_cover, child_cube,
+from .lattice import (Lattice, LatticeCube, NoBottom, NotDistributive,
+                      NotLattice, boolean_lattice, child_cube,
                       enumerate_bicartesian_cubes, parent_cube)
-from .pmodule import (FreeModuleSpec, LatticeMismatch, NatTrans,
-                      NonCommutingSquare, NotComparable, NotConnected,
-                      NotConvex, NotNatural, PersistenceModule, cokernel_of,
-                      direct_sum, free_module, hom_basis, identity_nat,
-                      image_of, interval_module, is_iso, kernel_of,
+from .pmodule import (LatticeMismatch, NatTrans, NonCommutingSquare,
+                      NotComparable, NotConnected, NotConvex, NotNatural,
+                      PersistenceModule, cokernel_of, direct_sum, free_module,
+                      hom_basis, identity_nat, interval_module, is_iso,
                       opposite_module, random_module, restrict_along_cube,
                       zero_nat)
 from .calculus import (ApproxResult, KoszulComplex, NotAComplex, cr_lower,

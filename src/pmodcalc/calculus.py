@@ -66,8 +66,8 @@ from itertools import combinations
 from typing import Callable
 
 from .lattice import LatticeCube, bicartesian_cubes_cached, boolean_lattice
-from .linalg import (Matrix, NoFactorization, factor_through, hstack,
-                     cokernel_projection, rank, rref, vstack)
+from .linalg import (Matrix, NoFactorization, cokernel_projection, hstack,
+                     rank, rref, solve, vstack)
 from .pmodule import (NatTrans, PersistenceModule, cokernel_of, identity_nat,
                       opposite_module, restrict_along_cube)
 
@@ -92,7 +92,6 @@ class ApproxResult:
     docstring).
     """
 
-    kind: str
     module: PersistenceModule
     canonical: NatTrans
 
@@ -157,7 +156,7 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     canonical = NatTrans(module, f, eps)
     if not same:  # with f itself eps is the identity, natural as it stands
         canonical.validate()
-    result = ApproxResult("t_lower", module, canonical)
+    result = ApproxResult(module, canonical)
     f.calc_cache[("t_lower", n)] = result
     return result
 
@@ -170,7 +169,7 @@ def _cached_or_unchanged(f: PersistenceModule, kind: str, n: int) -> ApproxResul
         raise ValueError("approximation degree must be >= 0")
     cached = f.calc_cache.get((kind, n))
     if cached is None and (n >= f.lattice.poset_dimension() or f.is_zero()):
-        cached = f.calc_cache[(kind, n)] = ApproxResult(kind, f, identity_nat(f))
+        cached = f.calc_cache[(kind, n)] = ApproxResult(f, identity_nat(f))
     return cached
 
 
@@ -255,7 +254,7 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
         maps.update(((w, x), m) for w, m in zip(ws, blocks))
     module = f if same else PersistenceModule(
         lat, field, [b.ncols for b in bases], maps)
-    result = ApproxResult("gamma_lower", module, NatTrans(module, f, bases))
+    result = ApproxResult(module, NatTrans(module, f, bases))
     f.calc_cache[("gamma_lower", n)] = result
     return result
 
@@ -268,7 +267,7 @@ def cr_lower(f: PersistenceModule, n: int) -> ApproxResult:
     if cached is not None:
         return cached
     module, epi = cokernel_of(gamma_lower(f, n).canonical)
-    result = ApproxResult("cr_lower", module, epi)
+    result = ApproxResult(module, epi)
     f.calc_cache[("cr_lower", n)] = result
     return result
 
@@ -287,7 +286,7 @@ def _upper(kind: str, lower: Callable[[PersistenceModule, int], ApproxResult],
     if cached is not None:
         return cached
     low = lower(opposite_module(f), n)
-    result = ApproxResult(kind, opposite_module(low.module), _dual_nat(low.canonical))
+    result = ApproxResult(opposite_module(low.module), _dual_nat(low.canonical))
     f.calc_cache[(kind, n)] = result
     return result
 
@@ -319,8 +318,8 @@ def gamma_lower_map(alpha: NatTrans, gamma_src: ApproxResult,
                     gamma_tgt: ApproxResult) -> NatTrans:
     """The induced map gamma_lower F -> gamma_lower G of alpha: F -> G,
     obtained by factoring alpha restricted to the image submodule."""
-    comps = [factor_through(alpha.component_i(i) @ gamma_src.canonical.component_i(i),
-                            gamma_tgt.canonical.component_i(i))
+    comps = [solve(gamma_tgt.canonical.component_i(i),
+                   alpha.component_i(i) @ gamma_src.canonical.component_i(i))
              for i in range(alpha.source.lattice.n)]
     return NatTrans(gamma_src.module, gamma_tgt.module, comps)
 

@@ -25,7 +25,7 @@ from .linalg import FieldSpec, NoFactorization, rank
 from .pmodule import (NonCommutingSquare, NotConnected, NotConvex, NotNatural,
                       PersistenceModule, interval_module, free_module,
                       random_module)
-from .pmod_io import ParseError, load_module, print_pmod
+from .pmod_io import MAX_TOTAL_DIM, ParseError, load_module, print_pmod
 from .resolution import (EquivalenceViolated, betti, check_pdim_theorem_1,
                          check_pdim_theorem_2, pdim)
 from .verify import UnknownSuite, run_suite
@@ -183,6 +183,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         module = sublevel_rips_h0(space, field)
     else:  # pragma: no cover
         raise CliError(f"unknown generator {args.kind}")
+    if (total := module.total_dim()) > MAX_TOTAL_DIM:  # its PMOD would not load
+        raise CliError(f"generated module has total dimension {total}, more than "
+                       f"the cap of {MAX_TOTAL_DIM} a PMOD file may declare")
     sys.stdout.write(print_pmod(module))
     return 0
 

@@ -74,7 +74,8 @@ class ImageGrid:
                    max_value: int) -> "ImageGrid":
         vals = tuple(tuple(tuple(int(v) for v in row) for row in chan)
                      for chan in channels)
-        return cls(len(vals[0][0]), len(vals[0]), len(vals), max_value, vals)
+        first = vals[0] if vals else ()  # no channel or row: __post_init__ rejects
+        return cls(len(first[0]) if first else 0, len(first), len(vals), max_value, vals)
 
     @classmethod
     def parse(cls, text: str) -> "ImageGrid":

@@ -1,7 +1,9 @@
 """Finite distributive lattice combinatorics.
 
-Elements are opaque string ids.  Internally everything is index-based,
-with the order relation kept as per-element bitmasks, so cover / join /
+Elements are named by opaque string ids, but every query and cube takes
+and returns element indices (positions in ``elements``); names are met
+only where text crosses the boundary, through ``index`` and ``element``.
+The order relation is kept as per-element bitmasks, so cover / join /
 meet queries and subposet extraction stay cheap for the ~100-element
 grids the generators produce.
 
@@ -41,10 +43,6 @@ class NotDistributive(Exception):
 
 class NoBottom(Exception):
     """The poset has no unique least element."""
-
-
-class NotPairwiseCover(Exception):
-    """Parts of a claimed pairwise cover do not pairwise join to the top."""
 
 
 #: Largest grid ``Lattice.grid`` builds, a bound on the input: every module
@@ -263,9 +261,6 @@ class Lattice:
     def leq_i(self, i: int, j: int) -> bool:
         return bool(self._up[i] & (1 << j))
 
-    def join(self, u: str, v: str) -> str:
-        return self.elements[self.join_i(self.index(u), self.index(v))]
-
     def join_i(self, i: int, j: int) -> int:
         """The element whose up-set is the common upper bounds of i and j."""
         return self._by_up[self._up[i] & self._up[j]]
@@ -273,17 +268,6 @@ class Lattice:
     def meet_i(self, i: int, j: int) -> int:
         """The element whose down-set is the common lower bounds of i and j."""
         return self._by_down[self._down[i] & self._down[j]]
-
-    def bottom(self) -> str:
-        # Construction guarantees a unique bottom and (all joins existing)
-        # a unique top, so they open and close every linear extension.
-        return self.elements[self._topo[0]]
-
-    def top(self) -> str:
-        return self.elements[self._topo[-1]]
-
-    def covers(self) -> tuple[tuple[str, str], ...]:
-        return tuple((self.elements[u], self.elements[v]) for u, v in self._covers)
 
     def covers_i(self) -> tuple[tuple[int, int], ...]:
         return self._covers
@@ -295,10 +279,6 @@ class Lattice:
     def children_i(self, i: int) -> tuple[int, ...]:
         """Upper covers of i (elements covering i)."""
         return self._children[i]
-
-    def jdim(self, v: str) -> int:
-        """Join-dimension: the number of lower covers of v."""
-        return len(self._parents[self.index(v)])
 
     def poset_dimension(self) -> int:
         """Order dimension: the maximal join-dimension over all elements,
@@ -367,30 +347,6 @@ def boolean_lattice(k: int) -> Lattice:
 
 
 @dataclass(frozen=True)
-class PairwiseCover:
-    """A top element v together with parts x0..xk, each <= v, with
-    xi v xj = v for all i != j.  Parts may repeat only as copies of v."""
-
-    top: str
-    parts: tuple[str, ...]
-
-    def validate(self, lattice: Lattice) -> "PairwiseCover":
-        vi = lattice.index(self.top)
-        idx = [lattice.index(x) for x in self.parts]
-        for i in idx:
-            if not lattice.leq_i(i, vi):
-                raise NotPairwiseCover(
-                    f"part {lattice.element(i)} is not below top {self.top}")
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                if lattice.join_i(idx[a], idx[b]) != vi:
-                    raise NotPairwiseCover(
-                        f"parts {self.parts[a]}, {self.parts[b]} join to "
-                        f"{lattice.element(lattice.join_i(idx[a], idx[b]))}, not {self.top}")
-        return self
-
-
-@dataclass(frozen=True)
 class LatticeCube:
     """A cube in the lattice: subsets of {0..arity-1} (as bitmasks) mapped
     to element indices, monotone under inclusion."""
@@ -403,33 +359,24 @@ class LatticeCube:
         if len(self.assign) != 1 << self.arity:
             raise ValueError("cube assignment has wrong length")
 
-    def value(self, mask: int) -> str:
-        return self.lattice.elements[self.assign[mask]]
-
     @property
     def full_mask(self) -> int:
         return (1 << self.arity) - 1
 
-    def top(self) -> str:
-        return self.value(self.full_mask)
-
-    def bottom(self) -> str:
-        return self.value(0)
-
-    def parts(self) -> tuple[str, ...]:
-        """Recover the pairwise cover: part i sits at the subset missing i."""
-        full = self.full_mask
-        return tuple(self.value(full & ~(1 << i)) for i in range(self.arity))
-
     def describe(self) -> str:
-        return (f"cube(top={self.top()}, parts={','.join(self.parts())})"
-                if self.arity else f"cube(point={self.bottom()})")
+        """The cube's top and parts (part i at the subset missing i) by name."""
+        name, full = self.lattice.elements, self.full_mask
+        if not self.arity:
+            return f"cube(point={name[self.assign[0]]})"
+        parts = ",".join(name[self.assign[full & ~(1 << i)]] for i in range(self.arity))
+        return f"cube(top={name[self.assign[full]]}, parts={parts})"
 
 
 def _meet_cube(lattice: Lattice, top: int, parts: Sequence[int]) -> LatticeCube:
     """The cube with top at the full subset and, at any other subset S, the
     meet of the parts not in S: filled downwards, S from S + {b} for the
-    highest b not in S.  The parts must lie below top."""
+    highest b not in S.  The parts must lie below top; when they are a
+    pairwise cover of it, this is the strongly bicartesian cube they span."""
     full = (1 << len(parts)) - 1
     assign = [top] * (full + 1)
     for mask in range(full - 1, -1, -1):
@@ -438,27 +385,16 @@ def _meet_cube(lattice: Lattice, top: int, parts: Sequence[int]) -> LatticeCube:
     return LatticeCube(lattice, len(parts), tuple(assign))
 
 
-def cube_from_cover(lattice: Lattice, cover: PairwiseCover) -> LatticeCube:
-    """The strongly bicartesian cube generated by a pairwise cover:
-    the full subset maps to the top, any other subset S to the meet of
-    the parts not in S."""
-    cover.validate(lattice)
-    return _meet_cube(lattice, lattice.index(cover.top),
-                      [lattice.index(x) for x in cover.parts])
-
-
-def parent_cube(lattice: Lattice, a: str) -> LatticeCube:
-    """The cube spanned by a and its lower covers (meets fill the rest), as
-    cube_from_cover builds it.  Any two lower covers join to a, so they
-    are a pairwise cover and none is checked.
+def parent_cube(lattice: Lattice, a: int) -> LatticeCube:
+    """The cube spanned by element a and its lower covers (meets fill the
+    rest).  Any two lower covers join to a, so they are a pairwise cover.
 
     An element with no lower covers yields the 0-cube at that element.
     """
-    top = lattice.index(a)
-    return _meet_cube(lattice, top, lattice.parents_i(top))
+    return _meet_cube(lattice, a, lattice.parents_i(a))
 
 
-def child_cube(lattice: Lattice, a: str) -> LatticeCube:
+def child_cube(lattice: Lattice, a: int) -> LatticeCube:
     """The dual cube: a at the empty subset, joins of upper covers above.
     It is the parent cube of a in the opposite lattice, subset S there
     being the complement of S here."""
@@ -468,7 +404,8 @@ def child_cube(lattice: Lattice, a: str) -> LatticeCube:
 
 def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[LatticeCube]:
     """All strongly bicartesian cubes of the given arity, one per unordered
-    pairwise cover per top element, as cube_from_cover builds them.
+    pairwise cover per top element: the parts of a pairwise cover of v
+    are elements below v whose pairwise joins are all v.
 
     Tops are visited in element order and parts as sorted multisets, so
     the enumeration order is deterministic.  Degenerate covers (parts

@@ -28,11 +28,10 @@ is read (``row``, ``rows``, ``to_lists``, ``m[i, j]``: PMOD printing and
 Maps induced on a basis chosen here are read off the echelon form that
 chose it (F: free columns, P: pivot columns of the cached rref).  The
 projection q of ``cokernel_projection`` is the identity on the columns F
-returned with it, so h*q = r forces h = r.take_cols(F); K = kernel_basis(m)
-is the identity on the rows F = ``free_columns(m)``, so K*h = g forces
-h = g.take_rows(F); and m = C*R for C = image_basis(m) = m.take_cols(P)
-and R the first rank(m) rows of rref(m).  Callers check each read-off by
-its defining product; ``solve`` and its wrappers stay the general path.
+returned with it, so h*q = r forces h = r.take_cols(F); and m = C*R for
+C = image_basis(m) = m.take_cols(P) and R the first rank(m) rows of
+rref(m).  Callers check each read-off by its defining product; ``solve``
+stays the general path.
 """
 
 from __future__ import annotations
@@ -299,13 +298,11 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix._of(field, len(rows), ncols, rows)
 
 
-def direct_sum(mats: Sequence[Matrix], field: FieldSpec | None = None) -> Matrix:
-    """Block-diagonal sum of the given matrices (all over ``field`` if given)."""
+def direct_sum(mats: Sequence[Matrix]) -> Matrix:
+    """Block-diagonal sum of the given matrices (all over one field)."""
     if not mats:
-        if field is None:
-            raise ValueError("direct_sum of no matrices needs an explicit field")
-        return Matrix.zeros(field, 0, 0)
-    field = mats[0].field if field is None else field
+        raise ValueError("direct_sum of no matrices (field would be ambiguous)")
+    field = mats[0].field
     ncols, c0, blocks = sum(m.ncols for m in mats), 0, []  # hstack checks fields
     for m in mats:
         blocks.append(hstack([Matrix.zeros(field, m.nrows, c0), m,
@@ -453,12 +450,6 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def free_columns(m: Matrix) -> tuple[int, ...]:
-    """The non-pivot columns of rref(m), in increasing order."""
-    pivots = set(rref(m)[1])
-    return tuple(j for j in range(m.ncols) if j not in pivots)
-
-
 def kernel_basis(m: Matrix) -> Matrix:
     """A matrix whose columns are a basis of ker(m).
 
@@ -487,7 +478,7 @@ def image_basis(m: Matrix) -> Matrix:
 
 def cokernel_projection(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """A surjection q with q*m = 0 and rank(q) = nrows - rank(m), and the
-    columns free_columns(m^T) on which q is the identity.
+    columns (the non-pivot columns of rref(m^T)) on which q is the identity.
 
     q is the transposed kernel_basis of m^T: the echelon basis of the left
     null space of m, so the projection is deterministic.  It is read off
@@ -537,17 +528,3 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     for r, c in enumerate(pivots):
         x[c] = tail[r]
     return Matrix._of(a.field, n, b.ncols, tuple(x))
-
-
-def factor_through(f: Matrix, g: Matrix) -> Matrix:
-    """Return h with g*h = f; the column space of f must lie in that of g.
-
-    Raises NoFactorization otherwise, which upstream signals a naturality
-    bug (an induced map that should exist does not).
-    """
-    return solve(g, f)
-
-
-def solve_left(q: Matrix, r: Matrix) -> Matrix:
-    """Return h with h*q = r.  Unique whenever q is surjective."""
-    return solve(q.transpose(), r.transpose()).transpose()

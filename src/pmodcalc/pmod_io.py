@@ -187,7 +187,7 @@ def print_pmod(module: PersistenceModule) -> str:
         out.append("poset grid " + " ".join(map(str, lat.grid_shape)))
     else:
         out.append("poset elements " + " ".join(lat.elements))
-        out.extend(f"cover {u} {v}" for u, v in lat.covers())
+        out.extend(f"cover {name(u)} {name(v)}" for u, v in lat.covers_i())
     out.extend(f"dim {name(i)} {module.dim_i(i)}" for i in range(lat.n)
                if module.dim_i(i))
     for u, v in lat.covers_i():

@@ -9,32 +9,32 @@ first-parent chain and cached.
 Every module is checked on construction: ``validate`` requires every
 cover diamond to commute, which on a distributive lattice (and every
 ``Lattice`` is one) is the whole functor axiom, since any two maximal
-chains of an interval differ by diamond flips.  All derived modules
-(images, kernels, cokernels) pick bases through the echelon convention
-of :mod:`pmodcalc.linalg`, so they are deterministic; their cover maps
-are read off the echelon form that chose those bases and checked by their
-defining products (NoFactorization names a failing cover).  A cube of
-vector spaces is a module too: restricting f along a lattice k-cube gives
-a module on the Boolean lattice {0,1}^k.
+chains of an interval differ by diamond flips.  A cokernel picks its
+bases through the echelon convention of :mod:`pmodcalc.linalg`, so it is
+deterministic; its cover maps are read off the echelon form that chose
+those bases and checked by their defining products (NoFactorization
+names a failing cover).  A cube of vector spaces is a module too:
+restricting f along a lattice k-cube gives a module on the Boolean
+lattice {0,1}^k.
 
 Module data is keyed by element index (the position in
 ``lattice.elements``): one dim and one natural-map component per index,
-one cover map per index pair with both sides nonzero.  Names are
-resolved only where text comes in (the PMOD reader, ``interval_module``,
-``free_module``).
+one cover map per index pair with both sides nonzero, and every query
+takes and returns indices.  Names are resolved only where text comes in
+(the PMOD reader, ``interval_module``, ``free_module``) and written only
+where it goes out (``dims_by_element``, error messages).
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import Lattice, LatticeCube, _bits, boolean_lattice
 from .linalg import (FieldSpec, Matrix, NoFactorization, cokernel_projection,
-                     free_columns, kernel_basis, rank, rref)
+                     kernel_basis, rank)
 from . import linalg
 
 
@@ -127,9 +127,6 @@ class PersistenceModule:
         self.validate()
 
     # -- access -----------------------------------------------------------
-
-    def dim(self, el: str) -> int:
-        return self._dims[self.lattice.index(el)]
 
     def dim_i(self, i: int) -> int:
         return self._dims[i]
@@ -247,9 +244,6 @@ class NatTrans:
                 raise ValueError(
                     f"component at {lat.element(i)} has shape {m.shape}, "
                     f"expected {(rows, cols)}")
-
-    def component(self, el: str) -> Matrix:
-        return self._components[self.source.lattice.index(el)]
 
     def component_i(self, i: int) -> Matrix:
         return self._components[i]
@@ -380,28 +374,16 @@ def interval_module(lattice: Lattice, field: FieldSpec,
         {(u, v): one for (u, v) in lattice.covers_i() if u in sup and v in sup})
 
 
-@dataclass(frozen=True)
-class FreeModuleSpec:
-    """A multiset of free generators: (element, multiplicity) pairs."""
-
-    generators: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def from_mapping(cls, mult: Mapping[str, int]) -> "FreeModuleSpec":
-        gens = tuple(sorted((el, int(k)) for el, k in mult.items() if k))
-        if any(k < 0 for _, k in gens):
-            raise ValueError("negative multiplicity")
-        return cls(gens)
-
-
 def free_module(lattice: Lattice, field: FieldSpec,
-                spec: FreeModuleSpec | Mapping[str, int]) -> PersistenceModule:
-    """The free module on the given generators: dimension at x counts the
-    generators born at or below x; cover maps are coordinate inclusions."""
-    if not isinstance(spec, FreeModuleSpec):
-        spec = FreeModuleSpec.from_mapping(spec)
+                gens: Mapping[str, int]) -> PersistenceModule:
+    """The free module on the generators {element name: multiplicity}:
+    dimension at x counts the generators born at or below x; cover maps
+    are coordinate inclusions."""
+    mult = {el: int(k) for el, k in gens.items() if k}
+    if any(k < 0 for k in mult.values()):
+        raise ValueError("negative multiplicity")
     return _free_on(lattice, field, sorted(
-        i for el, k in spec.generators for i in [lattice.index(el)] * k))
+        i for el, k in mult.items() for i in [lattice.index(el)] * k))
 
 
 def _free_on(lattice: Lattice, field: FieldSpec, gens: list[int]) -> PersistenceModule:
@@ -433,21 +415,22 @@ def direct_sum(f: PersistenceModule, g: PersistenceModule) -> PersistenceModule:
 
 
 def sum_inclusion(f: PersistenceModule, g: PersistenceModule, which: int,
-                  total: PersistenceModule | None = None) -> NatTrans:
-    """Canonical inclusion of the first (0) or second (1) summand into f + g."""
-    s = direct_sum(f, g) if total is None else total
+                  total: PersistenceModule) -> NatTrans:
+    """Canonical inclusion of the first (0) or second (1) summand into
+    total, which is direct_sum(f, g)."""
     src = (f, g)[which]
     comps = []
     for i in range(f.lattice.n):
         off = f.dim_i(i) if which else 0
         comps.append(Matrix.identity(f.field, f.dim_i(i) + g.dim_i(i))
                      .take_cols(range(off, off + src.dim_i(i))))
-    return NatTrans(src, s, comps)
+    return NatTrans(src, total, comps)
 
 
 def sum_projection(f: PersistenceModule, g: PersistenceModule, which: int,
-                   total: PersistenceModule | None = None) -> NatTrans:
-    """Canonical projection of f + g onto a summand: the inclusion, transposed."""
+                   total: PersistenceModule) -> NatTrans:
+    """Canonical projection of total = direct_sum(f, g) onto a summand:
+    the inclusion, transposed."""
     incl = sum_inclusion(f, g, which, total)
     return NatTrans(incl.target, incl.source,
                     [incl.component_i(i).transpose() for i in range(f.lattice.n)])
@@ -496,76 +479,26 @@ def random_module(lattice: Lattice, field: FieldSpec, seed,
     return module
 
 
-# -- pointwise image / kernel / cokernel ------------------------------------
-
-
-def _induced(nt: NatTrans, dims: Sequence[int], induce) -> PersistenceModule:
-    """The module with the given dims and, on each cover u < v, the map h
-    of ``h, product, want = induce(u, v)``, once product == want."""
-    lat = nt.source.lattice
-    maps = {}
-    for (u, v) in lat.covers_i():
-        h, product, want = induce(u, v)
-        if product != want:
-            raise NoFactorization(
-                f"no induced map on cover {lat.element(u)} < {lat.element(v)}")
-        maps[(u, v)] = h
-    return PersistenceModule(lat, nt.source.field, dims, maps)
-
-
-def image_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
-    """The pointwise image of a natural nt: S -> T, with its canonical
-    monomorphism into T.  With pivot columns C_u = nt_u.take_cols(P_u) as
-    basis, nt_u = C_u R_u (R_u: the nonzero rows of rref(nt_u)), so the
-    cover map is R_v S(u->v).take_cols(P_u), checked against T(u->v) C_u.
-    """
-    lat = nt.source.lattice
-    echelon = [rref(nt.component_i(i)) for i in range(lat.n)]
-    bases = [nt.component_i(i).take_cols(piv) for i, (_, piv) in enumerate(echelon)]
-
-    def induce(u, v):
-        red, pivots = echelon[v]
-        h = (red.take_rows(range(len(pivots)))
-             @ nt.source.cover_matrix_i(u, v).take_cols(echelon[u][1]))
-        return h, bases[v] @ h, nt.target.cover_matrix_i(u, v) @ bases[u]
-
-    module = _induced(nt, [b.ncols for b in bases], induce)
-    return module, NatTrans(module, nt.target, bases)
-
-
-def kernel_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
-    """The pointwise kernel, with its canonical monomorphism into the source.
-
-    The basis K_v is the identity on the rows free_columns(nt_v), so the
-    cover map, the h with K_v h = S(u->v) K_u, is read off those rows."""
-    lat = nt.source.lattice
-    bases = [kernel_basis(nt.component_i(i)) for i in range(lat.n)]
-    free = [free_columns(nt.component_i(i)) for i in range(lat.n)]
-
-    def induce(u, v):
-        pushed = nt.source.cover_matrix_i(u, v) @ bases[u]
-        h = pushed.take_rows(free[v])
-        return h, bases[v] @ h, pushed
-
-    module = _induced(nt, [b.ncols for b in bases], induce)
-    return module, NatTrans(module, nt.source, bases)
+# -- pointwise cokernel -----------------------------------------------------
 
 
 def cokernel_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
     """The pointwise cokernel, with its canonical epimorphism from the target.
 
     The cover map is the h with h q_u = q_v T(u->v), unique as q_u is
-    surjective, and read off the columns on which q_u is the identity."""
+    surjective, and read off the columns on which q_u is the identity;
+    NoFactorization names a cover where h q_u differs."""
     lat = nt.source.lattice
     projs = [cokernel_projection(nt.component_i(i)) for i in range(lat.n)]
-
-    def induce(u, v):
+    maps = {}
+    for (u, v) in lat.covers_i():
         (qu, free), (qv, _) = projs[u], projs[v]
         rhs = qv @ nt.target.cover_matrix_i(u, v)
-        h = rhs.take_cols(free)
-        return h, h @ qu, rhs
-
-    module = _induced(nt, [q.nrows for q, _ in projs], induce)
+        h = maps[(u, v)] = rhs.take_cols(free)
+        if h @ qu != rhs:
+            raise NoFactorization(
+                f"no induced map on cover {lat.element(u)} < {lat.element(v)}")
+    module = PersistenceModule(lat, nt.source.field, [q.nrows for q, _ in projs], maps)
     return module, NatTrans(nt.target, module, [q for q, _ in projs])
 
 

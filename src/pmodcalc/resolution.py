@@ -60,9 +60,9 @@ def betti(f: PersistenceModule) -> BettiDiagram:
         return f.calc_cache["betti"]
     lat = f.lattice
     entries: dict[tuple[str, int], int] = {}
-    for a in lat.elements:
-        kx = koszul(f, parent_cube(lat, a))
-        entries.update(((a, i), h) for i, h in enumerate(kx.betti) if h)
+    for x in range(lat.n):
+        kx = koszul(f, parent_cube(lat, x))
+        entries.update(((lat.element(x), i), h) for i, h in enumerate(kx.betti) if h)
     f.calc_cache["betti"] = diagram = BettiDiagram(entries)
     return diagram
 

@@ -32,7 +32,7 @@ from .calculus import (PREDICATES, _dual_nat, find_failing_cube, gamma_lower,
                        min_codegree, min_cross_codegree, min_cross_degree,
                        min_degree, t_lower, t_upper, tcofib, tfib)
 from .lattice import Lattice, LatticeCube, bicartesian_cubes_cached, parent_cube
-from .linalg import FieldSpec, Matrix, NoFactorization, factor_through, rank
+from .linalg import FieldSpec, Matrix, NoFactorization, rank, solve
 from .linalg import direct_sum as block_diagonal
 from .pmodule import (NatTrans, PersistenceModule, cokernel_of, direct_sum,
                       interval_module, is_iso, opposite_module, random_module,
@@ -206,8 +206,7 @@ def _gamma_battery(record: Record, f: PersistenceModule, seed: str) -> None:
         gn, gm = gamma_lower(f, n), gamma_lower(f, n + 1)
         record("idempotent-comonad", is_iso(gamma_lower(gn.module, n).canonical), f, seed)
         try:
-            comps = [factor_through(gn.canonical.component_i(i),
-                                    gm.canonical.component_i(i))
+            comps = [solve(gm.canonical.component_i(i), gn.canonical.component_i(i))
                      for i in range(f.lattice.n)]
             step = NatTrans(gn.module, gm.module, comps)
             ok = step.is_pointwise_mono() and step.is_natural()
@@ -225,8 +224,8 @@ def _convergence_check(report: SuiteReport, f: PersistenceModule, seed: str) -> 
 def _spans_agree(a: Matrix, b: Matrix) -> bool:
     """Whether a and b factor through each other: equal column spaces."""
     try:
-        factor_through(a, b)
-        factor_through(b, a)
+        solve(b, a)
+        solve(a, b)
     except NoFactorization:
         return False
     return True
@@ -250,9 +249,9 @@ def _direct_sum_checks(record: Record, f: PersistenceModule,
         record("direct-sum-lower", ok, s, seed)
     gf, gs, gg = gamma_lower(f, 1), gamma_lower(s, 1), gamma_lower(g, 1)
     for prop, alpha, src, tgt, holds in (
-            ("preserves-mono-lower", sum_inclusion(f, g, 0, total=s), gf, gs,
+            ("preserves-mono-lower", sum_inclusion(f, g, 0, s), gf, gs,
              NatTrans.is_pointwise_mono),
-            ("preserves-epi-lower", sum_projection(f, g, 1, total=s), gs, gg,
+            ("preserves-epi-lower", sum_projection(f, g, 1, s), gs, gg,
              NatTrans.is_pointwise_epi)):
         try:
             lowered = gamma_lower_map(alpha, src, tgt)
@@ -305,7 +304,7 @@ def _lower_battery(record: Record, f: PersistenceModule, g: PersistenceModule,
     gl = gamma_lower(f, 1)
     try:
         lift = NatTrans(src, gl.module,
-                        [factor_through(alpha.component_i(i), gl.canonical.component_i(i))
+                        [solve(gl.canonical.component_i(i), alpha.component_i(i))
                          for i in range(lat.n)])
         recomposed = gl.canonical.compose(lift)
         # Uniqueness: the canonical map is pointwise mono, so any two
@@ -341,7 +340,7 @@ def _restriction_and_koszul_checks(report: SuiteReport, f: PersistenceModule,
                                    rng: random.Random, seed: str) -> None:
     lat = f.lattice
     pd = pdim(f)
-    cubes = [parent_cube(lat, el) for el in lat.elements]
+    cubes = [parent_cube(lat, x) for x in range(lat.n)]
     pool = bicartesian_cubes_cached(lat, 2)
     cubes.extend(rng.choice(pool) for _ in range(3))
     for cube in cubes:

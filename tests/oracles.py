@@ -6,9 +6,11 @@ map, with no sweep.  ``gamma_lower_oracle`` is the image of the canonical
 map of the Kan extension ``t_lower``, the definition the image sweep of
 ``gamma_lower`` replaces.  ``PREDICATE_ORACLES`` decides the four degree
 predicates by their definitions through the approximations, where the
-package reads them off the cover maps.  The solve-based image, kernel and
-cokernel bodies are the references for the echelon read-offs of
-``image_of``, ``kernel_of`` and ``cokernel_of``, and
+package reads them off the cover maps.  The solve-based cokernel body
+is the reference for the echelon read-off of ``cokernel_of``
+(``solve_left`` solves h*q = r, ``free_columns`` names the columns a
+read-off keeps); ``image_of_oracle``, the pointwise image of a natural
+map, is what ``gamma_lower_oracle`` takes of t_lower's canonical map, and
 ``functor_axiom_oracle`` walks every up-set where construction checks only
 cover diamonds.  ``check_interval_oracle`` is the pairwise support check
 that ``interval_module`` replaced.  ``betti_oracle`` takes the Koszul
@@ -35,8 +37,11 @@ lower sweeps as they were before they returned f itself where they change
 nothing: they always build and check a new module.  The element-name
 queries at the end (``leq``, ``mdim``, ``upset``, ``join_irreducibles``,
 ``is_strongly_bicartesian``, ``cover_matrix``, ``downset``, ``meet``,
-``parents``, ``children``, ``transport``) are used only by the tests, so
-they live here rather than in the package, which works by element index.
+``parents``, ``children``, ``transport``, ``join``, ``jdim``, ``bottom``,
+``top``, ``covers``, ``dim``, ``component``, and the cube forms
+``cover_cube``, ``cube_value``, ``cube_top`` and ``cube_parts``) are used
+only by the tests, so they live here rather than in the package, which
+works by element index.
 """
 
 from __future__ import annotations
@@ -49,15 +54,14 @@ from pmodcalc.calculus import (ApproxResult, _boundary, gamma_lower,
 from pmodcalc.generators import (CubicalComplex, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
                                  _UnionFind, _homology_reps)
-from pmodcalc.lattice import Lattice, LatticeCube, _bits, parent_cube
+from pmodcalc.lattice import Lattice, LatticeCube, _bits, _meet_cube, parent_cube
 from pmodcalc import linalg
 from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
-                             cokernel_projection, factor_through, free_columns,
-                             hstack, image_basis, kernel_basis, rank, rref,
-                             solve, solve_left, vstack)
+                             cokernel_projection, hstack, image_basis,
+                             kernel_basis, rank, rref, solve, vstack)
 from pmodcalc.pmodule import (NatTrans, NotConnected, NotConvex,
-                              PersistenceModule, image_of, is_iso,
-                              opposite_module, restrict_along_cube)
+                              PersistenceModule, is_iso, opposite_module,
+                              restrict_along_cube)
 
 
 class NotDownClosed(Exception):
@@ -140,8 +144,7 @@ def lim_over_upset(f: PersistenceModule, x: str,
 def gamma_lower_oracle(f: PersistenceModule, n: int) -> ApproxResult:
     """The cross-codegree-n approximation by its definition: the pointwise
     image of the canonical map t_lower(f, n) -> f, with its inclusion."""
-    module, mono = image_of(t_lower(f, n).canonical)
-    return ApproxResult("gamma_lower", module, mono)
+    return ApproxResult(*image_of_oracle(t_lower(f, n).canonical))
 
 
 def t_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
@@ -176,7 +179,7 @@ def t_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
     module = PersistenceModule(lat, field, dims, maps)
     canonical = NatTrans(module, f, eps)
     canonical.validate()
-    return ApproxResult("t_lower", module, canonical)
+    return ApproxResult(module, canonical)
 
 
 def gamma_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
@@ -211,7 +214,7 @@ def gamma_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
                 offset += leg.ncols
         maps.update(((w, x), m) for w, m in zip(ws, blocks))
     module = PersistenceModule(lat, field, [b.ncols for b in bases], maps)
-    return ApproxResult("gamma_lower", module, NatTrans(module, f, bases))
+    return ApproxResult(module, NatTrans(module, f, bases))
 
 
 def is_codegree_oracle(f: PersistenceModule, n: int) -> bool:
@@ -275,11 +278,11 @@ def betti_oracle(f: PersistenceModule) -> dict[tuple[str, int], int]:
     the Koszul homology of f restricted along the parent cube of every
     element, by ``koszul_homology_oracle``."""
     lat, entries = f.lattice, {}
-    for a in lat.elements:
-        cube = restrict_along_cube(f, parent_cube(lat, a))
+    for x in range(lat.n):
+        cube = restrict_along_cube(f, parent_cube(lat, x))
         for i, h in enumerate(koszul_homology_oracle(cube)):
             if h:
-                entries[(a, i)] = h
+                entries[(lat.element(x), i)] = h
     return entries
 
 
@@ -299,22 +302,25 @@ def canonical_iso_2_oracle(f: PersistenceModule, n: int) -> bool:
 # -- induced maps: the solve-based bodies the echelon read-offs replaced -------
 
 
+def solve_left(q: Matrix, r: Matrix) -> Matrix:
+    """h with h*q = r (unique when q is surjective), by solve on transposes."""
+    return solve(q.transpose(), r.transpose()).transpose()
+
+
 def image_of_oracle(nt):
+    """The pointwise image of nt: S -> T, on the pivot columns of each
+    component, with its canonical monomorphism into T."""
     lat = nt.source.lattice
     bases = [image_basis(nt.component_i(i)) for i in range(lat.n)]
-    maps = {(u, v): factor_through(nt.target.cover_matrix_i(u, v) @ bases[u], bases[v])
+    maps = {(u, v): solve(bases[v], nt.target.cover_matrix_i(u, v) @ bases[u])
             for (u, v) in lat.covers_i()}
     module = PersistenceModule(lat, nt.source.field, [b.ncols for b in bases], maps)
     return module, NatTrans(module, nt.target, bases)
 
 
-def kernel_of_oracle(nt):
-    lat = nt.source.lattice
-    bases = [kernel_basis(nt.component_i(i)) for i in range(lat.n)]
-    maps = {(u, v): factor_through(nt.source.cover_matrix_i(u, v) @ bases[u], bases[v])
-            for (u, v) in lat.covers_i()}
-    module = PersistenceModule(lat, nt.source.field, [b.ncols for b in bases], maps)
-    return module, NatTrans(module, nt.source, bases)
+def free_columns(m: Matrix) -> tuple[int, ...]:
+    """The non-pivot columns of rref(m), in increasing order."""
+    return tuple(j for j in range(m.ncols) if j not in rref(m)[1])
 
 
 def cokernel_projection_oracle(m):
@@ -698,3 +704,50 @@ def children(lat: Lattice, v: str) -> tuple[str, ...]:
 
 def transport(f: PersistenceModule, u: str, v: str) -> Matrix:
     return f.transport_i(f.lattice.index(u), f.lattice.index(v))
+
+
+def join(lat: Lattice, u: str, v: str) -> str:
+    return lat.element(lat.join_i(lat.index(u), lat.index(v)))
+
+
+def jdim(lat: Lattice, v: str) -> int:
+    """Join-dimension: the number of lower covers of v."""
+    return len(lat.parents_i(lat.index(v)))
+
+
+def bottom(lat: Lattice) -> str:
+    return lat.element(lat.topo_order()[0])
+
+
+def top(lat: Lattice) -> str:
+    return lat.element(lat.topo_order()[-1])
+
+
+def covers(lat: Lattice) -> tuple[tuple[str, str], ...]:
+    return tuple((lat.element(u), lat.element(v)) for u, v in lat.covers_i())
+
+
+def dim(f: PersistenceModule, el: str) -> int:
+    return f.dim_i(f.lattice.index(el))
+
+
+def component(nt: NatTrans, el: str) -> Matrix:
+    return nt.component_i(nt.source.lattice.index(el))
+
+
+def cover_cube(lat: Lattice, top: str, parts: tuple[str, ...]) -> LatticeCube:
+    """The cube of a pairwise cover: top at the full subset, meets of parts below."""
+    return _meet_cube(lat, lat.index(top), [lat.index(x) for x in parts])
+
+
+def cube_value(cube: LatticeCube, mask: int) -> str:
+    return cube.lattice.element(cube.assign[mask])
+
+
+def cube_top(cube: LatticeCube) -> str:
+    return cube_value(cube, cube.full_mask)
+
+
+def cube_parts(cube: LatticeCube) -> tuple[str, ...]:
+    """Part i of the cube's pairwise cover sits at the subset missing i."""
+    return tuple(cube_value(cube, cube.full_mask & ~(1 << i)) for i in range(cube.arity))

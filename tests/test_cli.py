@@ -1,4 +1,5 @@
 import json
+import random
 import resource
 import time
 from pathlib import Path
@@ -12,6 +13,7 @@ from pmodcalc.linalg import NoFactorization
 from pmodcalc.pmodule import NonCommutingSquare, NotNatural
 from pmodcalc.resolution import EquivalenceViolated
 from pmodcalc.pmod_io import load_module
+from oracles import dim
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -208,7 +210,7 @@ class TestApprox:
                            "--op", "cr_upper", "--n", "1")
         assert code == 0
         module = load_module(out)
-        assert module.dim("0,0") == 1
+        assert dim(module, "0,0") == 1
         assert "# canonical-map-rank 0,0 1" in out
 
 
@@ -228,7 +230,7 @@ class TestApprox:
         code, out, _ = run(capsys, "approx", str(src), "--op", op, "--n", "0")
         assert code == 0
         module = load_module(out)
-        assert [module.dim(x) for x in module.lattice.elements] == dims
+        assert [dim(module, x) for x in module.lattice.elements] == dims
         assert [int(line.split()[-1]) for line in out.splitlines()
                 if line.startswith("# canonical-map-rank")] == ranks
 
@@ -288,7 +290,22 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "rips", "--file", str(space))
         assert code == 0
         module = load_module(out)
-        assert module.dim("0,0") == 2
+        assert dim(module, "0,0") == 2
+
+    def test_rips_over_the_total_dim_cap_is_exit_2(self, tmp_path, capsys):
+        # H0 of 30 points has total dim 1431: its PMOD would not load again.
+        rng, n = random.Random(1), 30
+        dist = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist[i][j] = dist[j][i] = rng.randint(1, 20)
+        space = tmp_path / "space.txt"
+        space.write_text("".join(" ".join(map(str, row)) + "\n"
+                                 for row in [list(range(n))] + dist))
+        code, out, err = run(capsys, "gen", "rips", "--file", str(space))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "total dimension 1431" in err and "Traceback" not in err
 
     def test_oversized_image_is_exit_2(self, tmp_path, capsys):
         # 60 x 60 pixels at 16 levels: about 9 s of H1 elimination uncapped.

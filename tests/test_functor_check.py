@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pmodcalc import (FieldSpec, Lattice, Matrix, PersistenceModule,
-                      cokernel_of, direct_sum, image_of, kernel_of,
+                      cokernel_of, cr_upper, direct_sum, gamma_lower,
                       opposite_module, random_module, t_lower, t_upper)
 from pmodcalc.pmodule import NonCommutingSquare, random_hom
 from oracles import Unchecked, functor_axiom_oracle
@@ -70,9 +70,10 @@ def test_derived_modules_pass_the_oracle(p):
         f = random_module(lat, field, f"derived-f:{p}:{li}", max_gens=4, max_rels=3)
         g = random_module(lat, field, f"derived-g:{p}:{li}", max_gens=4, max_rels=3)
         alpha = random_hom(f, g, rng)
-        derived = [image_of(alpha)[0], kernel_of(alpha)[0], cokernel_of(alpha)[0],
-                   direct_sum(f, g), opposite_module(f)]
-        derived += [approx(f, n).module for approx in (t_lower, t_upper)
+        derived = [cokernel_of(alpha)[0], direct_sum(f, g), opposite_module(f)]
+        # Γ is an image and cr_upper a kernel of a canonical map.
+        derived += [approx(f, n).module
+                    for approx in (t_lower, t_upper, gamma_lower, cr_upper)
                     for n in range(lat.poset_dimension() + 1)]
         for m in derived:
             assert functor_axiom_oracle(m), (lat, m)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (active_oracle, cover_matrix,
+from oracles import (active_oracle, cover_matrix, dim, top,
                      image_bifiltration_homology_oracle,
                      sublevel_rips_h0_oracle)
 from pmodcalc import generators
@@ -61,6 +61,11 @@ class TestImageGrid:
         with pytest.raises(ValueError, match="at least one"):
             ImageGrid.parse(header + "\n")
 
+    @pytest.mark.parametrize("channels", [[], [[]]], ids=["no-channels", "no-rows"])
+    def test_from_lists_rejects_empty_shapes(self, channels):
+        with pytest.raises(ValueError, match="at least one"):
+            ImageGrid.from_lists(channels, 1)
+
 
 class TestCubicalComplex:
     def test_cell_counts(self):
@@ -91,7 +96,7 @@ class TestImagePipeline:
     def test_constant_image_h0_constant(self, gf2):
         img = ImageGrid.from_lists([[[0, 0], [0, 0]]], 1)
         h0 = image_bifiltration_homology(img, 0, gf2)
-        assert all(h0.dim(el) == 1 for el in h0.lattice.elements)
+        assert all(dim(h0, el) == 1 for el in h0.lattice.elements)
 
     def test_no_loops_h1_zero(self, gf2):
         img = ImageGrid.from_lists([[[0, 1], [1, 1]]], 1)
@@ -131,7 +136,7 @@ class TestImagePipeline:
                 level = tuple(int(c) for c in el.split(","))
                 av, ae, aq = complex_.active(level)
                 chi = len(av) - len(ae) + len(aq)
-                assert chi == h0.dim(el) - h1.dim(el), (seed, el)
+                assert chi == dim(h0, el) - dim(h1, el), (seed, el)
 
     def test_three_channel_image(self, gf2):
         rng = random.Random("3chan")
@@ -140,8 +145,8 @@ class TestImagePipeline:
         assert h1.lattice.n == 8
         h1.validate()
         h0 = image_bifiltration_homology(img, 0, gf2)
-        assert all(h0.dim(el) >= 1 for el in h0.lattice.elements
-                   if el == h0.lattice.top())
+        assert all(dim(h0, el) >= 1 for el in h0.lattice.elements
+                   if el == top(h0.lattice))
 
     def test_four_channels_rejected(self, gf2):
         rng = random.Random("4chan")
@@ -257,8 +262,8 @@ class TestRipsPipeline:
         space = MetricFunctionSpace.from_data([0, 0], [[0, 4], [4, 0]],
                                               a_levels=[0], r_levels=[0, 4])
         h0 = sublevel_rips_h0(space, gf2)
-        assert h0.dim("0,0") == 2
-        assert h0.dim("0,1") == 1
+        assert dim(h0, "0,0") == 2
+        assert dim(h0, "0,1") == 1
         m = cover_matrix(h0, "0,0", "0,1")
         assert m.to_lists() == [[1, 1]]
 

@@ -7,7 +7,7 @@ from pmodcalc import (FieldSpec, Lattice, Matrix, free_module, interval_module,
                       random_module)
 from pmodcalc.pmod_io import MAX_TOTAL_DIM, ParseError, load_module, print_pmod
 from pmodcalc.verify import nonexample_module
-from oracles import cover_matrix, transport
+from oracles import cover_matrix, covers, dim, transport
 from test_functor_check import lattices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -50,7 +50,7 @@ def modules(draw):
     are declared in a random order, over GF(2) or F_3."""
     lat = draw(lattices())
     if lat.grid_shape is None:
-        lat = Lattice.from_covers(draw(st.permutations(lat.elements)), lat.covers())
+        lat = Lattice.from_covers(draw(st.permutations(lat.elements)), covers(lat))
     field = FieldSpec(draw(st.sampled_from([2, 3])))
     return random_module(lat, field, draw(st.integers(0, 10 ** 6)),
                          max_gens=4, max_rels=3)
@@ -106,7 +106,7 @@ class TestFieldOverride:
         text = (FIXTURES / "nonexample.pmod").read_text()
         module = load_module(text, field_p=5)
         assert module.field.p == 5
-        assert module.dim("1,1,1") == 2
+        assert dim(module, "1,1,1") == 2
 
 
 class TestParseErrors:

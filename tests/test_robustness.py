@@ -15,7 +15,7 @@ from pmodcalc.generators import (random_image, random_metric_space,
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
 from pmodcalc.verify import table1_modules
-from oracles import NotDownClosed, colim_over_downset
+from oracles import NotDownClosed, colim_over_downset, component, dim, jdim
 
 
 class TestOddCharacteristic:
@@ -85,8 +85,8 @@ class TestPinchedLattice:
     def test_is_distributive_and_dimensions(self):
         lat = pinched_lattice()
         assert lat.validate() is lat
-        assert lat.jdim("ab") == 2
-        assert lat.jdim("abt") == 1  # join-irreducible despite being the top
+        assert jdim(lat, "ab") == 2
+        assert jdim(lat, "abt") == 1  # join-irreducible despite being the top
         assert lat.poset_dimension() == 2
 
     def test_low_dimension_subposet_not_down_closed(self):
@@ -94,7 +94,7 @@ class TestPinchedLattice:
         field = FieldSpec(2)
         f = interval_module(lat, field, lat.elements)
         with pytest.raises(NotDownClosed):
-            colim_over_downset(f, "abt", lambda v: lat.jdim(v) <= 1)
+            colim_over_downset(f, "abt", lambda v: jdim(lat, v) <= 1)
 
     def test_t_lower_still_computes_the_kan_extension(self, gf2):
         # The index for the approximation at the top is {0, a, b, abt},
@@ -103,8 +103,8 @@ class TestPinchedLattice:
         for seed in range(5):
             f = random_module(lat, gf2, f"pinch{seed}")
             res = t_lower(f, 1)
-            assert res.module.dim("abt") == f.dim("abt")
-            comp = res.canonical.component("abt")
+            assert dim(res.module, "abt") == dim(f, "abt")
+            comp = component(res.canonical, "abt")
             assert comp.nrows == comp.ncols
             res.module.validate()
             res.canonical.validate()

@@ -10,7 +10,7 @@ from pmodcalc.verify import (SuiteReport, UnknownSuite, gamma1_example,
                              approximation_preserves_cross_predicate,
                              nonexample_module, run_suite, suite_names,
                              TABLE1_ROWS)
-from oracles import cover_matrix
+from oracles import cover_matrix, dim
 
 
 class TestCorpus:
@@ -28,7 +28,7 @@ class TestCorpus:
 
     def test_gamma1_example_pieces(self, gf2):
         f, g, alpha = gamma1_example(gf2)
-        assert f.dim("1,1") == 1 and f.total_dim() == 1
+        assert dim(f, "1,1") == 1 and f.total_dim() == 1
         assert g.total_dim() == 4
         alpha.validate()
         coker, _ = cokernel_of(alpha)
