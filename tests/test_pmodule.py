@@ -18,8 +18,8 @@ from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
                               sum_inclusion, sum_projection)
 from pmodcalc.pmod_io import print_pmod
 from oracles import (Dense, check_interval_oracle, cokernel_of_oracle,
-                     component, cover_cube, cover_matrix, covers, dim, leq,
-                     transport)
+                     component, cover_cube, cover_matrix, covers, dim,
+                     image_of_oracle, leq, transport)
 from test_functor_check import lattices
 
 
@@ -377,7 +377,20 @@ class TestRandomModule:
                 random_module(lat, gf2, seed).validate()
 
 
-class TestCokernel:
+class TestImageKernelCokernel:
+    # The pointwise image lives in the oracles (gamma_lower_oracle is built
+    # on it); the package keeps only the cokernel.
+    def test_image_of_identity(self, square, gf2):
+        f = constant_module(square, gf2)
+        module, mono = image_of_oracle(identity_nat(f))
+        assert module.dims_by_element() == f.dims_by_element()
+        assert is_iso(mono)
+
+    def test_image_of_zero(self, square, gf2):
+        f = constant_module(square, gf2)
+        module, _ = image_of_oracle(zero_nat(f, f))
+        assert module.is_zero()
+
     def test_cokernel_of_identity(self, square, gf2):
         f = constant_module(square, gf2)
         module, _ = cokernel_of(identity_nat(f))
@@ -395,9 +408,9 @@ class TestCokernel:
             f = random_module(grid22, gf2, f"a{seed}")
             g = random_module(grid22, gf2, f"b{seed}")
             alpha = random_hom(f, g, rng).validate()
-            module, epi = cokernel_of(alpha)
-            module.validate()
-            epi.validate()
+            for module, nt in (image_of_oracle(alpha), cokernel_of(alpha)):
+                module.validate()
+                nt.validate()
 
 
 class TestIsIso:
