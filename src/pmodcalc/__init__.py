@@ -5,8 +5,8 @@ with theorem suites and generators for image and Rips bifiltrations."""
 
 from .linalg import FieldSpec, GF2, Matrix, NoFactorization
 from .lattice import (Lattice, LatticeCube, NoBottom, NotDistributive,
-                      NotLattice, boolean_lattice, child_cube,
-                      enumerate_bicartesian_cubes, parent_cube)
+                      NotLattice, boolean_lattice, enumerate_bicartesian_cubes,
+                      parent_cube)
 from .pmodule import (LatticeMismatch, NatTrans, NonCommutingSquare,
                       NotComparable, NotConnected, NotConvex, NotNatural,
                       PersistenceModule, cokernel_of, direct_sum, free_module,

@@ -19,7 +19,7 @@ element's basis and cover maps are read off one echelon form, and each
 read-off is checked by its product, which is naturality of the inclusion
 on every cover into that element.  Induced maps are the unique solutions
 against the bases linalg chose, so everything downstream is
-deterministic.  Per-module results are memoized on the module.
+deterministic.  Per-module results, cr_lower's aside, are memoized on f.
 
 An approximation that changes nothing returns its input: the result's
 module is f itself, with identity components, and shares f's memo.
@@ -262,14 +262,8 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
 def cr_lower(f: PersistenceModule, n: int) -> ApproxResult:
     """The n-th cocross effect: the pointwise cokernel of t_lower(f,n) -> f,
     computed as the cokernel of the inclusion gamma_lower(f, n) -> f (the
-    same image), with the canonical epimorphism from f."""
-    cached = f.calc_cache.get(("cr_lower", n))
-    if cached is not None:
-        return cached
-    module, epi = cokernel_of(gamma_lower(f, n).canonical)
-    result = ApproxResult(module, epi)
-    f.calc_cache[("cr_lower", n)] = result
-    return result
+    same image), with the canonical epimorphism from f (not memoised)."""
+    return ApproxResult(*cokernel_of(gamma_lower(f, n).canonical))
 
 
 def _dual_nat(nt: NatTrans) -> NatTrans:

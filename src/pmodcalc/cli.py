@@ -33,6 +33,11 @@ from .verify import UnknownSuite, run_suite
 USAGE_ERROR = 2
 ANALYSIS_ERROR = 1
 
+#: Cap on elements * (max_gens + max_rels)**3 for ``gen random``, checked
+#: before anything is built: each element eliminates and multiplies blocks
+#: of at most max_gens + max_rels rows and columns.
+MAX_RANDOM_COST = 1 << 23
+
 #: Internal failures an analysis can raise; reported as exit 1, never as a
 #: traceback.
 ANALYSIS_FAILURES = (NoFactorization, NotAComplex, EquivalenceViolated,
@@ -166,6 +171,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise CliError(exc.args[0]) from exc
     elif args.kind == "random":
         lat = Lattice.grid(args.grid)
+        if (cost := lat.n * (args.max_gens + args.max_rels) ** 3) > MAX_RANDOM_COST:
+            raise CliError(f"random module cost {cost} (elements x (max-gens + "
+                           f"max-rels)^3) is more than the cap of {MAX_RANDOM_COST}")
         module = random_module(lat, field, args.seed,
                                max_gens=args.max_gens, max_rels=args.max_rels)
     elif args.kind == "image":

@@ -397,8 +397,9 @@ def sublevel_intersection_check(img: ImageGrid) -> bool:
     cells(a ^ b) = cells(a) & cells(b) for all threshold pairs."""
     complex_ = CubicalComplex(img)
     lat = Lattice.grid([img.max_value] * img.channels)
-    levels = [tuple(int(c) for c in el.split(",")) for el in lat.elements]
-    actives = [complex_.active(lv) for lv in levels]
+    # Per element index (grid elements are in lexicographic order).
+    actives = [complex_.active(level) for level in
+               itertools.product(range(img.max_value + 1), repeat=img.channels)]
     for i in range(lat.n):
         for j in range(i, lat.n):
             m = lat.meet_i(i, j)

@@ -394,14 +394,6 @@ def parent_cube(lattice: Lattice, a: int) -> LatticeCube:
     return _meet_cube(lattice, a, lattice.parents_i(a))
 
 
-def child_cube(lattice: Lattice, a: int) -> LatticeCube:
-    """The dual cube: a at the empty subset, joins of upper covers above.
-    It is the parent cube of a in the opposite lattice, subset S there
-    being the complement of S here."""
-    op = parent_cube(lattice.opposite(), a)
-    return LatticeCube(lattice, op.arity, op.assign[::-1])
-
-
 def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[LatticeCube]:
     """All strongly bicartesian cubes of the given arity, one per unordered
     pairwise cover per top element: the parts of a pairwise cover of v

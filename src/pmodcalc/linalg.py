@@ -26,7 +26,7 @@ is read (``row``, ``rows``, ``to_lists``, ``m[i, j]``: PMOD printing and
 ``hom_basis``).  Over odd p a row is a tuple of ints.
 
 Maps induced on a basis chosen here are read off the echelon form that
-chose it (F: free columns, P: pivot columns of the cached rref).  The
+chose it (F: free columns, P: pivot columns of the rref).  The
 projection q of ``cokernel_projection`` is the identity on the columns F
 returned with it, so h*q = r forces h = r.take_cols(F); and m = C*R for
 C = image_basis(m) = m.take_cols(P) and R the first rank(m) rows of
@@ -80,7 +80,7 @@ GF2 = FieldSpec(2)
 class Matrix:
     """An immutable rows x cols matrix over F_p, row-major (see Storage above)."""
 
-    __slots__ = ("field", "nrows", "ncols", "_data", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "_data")
 
     def __init__(self, field: FieldSpec, nrows: int, ncols: int,
                  entries: Sequence[Sequence[int]] | None = None):
@@ -101,7 +101,6 @@ class Matrix:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "_rref", None)
 
     @classmethod
     def _of(cls, field: FieldSpec, nrows: int, ncols: int, data: tuple) -> "Matrix":
@@ -113,7 +112,6 @@ class Matrix:
         _set_nrows(m, nrows)
         _set_ncols(m, ncols)
         _set_data(m, data)
-        _set_rref(m, None)
         return m
 
     def __setattr__(self, name, value):
@@ -234,7 +232,7 @@ class Matrix:
 
 
 # Slot descriptors write past the immutability guard in __setattr__.
-_set_field, _set_nrows, _set_ncols, _set_data, _set_rref = (
+_set_field, _set_nrows, _set_ncols, _set_data = (
     getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
@@ -423,23 +421,14 @@ def _rref_modp(rows: Sequence[Sequence[int]], ncols: int,
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (leftmost-pivot convention).
-
-    The result is cached on the matrix, as rank / kernel / image / solve
-    all start from the same reduction.
-    """
-    cached = m._rref
-    if cached is not None:
-        return cached
+    """Reduced row echelon form and pivot columns (leftmost-pivot convention),
+    computed afresh on each call."""
     if m.field.p == 2:
         rows, pivots = _rref_gf2(m._data, m.ncols)
     else:
         rows, pivots = _rref_modp(m._data, m.ncols, m.field.p)
         rows = map(tuple, rows)
-    red = Matrix._of(m.field, m.nrows, m.ncols, tuple(rows))
-    result = (red, tuple(pivots))
-    _set_rref(m, result)
-    return result
+    return Matrix._of(m.field, m.nrows, m.ncols, tuple(rows)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

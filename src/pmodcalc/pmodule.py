@@ -4,8 +4,8 @@ random cokernels).
 
 A module stores one matrix per Hasse cover whose two sides are nonzero;
 a cover with a zero side has the zero map, which is made only when asked
-for.  Transports along arbitrary u <= v are composed lazily along the
-first-parent chain and cached.
+for.  Transports along arbitrary u <= v are composed along the
+first-parent chain on each call.
 Every module is checked on construction: ``validate`` requires every
 cover diamond to commute, which on a distributive lattice (and every
 ``Lattice`` is one) is the whole functor axiom, since any two maximal
@@ -78,8 +78,7 @@ class PersistenceModule:
     checked and dropped, and ``cover_matrix_i`` makes its zero on demand.
     """
 
-    __slots__ = ("lattice", "field", "_dims", "_maps", "_transports",
-                 "calc_cache")
+    __slots__ = ("lattice", "field", "_dims", "_maps", "calc_cache")
 
     def __init__(self, lattice: Lattice, field: FieldSpec, dims: Sequence[int],
                  cover_maps: Mapping[tuple[int, int], Matrix] | None = None):
@@ -122,7 +121,6 @@ class PersistenceModule:
                                 "indices") from None
             raise ValueError(f"map key {u} < {v} is not a Hasse cover")
         self._maps = maps
-        self._transports: dict[tuple[int, int], Matrix] = {}
         self.calc_cache: dict = {}
         self.validate()
 
@@ -152,7 +150,7 @@ class PersistenceModule:
 
     def transport_i(self, u: int, v: int) -> Matrix:
         """The composite map F(u <= v): the stored matrix for a cover,
-        otherwise composed along the first-parent chain and cached."""
+        otherwise composed along the first-parent chain on each call."""
         if u == v:
             return Matrix.identity(self.field, self._dims[u])
         lat = self.lattice
@@ -162,14 +160,12 @@ class PersistenceModule:
         du, dv = self._dims[u], self._dims[v]
         if not (du and dv):
             return Matrix.zeros(self.field, dv, du)
-        cached = self._maps.get((u, v)) or self._transports.get((u, v))
-        if cached is not None:
-            return cached
+        m = self._maps.get((u, v))
+        if m is not None:
+            return m
         for w in lat.parents_i(v):
             if lat.leq_i(u, w):
-                m = self.cover_matrix_i(w, v) @ self.transport_i(u, w)
-                self._transports[(u, v)] = m
-                return m
+                return self.cover_matrix_i(w, v) @ self.transport_i(u, w)
         raise AssertionError("cover chain search failed")  # unreachable
 
     # -- validation ---------------------------------------------------------

@@ -22,7 +22,9 @@ pair reads the pdim theorems' canonical-map conditions on the upper
 approximations of f itself, where the reports read them on the lower
 side of the opposite module.  ``join_oracle`` and ``meet_oracle`` scan the
 common upper (lower) bounds for one that lies below (above) all of them,
-where ``Lattice`` looks the join (meet) up by its up-set (down-set) mask.
+where ``Lattice`` looks the join (meet) up by its up-set (down-set) mask;
+``child_cube``, the parent cube of the opposite lattice, is used only by
+the tests.
 ``Dense`` keeps a matrix for every cover, zeros included, as modules did
 before they stored only the maps between nonzero spaces; its transports,
 opposite and direct sum are composed from those matrices.
@@ -358,6 +360,14 @@ def join_oracle(lat: Lattice, i: int, j: int) -> int:
 def meet_oracle(lat: Lattice, i: int, j: int) -> int:
     """The greatest lower bound of i and j, or -1 when there is none."""
     return _extreme_of(lat.downset_mask(i) & lat.downset_mask(j), lat.downset_mask)
+
+
+def child_cube(lattice: Lattice, a: int) -> LatticeCube:
+    """The dual of ``parent_cube``: a at the empty subset, joins of upper
+    covers above.  It is the parent cube of a in the opposite lattice,
+    subset S there being the complement of S here."""
+    op = parent_cube(lattice.opposite(), a)
+    return LatticeCube(lattice, op.arity, op.assign[::-1])
 
 
 # -- the functor axiom on every up-set -------------------------------------------

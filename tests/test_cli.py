@@ -318,6 +318,22 @@ class TestGen:
         assert err == ("error: image of 3600 pixels at 16 threshold levels costs "
                        "207360000 (levels x pixels^2), more than the cap of 16777216\n")
 
+    def test_oversized_random_presentation_is_exit_2(self, capsys):
+        # Uncapped, this builds for about a minute, then fails the total-dim cap.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "random", "--grid", "16", "16", "--seed",
+                             "3", "--max-gens", "3000", "--max-rels", "3000")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("error: random module cost 62424000000000 (elements x "
+                       "(max-gens + max-rels)^3) is more than the cap of 8388608\n")
+
+    def test_largest_random_presentation_in_use_is_under_the_cap(self, capsys):
+        code, out, _ = run(capsys, "gen", "random", "--grid", "4", "4", "4", "--field",
+                           "3", "--seed", "5", "--max-gens", "20", "--max-rels", "15")
+        assert code == 0
+        assert load_module(out).lattice.n == 125
+
     def test_image_without_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "image")
         assert code == 2
@@ -368,6 +384,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "theorems-2param",
                            "--seed", "3", "--trials", "2")
         assert code == 0
+
+    @pytest.mark.parametrize("suite, trials", [("table1", "-3"), ("all", "-1")])
+    def test_negative_trials_is_exit_2(self, capsys, suite, trials):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", trials)
+        assert code == 2 and out == ""
+        assert err == f"error: trials must be >= 0, got {trials}\n"
 
     def test_usage_error_no_args(self, capsys):
         assert main([]) == 2

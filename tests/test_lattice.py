@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from pmodcalc import lattice
 from pmodcalc.lattice import (Lattice, NoBottom, NotDistributive,
-                              NotLattice, bicartesian_cubes_cached, child_cube,
+                              NotLattice, bicartesian_cubes_cached,
                               enumerate_bicartesian_cubes, parent_cube)
-from oracles import (bottom, children, cover_cube, covers, cube_parts,
+from oracles import (bottom, child_cube, children, cover_cube, covers, cube_parts,
                      cube_top, cube_value, downset, is_strongly_bicartesian,
                      jdim, join, join_irreducibles, join_oracle, leq, mdim,
                      meet, meet_oracle, parents, top, upset)

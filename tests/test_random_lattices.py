@@ -17,16 +17,16 @@ from pmodcalc.calculus import (PREDICATES, find_failing_cube, gamma_lower,
                                min_codegree, min_cross_codegree,
                                min_cross_degree, min_degree, koszul, t_lower,
                                t_upper, tcofib, tfib)
-from pmodcalc.lattice import bicartesian_cubes_cached, child_cube, parent_cube
+from pmodcalc.lattice import bicartesian_cubes_cached, parent_cube
 from pmodcalc.linalg import hstack, rank, solve, vstack
 from pmodcalc.pmodule import opposite_module
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
-from oracles import (PREDICATE_ORACLES, betti_oracle, bottom, colim_over_downset,
-                     component, cube_value, dim, gamma_lower_sweep_oracle,
-                     is_strongly_bicartesian, jdim, join, join_oracle, leq,
-                     lim_over_upset, mdim, meet_oracle, solve_left,
-                     t_lower_sweep_oracle, transport)
+from oracles import (PREDICATE_ORACLES, betti_oracle, bottom, child_cube,
+                     colim_over_downset, component, cube_value, dim,
+                     gamma_lower_sweep_oracle, is_strongly_bicartesian, jdim,
+                     join, join_oracle, leq, lim_over_upset, mdim, meet_oracle,
+                     solve_left, t_lower_sweep_oracle, transport)
 from test_calculus import check_gamma_against_oracles
 
 GF2 = FieldSpec(2)

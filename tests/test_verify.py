@@ -45,6 +45,11 @@ class TestRunSuite:
         assert report.ok
         assert report.properties == {}
 
+    @pytest.mark.parametrize("name", ["theorems-2param", "all"])
+    def test_negative_trials_raise(self, name):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            run_suite(name, seed=1, trials=-1)
+
     def test_deterministic_given_seed(self):
         a = run_suite("theorems-2param", seed=11, trials=3)
         b = run_suite("theorems-2param", seed=11, trials=3)
