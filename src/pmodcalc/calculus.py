@@ -66,8 +66,8 @@ from itertools import combinations
 from typing import Callable
 
 from .lattice import LatticeCube, bicartesian_cubes_cached, boolean_lattice
-from .linalg import (Matrix, NoFactorization, cokernel_projection, hstack,
-                     rank, rref, solve, vstack)
+from .linalg import (Matrix, NoFactorization, block_matrix, cokernel_projection,
+                     hstack, rank, rref, solve, vstack)
 from .pmodule import (NatTrans, PersistenceModule, cokernel_of, identity_nat,
                       opposite_module, restrict_along_cube)
 
@@ -179,8 +179,9 @@ def _boundary(f: PersistenceModule, x: int, i: int, cover, dim) -> Matrix:
     of the i-subsets T of ws (x for T empty), subsets in combinations
     order; the block from T to T - {t} is (-1)^j cover(^T, ^(T - {t})),
     t at position j of T.  ``cover`` and ``dim`` read the module the
-    complex is taken of, and are not asked for a zero row or column."""
-    lat, field, ws = f.lattice, f.field, f.lattice.parents_i(x)
+    complex is taken of; only blocks between nonzero spaces are asked
+    for and written (block_matrix)."""
+    lat, ws = f.lattice, f.lattice.parents_i(x)
 
     def meet(subset):
         v = x
@@ -191,19 +192,15 @@ def _boundary(f: PersistenceModule, x: int, i: int, cover, dim) -> Matrix:
     lower = list(combinations(range(len(ws)), i - 1))
     row_of = {s: r for r, s in enumerate(lower)}
     faces = [meet(s) for s in lower]
-    blocks = [Matrix.zeros(field, sum(map(dim, faces)), 0)]
-    for subset in combinations(range(len(ws)), i):
-        m = meet(subset)
-        if not dim(m):
-            continue
-        column = [Matrix.zeros(field, dim(v), dim(m)) for v in faces]
+    cells = [(s, m) for s in combinations(range(len(ws)), i) if dim(m := meet(s))]
+    blocks = []
+    for c, (subset, m) in enumerate(cells):
         for j in range(i):
             r = row_of[subset[:j] + subset[j + 1:]]
             if dim(faces[r]):
                 edge = cover(m, faces[r])
-                column[r] = -edge if j % 2 else edge
-        blocks.append(vstack(column))
-    return hstack(blocks)
+                blocks.append((r, c, -edge if j % 2 else edge))
+    return block_matrix(f.field, [dim(v) for v in faces], [dim(m) for _, m in cells], blocks)
 
 
 def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:

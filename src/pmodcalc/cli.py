@@ -171,6 +171,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise CliError(exc.args[0]) from exc
     elif args.kind == "random":
         lat = Lattice.grid(args.grid)
+        for name, count in (("--max-gens", args.max_gens), ("--max-rels", args.max_rels)):
+            if count < 0:
+                raise CliError(f"{name} must be >= 0, got {count}")
         if (cost := lat.n * (args.max_gens + args.max_rels) ** 3) > MAX_RANDOM_COST:
             raise CliError(f"random module cost {cost} (elements x (max-gens + "
                            f"max-rels)^3) is more than the cap of {MAX_RANDOM_COST}")

@@ -11,7 +11,10 @@ top of this layer) deterministic.
 
 Zero-dimensional shapes (0 x n, n x 0) are first-class citizens: they
 encode maps to and from the zero space and show up constantly as cover
-maps of sparse modules.
+maps of sparse modules, and identities as components of approximations
+that change nothing.  ``Matrix.identity`` is one instance per (p, n), and
+by ``_is_identity`` (square, with its rows) products by I, ``rank(I)`` and
+``solve(I, b)``, like empty shapes and a zero b, reduce and multiply nothing.
 
 ``Matrix(...)`` is the one checked constructor (entries reduced mod p
 with ``operator.index`` semantics, shape checked), and all input from
@@ -20,10 +23,11 @@ are reduced by construction and use the unchecked ``Matrix._of``.
 
 Storage.  Over GF(2) a row is an int bitmask, entry j at bit j, packed
 through bytes by the constructor; elimination and products XOR whole rows,
-``hstack`` shifts, and ``transpose`` / ``take_cols`` read each row's binary
-numeral, with no per-bit Python loop.  Rows are unpacked only where a tuple
-is read (``row``, ``rows``, ``to_lists``, ``m[i, j]``: PMOD printing and
-``hom_basis``).  Over odd p a row is a tuple of ints.
+``hstack`` and ``block_matrix`` shift, and ``transpose`` / ``take_cols`` read
+each row's binary numeral, with no per-bit Python loop.  Rows are unpacked
+only where a tuple is read (``row``, ``rows``, ``to_lists``, ``m[i, j]``:
+PMOD printing and ``hom_basis``).  Over odd p a row is a tuple of ints.
+``block_matrix`` (``direct_sum``, Koszul boundaries) writes nonzero blocks only.
 
 Maps induced on a basis chosen here are read off the echelon form that
 chose it (F: free columns, P: pivot columns of the rref).  The
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -128,11 +133,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        if n < 0:
-            raise ValueError("negative matrix shape")
-        units = [1 << i for i in range(n)]
-        return cls._of(field, n, n, tuple(units if field.p == 2 else
-                                          [_row_of_bits(u, n) for u in units]))
+        """I_n: one shared instance per (p, n), safe as a Matrix is immutable."""
+        if (m := _IDENTITIES.get((field.p, n))) is None:
+            if n < 0:
+                raise ValueError("negative matrix shape")
+            units = [1 << i for i in range(n)]
+            m = _IDENTITIES[field.p, n] = cls._of(field, n, n, tuple(
+                units if field.p == 2 else [_row_of_bits(u, n) for u in units]))
+        return m
 
     # -- basic access --------------------------------------------------
 
@@ -234,15 +242,25 @@ class Matrix:
 # Slot descriptors write past the immutability guard in __setattr__.
 _set_field, _set_nrows, _set_ncols, _set_data = (
     getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+_IDENTITIES: dict[tuple[int, int], Matrix] = {}
+
+
+def _is_identity(m: Matrix) -> bool:
+    """Exact and cheap: square, with the rows of the shared identity."""
+    return m.nrows == m.ncols and m._data == Matrix.identity(m.field, m.nrows)._data
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product a*b; over GF(2) each row is the XOR of the rows of b
-    selected by the bits of the row of a."""
+    selected by the bits of the row of a.  I*b is b and a*I is a, as given."""
     if a.field.p != b.field.p:
         raise ValueError("field mismatch")
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch for product: {a.shape} @ {b.shape}")
+    if _is_identity(a):  # before the empty case, so m @ I_0 is m itself
+        return b
+    if _is_identity(b):
+        return a
     p = a.field.p
     if a.nrows == 0 or b.ncols == 0 or a.ncols == 0:
         return Matrix.zeros(a.field, a.nrows, b.ncols)
@@ -296,17 +314,33 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix._of(field, len(rows), ncols, rows)
 
 
+def block_matrix(field: FieldSpec, row_dims: Sequence[int], col_dims: Sequence[int],
+                 blocks: Iterable[tuple[int, int, Matrix]]) -> Matrix:
+    """Block rows ``row_dims`` high and block columns ``col_dims`` wide, with
+    block (r, c) = m for each (r, c, m) in ``blocks`` (checked, none repeated)
+    and zeros elsewhere: only those blocks are written, into packed rows or
+    rows of entries, with no zero block and no stack."""
+    roff, coff = list(accumulate(row_dims, initial=0)), list(accumulate(col_dims, initial=0))
+    nrows, ncols, p = roff[-1], coff[-1], field.p
+    out: list = [0] * nrows if p == 2 else [[0] * ncols for _ in range(nrows)]
+    for r, c, m in blocks:
+        if m.field.p != p or m.shape != (row_dims[r], col_dims[c]):
+            raise ValueError(f"block ({r}, {c}) shape/field mismatch")
+        c0 = coff[c]
+        for i, row in enumerate(m._data, roff[r]):
+            if p == 2:
+                out[i] |= row << c0
+            else:
+                out[i][c0:c0 + m.ncols] = row
+    return Matrix._of(field, nrows, ncols, tuple(out if p == 2 else map(tuple, out)))
+
+
 def direct_sum(mats: Sequence[Matrix]) -> Matrix:
-    """Block-diagonal sum of the given matrices (all over one field)."""
+    """Block-diagonal sum (all over one field), of its diagonal blocks alone."""
     if not mats:
         raise ValueError("direct_sum of no matrices (field would be ambiguous)")
-    field = mats[0].field
-    ncols, c0, blocks = sum(m.ncols for m in mats), 0, []  # hstack checks fields
-    for m in mats:
-        blocks.append(hstack([Matrix.zeros(field, m.nrows, c0), m,
-                              Matrix.zeros(field, m.nrows, ncols - c0 - m.ncols)]))
-        c0 += m.ncols
-    return vstack(blocks)
+    return block_matrix(mats[0].field, [m.nrows for m in mats], [m.ncols for m in mats],
+                        [(i, i, m) for i, m in enumerate(mats)])
 
 
 # -- GF(2) packing -----------------------------------------------------
@@ -433,9 +467,11 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def rank(m: Matrix) -> int:
     """Rank over F_p.  Always in [0, min(nrows, ncols)]; a matrix with no
-    rows or no columns has rank 0, read with no elimination."""
+    rows or no columns has rank 0, and I_n rank n, read with no elimination."""
     if not (m.nrows and m.ncols):
         return 0
+    if _is_identity(m):
+        return m.nrows
     return len(rref(m)[1])
 
 
@@ -506,6 +542,10 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("field mismatch")
     if a.nrows != b.nrows:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if b.is_zero():
+        return Matrix.zeros(a.field, a.ncols, b.ncols)
+    if _is_identity(a):
+        return b
     red, pivots = rref(hstack([a, b]))
     n = a.ncols
     for c in pivots:

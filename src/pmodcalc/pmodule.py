@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 import random
+from functools import reduce
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -150,7 +151,7 @@ class PersistenceModule:
 
     def transport_i(self, u: int, v: int) -> Matrix:
         """The composite map F(u <= v): the stored matrix for a cover,
-        otherwise composed along the first-parent chain on each call."""
+        otherwise composed down the first-parent chain, in a loop, per call."""
         if u == v:
             return Matrix.identity(self.field, self._dims[u])
         lat = self.lattice
@@ -160,13 +161,12 @@ class PersistenceModule:
         du, dv = self._dims[u], self._dims[v]
         if not (du and dv):
             return Matrix.zeros(self.field, dv, du)
-        m = self._maps.get((u, v))
-        if m is not None:
-            return m
-        for w in lat.parents_i(v):
-            if lat.leq_i(u, w):
-                return self.cover_matrix_i(w, v) @ self.transport_i(u, w)
-        raise AssertionError("cover chain search failed")  # unreachable
+        chain = []  # the cover maps from v down, then the stored map ending at u
+        while u != v and (m := self._maps.get((u, v))) is None:
+            w = next(w for w in lat.parents_i(v) if lat.leq_i(u, w))
+            chain.append(self.cover_matrix_i(w, v))
+            v = w
+        return reduce(operator.matmul, chain if u == v else chain + [m])
 
     # -- validation ---------------------------------------------------------
 

@@ -34,6 +34,11 @@ where the package reads H0 off union-find components and eliminates H1
 only where its Euler count is nonzero; ``sublevel_rips_h0_oracle`` builds
 each threshold's components from scratch, where the package sweeps the
 edges of each function level once in order of length.
+``multiply_oracle``, ``rank_oracle`` and ``solve_oracle`` are the product
+and the eliminations that ``linalg`` skips for identities and empty shapes;
+``direct_sum_oracle`` and ``boundary_oracle`` build a block matrix from
+zero blocks, vstack and hstack, where ``linalg.block_matrix`` writes only
+its nonzero blocks.
 ``t_lower_sweep_oracle`` and ``gamma_lower_sweep_oracle`` are the two
 lower sweeps as they were before they returned f itself where they change
 nothing: they always build and check a new module.  The element-name
@@ -550,6 +555,80 @@ def dense_solve(a: list[list[int]], acols: int, b: list[list[int]],
     for r, c in enumerate(pivots):
         x[c] = red[r][acols:]
     return x
+
+
+# -- elimination and stacking references for linalg's short-cuts --------------
+# ``multiply``, ``rank`` and ``solve`` answer identities and empty shapes with
+# no product and no elimination, and ``block_matrix`` writes only nonzero
+# blocks; these are the bodies they answer for, over any p.
+
+
+def multiply_oracle(a: Matrix, b: Matrix) -> Matrix:
+    """The product entry by entry, as sums of products mod p."""
+    p, rows = a.field.p, b.rows()
+    return Matrix(a.field, a.nrows, b.ncols,
+                  [[sum(x * rows[t][j] for t, x in enumerate(row)) % p
+                    for j in range(b.ncols)] for row in a.rows()])
+
+
+def rank_oracle(m: Matrix) -> int:
+    return len(rref(m)[1])
+
+
+def solve_oracle(a: Matrix, b: Matrix) -> Matrix:
+    """x with a*x = b, free variables 0, read off the rref of [a|b]; raises
+    NoFactorization naming the first pivot among b's columns."""
+    red, pivots = rref(hstack([a, b]))
+    n = a.ncols
+    for c in pivots:
+        if c >= n:
+            raise NoFactorization(
+                f"system has no solution (pivot in augmented column {c - n})")
+    tail = red.take_cols(range(n, red.ncols)).rows()
+    x = [[0] * b.ncols for _ in range(n)]
+    for r, c in enumerate(pivots):
+        x[c] = list(tail[r])
+    return Matrix(a.field, n, b.ncols, x)
+
+
+def direct_sum_oracle(mats: list[Matrix]) -> Matrix:
+    """Each block row as zeros, the block and zeros side by side, stacked."""
+    field, ncols, c0, rows = mats[0].field, sum(m.ncols for m in mats), 0, []
+    for m in mats:
+        rows.append(hstack([Matrix.zeros(field, m.nrows, c0), m,
+                            Matrix.zeros(field, m.nrows, ncols - c0 - m.ncols)]))
+        c0 += m.ncols
+    return vstack(rows)
+
+
+def boundary_oracle(f: PersistenceModule, x: int, i: int, cover, dim) -> Matrix:
+    """``calculus._boundary`` from a zero block for every pair of chains,
+    the cover blocks in place, each block column a vstack and d_i their
+    hstack."""
+    lat, field, ws = f.lattice, f.field, f.lattice.parents_i(x)
+
+    def meet(subset):
+        v = x
+        for t in subset:
+            v = lat.meet_i(v, ws[t])
+        return v
+
+    lower = list(itertools.combinations(range(len(ws)), i - 1))
+    row_of = {s: r for r, s in enumerate(lower)}
+    faces = [meet(s) for s in lower]
+    blocks = [Matrix.zeros(field, sum(map(dim, faces)), 0)]
+    for subset in itertools.combinations(range(len(ws)), i):
+        m = meet(subset)
+        if not dim(m):
+            continue
+        column = [Matrix.zeros(field, dim(v), dim(m)) for v in faces]
+        for j in range(i):
+            r = row_of[subset[:j] + subset[j + 1:]]
+            if dim(faces[r]):
+                edge = cover(m, faces[r])
+                column[r] = -edge if j % 2 else edge
+        blocks.append(vstack(column))
+    return hstack(blocks)
 
 
 # -- data pipelines --------------------------------------------------------

@@ -328,6 +328,16 @@ class TestGen:
         assert err == ("error: random module cost 62424000000000 (elements x "
                        "(max-gens + max-rels)^3) is more than the cap of 8388608\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--max-gens", "-1"), "--max-gens must be >= 0, got -1"),
+        (("--max-rels", "-1"), "--max-rels must be >= 0, got -1"),
+        # A negative sum once made the cost negative and passed the cap.
+        (("--max-gens", "-5", "--max-rels", "-5"), "--max-gens must be >= 0, got -5"),
+    ])
+    def test_negative_random_counts_are_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "gen", "random", "--grid", "1", "1", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_largest_random_presentation_in_use_is_under_the_cap(self, capsys):
         code, out, _ = run(capsys, "gen", "random", "--grid", "4", "4", "4", "--field",
                            "3", "--seed", "5", "--max-gens", "20", "--max-rels", "15")

@@ -11,9 +11,10 @@ from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
 from pmodcalc import linalg
 
 from oracles import (cokernel_projection_oracle, dense_cokernel_projection,
-                     dense_direct_sum,
-                     dense_kernel_basis, dense_multiply, dense_rref, dense_solve,
-                     dense_take_cols, dense_transpose, free_columns, solve_left)
+                     dense_direct_sum, dense_kernel_basis, dense_multiply,
+                     dense_rref, dense_solve, dense_take_cols, dense_transpose,
+                     direct_sum_oracle, free_columns, multiply_oracle, rank_oracle,
+                     solve_left, solve_oracle)
 
 
 def gf(p):
@@ -534,3 +535,76 @@ def test_kernel_read_off(m, data):
     else:
         with pytest.raises(NoFactorization):
             solve(basis, g)
+
+
+# -- identity and empty short-cuts, against the elimination oracles ------------
+
+
+@st.composite
+def operand(draw, field, nrows, ncols):
+    """The identity (where square), zero or a random matrix, by a draw."""
+    kind = draw(st.sampled_from(["identity", "zero", "random"]))
+    if kind == "identity" and nrows == ncols:
+        return Matrix.identity(field, nrows)
+    if kind == "zero":
+        return Matrix.zeros(field, nrows, ncols)
+    return draw(shaped(field, nrows, ncols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_short_cuts_match_the_elimination_oracles(data):
+    """multiply, rank and solve agree with the dense product and the rref
+    of m and of [a|b] on identities, 0 x k, k x 0 and random operands,
+    including which systems raise and the column the error names."""
+    field = data.draw(st.sampled_from([gf(2), gf(3)]))
+    dim = st.integers(0, 4)
+    r = data.draw(dim)
+    k = data.draw(st.just(r) | dim)  # a square half the time
+    c = data.draw(st.just(k) | dim)
+    a, b = data.draw(operand(field, r, k)), data.draw(operand(field, k, c))
+    assert a @ b == multiply_oracle(a, b)
+    assert (rank(a), rank(b)) == (rank_oracle(a), rank_oracle(b))
+    rhs = data.draw(st.sampled_from([a @ b, Matrix.zeros(field, r, c)])
+                    | shaped(field, r, c))
+    try:
+        want = solve_oracle(a, rhs)
+    except NoFactorization as exc:
+        with pytest.raises(NoFactorization) as got:
+            solve(a, rhs)
+        assert str(got.value) == str(exc)
+    else:
+        assert solve(a, rhs) == want
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_identities_and_empty_shapes_do_no_elimination(monkeypatch, p):
+    field = gf(p)
+    with pytest.raises(NoFactorization, match="augmented column 1"):
+        solve(Matrix.zeros(field, 2, 0), Matrix(field, 2, 3, [[0, 0, 1], [0, 1, 0]]))
+    with pytest.raises(ValueError):
+        Matrix.identity(field, -1)
+
+    def no_rref(m):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    eye = Matrix.identity(field, 3)
+    assert eye is Matrix.identity(FieldSpec(p), 3)
+    m = Matrix(field, 3, 2, [[1, 2], [0, 1], [1, 1]])
+    t = m.transpose()
+    assert eye @ m is m and t @ eye is t
+    assert rank(eye) == 3
+    assert rank(Matrix(field, 2, 2, [[1, 0], [0, 1]])) == 2  # built unshared
+    assert solve(eye, m) is m
+    for a, b in [(m, Matrix.zeros(field, 3, 0)), (Matrix.zeros(field, 0, 2),
+                 Matrix.zeros(field, 0, 4)), (Matrix.zeros(field, 3, 0),
+                 Matrix.zeros(field, 3, 2)), (m, Matrix.zeros(field, 3, 2))]:
+        assert solve(a, b) == Matrix.zeros(field, a.ncols, b.ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda p: st.lists(matrices(p=p), min_size=1, max_size=4)))
+def test_direct_sum_matches_the_stacked_zero_blocks(mats):
+    assert linalg.direct_sum(mats) == direct_sum_oracle(mats)

@@ -124,6 +124,13 @@ class TestTransport:
         with pytest.raises(NotComparable):
             transport(f, "1,0", "0,1")
 
+    def test_long_chain_composes_without_recursion(self, gf2):
+        # 1,500 covers: more frames than the default recursion limit.
+        f = free_module(Lattice.grid([1500]), gf2, {"0": 1})
+        assert f.transport_i(0, 1500) == Matrix.identity(gf2, 1)
+        g = free_module(Lattice.grid([1500, 1]), gf2, {"0,0": 1, "1499,1": 1})
+        assert g.transport_i(0, g.lattice.n - 1) == Matrix(gf2, 2, 1, [[1], [0]])
+
 
 class TestInterval:
     def test_corner_matches_dims(self, square, gf2):

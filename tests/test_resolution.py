@@ -14,8 +14,10 @@ from pmodcalc.lattice import LatticeCube, parent_cube
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
 from pmodcalc.verify import nonexample_module, table1_modules
-from oracles import (betti_oracle, canonical_iso_1_oracle, canonical_iso_2_oracle,
-                     jdim, koszul_homology_oracle, top)
+from pmodcalc import linalg
+from oracles import (betti_oracle, boundary_oracle, canonical_iso_1_oracle,
+                     canonical_iso_2_oracle, direct_sum_oracle, jdim,
+                     koszul_homology_oracle, top)
 from test_random_lattices import random_lattice
 
 
@@ -310,6 +312,25 @@ def test_local_complex_signs_over_f3(shape, gf3):
                   for i in range(1, len(lat.parents_i(x)) + 1)]
             assert all((a @ b).is_zero() for a, b in zip(ds, ds[1:]))
         assert betti(f).entries == betti_oracle(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**LATTICES, p=st.sampled_from([2, 3]),
+       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+       seeds=st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)))
+def test_block_kernel_matches_the_stacked_zero_blocks(grid, points, lattice_seed,
+                                                      p, kinds, seeds):
+    """_boundary at every element and degree, and direct_sum of every pair
+    of cover maps, equal the zero blocks, vstack and hstack they replace."""
+    lat = random_lattice(grid, points, lattice_seed)
+    f, g = (sample_module(lat, FieldSpec(p), k, s) for k, s in zip(kinds, seeds))
+    for x in range(lat.n):
+        for i in range(1, len(lat.parents_i(x)) + 1):
+            args = (f, x, i, f.cover_matrix_i, f.dim_i)
+            assert _boundary(*args) == boundary_oracle(*args), (x, i)
+    for u, v in lat.covers_i():
+        pair = [f.cover_matrix_i(u, v), g.cover_matrix_i(u, v)]
+        assert linalg.direct_sum(pair) == direct_sum_oracle(pair)
 
 
 @settings(max_examples=40, deadline=None)
