@@ -73,7 +73,8 @@ from .pmodule import (NatTrans, PersistenceModule, cokernel_of, identity_nat,
 
 
 class NotAComplex(Exception):
-    """A Koszul differential failed d o d = 0 (sign-rule bug)."""
+    """A Koszul differential, or an image complex's d1 d2, failed d o d = 0,
+    or an image H1 representative is not a cycle (sign-rule bug)."""
 
 
 @dataclass

@@ -5,9 +5,9 @@ Both pipelines take H0 from connected components, tracked by union-find:
 the module is free on the components at each threshold, and one helper
 builds it for both.  Image H1 is computed exactly over the module's field,
 but only at thresholds where its Euler count |E| - |V| + c - |Q| is
-nonzero: there cycle bases are pushed forward along chain inclusions and
-reduced against boundary bases, with all basis choices pinned by the
-echelon convention, and the count is checked against the elimination.
+nonzero, and there only on the edges outside a union-find spanning
+forest: cycles are read off the forest, and one elimination on those
+rows picks the echelon basis and gives the coordinates of cover maps.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from .calculus import NotAComplex
 from .lattice import Lattice
-from .linalg import (FieldSpec, Matrix, hstack, image_basis, kernel_basis,
-                     rref, solve, vstack)
+from .linalg import FieldSpec, Matrix, rref
 from .pmodule import PersistenceModule
 
 
@@ -28,8 +28,8 @@ class UnsupportedDimension(Exception):
 
 
 #: The largest image ``ImageGrid`` takes, a bound on the input, as its
-#: threshold levels times the square of its pixel count: about what the H1
-#: elimination costs.  A 32 x 32 image at 16 levels is at the cap.
+#: threshold levels times the square of its pixel count (a bound on H1's
+#: eliminations, on fewer rows).  A 32 x 32 image at 16 levels is at the cap.
 MAX_IMAGE_COST = 1 << 24
 
 
@@ -208,39 +208,10 @@ class CubicalComplex:
         return tuple(list(itertools.compress(range(len(ids)), map(pick, ids)))
                      for ids in self._vector_ids)
 
-    def boundary_1(self, field: FieldSpec, av: list[int], ae: list[int]) -> Matrix:
-        """Vertex x edge boundary matrix of the sublevel complex."""
-        pos = {v: i for i, v in enumerate(av)}
-        p = field.p
-        data = [[0] * len(ae) for _ in range(len(av))]
-        for j, e in enumerate(ae):
-            u, v = self.edges[e]
-            data[pos[v]][j] = 1
-            data[pos[u]][j] = (p - 1) % p
-        return Matrix(field, len(av), len(ae), data)
-
-    def boundary_2(self, field: FieldSpec, ae: list[int], aq: list[int]) -> Matrix:
-        """Edge x square boundary matrix: bottom + right - top - left."""
-        pos = {e: i for i, e in enumerate(ae)}
-        p = field.p
-        data = [[0] * len(aq) for _ in range(len(ae))]
-        for j, q in enumerate(aq):
-            bottom, right, top, left = self._square_edges[q]
-            for e, sign in ((bottom, 1), (right, 1), (top, p - 1), (left, p - 1)):
-                data[pos[e]][j] = (data[pos[e]][j] + sign) % p
-        return Matrix(field, len(ae), len(aq), data)
-
-
-def _homology_reps(cycles: Matrix, boundaries: Matrix) -> Matrix:
-    """Columns of ``cycles`` forming a basis of cycles modulo boundaries.
-
-    Picks the cycle columns whose pivots survive after the boundary
-    block in a combined reduction; deterministic via the echelon rules.
-    """
-    combined = hstack([boundaries, cycles])
-    _, pivots = rref(combined)
-    chosen = [c - boundaries.ncols for c in pivots if c >= boundaries.ncols]
-    return cycles.take_cols(chosen)
+    def square_boundary(self, q: int, p: int) -> tuple[tuple[int, int], ...]:
+        """Square q's boundary over F_p, (edge, coefficient) pairs: bottom + right - top - left."""
+        bottom, right, top, left = self._square_edges[q]
+        return (bottom, 1), (right, 1), (top, p - 1), (left, p - 1)
 
 
 class EulerCountMismatch(Exception):
@@ -323,10 +294,17 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
     |V| - c over any field, and d2 is injective, because a nonzero square
     chain has an extreme square (greatest y, then greatest x) whose top
     edge no other square of the chain has.  Where this count is 0 nothing
-    is eliminated.  Elsewhere cycle representatives are chosen by
-    reduction against the boundaries, their number is checked against the
-    count (``EulerCountMismatch``), and cover maps push them forward along
-    the chain inclusion and reduce them in the target homology basis.
+    is eliminated.  Elsewhere it is taken on the free edges, those a
+    union-find taking the edges in index order finds closing a cycle: the
+    others, a spanning forest, are the pivot columns of rref(d1), and column
+    f of kernel_basis(d1) is e_f plus the forest path between the ends of f
+    (``_forest_cycle``).  So cycles restrict isomorphically to the free
+    edges, that column to e_f, and the reduction of [d2 | kernel_basis(d1)]
+    picks the cycles of the free edges whose unit is a pivot of rref([d2 on
+    the free rows | I]); the rows of that rref with pivots in I map a cycle
+    to its coordinates (``_h1_on_free_edges``).  Checked: the count
+    (``EulerCountMismatch``), d1 d2 = 0 and d1 z = 0 for each
+    representative z (``NotAComplex``), on which the restriction relies.
     """
     if degree not in (0, 1):
         raise UnsupportedDimension(f"H_{degree} is out of scope for 2D images")
@@ -349,47 +327,83 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
             comps.append(uf.components(av))
     if degree == 0:
         return _free_on_components(lat, field, comps)
-    # Where H1 is nonzero: cycle reps over the active edges cells_at, and
-    # [reps | boundary basis].
-    reps: dict[int, Matrix] = {}
-    basis_solver: dict[int, Matrix] = {}
-    cells_at: dict[int, list[int]] = {}
-    dims = []
+    p, edges = field.p, complex_.edges
+    if not all(_is_cycle(edges, complex_.square_boundary(q, p), p)
+               for q in range(len(complex_.squares))):
+        raise NotAComplex("a square boundary is not a cycle: d1 d2 != 0")
+    h1, dims = {}, []  # where H1 is nonzero: its representatives, free rows, coordinates
     for i, ((av, ae, aq), cs) in enumerate(zip(actives, comps)):
-        count = _h1_count(len(av), len(ae), len(aq), len(cs))
+        dims.append(count := _h1_count(len(av), len(ae), len(aq), len(cs)))
         if count:
-            cycles = kernel_basis(complex_.boundary_1(field, av, ae))
-            bounds = image_basis(complex_.boundary_2(field, ae, aq))
-            h = _homology_reps(cycles, bounds)
-            if h.ncols != count:
-                raise EulerCountMismatch(
-                    f"H1 at {lat.element(i)} has dim {h.ncols}, "
-                    f"but the Euler count is {count}")
-            reps[i] = h
-            basis_solver[i] = hstack([h, bounds])
-            cells_at[i] = ae
-        dims.append(count)
-
+            pos, chosen, forest, coords = _h1_on_free_edges(complex_, field, ae, aq)
+            if len(chosen) != count:
+                raise EulerCountMismatch(f"H1 at {lat.element(i)} has dim {len(chosen)}, "
+                                         f"but the Euler count is {count}")
+            reps = [_forest_cycle(edges, forest, f, p) for f in chosen]
+            if not all(_is_cycle(edges, z.items(), p) for z in reps):
+                raise NotAComplex(f"an H1 representative at {lat.element(i)} is not a cycle")
+            h1[i] = reps, pos, coords
     maps = {}
-    for v in reps:
-        # One solve per element: basis_solver[v] has independent columns,
-        # so the lifts from all lower covers share its row operations.
-        us = [u for u in lat.parents_i(v) if u in reps]
-        if not us:
-            continue
-        lifts = []
-        for u in us:
-            # Row r of reps[u] lands on the same cell of v; other cells
-            # take the zero row appended at the bottom.
-            pos = {c: i for i, c in enumerate(cells_at[u])}
-            padded = vstack([reps[u], Matrix.zeros(field, 1, dims[u])])
-            lifts.append(padded.take_rows([pos.get(c, len(pos)) for c in cells_at[v]]))
-        coords = solve(basis_solver[v], hstack(lifts)).take_rows(range(dims[v]))
-        offset = 0
-        for u in us:
-            maps[(u, v)] = coords.take_cols(range(offset, offset + dims[u]))
-            offset += dims[u]
+    for v, (_, pos, coords) in h1.items():
+        for u in lat.parents_i(v):
+            if u in h1:  # the representatives of u in the free coordinates of v
+                lift = [[z.get(e, 0) for z in h1[u][0]] for e in pos]
+                maps[(u, v)] = coords @ Matrix(field, len(pos), dims[u], lift)
     return PersistenceModule(lat, field, dims, maps)
+
+
+def _h1_on_free_edges(complex_: CubicalComplex, field: FieldSpec, ae: list[int],
+                      aq: list[int]) -> tuple[dict[int, int], list[int], dict, Matrix]:
+    """H1 of one sublevel complex on its free edges (see the caller): the
+    row of each free edge, the chosen ones, the forest of the other edges
+    as adjacency lists, and the map from free to H1 coordinates."""
+    uf, nbrs, free = _UnionFind(len(complex_.vertices)), {}, []
+    for e in ae:
+        u, v = complex_.edges[e]
+        if uf.find(u) == uf.find(v):
+            free.append(e)
+        else:
+            uf.union(u, v)
+            nbrs.setdefault(u, []).append((v, e))
+            nbrs.setdefault(v, []).append((u, e))
+    pos, nq, nf = {e: r for r, e in enumerate(free)}, len(aq), len(free)
+    rows = [[0] * (nq + r) + [1] + [0] * (nf - r - 1) for r in range(nf)]
+    for j, q in enumerate(aq):
+        for e, c in complex_.square_boundary(q, field.p):
+            if e in pos:
+                rows[pos[e]][j] = c
+    red, pivots = rref(Matrix(field, nf, nq + nf, rows))
+    chosen = [free[c - nq] for c in pivots if c >= nq]
+    coords = red.take_rows(range(nf - len(chosen), nf)).take_cols(range(nq, nq + nf))
+    return pos, chosen, nbrs, coords
+
+
+def _forest_cycle(edges: list[tuple[int, int]], forest: dict, f: int, p: int) -> dict[int, int]:
+    """Column f of kernel_basis(d1) as {edge: coefficient}: e_f plus the
+    forest path from the head v of f to its tail u, found by search, each
+    edge signed +1 where the path runs from its tail to its head."""
+    u, v = edges[f]
+    back, stack = {v: None}, [v]
+    while u not in back:
+        x = stack.pop()
+        for y, e in forest[x]:
+            if y not in back:
+                back[y] = x, e
+                stack.append(y)
+    chain, y = {f: 1}, u
+    while y != v:
+        y, e = back[y]
+        chain[e] = 1 if edges[e][0] == y else p - 1
+    return chain
+
+
+def _is_cycle(edges: list[tuple[int, int]], chain, p: int) -> bool:
+    """d1 of the chain, (edge, coefficient) pairs, is zero over F_p."""
+    ends: dict[int, int] = {}
+    for e, c in chain:
+        u, v = edges[e]
+        ends[u], ends[v] = ends.get(u, 0) - c, ends.get(v, 0) + c
+    return not any(x % p for x in ends.values())
 
 
 def sublevel_intersection_check(img: ImageGrid) -> bool:

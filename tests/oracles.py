@@ -29,11 +29,14 @@ the tests.
 before they stored only the maps between nonzero spaces; its transports,
 opposite and direct sum are composed from those matrices.
 ``image_bifiltration_homology_oracle`` eliminates H0 and H1 at every
-threshold, with the sublevel cells from the per-cell ``active_oracle``,
-where the package reads H0 off union-find components and eliminates H1
-only where its Euler count is nonzero; ``sublevel_rips_h0_oracle`` builds
-each threshold's components from scratch, where the package sweeps the
-edges of each function level once in order of length.
+threshold on the full boundary matrices (``boundary_1_oracle``,
+``boundary_2_oracle``; representatives by ``_homology_reps``), with the
+sublevel cells from the per-cell ``active_oracle``, where the package
+reads H0 off union-find components and takes H1, only where its Euler
+count is nonzero, on the edges outside a spanning forest;
+``sublevel_rips_h0_oracle`` builds each threshold's components from
+scratch, where the package sweeps the edges of each function level once
+in order of length.
 ``multiply_oracle``, ``rank_oracle`` and ``solve_oracle`` are the product
 and the eliminations that ``linalg`` skips for identities and empty shapes;
 ``direct_sum_oracle`` and ``boundary_oracle`` build a block matrix from
@@ -60,7 +63,7 @@ from pmodcalc.calculus import (ApproxResult, _boundary, gamma_lower,
                                gamma_upper, t_lower, t_upper)
 from pmodcalc.generators import (CubicalComplex, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
-                                 _UnionFind, _homology_reps)
+                                 _UnionFind)
 from pmodcalc.lattice import Lattice, LatticeCube, _bits, _meet_cube, parent_cube
 from pmodcalc import linalg
 from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
@@ -647,6 +650,40 @@ def active_oracle(complex_: CubicalComplex,
     return av, ae, aq
 
 
+def boundary_1_oracle(complex_: CubicalComplex, field: FieldSpec,
+                      av: list[int], ae: list[int]) -> Matrix:
+    """Vertex x edge boundary matrix of the sublevel complex."""
+    pos = {v: i for i, v in enumerate(av)}
+    data = [[0] * len(ae) for _ in av]
+    for j, e in enumerate(ae):
+        u, v = complex_.edges[e]
+        data[pos[v]][j], data[pos[u]][j] = 1, -1
+    return Matrix(field, len(av), len(ae), data)
+
+
+def boundary_2_oracle(complex_: CubicalComplex, field: FieldSpec,
+                      ae: list[int], aq: list[int]) -> Matrix:
+    """Edge x square boundary matrix, a ``square_boundary`` per column."""
+    pos = {e: i for i, e in enumerate(ae)}
+    data = [[0] * len(aq) for _ in ae]
+    for j, q in enumerate(aq):
+        for e, c in complex_.square_boundary(q, field.p):
+            data[pos[e]][j] = c
+    return Matrix(field, len(ae), len(aq), data)
+
+
+def _homology_reps(cycles: Matrix, boundaries: Matrix) -> Matrix:
+    """Columns of ``cycles`` forming a basis of cycles modulo boundaries.
+
+    Picks the cycle columns whose pivots survive after the boundary
+    block in a combined reduction; deterministic via the echelon rules.
+    """
+    combined = hstack([boundaries, cycles])
+    _, pivots = rref(combined)
+    chosen = [c - boundaries.ncols for c in pivots if c >= boundaries.ncols]
+    return cycles.take_cols(chosen)
+
+
 def image_bifiltration_homology_oracle(img: ImageGrid, degree: int,
                                        field: FieldSpec) -> PersistenceModule:
     """H_degree of the sublevel cubical bifiltration of a multi-channel
@@ -669,13 +706,13 @@ def image_bifiltration_homology_oracle(img: ImageGrid, degree: int,
     cells_at: list[list[int]] = []
     for level in itertools.product(range(img.max_value + 1), repeat=img.channels):
         av, ae, aq = active_oracle(complex_, level)
-        d1 = complex_.boundary_1(field, av, ae)
+        d1 = boundary_1_oracle(complex_, field, av, ae)
         if degree == 0:
             cycles, bounds = Matrix.identity(field, len(av)), image_basis(d1)
             cells_at.append(av)
         else:
             cycles = kernel_basis(d1)
-            bounds = image_basis(complex_.boundary_2(field, ae, aq))
+            bounds = image_basis(boundary_2_oracle(complex_, field, ae, aq))
             cells_at.append(ae)
         h = _homology_reps(cycles, bounds)
         reps.append(h)

@@ -4,17 +4,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (active_oracle, cover_matrix, dim, top,
+from oracles import (_homology_reps, active_oracle, boundary_1_oracle,
+                     boundary_2_oracle, cover_matrix, dim, top,
                      image_bifiltration_homology_oracle,
                      sublevel_rips_h0_oracle)
 from pmodcalc import generators
-from pmodcalc.calculus import min_cross_codegree, min_cross_degree
+from pmodcalc.calculus import NotAComplex, min_cross_codegree, min_cross_degree
 from pmodcalc.generators import (CubicalComplex, EulerCountMismatch, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
                                  image_bifiltration_homology, random_image,
                                  random_metric_space, sublevel_intersection_check,
                                  sublevel_rips_h0)
-from pmodcalc.linalg import FieldSpec, rank
+from pmodcalc.linalg import (FieldSpec, Matrix, hstack, image_basis, kernel_basis,
+                             rank, rref)
 from pmodcalc.resolution import pdim
 from pmodcalc.verify import run_suite
 
@@ -87,8 +89,8 @@ class TestCubicalComplex:
         img = ImageGrid.from_lists([[[0, 0], [0, 0]]], 1)
         c = CubicalComplex(img)
         av, ae, aq = c.active((1,))
-        d1 = c.boundary_1(gf2, av, ae)
-        d2 = c.boundary_2(gf2, ae, aq)
+        d1 = boundary_1_oracle(c, gf2, av, ae)
+        d2 = boundary_2_oracle(c, gf2, ae, aq)
         assert (d1 @ d2).is_zero()
 
 
@@ -180,6 +182,33 @@ class TestImagePipeline:
         with pytest.raises(EulerCountMismatch, match="Euler count"):
             image_bifiltration_homology(img, 1, gf2)
 
+    def test_wrong_square_sign_raises(self, monkeypatch):
+        # One square's top edge enters with +1 instead of -1: over F_3 its
+        # boundary is no cycle, and H1 must not be built on it.
+        img = ImageGrid.from_lists([[[0, 0, 0], [0, 2, 0], [0, 0, 0]]], 2)
+        boundary = CubicalComplex.square_boundary
+
+        def wrong(self, q, p):
+            bottom, right, (top_edge, _), left = boundary(self, q, p)
+            return (bottom, right, (top_edge, 1), left) if q == 0 else boundary(self, q, p)
+
+        monkeypatch.setattr(CubicalComplex, "square_boundary", wrong)
+        with pytest.raises(NotAComplex, match="square boundary"):
+            image_bifiltration_homology(img, 1, FieldSpec(3))
+
+    def test_wrong_representative_raises(self, monkeypatch):
+        # A forest cycle with one coefficient doubled has a nonzero boundary
+        # over F_3; the ring image has a representative at levels 0 and 1.
+        img = ImageGrid.from_lists([[[0, 0, 0], [0, 2, 0], [0, 0, 0]]], 2)
+        cycle = generators._forest_cycle
+
+        def wrong(edges, forest, f, p):
+            return {**cycle(edges, forest, f, p), f: 2}
+
+        monkeypatch.setattr(generators, "_forest_cycle", wrong)
+        with pytest.raises(NotAComplex, match="representative at 0 is not a cycle"):
+            image_bifiltration_homology(img, 1, FieldSpec(3))
+
 
 def _components(complex_: CubicalComplex, av: list[int], ae: list[int]) -> int:
     """The number of components of the active pixel graph, by search."""
@@ -232,6 +261,50 @@ def test_image_homology_matches_the_oracle(img, p):
         c = _components(complex_, av, ae)
         assert h0.dim_i(i) == c
         assert h1.dim_i(i) == len(ae) - len(av) + c - len(aq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(img=images(), p=st.sampled_from([2, 3, 5]))
+def test_free_coordinates_match_the_elimination(img, p):
+    """At every threshold: the free edges are the non-pivot columns of
+    rref(d1), and the forest cycle of each is that column of
+    kernel_basis(d1); the chosen free edges are the cycles _homology_reps
+    picks against image_basis(d2); and the coordinate map times
+    [the units at the chosen edges | d2 on the free rows] is [I | 0]."""
+    field, complex_ = FieldSpec(p), CubicalComplex(img)
+    for level in itertools.product(range(img.max_value + 1), repeat=img.channels):
+        av, ae, aq = complex_.active(level)
+        d1 = boundary_1_oracle(complex_, field, av, ae)
+        d2 = boundary_2_oracle(complex_, field, ae, aq)
+        pos, chosen, forest, coords = generators._h1_on_free_edges(complex_, field, ae, aq)
+        free, pivots = list(pos), set(rref(d1)[1])
+        assert free == [e for j, e in enumerate(ae) if j not in pivots]
+        cycles = kernel_basis(d1)
+        for k, f in enumerate(free):
+            chain = generators._forest_cycle(complex_.edges, forest, f, p)
+            column = Matrix(field, len(ae), 1, [[chain.get(e, 0)] for e in ae])
+            assert column == cycles.take_cols([k])
+        picked = [free.index(f) for f in chosen]
+        assert _homology_reps(cycles, image_basis(d2)) == cycles.take_cols(picked)
+        units = Matrix.identity(field, len(free)).take_cols(picked)
+        square = hstack([units, d2.take_rows([ae.index(e) for e in free])])
+        assert square.ncols == len(free)
+        assert coords @ square == hstack([Matrix.identity(field, len(chosen)),
+                                          Matrix.zeros(field, len(chosen), len(aq))])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_larger_image_homology_matches_the_oracle(p):
+    """A 12 x 12 two-channel image with many holes (larger than the 6 x 6 of
+    the strategy): H1 has total dim 21 and cover maps with -1 entries."""
+    rng = random.Random(27)
+    img = ImageGrid.from_lists([[[rng.choice([0, 0, 0, 1, 2]) for _ in range(12)]
+                                 for _ in range(12)] for _ in range(2)], 2)
+    h1 = image_bifiltration_homology(img, 1, FieldSpec(p))
+    assert sum(h1.dims_by_element().values()) == 21
+    assert any(p - 1 in row for u, v in h1.lattice.covers_i()
+               for row in h1.cover_matrix_i(u, v).rows())
+    assert h1 == image_bifiltration_homology_oracle(img, 1, FieldSpec(p))
 
 
 class TestMetricSpace:

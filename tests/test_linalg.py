@@ -608,3 +608,25 @@ def test_identities_and_empty_shapes_do_no_elimination(monkeypatch, p):
     lambda p: st.lists(matrices(p=p), min_size=1, max_size=4)))
 def test_direct_sum_matches_the_stacked_zero_blocks(mats):
     assert linalg.direct_sum(mats) == direct_sum_oracle(mats)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 10 ** 6))
+def test_block_matrix_matches_the_dense_layout(p, seed):
+    """Blocks in any order, several or none in a block row, and block rows
+    and columns of size 0, written into a dense list of lists."""
+    rng, field = random.Random(seed), FieldSpec(p)
+    row_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    col_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    cells = [(r, c) for r in range(len(row_dims)) for c in range(len(col_dims))]
+    blocks = [(r, c, Matrix(field, row_dims[r], col_dims[c],
+                            [[rng.randrange(p) for _ in range(col_dims[c])]
+                             for _ in range(row_dims[r])]))
+              for r, c in rng.sample(cells, rng.randint(0, len(cells)))]
+    dense = [[0] * sum(col_dims) for _ in range(sum(row_dims))]
+    for r, c, m in blocks:
+        for i, row in enumerate(m.to_lists(), sum(row_dims[:r])):
+            dense[i][sum(col_dims[:c]):sum(col_dims[:c + 1])] = row
+    m = linalg.block_matrix(field, row_dims, col_dims, blocks)
+    assert_well_formed(m)
+    assert m.to_lists() == dense
