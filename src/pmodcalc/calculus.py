@@ -34,10 +34,11 @@ gets the same through the two-way memo of opposite_module.
 
 The local Koszul complex at x is the Koszul complex of F on
 parent_cube(x), the Boolean interval from the meet of the lower covers
-w_1..w_k of x up to x; each of its edges is a cover, so _boundary reads
-every boundary d_i straight off the cover maps.  d_1 = C_x = [F(w_a ->
-x)], the cover maps side by side, and d_2 = -R_x, the relations t_lower's
-sweep glues T(x) by (there built from T's own cover maps).  One record
+w_1..w_k of x up to x, whose vertices the lattice stores; each of its
+edges is a cover, so _boundary reads every boundary d_i straight off the
+cover maps, laid out once per (k, i).  d_1 = C_x = [F(w_a -> x)], the
+cover maps side by side, and d_2 = -R_x, the relations t_lower's sweep
+glues T(x) by (there built from T's own cover maps).  One record
 per element in f's memo keeps the chain dims and boundary ranks built so
 far, filled only as far as a caller asks (_local_betti): koszul (so betti)
 reads the whole complex there, the degree statistics only beta^0, beta^1.
@@ -61,7 +62,7 @@ opposite module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache
 from itertools import combinations
 from typing import Callable
 
@@ -125,12 +126,13 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     lat, field = f.lattice, f.field
     dims = [0] * lat.n
     eps: list = [None] * lat.n
+    empty = cache(lambda d: Matrix.zeros(field, d, 0))  # one F(x) x 0 per dim, shared
     maps: dict[tuple[int, int], Matrix] = {}
     same = True  # T(y) = F(y) with eps[y] = I at every y swept so far
     for x in lat.topo_order():
         ws = lat.parents_i(x)
         if not (f.dim_i(x) if len(ws) <= n else any(dims[w] for w in ws)):
-            eps[x] = Matrix.zeros(field, f.dim_i(x), 0)  # T(x) = 0
+            eps[x] = empty(f.dim_i(x))  # T(x) = 0
             same = same and not f.dim_i(x)
             continue
         # The canonical map restricted to each T(w): through F(w) into F(x).
@@ -177,31 +179,36 @@ def _cached_or_unchanged(f: PersistenceModule, kind: str, n: int) -> ApproxResul
 def _boundary(f: PersistenceModule, x: int, i: int, cover, dim) -> Matrix:
     """d_i of the local Koszul complex at x (module docstring).  With ws
     the lower covers of x, degree i is the sum of the values at the meets
-    of the i-subsets T of ws (x for T empty), subsets in combinations
-    order; the block from T to T - {t} is (-1)^j cover(^T, ^(T - {t})),
-    t at position j of T.  ``cover`` and ``dim`` read the module the
-    complex is taken of; only blocks between nonzero spaces are asked
-    for and written (block_matrix)."""
-    lat, ws = f.lattice, f.lattice.parents_i(x)
+    of the i-subsets T of ws (x for T empty), the stored parent-cube
+    vertices of x in combinations order (``_layout``); the block from T to
+    T - {t} is (-1)^j cover(^T, ^(T - {t})), t at position j of T.
+    ``cover`` and ``dim`` read the module the complex is taken of; only
+    blocks between nonzero spaces are asked for and written (block_matrix)."""
+    vertices = f.lattice.parent_vertices_i(x)
+    faces, cells = _layout(len(f.lattice.parents_i(x)), i)
+    rows, cols, blocks = [dim(vertices[s]) for s in faces], [], []
+    for s, edges in cells:
+        if dim(m := vertices[s]):
+            for r, odd in edges:
+                if rows[r]:
+                    edge = cover(m, vertices[faces[r]])
+                    blocks.append((r, len(cols), -edge if odd else edge))
+            cols.append(dim(m))
+    return block_matrix(f.field, rows, cols, blocks)
 
-    def meet(subset):
-        v = x
-        for t in subset:
-            v = lat.meet_i(v, ws[t])
-        return v
 
-    lower = list(combinations(range(len(ws)), i - 1))
+@cache
+def _layout(k: int, i: int) -> tuple[tuple[int, ...], tuple]:
+    """d_i's layout on a k-cube: the rows, (i-1)-subsets as the masks of
+    their meets in ``parent_vertices_i`` (the complement), and per i-subset
+    T its mask and, per j, the row of T less its j-th element and j odd."""
+    def mask(subset):
+        return (1 << k) - 1 - sum(1 << t for t in subset)
+    lower = list(combinations(range(k), i - 1))
     row_of = {s: r for r, s in enumerate(lower)}
-    faces = [meet(s) for s in lower]
-    cells = [(s, m) for s in combinations(range(len(ws)), i) if dim(m := meet(s))]
-    blocks = []
-    for c, (subset, m) in enumerate(cells):
-        for j in range(i):
-            r = row_of[subset[:j] + subset[j + 1:]]
-            if dim(faces[r]):
-                edge = cover(m, faces[r])
-                blocks.append((r, c, -edge if j % 2 else edge))
-    return block_matrix(f.field, [dim(v) for v in faces], [dim(m) for _, m in cells], blocks)
+    return tuple(map(mask, lower)), tuple(
+        (mask(s), tuple((row_of[s[:j] + s[j + 1:]], j % 2) for j in range(i)))
+        for s in combinations(range(k), i))
 
 
 def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
@@ -368,24 +375,22 @@ def koszul(f: PersistenceModule, cube: LatticeCube | None = None) -> KoszulCompl
     With ``cube`` the parent cube of an element x of f's lattice, this is
     the local Koszul complex at x (module docstring); with none, f must be
     a cube (a module on {0,1}^k, as restrict_along_cube returns it), and x
-    is its top, lat.n - 1.  A complex zero at every vertex is returned with
-    nothing computed; otherwise a cube that is not a parent cube is a
-    ValueError.  NotAComplex when d o d != 0, which the cover-diamond
-    check of every module rules out short of a sign or layout bug.
+    is its top, lat.n - 1 (its parent cube is all of {0,1}^k).  A cube not
+    the parent cube of its top, vertex for vertex, is a ValueError; a zero
+    one returns with nothing computed.  NotAComplex when d o d != 0, which
+    the cover-diamond check rules out short of a sign or layout bug.
     """
     lat = f.lattice
     if cube is None:
-        k = _arity(f)
-        x, vertices = lat.n - 1, range(lat.n)
+        k, x, vertices = _arity(f), lat.n - 1, range(lat.n)
     elif cube.lattice is not lat:
         raise ValueError(f"{cube.describe()} is not a cube of the module's lattice")
     else:
         k, x, vertices = cube.arity, cube.assign[-1], cube.assign
+        if vertices != lat.parent_vertices_i(x):
+            raise ValueError(f"{cube.describe()} is not the parent cube of its top")
     if not any(map(f.dim_i, vertices)):
         return KoszulComplex(k, (0,) * (k + 1))
-    if cube is not None and lat.parents_i(x) != tuple(
-            cube.assign[cube.full_mask ^ 1 << b] for b in range(k)):
-        raise ValueError(f"{cube.describe()} is not the parent cube of its top")
     return KoszulComplex(k, tuple(_local_betti(f, x, k)))
 
 
@@ -400,8 +405,8 @@ def _local_betti(f: PersistenceModule, x: int, i: int) -> list[int]:
     k, below = len(f.lattice.parents_i(x)), None  # below: d_j, if this call built it
     for j in range(len(chain) - 1, min(i + 1, k)):
         if chain[j][0] == chain[j][1]:  # d_j leaves no kernel, so d_(j+1) = 0
-            d, cr = None, (sum(f.dim_i(reduce(f.lattice.meet_i, s, x))
-                               for s in combinations(f.lattice.parents_i(x), j + 1)), 0)
+            vertices = f.lattice.parent_vertices_i(x)
+            d, cr = None, (sum(f.dim_i(vertices[s]) for s, _ in _layout(k, j + 1)[1]), 0)
         else:
             d = _boundary(f, x, j + 1, f.cover_matrix_i, f.dim_i)
             if j and d.ncols:
@@ -503,7 +508,7 @@ def _read_off(f: PersistenceModule) -> tuple[int, int]:
         return cached
     lat = f.lattice
     codegree = cross = 0
-    for x in sorted(range(lat.n), key=lambda x: len(lat.parents_i(x)), reverse=True):
+    for x in lat.jdim_order():
         ws = lat.parents_i(x)
         k = len(ws)
         if k <= cross:

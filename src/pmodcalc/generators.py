@@ -3,15 +3,17 @@ multi-channel images, and sublevel-Rips H0 of finite metric spaces.
 
 Both pipelines take H0 from connected components, tracked by union-find:
 the module is free on the components at each threshold, and one helper
-builds it for both.  Image H1 is computed exactly over the module's field,
-but only at thresholds where its Euler count |E| - |V| + c - |Q| is
-nonzero, and there only on the edges outside a union-find spanning
+builds it for both.  One filtration per image serves H0, H1 and the
+intersection check.  Image H1 is computed exactly over the module's
+field, but only at thresholds where its Euler count |E| - |V| + c - |Q|
+is nonzero, and there only on the edges outside a union-find spanning
 forest: cycles are read off the forest, and one elimination on those
 rows picks the echelon basis and gives the coordinates of cover maps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -273,11 +275,12 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
     """H_degree of the sublevel cubical bifiltration of a multi-channel
     image, as a module over the threshold grid {0..max}^channels.
 
-    Supports degree 0 and 1 on 2D images with up to 3 channels.  The
-    components of the active pixel graph at each threshold come from one
-    union-find per chain of the last coordinate, along which the active
-    edges only grow: it unions each edge once, at the level of the chain
-    that is its last filtration coordinate.
+    Supports degree 0 and 1 on 2D images with up to 3 channels, both read
+    off the image's one filtration (``_sublevels``).  The components of
+    the active pixel graph at each threshold come from one union-find per
+    chain of the last coordinate, along which the active edges only grow:
+    it unions each edge once, at the level of the chain that is its last
+    filtration coordinate.
 
     H0 is ``_free_on_components`` of those components.  This is the basis
     the reduction of ``[image_basis(d1) | I]`` picks: a unit vector e_w is
@@ -310,21 +313,7 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
         raise UnsupportedDimension(f"H_{degree} is out of scope for 2D images")
     if img.channels > 3:
         raise UnsupportedDimension("more than 3 channels is out of scope")
-    complex_ = CubicalComplex(img)
-    lat = Lattice.grid([img.max_value] * img.channels)
-    # Per element index (grid elements are in lexicographic order).
-    actives = [complex_.active(level) for level in
-               itertools.product(range(img.max_value + 1), repeat=img.channels)]
-    comps, top = [], img.max_value
-    for start in range(0, lat.n, top + 1):
-        uf = _UnionFind(len(complex_.vertices))
-        levels: list[list[int]] = [[] for _ in range(top + 1)]
-        for e in actives[start + top][1]:
-            levels[complex_.edge_filt[e][-1]].append(e)
-        for (av, _, _), new in zip(actives[start:start + top + 1], levels):
-            for e in new:
-                uf.union(*complex_.edges[e])
-            comps.append(uf.components(av))
+    complex_, lat, actives, comps = _sublevels(img)
     if degree == 0:
         return _free_on_components(lat, field, comps)
     p, edges = field.p, complex_.edges
@@ -350,6 +339,28 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
                 lift = [[z.get(e, 0) for z in h1[u][0]] for e in pos]
                 maps[(u, v)] = coords @ Matrix(field, len(pos), dims[u], lift)
     return PersistenceModule(lat, field, dims, maps)
+
+
+@functools.lru_cache(maxsize=1)
+def _sublevels(img: ImageGrid) -> tuple[CubicalComplex, Lattice, list, list]:
+    """img's complex, grid, and per element (lexicographic) its active cells
+    and pixel graph components, for any field: kept for the last image, so
+    H0, H1 and the intersection check build it once; shared, so not mutated."""
+    complex_ = CubicalComplex(img)
+    lat = Lattice.grid([img.max_value] * img.channels)
+    actives = [complex_.active(level) for level in
+               itertools.product(range(img.max_value + 1), repeat=img.channels)]
+    comps, top = [], img.max_value
+    for start in range(0, lat.n, top + 1):
+        uf = _UnionFind(len(complex_.vertices))
+        levels: list[list[int]] = [[] for _ in range(top + 1)]
+        for e in actives[start + top][1]:
+            levels[complex_.edge_filt[e][-1]].append(e)
+        for (av, _, _), new in zip(actives[start:start + top + 1], levels):
+            for e in new:
+                uf.union(*complex_.edges[e])
+            comps.append(uf.components(av))
+    return complex_, lat, actives, comps
 
 
 def _h1_on_free_edges(complex_: CubicalComplex, field: FieldSpec, ae: list[int],
@@ -409,11 +420,7 @@ def _is_cycle(edges: list[tuple[int, int]], chain, p: int) -> bool:
 def sublevel_intersection_check(img: ImageGrid) -> bool:
     """The sublevel complexes of an image satisfy
     cells(a ^ b) = cells(a) & cells(b) for all threshold pairs."""
-    complex_ = CubicalComplex(img)
-    lat = Lattice.grid([img.max_value] * img.channels)
-    # Per element index (grid elements are in lexicographic order).
-    actives = [complex_.active(level) for level in
-               itertools.product(range(img.max_value + 1), repeat=img.channels)]
+    _, lat, actives, _ = _sublevels(img)
     for i in range(lat.n):
         for j in range(i, lat.n):
             m = lat.meet_i(i, j)

@@ -87,9 +87,9 @@ def _reach(order: Iterable[int], succ: Sequence[Iterable[int]]) -> list[int]:
 class Lattice:
     """A finite lattice with precomputed order masks and Hasse tables."""
 
-    __slots__ = ("elements", "_idx", "n", "_up", "_down", "_by_up", "_by_down",
-                 "_covers", "_parents", "_children", "_topo", "grid_shape",
-                 "_cube_cache", "_opposite", "_dimension")
+    __slots__ = ("elements", "_idx", "n", "_up", "_down", "_by_up", "_by_down", "_covers",
+                 "_parents", "_children", "_topo", "_jdim_order", "grid_shape", "_cube_cache",
+                 "_opposite", "_dimension", "_parent_vertices")
 
     def __init__(self, elements: Sequence[str], up: list[int], down: list[int],
                  parents: list[tuple[int, ...]], children: list[tuple[int, ...]],
@@ -114,6 +114,7 @@ class Lattice:
         self._dimension = max(map(len, parents), default=0)
         self._cube_cache: dict[int, list["LatticeCube"]] = {}
         self._opposite: Lattice | None = None
+        self._jdim_order, self._parent_vertices = None, {}  # filled on demand
 
     # -- constructors --------------------------------------------------
 
@@ -294,6 +295,18 @@ class Lattice:
     def topo_order(self) -> tuple[int, ...]:
         return self._topo
 
+    def jdim_order(self) -> tuple[int, ...]:
+        """Elements by decreasing join-dimension, ties by index, found once."""
+        if self._jdim_order is None:
+            self._jdim_order = tuple(sorted(range(self.n), key=lambda i: -len(self._parents[i])))
+        return self._jdim_order
+
+    def parent_vertices_i(self, a: int) -> tuple[int, ...]:
+        """a's ``parent_cube`` vertices by subset mask, found once per element."""
+        if a not in self._parent_vertices:
+            self._parent_vertices[a] = _meet_fill(self, a, self._parents[a])
+        return self._parent_vertices[a]
+
     def induced_covers(self, indices: Iterable[int]) -> list[tuple[int, int]]:
         """Hasse diagram of the induced subposet, by transitive reduction."""
         idx = sorted(set(indices))
@@ -372,9 +385,9 @@ class LatticeCube:
         return f"cube(top={name[self.assign[full]]}, parts={parts})"
 
 
-def _meet_cube(lattice: Lattice, top: int, parts: Sequence[int]) -> LatticeCube:
-    """The cube with top at the full subset and, at any other subset S, the
-    meet of the parts not in S: filled downwards, S from S + {b} for the
+def _meet_fill(lattice: Lattice, top: int, parts: Sequence[int]) -> tuple[int, ...]:
+    """Cube vertices by subset mask: top at the full subset, at any other S
+    the meet of the parts not in S, filled downwards, S from S + {b} for the
     highest b not in S.  The parts must lie below top; when they are a
     pairwise cover of it, this is the strongly bicartesian cube they span."""
     full = (1 << len(parts)) - 1
@@ -382,16 +395,16 @@ def _meet_cube(lattice: Lattice, top: int, parts: Sequence[int]) -> LatticeCube:
     for mask in range(full - 1, -1, -1):
         b = (full & ~mask).bit_length() - 1  # a part not in mask
         assign[mask] = lattice.meet_i(assign[mask | 1 << b], parts[b])
-    return LatticeCube(lattice, len(parts), tuple(assign))
+    return tuple(assign)
 
 
 def parent_cube(lattice: Lattice, a: int) -> LatticeCube:
     """The cube spanned by element a and its lower covers (meets fill the
-    rest).  Any two lower covers join to a, so they are a pairwise cover.
-
-    An element with no lower covers yields the 0-cube at that element.
+    rest), around the vertices stored by ``Lattice.parent_vertices_i``.
+    Any two lower covers join to a, so they are a pairwise cover.  An
+    element with no lower covers yields the 0-cube at that element.
     """
-    return _meet_cube(lattice, a, lattice.parents_i(a))
+    return LatticeCube(lattice, len(lattice.parents_i(a)), lattice.parent_vertices_i(a))
 
 
 def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[LatticeCube]:
@@ -409,7 +422,7 @@ def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[Lattic
         below = _bits(lattice.downset_mask(vi))  # ascending
         for parts in itertools.combinations_with_replacement(below, arity):
             if all(lattice.join_i(x, y) == vi for x, y in itertools.combinations(parts, 2)):
-                yield _meet_cube(lattice, vi, parts)
+                yield LatticeCube(lattice, arity, _meet_fill(lattice, vi, parts))
 
 
 def bicartesian_cubes_cached(lattice: Lattice, arity: int) -> list[LatticeCube]:

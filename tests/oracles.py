@@ -41,7 +41,10 @@ in order of length.
 and the eliminations that ``linalg`` skips for identities and empty shapes;
 ``direct_sum_oracle`` and ``boundary_oracle`` build a block matrix from
 zero blocks, vstack and hstack, where ``linalg.block_matrix`` writes only
-its nonzero blocks.
+its nonzero blocks.  ``boundary_layout_oracle`` is ``calculus._boundary``
+as it was before it read the meets off the stored parent-cube vertices
+through a cached layout: it meets the lower covers of each subset and
+lays the subsets out by ``itertools.combinations`` on every call.
 ``t_lower_sweep_oracle`` and ``gamma_lower_sweep_oracle`` are the two
 lower sweeps as they were before they returned f itself where they change
 nothing: they always build and check a new module.  The element-name
@@ -64,7 +67,7 @@ from pmodcalc.calculus import (ApproxResult, _boundary, gamma_lower,
 from pmodcalc.generators import (CubicalComplex, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
                                  _UnionFind)
-from pmodcalc.lattice import Lattice, LatticeCube, _bits, _meet_cube, parent_cube
+from pmodcalc.lattice import Lattice, LatticeCube, _bits, _meet_fill, parent_cube
 from pmodcalc import linalg
 from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
                              cokernel_projection, hstack, image_basis,
@@ -634,6 +637,35 @@ def boundary_oracle(f: PersistenceModule, x: int, i: int, cover, dim) -> Matrix:
     return hstack(blocks)
 
 
+def boundary_layout_oracle(f: PersistenceModule, x: int, i: int, cover, dim) -> Matrix:
+    """``calculus._boundary`` with every meet and the subset layout found
+    on each call: the faces are the meets of the (i-1)-subsets of the
+    lower covers, the cells the nonzero meets of the i-subsets, both in
+    combinations order, and the block from T to T - {t} is (-1)^j times
+    the cover map, t at position j of T."""
+    lat, ws = f.lattice, f.lattice.parents_i(x)
+
+    def meet(subset):
+        v = x
+        for t in subset:
+            v = lat.meet_i(v, ws[t])
+        return v
+
+    lower = list(itertools.combinations(range(len(ws)), i - 1))
+    row_of = {s: r for r, s in enumerate(lower)}
+    faces = [meet(s) for s in lower]
+    cells = [(s, m) for s in itertools.combinations(range(len(ws)), i) if dim(m := meet(s))]
+    blocks = []
+    for c, (subset, m) in enumerate(cells):
+        for j in range(i):
+            r = row_of[subset[:j] + subset[j + 1:]]
+            if dim(faces[r]):
+                edge = cover(m, faces[r])
+                blocks.append((r, c, -edge if j % 2 else edge))
+    return linalg.block_matrix(f.field, [dim(v) for v in faces],
+                               [dim(m) for _, m in cells], blocks)
+
+
 # -- data pipelines --------------------------------------------------------
 
 
@@ -863,7 +895,8 @@ def component(nt: NatTrans, el: str) -> Matrix:
 
 def cover_cube(lat: Lattice, top: str, parts: tuple[str, ...]) -> LatticeCube:
     """The cube of a pairwise cover: top at the full subset, meets of parts below."""
-    return _meet_cube(lat, lat.index(top), [lat.index(x) for x in parts])
+    return LatticeCube(lat, len(parts),
+                       _meet_fill(lat, lat.index(top), [lat.index(x) for x in parts]))
 
 
 def cube_value(cube: LatticeCube, mask: int) -> str:

@@ -192,6 +192,7 @@ class TestImagePipeline:
             bottom, right, (top_edge, _), left = boundary(self, q, p)
             return (bottom, right, (top_edge, 1), left) if q == 0 else boundary(self, q, p)
 
+        generators._sublevels.cache_clear()
         monkeypatch.setattr(CubicalComplex, "square_boundary", wrong)
         with pytest.raises(NotAComplex, match="square boundary"):
             image_bifiltration_homology(img, 1, FieldSpec(3))
@@ -208,6 +209,56 @@ class TestImagePipeline:
         monkeypatch.setattr(generators, "_forest_cycle", wrong)
         with pytest.raises(NotAComplex, match="representative at 0 is not a cycle"):
             image_bifiltration_homology(img, 1, FieldSpec(3))
+
+
+class TestSublevelMemo:
+    """One image's filtration is built once for H0, H1 and the intersection
+    check in a row, whatever the field, and only the last image is kept."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        generators._sublevels.cache_clear()
+        yield
+        generators._sublevels.cache_clear()
+
+    def test_one_complex_for_both_degrees(self, gf2, monkeypatch):
+        built = []
+
+        class Counted(CubicalComplex):
+            def __init__(self, img):
+                built.append(img)
+                super().__init__(img)
+
+        monkeypatch.setattr(generators, "CubicalComplex", Counted)
+        img = random_image(random.Random("memo"), 5, 5)
+        for degree in (0, 1):
+            image_bifiltration_homology(img, degree, gf2)
+        assert sublevel_intersection_check(img)
+        image_bifiltration_homology(img, 1, FieldSpec(3))
+        assert len(built) == 1
+        other = random_image(random.Random("memo-other"), 5, 5)
+        image_bifiltration_homology(other, 0, gf2)
+        image_bifiltration_homology(img, 0, gf2)
+        assert built == [img, other, img]
+        assert generators._sublevels.cache_info().currsize == 1
+
+    def test_interleaved_images_and_fields_match_the_oracle(self):
+        a, b = (random_image(random.Random(s), 5, 5) for s in ("memo-a", "memo-b"))
+        gf2, gf3 = FieldSpec(2), FieldSpec(3)
+        for img, field, degree in [(a, gf2, 0), (a, gf3, 1), (b, gf2, 0), (a, gf2, 1),
+                                   (b, gf3, 1), (b, gf2, 1), (a, gf3, 0)]:
+            assert (image_bifiltration_homology(img, degree, field)
+                    == image_bifiltration_homology_oracle(img, degree, field)), (degree, field)
+
+    def test_equal_distinct_images_give_equal_modules(self, gf2):
+        img = random_image(random.Random("memo-twin"), 5, 5)
+        twin = ImageGrid.from_lists(img.values, img.max_value)
+        assert twin == img and twin is not img
+        for degree in (0, 1):
+            h = image_bifiltration_homology(img, degree, gf2)
+            assert image_bifiltration_homology(twin, degree, gf2) == h
+            generators._sublevels.cache_clear()
+            assert image_bifiltration_homology(twin, degree, gf2) == h
 
 
 def _components(complex_: CubicalComplex, av: list[int], ae: list[int]) -> int:

@@ -276,6 +276,27 @@ class TestCubes:
                 assert is_strongly_bicartesian(parent_cube(lat, v))
                 assert is_strongly_bicartesian(child_cube(lat, v))
 
+    def test_parent_vertices_are_stored_once(self, grid22, cube3):
+        """The parent cube's vertices are the meet fill of the lower covers,
+        found once per element and wrapped, not copied, by parent_cube."""
+        for lat in (grid22, cube3, grid22.opposite()):
+            for v in range(lat.n):
+                vertices = lat.parent_vertices_i(v)
+                assert vertices == lattice._meet_fill(lat, v, lat.parents_i(v))
+                assert lat.parent_vertices_i(v) is vertices
+                assert parent_cube(lat, v).assign is vertices
+
+
+class TestJdimOrder:
+    @given(lat=lattices())
+    @settings(max_examples=30, deadline=None)
+    def test_decreasing_join_dimension_ties_by_index(self, lat):
+        order = lat.jdim_order()
+        assert sorted(order) == list(range(lat.n))
+        keys = [(-len(lat.parents_i(x)), x) for x in order]
+        assert keys == sorted(keys)
+        assert lat.jdim_order() is order
+
 
 class TestEnumeration:
     def test_square_arity2_matches_brute_force(self, square):

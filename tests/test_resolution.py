@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,15 +12,16 @@ from pmodcalc.calculus import (_boundary, gamma_lower, gamma_upper,
                                min_codegree, min_cross_codegree,
                                min_cross_degree, min_degree, t_lower, t_upper,
                                tcofib)
-from pmodcalc.lattice import LatticeCube, parent_cube
+from pmodcalc.lattice import LatticeCube, boolean_lattice, parent_cube
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
 from pmodcalc.verify import nonexample_module, table1_modules
 from pmodcalc import linalg
-from oracles import (betti_oracle, boundary_oracle, canonical_iso_1_oracle,
+from oracles import (betti_oracle, boundary_layout_oracle, boundary_oracle,
+                     canonical_iso_1_oracle,
                      canonical_iso_2_oracle, direct_sum_oracle, jdim,
                      koszul_homology_oracle, top)
-from test_random_lattices import random_lattice
+from test_random_lattices import downset_lattice, random_lattice
 
 
 class TestBetti:
@@ -297,6 +300,46 @@ def test_koszul_takes_only_parent_cubes_of_the_module_lattice(grid22, gf2):
     with pytest.raises(ValueError):
         koszul(f, parent_cube(Lattice.grid([2, 3]), Lattice.grid([2, 3]).index("1,1")))
     assert koszul(f, parent_cube(grid22, grid22.index("2,0"))).homology(0) == 0
+
+
+def test_koszul_refuses_a_cube_that_differs_below_the_parts(grid22, gf2):
+    """A cube with the top and lower covers of [2,2]'s parent cube but 0,0
+    at its bottom is not that parent cube, whether or not the module is
+    zero on it."""
+    idx = grid22.index
+    wrong_bottom = LatticeCube(grid22, 2, (idx("0,0"),) + parent_cube(grid22, idx("2,2")).assign[1:])
+    for f in (free_module(grid22, gf2, {"0,0": 1}), free_module(grid22, gf2, {})):
+        with pytest.raises(ValueError, match="not the parent cube"):
+            koszul(f, wrong_bottom)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_boundary_matches_the_combinations_layout(p):
+    """_boundary, from the stored parent-cube vertices and the cached
+    layout, equals the meets and combinations it replaced, at every element
+    and every degree 1..k: on grids, Boolean lattices and a down-set
+    lattice, for the cover maps of f and for those of t_lower(f, 1)."""
+    field = FieldSpec(p)
+    lats = [Lattice.grid([2, 2]), Lattice.grid([2, 1, 1]), boolean_lattice(3),
+            boolean_lattice(4), downset_lattice(4, random.Random("layout"))]
+    for lat in lats:
+        for seed in range(3):
+            f = random_module(lat, field, f"layout{seed}", max_gens=4, max_rels=3)
+            for g in (f, t_lower(f, 1).module):
+                for x in range(lat.n):
+                    for i in range(1, len(lat.parents_i(x)) + 1):
+                        args = (g, x, i, g.cover_matrix_i, g.dim_i)
+                        assert _boundary(*args) == boundary_layout_oracle(*args), (x, i)
+
+
+def test_t_lower_shares_one_empty_component_per_dim(grid22, gf2):
+    """Where T(x) = 0 the canonical component is one F(x) x 0 matrix per
+    dim F(x): with F free on 1,1 and n = 0, T is zero, so two are made."""
+    f = free_module(grid22, gf2, {"1,1": 1})
+    eps = t_lower(f, 0).canonical
+    components = [eps.component_i(x) for x in range(grid22.n)]
+    assert {(c.nrows, c.ncols) for c in components} == {(0, 0), (1, 0)}
+    assert len({id(c) for c in components}) == 2
 
 
 @pytest.mark.parametrize("shape", [[1, 1, 1], [2, 1, 1], [1, 1, 1, 1]])
