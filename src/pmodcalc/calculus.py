@@ -19,7 +19,8 @@ element's basis and cover maps are read off one echelon form, and each
 read-off is checked by its product, which is naturality of the inclusion
 on every cover into that element.  Induced maps are the unique solutions
 against the bases linalg chose, so everything downstream is
-deterministic.  Per-module results, cr_lower's aside, are memoized on f.
+deterministic.  Per-module results are memoised on f with no reference
+to f; the upper side, the dual of the lower on f^op, keeps no memo.
 
 An approximation that changes nothing returns its input: the result's
 module is f itself, with identity components, and shares f's memo.
@@ -28,9 +29,9 @@ been the identity at every element so far; while it has, the legs into x
 are f's own cover maps, so the maps made at x are f's exactly when the
 component at x is the identity too (for t_lower, when also the cokernel
 projection equals the legs).  That result equals the module the sweep
-would build, dims and stored maps alike, so no check is dropped.  Where
-n >= the lattice dimension or f is zero no sweep runs.  The upper side
-gets the same through the two-way memo of opposite_module.
+would build, dims and stored maps alike, so no check is dropped; a sweep
+at n >= the lattice dimension, or of a zero f, always returns it.  The
+upper side gets the same through the two-way memo of opposite_module.
 
 The local Koszul complex at x is the Koszul complex of F on
 parent_cube(x), the Boolean interval from the meet of the lower covers
@@ -66,11 +67,11 @@ from functools import cache
 from itertools import combinations
 from typing import Callable
 
-from .lattice import LatticeCube, bicartesian_cubes_cached, boolean_lattice
+from .lattice import LatticeCube, _memo, bicartesian_cubes_cached, boolean_lattice
 from .linalg import (Matrix, NoFactorization, block_matrix, cokernel_projection,
                      hstack, rank, rref, solve, vstack)
-from .pmodule import (NatTrans, PersistenceModule, cokernel_of, identity_nat,
-                      opposite_module, restrict_along_cube)
+from .pmodule import (NatTrans, PersistenceModule, cokernel_of, opposite_module,
+                      restrict_along_cube)
 
 
 class NotAComplex(Exception):
@@ -91,8 +92,7 @@ class ApproxResult:
     where the approximation changes nothing: the approximations are
     universal, so a module satisfying the predicate is its own, and equal
     in dims and stored maps to the module a sweep would build (module
-    docstring).
-    """
+    docstring).  Each call makes a new result from what f's memo keeps."""
 
     module: PersistenceModule
     canonical: NatTrans
@@ -120,60 +120,54 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     Otherwise naturality of the canonical map is checked; the result,
     like every module, is checked on construction.
     """
-    cached = _cached_or_unchanged(f, "t_lower", n)
-    if cached is not None:
-        return cached
-    lat, field = f.lattice, f.field
-    dims = [0] * lat.n
-    eps: list = [None] * lat.n
-    empty = cache(lambda d: Matrix.zeros(field, d, 0))  # one F(x) x 0 per dim, shared
-    maps: dict[tuple[int, int], Matrix] = {}
-    same = True  # T(y) = F(y) with eps[y] = I at every y swept so far
-    for x in lat.topo_order():
-        ws = lat.parents_i(x)
-        if not (f.dim_i(x) if len(ws) <= n else any(dims[w] for w in ws)):
-            eps[x] = empty(f.dim_i(x))  # T(x) = 0
-            same = same and not f.dim_i(x)
-            continue
-        # The canonical map restricted to each T(w): through F(w) into F(x).
-        legs = [f.cover_matrix_i(w, x) @ eps[w] for w in ws]
-        if len(ws) <= n:
-            dims[x] = f.dim_i(x)
-            eps[x] = Matrix.identity(field, dims[x])
-            maps.update(((w, x), leg) for w, leg in zip(ws, legs))
-            continue
-        q, free = cokernel_projection(_boundary(
-            f, x, 2, lambda m, w: maps[(m, w)], dims.__getitem__))
-        dims[x] = q.nrows
-        offset = 0
-        for w in ws:
-            maps[(w, x)] = q.take_cols(range(offset, offset + dims[w]))
-            offset += dims[w]
-        # q is the identity on the columns free; canonical.validate(), or
-        # the identity test of eps[x] below, checks.
-        stacked = hstack(legs)
-        eps[x] = stacked.take_cols(free)
-        same = (same and q == stacked
-                and eps[x] == Matrix.identity(field, f.dim_i(x)))
-    module = f if same else PersistenceModule(lat, field, dims, maps)
-    canonical = NatTrans(module, f, eps)
-    if not same:  # with f itself eps is the identity, natural as it stands
-        canonical.validate()
-    result = ApproxResult(module, canonical)
-    f.calc_cache[("t_lower", n)] = result
-    return result
+    def sweep() -> tuple:  # (the module, None where it is f; eps)
+        lat, field = f.lattice, f.field
+        dims = [0] * lat.n
+        eps: list = [None] * lat.n
+        empty = cache(lambda d: Matrix.zeros(field, d, 0))  # one F(x) x 0 per dim, shared
+        maps: dict[tuple[int, int], Matrix] = {}
+        same = True  # T(y) = F(y) with eps[y] = I at every y swept so far
+        for x in lat.topo_order():
+            ws = lat.parents_i(x)
+            if not (f.dim_i(x) if len(ws) <= n else any(dims[w] for w in ws)):
+                eps[x] = empty(f.dim_i(x))  # T(x) = 0
+                same = same and not f.dim_i(x)
+                continue
+            # The canonical map restricted to each T(w): through F(w) into F(x).
+            legs = [f.cover_matrix_i(w, x) @ eps[w] for w in ws]
+            if len(ws) <= n:
+                dims[x] = f.dim_i(x)
+                eps[x] = Matrix.identity(field, dims[x])
+                maps.update(((w, x), leg) for w, leg in zip(ws, legs))
+                continue
+            q, free = cokernel_projection(_boundary(
+                f, x, 2, lambda m, w: maps[(m, w)], dims.__getitem__))
+            dims[x] = q.nrows
+            offset = 0
+            for w in ws:
+                maps[(w, x)] = q.take_cols(range(offset, offset + dims[w]))
+                offset += dims[w]
+            # q is the identity on the columns free; canonical.validate(), or
+            # the identity test of eps[x] below, checks.
+            stacked = hstack(legs)
+            eps[x] = stacked.take_cols(free)
+            same = (same and q == stacked
+                    and eps[x] == Matrix.identity(field, f.dim_i(x)))
+        module = None if same else PersistenceModule(lat, field, dims, maps)
+        if not same:  # with f itself eps is the identity, natural as it stands
+            NatTrans(module, f, eps).validate()
+        return module, eps
+    return _lower("t_lower", sweep, f, n)
 
 
-def _cached_or_unchanged(f: PersistenceModule, kind: str, n: int) -> ApproxResult | None:
-    """The memoised lower result ``kind`` of f at n; else, where no sweep
-    can change f (n >= the lattice dimension, so every jdim(x) <= n, or f
-    zero), f itself with identity components, memoised; else None."""
+def _lower(kind: str, sweep: Callable[[], tuple], f: PersistenceModule, n: int) -> ApproxResult:
+    """The lower result ``kind`` of f at n, made from f's memo of what
+    ``sweep`` returns: (the module, None for f itself; the components)."""
     if n < 0:
         raise ValueError("approximation degree must be >= 0")
-    cached = f.calc_cache.get((kind, n))
-    if cached is None and (n >= f.lattice.poset_dimension() or f.is_zero()):
-        cached = f.calc_cache[(kind, n)] = ApproxResult(f, identity_nat(f))
-    return cached
+    module, components = _memo(f.calc_cache, (kind, n), sweep)
+    module = f if module is None else module
+    return ApproxResult(module, NatTrans(module, f, components))
 
 
 def _boundary(f: PersistenceModule, x: int, i: int, cover, dim) -> Matrix:
@@ -227,41 +221,37 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
     that check; if B_x = I at every x the result is f itself (module
     docstring).
     """
-    cached = _cached_or_unchanged(f, "gamma_lower", n)
-    if cached is not None:
-        return cached
-    lat, field = f.lattice, f.field
-    bases: list = [Matrix.zeros(field, 0, 0)] * lat.n  # Gamma(x) = 0 unless set
-    maps: dict[tuple[int, int], Matrix] = {}
-    same = True  # B_y = I at every y swept so far
-    for x in lat.topo_order():
-        if not f.dim_i(x):
-            continue
-        ws = lat.parents_i(x)
-        legs = [f.cover_matrix_i(w, x) @ bases[w] for w in ws]
-        if len(ws) <= n:
-            bases[x] = Matrix.identity(field, f.dim_i(x))
-            blocks = legs
-        else:
-            stacked = hstack(legs)
-            red, pivots = rref(stacked)
-            bases[x] = stacked.take_cols(pivots)
-            reduced = red.take_rows(range(len(pivots)))
-            if bases[x] @ reduced != stacked:
-                raise NoFactorization(
-                    f"gamma_lower: the legs into {lat.element(x)} do not "
-                    "factor through their pivot columns")
-            same = same and bases[x] == Matrix.identity(field, f.dim_i(x))
-            blocks, offset = [], 0
-            for leg in legs:
-                blocks.append(reduced.take_cols(range(offset, offset + leg.ncols)))
-                offset += leg.ncols
-        maps.update(((w, x), m) for w, m in zip(ws, blocks))
-    module = f if same else PersistenceModule(
-        lat, field, [b.ncols for b in bases], maps)
-    result = ApproxResult(module, NatTrans(module, f, bases))
-    f.calc_cache[("gamma_lower", n)] = result
-    return result
+    def sweep() -> tuple:  # (the module, None where it is f; B)
+        lat, field = f.lattice, f.field
+        bases: list = [Matrix.zeros(field, 0, 0)] * lat.n  # Gamma(x) = 0 unless set
+        maps: dict[tuple[int, int], Matrix] = {}
+        same = True  # B_y = I at every y swept so far
+        for x in lat.topo_order():
+            if not f.dim_i(x):
+                continue
+            ws = lat.parents_i(x)
+            legs = [f.cover_matrix_i(w, x) @ bases[w] for w in ws]
+            if len(ws) <= n:
+                bases[x] = Matrix.identity(field, f.dim_i(x))
+                blocks = legs
+            else:
+                stacked = hstack(legs)
+                red, pivots = rref(stacked)
+                bases[x] = stacked.take_cols(pivots)
+                reduced = red.take_rows(range(len(pivots)))
+                if bases[x] @ reduced != stacked:
+                    raise NoFactorization(
+                        f"gamma_lower: the legs into {lat.element(x)} do not "
+                        "factor through their pivot columns")
+                same = same and bases[x] == Matrix.identity(field, f.dim_i(x))
+                blocks, offset = [], 0
+                for leg in legs:
+                    blocks.append(reduced.take_cols(range(offset, offset + leg.ncols)))
+                    offset += leg.ncols
+            maps.update(((w, x), m) for w, m in zip(ws, blocks))
+        return None if same else PersistenceModule(
+            lat, field, [b.ncols for b in bases], maps), bases
+    return _lower("gamma_lower", sweep, f, n)
 
 
 def cr_lower(f: PersistenceModule, n: int) -> ApproxResult:
@@ -277,37 +267,32 @@ def _dual_nat(nt: NatTrans) -> NatTrans:
                     [nt.component_i(i).transpose() for i in range(nt.source.lattice.n)])
 
 
-def _upper(kind: str, lower: Callable[[PersistenceModule, int], ApproxResult],
+def _upper(lower: Callable[[PersistenceModule, int], ApproxResult],
            f: PersistenceModule, n: int) -> ApproxResult:
-    """The upper-side result ``kind`` of f: the lower-side result of the
-    opposite module, dualised back onto the lattice of f."""
-    cached = f.calc_cache.get((kind, n))
-    if cached is not None:
-        return cached
+    """An upper-side result of f: the lower-side result of the opposite
+    module (memoised there, not here), dualised back onto the lattice of f."""
     low = lower(opposite_module(f), n)
-    result = ApproxResult(opposite_module(low.module), _dual_nat(low.canonical))
-    f.calc_cache[(kind, n)] = result
-    return result
+    return ApproxResult(opposite_module(low.module), _dual_nat(low.canonical))
 
 
 def t_upper(f: PersistenceModule, n: int) -> ApproxResult:
     """The degree-n approximation: pointwise limit of f over elements of
     meet-dimension <= n above each point, with the canonical map from f.
     Computed as the dual of t_lower on the opposite module."""
-    return _upper("t_upper", t_lower, f, n)
+    return _upper(t_lower, f, n)
 
 
 def gamma_upper(f: PersistenceModule, n: int) -> ApproxResult:
     """The cross-degree-n approximation: the pointwise image of the
     canonical map f -> t_upper(f, n), with the canonical epimorphism from
     f (the dual of gamma_lower's inclusion on the opposite module)."""
-    return _upper("gamma_upper", gamma_lower, f, n)
+    return _upper(gamma_lower, f, n)
 
 
 def cr_upper(f: PersistenceModule, n: int) -> ApproxResult:
     """The n-th cross effect: the pointwise kernel of f -> t_upper(f,n),
     with the canonical monomorphism into f (the dual of cr_lower)."""
-    return _upper("cr_upper", cr_lower, f, n)
+    return _upper(cr_lower, f, n)
 
 
 # -- functorial action of the gamma approximations ---------------------------
@@ -400,8 +385,8 @@ def _local_betti(f: PersistenceModule, x: int, i: int) -> list[int]:
     beta^j_x = c_j - r_j - r_(j+1).  A call extends it to degree min(i + 1,
     k), building and ranking d_(j+1) only where d_j leaves a kernel, checked
     against d_j, which is built again if an earlier call ranked it."""
-    records = f.calc_cache.setdefault("koszul", {})
-    chain = records.get(x) or records.setdefault(x, [(f.dim_i(x), 0)])  # (c_j, r_j)
+    records = _memo(f.calc_cache, "koszul", dict)
+    chain = _memo(records, x, lambda: [(f.dim_i(x), 0)])  # (c_j, r_j)
     k, below = len(f.lattice.parents_i(x)), None  # below: d_j, if this call built it
     for j in range(len(chain) - 1, min(i + 1, k)):
         if chain[j][0] == chain[j][1]:  # d_j leaves no kernel, so d_(j+1) = 0
@@ -503,24 +488,22 @@ def _read_off(f: PersistenceModule) -> tuple[int, int]:
     module docstring says why).  Elements are visited by decreasing jdim,
     and the sweep stops at the first that cannot raise either maximum.
     """
-    cached = f.calc_cache.get("read_off")
-    if cached is not None:
-        return cached
-    lat = f.lattice
-    codegree = cross = 0
-    for x in lat.jdim_order():
-        ws = lat.parents_i(x)
-        k = len(ws)
-        if k <= cross:
-            break
-        if not (f.dim_i(x) or any(map(f.dim_i, ws))):
-            continue  # beta^0_x = beta^1_x = 0
-        if _local_betti(f, x, 0)[0]:
-            codegree, cross = max(codegree, k), k
-        elif k > codegree and _local_betti(f, x, 1)[1]:
-            codegree = k
-    f.calc_cache["read_off"] = result = (codegree, cross)
-    return result
+    def sweep() -> tuple[int, int]:
+        lat = f.lattice
+        codegree = cross = 0
+        for x in lat.jdim_order():
+            ws = lat.parents_i(x)
+            k = len(ws)
+            if k <= cross:
+                break
+            if not (f.dim_i(x) or any(map(f.dim_i, ws))):
+                continue  # beta^0_x = beta^1_x = 0
+            if _local_betti(f, x, 0)[0]:
+                codegree, cross = max(codegree, k), k
+            elif k > codegree and _local_betti(f, x, 1)[1]:
+                codegree = k
+        return codegree, cross
+    return _memo(f.calc_cache, "read_off", sweep)
 
 
 def min_codegree(f: PersistenceModule) -> int:

@@ -29,8 +29,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class NotLattice(Exception):
@@ -65,6 +66,18 @@ def grid_size(maxes: Sequence[int]) -> int:
     return n
 
 
+def _memo(cache: dict, key, build: Callable):
+    """``cache[key]``, made by ``build()`` on first use: the one door to every
+    per-object memo.  No value refers to the memo's owner but by a weakref.ref
+    (an opposite's back-link), read through and made again once it is dead."""
+    value = cache.get(key)
+    if type(value) is weakref.ref:
+        value = value()
+    if value is None:
+        value = cache[key] = build()
+    return value
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -88,8 +101,8 @@ class Lattice:
     """A finite lattice with precomputed order masks and Hasse tables."""
 
     __slots__ = ("elements", "_idx", "n", "_up", "_down", "_by_up", "_by_down", "_covers",
-                 "_parents", "_children", "_topo", "_jdim_order", "grid_shape", "_cube_cache",
-                 "_opposite", "_dimension", "_parent_vertices")
+                 "_parents", "_children", "_topo", "grid_shape", "_dimension", "_memo",
+                 "__weakref__")
 
     def __init__(self, elements: Sequence[str], up: list[int], down: list[int],
                  parents: list[tuple[int, ...]], children: list[tuple[int, ...]],
@@ -112,9 +125,7 @@ class Lattice:
             sorted(range(self.n), key=[d.bit_count() for d in down].__getitem__))
         self.grid_shape = grid_shape
         self._dimension = max(map(len, parents), default=0)
-        self._cube_cache: dict[int, list["LatticeCube"]] = {}
-        self._opposite: Lattice | None = None
-        self._jdim_order, self._parent_vertices = None, {}  # filled on demand
+        self._memo: dict = {}
 
     # -- constructors --------------------------------------------------
 
@@ -297,15 +308,12 @@ class Lattice:
 
     def jdim_order(self) -> tuple[int, ...]:
         """Elements by decreasing join-dimension, ties by index, found once."""
-        if self._jdim_order is None:
-            self._jdim_order = tuple(sorted(range(self.n), key=lambda i: -len(self._parents[i])))
-        return self._jdim_order
+        return _memo(self._memo, "jdim_order", lambda: tuple(
+            sorted(range(self.n), key=lambda i: -len(self._parents[i]))))
 
     def parent_vertices_i(self, a: int) -> tuple[int, ...]:
         """a's ``parent_cube`` vertices by subset mask, found once per element."""
-        if a not in self._parent_vertices:
-            self._parent_vertices[a] = _meet_fill(self, a, self._parents[a])
-        return self._parent_vertices[a]
+        return _memo(self._memo, a, lambda: _meet_fill(self, a, self._parents[a]))
 
     def induced_covers(self, indices: Iterable[int]) -> list[tuple[int, int]]:
         """Hasse diagram of the induced subposet, by transitive reduction."""
@@ -326,16 +334,15 @@ class Lattice:
     def opposite(self) -> "Lattice":
         """The same elements with the order reversed.
 
-        Built once by swapping the order masks and the Hasse tables, and
-        memoised both ways: the opposite of the opposite is this lattice.
-        """
-        op = self._opposite
-        if op is None:
+        Built once by swapping the order masks and the Hasse tables, held by
+        this lattice and pointing back weakly: while this lattice lives, the
+        opposite of the opposite is this lattice."""
+        def build():
             op = Lattice(self.elements, self._down, self._up, self._children,
                          self._parents, self._topo[::-1])
-            op._opposite = self
-            self._opposite = op
-        return op
+            op._memo["opposite"] = weakref.ref(self)
+            return op
+        return _memo(self._memo, "opposite", build)
 
     # -- equality ---------------------------------------------------------
 
@@ -368,9 +375,9 @@ class LatticeCube:
     arity: int
     assign: tuple[int, ...]  # indexed by subset bitmask, length 2**arity
 
-    def __post_init__(self):
-        if len(self.assign) != 1 << self.arity:
-            raise ValueError("cube assignment has wrong length")
+    def __post_init__(self):  # a lattice freed under a _Cubes view is None here
+        if not isinstance(self.lattice, Lattice) or len(self.assign) != 1 << self.arity:
+            raise ValueError("a cube needs a lattice and 2**arity vertices")
 
     @property
     def full_mask(self) -> int:
@@ -425,10 +432,23 @@ def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[Lattic
                 yield LatticeCube(lattice, arity, _meet_fill(lattice, vi, parts))
 
 
-def bicartesian_cubes_cached(lattice: Lattice, arity: int) -> list[LatticeCube]:
-    """Memoized list form of enumerate_bicartesian_cubes (per lattice)."""
-    cached = lattice._cube_cache.get(arity)
-    if cached is None:
-        cached = list(enumerate_bicartesian_cubes(lattice, arity))
-        lattice._cube_cache[arity] = cached
-    return cached
+class _Cubes(Sequence):
+    """A lattice's bicartesian cubes of one arity, kept as vertex tuples and
+    wrapped on access: the lattice's memo holds this, so it points back weakly."""
+
+    def __init__(self, lattice: Lattice, arity: int):
+        self._lattice, self._arity = weakref.ref(lattice), arity
+        self._assigns = [c.assign for c in enumerate_bicartesian_cubes(lattice, arity)]
+
+    def __len__(self) -> int:
+        return len(self._assigns)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return LatticeCube(self._lattice(), self._arity, self._assigns[i])
+
+
+def bicartesian_cubes_cached(lattice: Lattice, arity: int) -> Sequence[LatticeCube]:
+    """enumerate_bicartesian_cubes as a sequence, found once per lattice."""
+    return _memo(lattice._memo, ("cubes", arity), lambda: _Cubes(lattice, arity))

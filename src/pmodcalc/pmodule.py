@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import operator
 import random
+import weakref
 from functools import reduce
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
-from .lattice import Lattice, LatticeCube, _bits, boolean_lattice
+from .lattice import Lattice, LatticeCube, _bits, _memo, boolean_lattice
 from .linalg import (FieldSpec, Matrix, NoFactorization, cokernel_projection,
                      kernel_basis, rank)
 from . import linalg
@@ -79,7 +80,7 @@ class PersistenceModule:
     checked and dropped, and ``cover_matrix_i`` makes its zero on demand.
     """
 
-    __slots__ = ("lattice", "field", "_dims", "_maps", "calc_cache")
+    __slots__ = ("lattice", "field", "_dims", "_maps", "calc_cache", "__weakref__")
 
     def __init__(self, lattice: Lattice, field: FieldSpec, dims: Sequence[int],
                  cover_maps: Mapping[tuple[int, int], Matrix] | None = None):
@@ -515,16 +516,15 @@ def opposite_module(f: PersistenceModule) -> PersistenceModule:
     """The dual module on the opposite lattice: same dimensions, cover
     maps transposed.  Exchanges projective with injective behaviour.
 
-    Memoised in ``calc_cache`` both ways, so the opposite of the opposite
-    is f itself and keeps its cached approximations.
+    Memoised in ``calc_cache`` both ways: f holds it, and it points back
+    weakly, so while f lives the opposite of the opposite is f itself.
     """
-    op = f.calc_cache.get("opposite")
-    if op is None:
+    def build():
         op = PersistenceModule(f.lattice.opposite(), f.field, f._dims,
                                {(v, u): m.transpose() for (u, v), m in f._maps.items()})
-        op.calc_cache["opposite"] = f
-        f.calc_cache["opposite"] = op
-    return op
+        op.calc_cache["opposite"] = weakref.ref(f)
+        return op
+    return _memo(f.calc_cache, "opposite", build)
 
 
 # -- hom spaces ---------------------------------------------------------------

@@ -3,10 +3,10 @@
 Betti numbers are the homology of the local Koszul complex at each
 element, calculus.koszul of f on its parent cube, read off the cover maps
 of f into the record the degree statistics share; a cube zero at every
-vertex costs one look at its dims.  The diagram is memoised in
-``calc_cache``; the projective dimension is the largest homological
-degree with a nonzero entry.  The two equivalence reports tie projective
-dimension to the degree predicates and to the canonical comparison maps of
+vertex costs one look at its dims.  The diagram (names and ints) is
+memoised in ``calc_cache``; the projective dimension is the largest
+homological degree with a nonzero entry.  The two equivalence reports tie
+projective dimension to the degree predicates and to the canonical maps of
 the upper approximations, read on the opposite module as lower ones.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .calculus import gamma_lower, is_cross_degree, is_degree, koszul, t_lower
-from .lattice import parent_cube
+from .lattice import _memo, parent_cube
 from .pmodule import PersistenceModule, is_iso, opposite_module
 
 
@@ -54,17 +54,13 @@ def betti(f: PersistenceModule) -> BettiDiagram:
 
     A cube zero at every vertex costs one look at its dims, and each
     boundary's rank is taken once, in the record the statistics share.
-    Memoised in ``f.calc_cache``; callers do not mutate the diagram.
+    Memoised in ``f.calc_cache``, holding no reference to f; callers do
+    not mutate the diagram.
     """
-    if "betti" in f.calc_cache:
-        return f.calc_cache["betti"]
     lat = f.lattice
-    entries: dict[tuple[str, int], int] = {}
-    for x in range(lat.n):
-        kx = koszul(f, parent_cube(lat, x))
-        entries.update(((lat.element(x), i), h) for i, h in enumerate(kx.betti) if h)
-    f.calc_cache["betti"] = diagram = BettiDiagram(entries)
-    return diagram
+    return _memo(f.calc_cache, "betti", lambda: BettiDiagram({
+        (lat.element(x), i): h for x in range(lat.n)
+        for i, h in enumerate(koszul(f, parent_cube(lat, x)).betti) if h}))
 
 
 def pdim(f: PersistenceModule) -> int:

@@ -300,7 +300,10 @@ def test_lower_sweeps_return_f_exactly_when_they_change_nothing(
                 want.canonical.component_i(i) == Matrix.identity(field, f.dim_i(i))
                 for i in range(lat.n))
             assert (got.module is f) == unchanged, (fast.__name__, n)
-            assert fast(f, n) is got
+            again = fast(f, n)  # read from the memo: same module, same components
+            assert again.module is got.module, (fast.__name__, n)
+            assert all(again.canonical.component_i(i) is got.canonical.component_i(i)
+                       for i in range(lat.n)), (fast.__name__, n)
         for upper, lower in ((t_upper, t_lower), (gamma_upper, gamma_lower)):
             assert (upper(f, n).module is f) == (lower(op, n).module is op)
 
