@@ -4,10 +4,10 @@ This module implements the two Kan-extension approximations (t_lower /
 t_upper: restrict to the join- or meet-dimension <= n subposet and
 extend back), their image approximations (gamma_lower / gamma_upper),
 the cross effects (cr_lower / cr_upper), total (co)fibers and Koszul
-homology of cubes, and the four degree predicates.  A cube is a module on
-the Boolean lattice {0,1}^k, as restrict_along_cube returns it.
+homology of cubes, and the four degree predicates.  A cube module, f
+restricted along a cube (a vertex tuple), is a module on {0,1}^k.
 find_failing_cube is the brute-force oracle of the predicates over
-enumerated bicartesian cubes.
+enumerated bicartesian cubes, and returns the first failing vertex tuple.
 
 Only the lower side is computed, each by a local sweep over the lattice
 in a linear extension, and everything upper as its dual on the opposite
@@ -67,7 +67,7 @@ from functools import cache
 from itertools import combinations
 from typing import Callable
 
-from .lattice import LatticeCube, _memo, bicartesian_cubes_cached, boolean_lattice
+from .lattice import _memo, bicartesian_cubes_cached, boolean_lattice, parent_cube
 from .linalg import (Matrix, NoFactorization, block_matrix, cokernel_projection,
                      hstack, rank, rref, solve, vstack)
 from .pmodule import (NatTrans, PersistenceModule, cokernel_of, opposite_module,
@@ -354,27 +354,23 @@ class KoszulComplex:
         return self.betti[i] if 0 <= i <= self.k else 0
 
 
-def koszul(f: PersistenceModule, cube: LatticeCube | None = None) -> KoszulComplex:
+def koszul(f: PersistenceModule, cube: tuple[int, ...]) -> KoszulComplex:
     """The Koszul complex of f on a cube, read off f's record at its top x.
 
-    With ``cube`` the parent cube of an element x of f's lattice, this is
-    the local Koszul complex at x (module docstring); with none, f must be
-    a cube (a module on {0,1}^k, as restrict_along_cube returns it), and x
-    is its top, lat.n - 1 (its parent cube is all of {0,1}^k).  A cube not
-    the parent cube of its top, vertex for vertex, is a ValueError; a zero
-    one returns with nothing computed.  NotAComplex when d o d != 0, which
-    the cover-diamond check rules out short of a sign or layout bug.
+    ``cube`` must be the parent cube of its top x = cube[-1] in f's
+    lattice, vertex for vertex, else ValueError; then this is the local
+    Koszul complex at x (module docstring).  On a cube module (a module on
+    {0,1}^k, as restrict_along_cube returns it) that is the parent cube of
+    its top, ``parent_cube(lat, lat.n - 1)``.  A cube zero at every vertex
+    returns with nothing computed.  NotAComplex when d o d != 0, which the
+    cover-diamond check rules out short of a sign or layout bug.
     """
-    lat = f.lattice
-    if cube is None:
-        k, x, vertices = _arity(f), lat.n - 1, range(lat.n)
-    elif cube.lattice is not lat:
-        raise ValueError(f"{cube.describe()} is not a cube of the module's lattice")
-    else:
-        k, x, vertices = cube.arity, cube.assign[-1], cube.assign
-        if vertices != lat.parent_vertices_i(x):
-            raise ValueError(f"{cube.describe()} is not the parent cube of its top")
-    if not any(map(f.dim_i, vertices)):
+    lat, x = f.lattice, cube[-1] if cube else -1
+    if x not in range(lat.n) or cube != lat.parent_vertices_i(x):
+        raise ValueError(f"the cube with top {lat.element(x) if x in range(lat.n) else x}"
+                         " is not the parent cube of its top")
+    k = len(cube).bit_length() - 1
+    if not any(map(f.dim_i, cube)):
         return KoszulComplex(k, (0,) * (k + 1))
     return KoszulComplex(k, tuple(_local_betti(f, x, k)))
 
@@ -410,7 +406,7 @@ def _local_betti(f: PersistenceModule, x: int, i: int) -> list[int]:
 def _koszul_nonzero(cube: PersistenceModule, low: bool) -> bool:
     """Whether Koszul homology is nonzero in degree 0 or 1 (low) or in
     degree k or k-1 (not low)."""
-    kx = koszul(cube)
+    kx = koszul(cube, parent_cube(cube.lattice, cube.lattice.n - 1))
     degrees = (0, 1) if low else (kx.k, kx.k - 1)
     return any(kx.homology(i) != 0 for i in degrees)
 
@@ -427,7 +423,7 @@ _CUBE_FAILS: dict[str, Callable[[PersistenceModule], bool]] = {
 }
 
 
-def find_failing_cube(f: PersistenceModule, n: int, kind: str) -> LatticeCube | None:
+def find_failing_cube(f: PersistenceModule, n: int, kind: str) -> tuple[int, ...] | None:
     """First bicartesian (n+1)-cube (in enumeration order) witnessing the
     failure of the given predicate, or None if the predicate holds.  This
     is the brute-force oracle of the four is_* predicates below."""

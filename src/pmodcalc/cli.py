@@ -158,6 +158,12 @@ def _parse_generators(text: str) -> dict[str, int]:
     return gens
 
 
+def _check_total_dim(total: int) -> None:
+    if total > MAX_TOTAL_DIM:  # its PMOD would not load
+        raise CliError(f"generated module has total dimension {total}, more than "
+                       f"the cap of {MAX_TOTAL_DIM} a PMOD file may declare")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     field = FieldSpec(args.field)
     if args.kind in ("interval", "free"):
@@ -165,8 +171,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         try:
             if args.kind == "interval":
                 module = interval_module(lat, field, _parse_support(args.support))
-            else:
-                module = free_module(lat, field, _parse_generators(args.gens))
+            else:  # bounded before it is built: a generator adds 1 across its up-set
+                gens = _parse_generators(args.gens)
+                _check_total_dim(sum(k * lat.upset_mask(lat.index(el)).bit_count()
+                                     for el, k in gens.items()))
+                module = free_module(lat, field, gens)
         except (KeyError, NotConvex, NotConnected) as exc:  # bad support or generators
             raise CliError(exc.args[0]) from exc
     elif args.kind == "random":
@@ -194,9 +203,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         module = sublevel_rips_h0(space, field)
     else:  # pragma: no cover
         raise CliError(f"unknown generator {args.kind}")
-    if (total := module.total_dim()) > MAX_TOTAL_DIM:  # its PMOD would not load
-        raise CliError(f"generated module has total dimension {total}, more than "
-                       f"the cap of {MAX_TOTAL_DIM} a PMOD file may declare")
+    _check_total_dim(module.total_dim())
     sys.stdout.write(print_pmod(module))
     return 0
 

@@ -283,7 +283,7 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
     filtration coordinate.
 
     H0 is ``_free_on_components`` of those components.  This is the basis
-    the reduction of ``[image_basis(d1) | I]`` picks: a unit vector e_w is
+    the reduction of ``[C | I]`` picks, C the pivot columns of d1: e_w is
     a pivot unless an earlier active vertex of its component exists, since
     e_w - e_u is a boundary exactly when u and w share a component.  So the
     representatives are the least active vertex of each component, ordered

@@ -22,6 +22,10 @@ without a unique bottom or with a missing join or meet is rejected, and
 then distributivity is checked.  Modules rely on this: on a distributive
 lattice the meet of two lower covers of v is covered by both, so
 commuting cover diamonds are the whole functor axiom.
+
+A k-cube is the tuple of its 2**k vertex indices by subset mask, with no
+lattice of its own: its arity is ``len(cube).bit_length() - 1``, its top
+``cube[-1]``.  The lattice's memo keeps parent and bicartesian cubes so.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import functools
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -366,32 +369,6 @@ def boolean_lattice(k: int) -> Lattice:
     return Lattice.grid([1] * k or [0])
 
 
-@dataclass(frozen=True)
-class LatticeCube:
-    """A cube in the lattice: subsets of {0..arity-1} (as bitmasks) mapped
-    to element indices, monotone under inclusion."""
-
-    lattice: Lattice
-    arity: int
-    assign: tuple[int, ...]  # indexed by subset bitmask, length 2**arity
-
-    def __post_init__(self):  # a lattice freed under a _Cubes view is None here
-        if not isinstance(self.lattice, Lattice) or len(self.assign) != 1 << self.arity:
-            raise ValueError("a cube needs a lattice and 2**arity vertices")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.arity) - 1
-
-    def describe(self) -> str:
-        """The cube's top and parts (part i at the subset missing i) by name."""
-        name, full = self.lattice.elements, self.full_mask
-        if not self.arity:
-            return f"cube(point={name[self.assign[0]]})"
-        parts = ",".join(name[self.assign[full & ~(1 << i)]] for i in range(self.arity))
-        return f"cube(top={name[self.assign[full]]}, parts={parts})"
-
-
 def _meet_fill(lattice: Lattice, top: int, parts: Sequence[int]) -> tuple[int, ...]:
     """Cube vertices by subset mask: top at the full subset, at any other S
     the meet of the parts not in S, filled downwards, S from S + {b} for the
@@ -405,16 +382,15 @@ def _meet_fill(lattice: Lattice, top: int, parts: Sequence[int]) -> tuple[int, .
     return tuple(assign)
 
 
-def parent_cube(lattice: Lattice, a: int) -> LatticeCube:
+def parent_cube(lattice: Lattice, a: int) -> tuple[int, ...]:
     """The cube spanned by element a and its lower covers (meets fill the
-    rest), around the vertices stored by ``Lattice.parent_vertices_i``.
-    Any two lower covers join to a, so they are a pairwise cover.  An
-    element with no lower covers yields the 0-cube at that element.
-    """
-    return LatticeCube(lattice, len(lattice.parents_i(a)), lattice.parent_vertices_i(a))
+    rest): the vertices stored by ``Lattice.parent_vertices_i``.  Any two
+    lower covers join to a, so they are a pairwise cover.  An element with
+    no lower covers yields the 0-cube (a,)."""
+    return lattice.parent_vertices_i(a)
 
 
-def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[LatticeCube]:
+def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[tuple[int, ...]]:
     """All strongly bicartesian cubes of the given arity, one per unordered
     pairwise cover per top element: the parts of a pairwise cover of v
     are elements below v whose pairwise joins are all v.
@@ -429,26 +405,10 @@ def enumerate_bicartesian_cubes(lattice: Lattice, arity: int) -> Iterator[Lattic
         below = _bits(lattice.downset_mask(vi))  # ascending
         for parts in itertools.combinations_with_replacement(below, arity):
             if all(lattice.join_i(x, y) == vi for x, y in itertools.combinations(parts, 2)):
-                yield LatticeCube(lattice, arity, _meet_fill(lattice, vi, parts))
+                yield _meet_fill(lattice, vi, parts)
 
 
-class _Cubes(Sequence):
-    """A lattice's bicartesian cubes of one arity, kept as vertex tuples and
-    wrapped on access: the lattice's memo holds this, so it points back weakly."""
-
-    def __init__(self, lattice: Lattice, arity: int):
-        self._lattice, self._arity = weakref.ref(lattice), arity
-        self._assigns = [c.assign for c in enumerate_bicartesian_cubes(lattice, arity)]
-
-    def __len__(self) -> int:
-        return len(self._assigns)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return LatticeCube(self._lattice(), self._arity, self._assigns[i])
-
-
-def bicartesian_cubes_cached(lattice: Lattice, arity: int) -> Sequence[LatticeCube]:
-    """enumerate_bicartesian_cubes as a sequence, found once per lattice."""
-    return _memo(lattice._memo, ("cubes", arity), lambda: _Cubes(lattice, arity))
+def bicartesian_cubes_cached(lattice: Lattice, arity: int) -> tuple[tuple[int, ...], ...]:
+    """enumerate_bicartesian_cubes as a tuple, found once per lattice."""
+    return _memo(lattice._memo, ("cubes", arity),
+                 lambda: tuple(enumerate_bicartesian_cubes(lattice, arity)))

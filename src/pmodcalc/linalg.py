@@ -33,7 +33,7 @@ Maps induced on a basis chosen here are read off the echelon form that
 chose it (F: free columns, P: pivot columns of the rref).  The
 projection q of ``cokernel_projection`` is the identity on the columns F
 returned with it, so h*q = r forces h = r.take_cols(F); and m = C*R for
-C = image_basis(m) = m.take_cols(P) and R the first rank(m) rows of
+C = m.take_cols(P), the image basis, and R the first rank(m) rows of
 rref(m).  Callers check each read-off by its defining product; ``solve``
 stays the general path.
 """
@@ -493,12 +493,6 @@ def kernel_basis(m: Matrix) -> Matrix:
     unit = iter(Matrix.identity(m.field, len(free))._data)
     rows = [next(filled) if j in pivot_set else next(unit) for j in range(m.ncols)]
     return Matrix._of(m.field, m.ncols, len(free), tuple(rows))
-
-
-def image_basis(m: Matrix) -> Matrix:
-    """The pivot columns of m: a deterministic basis of its column space."""
-    _, pivots = rref(m)
-    return m.take_cols(pivots)
 
 
 def cokernel_projection(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -34,7 +34,7 @@ from functools import reduce
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
-from .lattice import Lattice, LatticeCube, _bits, _memo, boolean_lattice
+from .lattice import Lattice, _bits, _memo, boolean_lattice
 from .linalg import (FieldSpec, Matrix, NoFactorization, cokernel_projection,
                      kernel_basis, rank)
 from . import linalg
@@ -313,10 +313,6 @@ def is_iso(nt: NatTrans) -> bool:
                for m in nt._components)
 
 
-def identity_nat(f: PersistenceModule) -> NatTrans:
-    return NatTrans(f, f, [Matrix.identity(f.field, d) for d in f._dims])
-
-
 def zero_nat(source: PersistenceModule, target: PersistenceModule) -> NatTrans:
     return NatTrans(source, target,
                     [Matrix.zeros(source.field, target.dim_i(i), source.dim_i(i))
@@ -502,14 +498,14 @@ def cokernel_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
 # -- restriction along cubes -------------------------------------------------
 
 
-def restrict_along_cube(f: PersistenceModule, cube: LatticeCube) -> PersistenceModule:
-    """f restricted along a lattice cube: the module on boolean_lattice(k)
-    whose value at subset mask m is f at cube vertex m, with the transports
-    of f between vertices as cover maps (checked like every module)."""
-    lat, v = boolean_lattice(cube.arity), cube.assign
+def restrict_along_cube(f: PersistenceModule, cube: tuple[int, ...]) -> PersistenceModule:
+    """f restricted along a k-cube of its lattice: the module on
+    boolean_lattice(k) whose value at subset mask m is f at cube[m], with
+    the transports of f between vertices as cover maps (checked)."""
+    lat = boolean_lattice(len(cube).bit_length() - 1)
     return PersistenceModule(
-        lat, f.field, [f.dim_i(x) for x in v],
-        {(s, t): f.transport_i(v[s], v[t]) for s, t in lat.covers_i()})
+        lat, f.field, [f.dim_i(x) for x in cube],
+        {(s, t): f.transport_i(cube[s], cube[t]) for s, t in lat.covers_i()})
 
 
 def opposite_module(f: PersistenceModule) -> PersistenceModule:

@@ -1,13 +1,14 @@
 """Betti diagrams and projective dimension.
 
 Betti numbers are the homology of the local Koszul complex at each
-element, calculus.koszul of f on its parent cube, read off the cover maps
-of f into the record the degree statistics share; a cube zero at every
-vertex costs one look at its dims.  The diagram (names and ints) is
-memoised in ``calc_cache``; the projective dimension is the largest
-homological degree with a nonzero entry.  The two equivalence reports tie
-projective dimension to the degree predicates and to the canonical maps of
-the upper approximations, read on the opposite module as lower ones.
+element, calculus.koszul of f on its parent cube (the vertex tuple the
+lattice stores), read off the cover maps of f into the record the degree
+statistics share; a cube zero at every vertex costs one look at its dims.
+The diagram (names and ints) is memoised in ``calc_cache``; the
+projective dimension is the largest homological degree with a nonzero
+entry.  The two equivalence reports tie projective dimension to the
+degree predicates and to the canonical maps of the upper approximations,
+read on the opposite module as lower ones.
 """
 
 from __future__ import annotations

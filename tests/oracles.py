@@ -52,9 +52,11 @@ queries at the end (``leq``, ``mdim``, ``upset``, ``join_irreducibles``,
 ``is_strongly_bicartesian``, ``cover_matrix``, ``downset``, ``meet``,
 ``parents``, ``children``, ``transport``, ``join``, ``jdim``, ``bottom``,
 ``top``, ``covers``, ``dim``, ``component``, and the cube forms
-``cover_cube``, ``cube_value``, ``cube_top`` and ``cube_parts``) are used
-only by the tests, so they live here rather than in the package, which
-works by element index.
+``cover_cube``, ``top_cube``, ``arity``, ``cube_value``, ``cube_top`` and
+``cube_parts``) are used only by the tests, so they live here rather than
+in the package, which works by element index.  So do ``image_basis``,
+the pivot columns of a matrix, and ``identity_nat``, which no package
+code calls.
 """
 
 from __future__ import annotations
@@ -67,11 +69,11 @@ from pmodcalc.calculus import (ApproxResult, _boundary, gamma_lower,
 from pmodcalc.generators import (CubicalComplex, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
                                  _UnionFind)
-from pmodcalc.lattice import Lattice, LatticeCube, _bits, _meet_fill, parent_cube
+from pmodcalc.lattice import Lattice, _bits, _meet_fill, parent_cube
 from pmodcalc import linalg
 from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
-                             cokernel_projection, hstack, image_basis,
-                             kernel_basis, rank, rref, solve, vstack)
+                             cokernel_projection, hstack, kernel_basis, rank,
+                             rref, solve, vstack)
 from pmodcalc.pmodule import (NatTrans, NotConnected, NotConvex,
                               PersistenceModule, is_iso, opposite_module,
                               restrict_along_cube)
@@ -312,6 +314,19 @@ def canonical_iso_2_oracle(f: PersistenceModule, n: int) -> bool:
     return is_iso(t_upper(g.module, n - 1).canonical.compose(g.canonical))
 
 
+# -- helpers the package does not call ----------------------------------------
+
+
+def image_basis(m: Matrix) -> Matrix:
+    """The pivot columns of m: a deterministic basis of its column space."""
+    _, pivots = rref(m)
+    return m.take_cols(pivots)
+
+
+def identity_nat(f: PersistenceModule) -> NatTrans:
+    return NatTrans(f, f, [Matrix.identity(f.field, d) for d in f._dims])
+
+
 # -- induced maps: the solve-based bodies the echelon read-offs replaced -------
 
 
@@ -373,12 +388,11 @@ def meet_oracle(lat: Lattice, i: int, j: int) -> int:
     return _extreme_of(lat.downset_mask(i) & lat.downset_mask(j), lat.downset_mask)
 
 
-def child_cube(lattice: Lattice, a: int) -> LatticeCube:
+def child_cube(lattice: Lattice, a: int) -> tuple[int, ...]:
     """The dual of ``parent_cube``: a at the empty subset, joins of upper
     covers above.  It is the parent cube of a in the opposite lattice,
     subset S there being the complement of S here."""
-    op = parent_cube(lattice.opposite(), a)
-    return LatticeCube(lattice, op.arity, op.assign[::-1])
+    return parent_cube(lattice.opposite(), a)[::-1]
 
 
 # -- the functor axiom on every up-set -------------------------------------------
@@ -830,12 +844,11 @@ def join_irreducibles(lat: Lattice) -> tuple[str, ...]:
     return tuple(lat.element(i) for i in range(lat.n) if len(lat.parents_i(i)) == 1)
 
 
-def is_strongly_bicartesian(cube: LatticeCube) -> bool:
-    """Whether the cube's assignment preserves all joins and meets of subsets."""
-    lat, assign = cube.lattice, cube.assign
-    return all(assign[s | t] == lat.join_i(assign[s], assign[t])
-               and assign[s & t] == lat.meet_i(assign[s], assign[t])
-               for s in range(len(assign)) for t in range(s, len(assign)))
+def is_strongly_bicartesian(lat: Lattice, cube: tuple[int, ...]) -> bool:
+    """Whether the cube's vertices preserve all joins and meets of subsets."""
+    return all(cube[s | t] == lat.join_i(cube[s], cube[t])
+               and cube[s & t] == lat.meet_i(cube[s], cube[t])
+               for s in range(len(cube)) for t in range(s, len(cube)))
 
 
 def cover_matrix(f: PersistenceModule, u: str, v: str) -> Matrix:
@@ -893,20 +906,30 @@ def component(nt: NatTrans, el: str) -> Matrix:
     return nt.component_i(nt.source.lattice.index(el))
 
 
-def cover_cube(lat: Lattice, top: str, parts: tuple[str, ...]) -> LatticeCube:
+def cover_cube(lat: Lattice, top: str, parts: tuple[str, ...]) -> tuple[int, ...]:
     """The cube of a pairwise cover: top at the full subset, meets of parts below."""
-    return LatticeCube(lat, len(parts),
-                       _meet_fill(lat, lat.index(top), [lat.index(x) for x in parts]))
+    return _meet_fill(lat, lat.index(top), [lat.index(x) for x in parts])
 
 
-def cube_value(cube: LatticeCube, mask: int) -> str:
-    return cube.lattice.element(cube.assign[mask])
+def top_cube(c: PersistenceModule) -> tuple[int, ...]:
+    """The parent cube of a cube module's top: all of {0,1}^k, the cube
+    ``koszul`` takes on it."""
+    return parent_cube(c.lattice, c.lattice.n - 1)
 
 
-def cube_top(cube: LatticeCube) -> str:
-    return cube_value(cube, cube.full_mask)
+def arity(cube: tuple[int, ...]) -> int:
+    return len(cube).bit_length() - 1
 
 
-def cube_parts(cube: LatticeCube) -> tuple[str, ...]:
+def cube_value(lat: Lattice, cube: tuple[int, ...], mask: int) -> str:
+    return lat.element(cube[mask])
+
+
+def cube_top(lat: Lattice, cube: tuple[int, ...]) -> str:
+    return lat.element(cube[-1])
+
+
+def cube_parts(lat: Lattice, cube: tuple[int, ...]) -> tuple[str, ...]:
     """Part i of the cube's pairwise cover sits at the subset missing i."""
-    return tuple(cube_value(cube, cube.full_mask & ~(1 << i)) for i in range(cube.arity))
+    full = len(cube) - 1
+    return tuple(lat.element(cube[full & ~(1 << i)]) for i in range(arity(cube)))

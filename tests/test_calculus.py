@@ -15,6 +15,7 @@ from pmodcalc.calculus import (PREDICATES, NotAComplex,
                                min_cross_degree, min_degree, t_lower, t_upper,
                                tcofib, tfib)
 from pmodcalc import calculus
+from pmodcalc.lattice import parent_cube
 from pmodcalc.linalg import NoFactorization, hstack, rank, solve
 from pmodcalc.pmodule import NatTrans, NonCommutingSquare, NotNatural, direct_sum
 from pmodcalc.verify import table1_modules, nonexample_module
@@ -22,7 +23,7 @@ from oracles import (NotDownClosed, NotUpClosed, bottom, colim_over_downset,
                      cover_cube, dim, downset, gamma_lower_oracle,
                      gamma_lower_sweep_oracle, jdim, koszul_homology_oracle,
                      leq, lim_over_upset, mdim, solve_left,
-                     t_lower_sweep_oracle, top, transport, upset)
+                     t_lower_sweep_oracle, top, top_cube, transport, upset)
 
 
 def constant(lat, field):
@@ -422,9 +423,10 @@ class TestTotalFibers:
                 assert tfib(vc) == brute_tfib_gf2(vc)
 
     def test_module_off_the_boolean_lattice_rejected(self, gf2):
-        # A chain has poset dimension 1 but is no 1-cube.
+        # A chain has poset dimension 1 but is no 1-cube, and its edge from
+        # 0 to 3 is not the parent cube of 3.
         f = free_module(Lattice.grid([3]), gf2, {"0": 1})
-        for read in (tfib, tcofib, koszul):
+        for read in (tfib, tcofib, lambda f: koszul(f, (0, 3))):
             with pytest.raises(ValueError):
                 read(f)
 
@@ -432,12 +434,12 @@ class TestTotalFibers:
 class TestKoszul:
     def test_zero_cube(self, gf2):
         c = PersistenceModule(boolean_lattice(2), gf2, [0] * 4)
-        k = koszul(c)
+        k = koszul(c, top_cube(c))
         assert all(k.homology(i) == 0 for i in range(3))
 
     def test_identity_one_cube(self, gf2):
         c = free_module(boolean_lattice(1), gf2, {"0": 3})
-        k = koszul(c)
+        k = koszul(c, top_cube(c))
         assert k.homology(0) == 0
         assert k.homology(1) == 0
 
@@ -458,11 +460,11 @@ class TestKoszul:
             return c
 
         with pytest.raises(NotAComplex):
-            koszul(broken())
+            koszul(broken(), parent_cube(lat, 3))
         # The degree statistics read the same record, so they fail as loudly,
         # before koszul and after it.
         c = broken()
-        for read in (min_codegree, koszul, min_codegree):
+        for read in (min_codegree, lambda c: koszul(c, parent_cube(lat, 3)), min_codegree):
             with pytest.raises(NotAComplex):
                 read(c)
 
@@ -482,13 +484,13 @@ class TestKoszul:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(calculus, "rank", lambda m: ranked.append(m.ncols) or real_rank(m))
             c = PersistenceModule(lat, field, [1] * 7 + [3], maps)
-            kx = koszul(c)
+            kx = koszul(c, top_cube(c))
         assert ranked == [3, 1]  # d_1 and d_3
         assert c.calc_cache["koszul"][7] == [(3, 0), (3, 3), (3, 0), (1, 1)]  # (c_j, r_j)
         assert [kx.homology(i) for i in range(4)] == koszul_homology_oracle(c) == [0, 0, 2, 0]
         stats_first = PersistenceModule(lat, field, [1] * 7 + [3], maps)
         min_codegree(stats_first)
-        assert koszul(stats_first) == kx
+        assert koszul(stats_first, top_cube(stats_first)) == kx
 
     def test_homology_matches_total_fibers(self, grid22, gf2):
         rng = random.Random("kz")
@@ -498,7 +500,7 @@ class TestKoszul:
             for arity in (1, 2, 3):
                 cube = rng.choice(bicartesian_cubes_cached(grid22, arity))
                 vc = restrict_along_cube(f, cube)
-                k = koszul(vc)
+                k = koszul(vc, top_cube(vc))
                 assert k.homology(arity) == tfib(vc)
                 assert k.homology(0) == tcofib(vc)
 

@@ -328,6 +328,26 @@ class TestGen:
         assert err == ("error: random module cost 62424000000000 (elements x "
                        "(max-gens + max-rels)^3) is more than the cap of 8388608\n")
 
+    @pytest.mark.parametrize("gens, total", [("0,0:100000", 400000),
+                                             ("0,0:257", 1028),
+                                             ("0,1:300 1,1:500", 1100)])
+    def test_free_module_over_the_total_dim_cap_is_not_built(self, capsys, monkeypatch,
+                                                             gens, total):
+        # Its total dim is the multiplicities times the up-set sizes.  Uncapped,
+        # 4,000 generators at 0,0 of [1,1] take 2.6 s and 269 MiB to build
+        # before the cap on the result refuses them.
+        def build(*args):
+            raise AssertionError("free_module was called")
+        monkeypatch.setattr(cli, "free_module", build)
+        code, out, err = run(capsys, "gen", "free", "--grid", "1", "1", "--gens", gens)
+        assert code == 2 and out == ""
+        assert err == (f"error: generated module has total dimension {total}, more "
+                       "than the cap of 1024 a PMOD file may declare\n")
+
+    def test_free_module_at_the_total_dim_cap_is_built(self, capsys):
+        code, out, _ = run(capsys, "gen", "free", "--grid", "1", "1", "--gens", "0,0:256")
+        assert code == 0 and load_module(out).total_dim() == 1024
+
     @pytest.mark.parametrize("argv, message", [
         (("--max-gens", "-1"), "--max-gens must be >= 0, got -1"),
         (("--max-rels", "-1"), "--max-rels must be >= 0, got -1"),

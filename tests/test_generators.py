@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (_homology_reps, active_oracle, boundary_1_oracle,
-                     boundary_2_oracle, cover_matrix, dim, top,
+                     boundary_2_oracle, cover_matrix, dim, image_basis, top,
                      image_bifiltration_homology_oracle,
                      sublevel_rips_h0_oracle)
 from pmodcalc import generators
@@ -15,8 +15,7 @@ from pmodcalc.generators import (CubicalComplex, EulerCountMismatch, ImageGrid,
                                  image_bifiltration_homology, random_image,
                                  random_metric_space, sublevel_intersection_check,
                                  sublevel_rips_h0)
-from pmodcalc.linalg import (FieldSpec, Matrix, hstack, image_basis, kernel_basis,
-                             rank, rref)
+from pmodcalc.linalg import FieldSpec, Matrix, hstack, kernel_basis, rank, rref
 from pmodcalc.resolution import pdim
 from pmodcalc.verify import run_suite
 

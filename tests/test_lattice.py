@@ -7,7 +7,7 @@ from pmodcalc import lattice
 from pmodcalc.lattice import (Lattice, NoBottom, NotDistributive,
                               NotLattice, bicartesian_cubes_cached,
                               enumerate_bicartesian_cubes, parent_cube)
-from oracles import (bottom, child_cube, children, cover_cube, covers, cube_parts,
+from oracles import (arity, bottom, child_cube, children, cover_cube, covers, cube_parts,
                      cube_top, cube_value, downset, is_strongly_bicartesian,
                      jdim, join, join_irreducibles, join_oracle, leq, mdim,
                      meet, meet_oracle, parents, top, upset)
@@ -229,62 +229,62 @@ class TestParentsChildren:
 class TestCubes:
     def test_full_square_cube(self, square):
         cube = cover_cube(square, "1,1", ("0,1", "1,0"))
-        assert cube.arity == 2
-        assert cube_value(cube, 0) == "0,0"
-        assert cube_top(cube) == "1,1"
-        assert is_strongly_bicartesian(cube)
+        assert arity(cube) == 2
+        assert cube_value(square, cube, 0) == "0,0"
+        assert cube_top(square, cube) == "1,1"
+        assert is_strongly_bicartesian(square, cube)
 
     def test_degenerate_cover_is_legal(self, square):
         cube = cover_cube(square, "1,1", ("1,1", "0,1"))
-        assert is_strongly_bicartesian(cube)
+        assert is_strongly_bicartesian(square, cube)
 
     def test_three_cube_from_coatoms(self, cube3):
         cube = cover_cube(cube3, "1,1,1", ("0,1,1", "1,0,1", "1,1,0"))
-        assert cube.arity == 3
+        assert arity(cube) == 3
         # Exhaustive join/meet preservation over all subset pairs.
-        assert is_strongly_bicartesian(cube)
-        values = {cube_value(cube, m) for m in range(8)}
+        assert is_strongly_bicartesian(cube3, cube)
+        values = {cube_value(cube3, cube, m) for m in range(8)}
         assert values == set(cube3.elements)
 
     def test_parent_cube_of_bottom(self, square):
         cube = parent_cube(square, square.index("0,0"))
-        assert cube.arity == 0
-        assert cube_value(cube, 0) == "0,0"
+        assert arity(cube) == 0
+        assert cube_value(square, cube, 0) == "0,0"
 
     def test_parent_cube_of_square_top(self, square):
         cube = parent_cube(square, square.index("1,1"))
-        assert cube.arity == 2
-        assert cube_value(cube, 0) == "0,0"
-        assert cube_top(cube) == "1,1"
+        assert arity(cube) == 2
+        assert cube_value(square, cube, 0) == "0,0"
+        assert cube_top(square, cube) == "1,1"
 
     def test_parent_cube_meets_of_parents(self, cube3):
         cube = parent_cube(cube3, cube3.index("1,1,0"))
-        assert cube.arity == 2
-        assert {cube_value(cube, m) for m in range(4)} == {
+        assert arity(cube) == 2
+        assert {cube_value(cube3, cube, m) for m in range(4)} == {
             "0,0,0", "1,0,0", "0,1,0", "1,1,0"}
 
     def test_child_cube_dual(self, square):
         cube = child_cube(square, square.index("0,0"))
-        assert cube.arity == 2
-        assert cube_value(cube, 0) == "0,0"
-        assert {cube_value(cube, m) for m in range(4)} == set(square.elements)
-        assert is_strongly_bicartesian(cube)
+        assert arity(cube) == 2
+        assert cube_value(square, cube, 0) == "0,0"
+        assert {cube_value(square, cube, m) for m in range(4)} == set(square.elements)
+        assert is_strongly_bicartesian(square, cube)
 
     def test_parent_cubes_strongly_bicartesian(self, grid22, cube3):
         for lat in (grid22, cube3):
             for v in range(lat.n):
-                assert is_strongly_bicartesian(parent_cube(lat, v))
-                assert is_strongly_bicartesian(child_cube(lat, v))
+                assert is_strongly_bicartesian(lat, parent_cube(lat, v))
+                assert is_strongly_bicartesian(lat, child_cube(lat, v))
 
     def test_parent_vertices_are_stored_once(self, grid22, cube3):
         """The parent cube's vertices are the meet fill of the lower covers,
-        found once per element and wrapped, not copied, by parent_cube."""
+        found once per element, and the parent cube is that very tuple."""
         for lat in (grid22, cube3, grid22.opposite()):
             for v in range(lat.n):
                 vertices = lat.parent_vertices_i(v)
                 assert vertices == lattice._meet_fill(lat, v, lat.parents_i(v))
                 assert lat.parent_vertices_i(v) is vertices
-                assert parent_cube(lat, v).assign is vertices
+                assert parent_cube(lat, v) is vertices
 
 
 class TestJdimOrder:
@@ -304,20 +304,20 @@ class TestEnumeration:
         enumerated = list(enumerate_bicartesian_cubes(square, 2))
         # Every enumerated cube is bicartesian in the brute-force sense.
         for cube in enumerated:
-            assert cube.assign in brute
+            assert cube in brute
         # Up to the order of the parts, the two sets coincide.
         def key_from_assign(assign):
             full = 3
             top = assign[full]
             parts = tuple(sorted(assign[full & ~(1 << i)] for i in range(2)))
             return (top, parts)
-        assert ({key_from_assign(c.assign) for c in enumerated}
+        assert ({key_from_assign(c) for c in enumerated}
                 == {key_from_assign(a) for a in brute})
 
     def test_enumeration_covers_unordered_multisets_once(self, square):
         seen = set()
         for cube in enumerate_bicartesian_cubes(square, 2):
-            key = (cube_top(cube), tuple(sorted(cube_parts(cube))))
+            key = (cube_top(square, cube), tuple(sorted(cube_parts(square, cube))))
             assert key not in seen
             seen.add(key)
 
@@ -325,16 +325,17 @@ class TestEnumeration:
         c = chain(4)
         for cube in enumerate_bicartesian_cubes(c, 2):
             # A pairwise cover in a chain forces all but one part to be the top.
-            assert cube_top(cube) in cube_parts(cube)
+            assert cube_top(c, cube) in cube_parts(c, cube)
 
     def test_high_arity_nondegenerate_empty(self, square):
         for cube in enumerate_bicartesian_cubes(square, 3):
-            assert cube_top(cube) in cube_parts(cube)  # arity > dimension: degenerate only
+            # arity > dimension: degenerate only
+            assert cube_top(square, cube) in cube_parts(square, cube)
 
     def test_roundtrip_parts_to_cube(self, grid22):
         for cube in enumerate_bicartesian_cubes(grid22, 2):
-            again = cover_cube(grid22, cube_top(cube), cube_parts(cube))
-            assert again.assign == cube.assign
+            again = cover_cube(grid22, cube_top(grid22, cube), cube_parts(grid22, cube))
+            assert again == cube
 
     @settings(max_examples=40, deadline=None)
     @given(lat=lattices(), arity=st.integers(1, 3))
@@ -344,7 +345,7 @@ class TestEnumeration:
         # holds the meet of the parts not in it.
         cubes = list(enumerate_bicartesian_cubes(lat, arity))
         full = (1 << arity) - 1
-        keys = [(c.assign[full], tuple(c.assign[full & ~(1 << i)] for i in range(arity)))
+        keys = [(c[full], tuple(c[full & ~(1 << i)] for i in range(arity)))
                 for c in cubes]
         assert keys == sorted(
             (v, parts) for v in range(lat.n)
@@ -353,22 +354,34 @@ class TestEnumeration:
             and all(leq(lat, lat.element(x), lat.element(v)) for x in parts))
         for cube, (v, parts) in zip(cubes, keys):
             again = cover_cube(lat, lat.element(v), tuple(map(lat.element, parts)))
-            assert again.assign == cube.assign
+            assert again == cube
             for mask in range(full):
                 missing = [p for i, p in enumerate(parts) if not mask >> i & 1]
                 acc = missing[0]
                 for x in missing[1:]:
                     acc = meet_oracle(lat, acc, x)
-                assert cube.assign[mask] == acc
+                assert cube[mask] == acc
 
     def test_all_enumerated_preserve_joins_and_meets(self, grid22):
         for cube in enumerate_bicartesian_cubes(grid22, 2):
-            assert is_strongly_bicartesian(cube)
+            assert is_strongly_bicartesian(grid22, cube)
 
     def test_cache_is_stable(self, square):
         first = bicartesian_cubes_cached(square, 2)
         second = bicartesian_cubes_cached(square, 2)
         assert first is second
+
+    @settings(max_examples=30, deadline=None)
+    @given(lat=lattices(), k=st.integers(1, 3))
+    def test_cached_cubes_are_tuples_of_vertex_indices(self, lat, k):
+        """The memo holds each cube as a plain tuple of 2**k element indices,
+        the same tuples the enumeration yields, in its order."""
+        cubes = bicartesian_cubes_cached(lat, k)
+        assert type(cubes) is tuple
+        assert list(cubes) == list(enumerate_bicartesian_cubes(lat, k))
+        for cube in cubes:
+            assert type(cube) is tuple and len(cube) == 1 << k
+            assert all(type(v) is int and 0 <= v < lat.n for v in cube)
 
 
 class TestOppositeAndSubposets:

@@ -111,9 +111,3 @@ def test_opposites_are_two_way_while_the_owner_lives(no_gc):
     op_lat = Lattice.grid([1, 2]).opposite()
     assert op_lat.opposite() == Lattice.grid([1, 2])
     assert op_lat.opposite().opposite() is op_lat
-
-
-def test_cubes_read_after_their_lattice_is_freed_fail_loudly(no_gc):
-    cubes = bicartesian_cubes_cached(Lattice.grid([1, 1]), 2)
-    with pytest.raises(ValueError, match="needs a lattice"):
-        cubes[0]

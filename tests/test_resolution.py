@@ -12,7 +12,7 @@ from pmodcalc.calculus import (_boundary, gamma_lower, gamma_upper,
                                min_codegree, min_cross_codegree,
                                min_cross_degree, min_degree, t_lower, t_upper,
                                tcofib)
-from pmodcalc.lattice import LatticeCube, boolean_lattice, parent_cube
+from pmodcalc.lattice import boolean_lattice, parent_cube
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
 from pmodcalc.verify import nonexample_module, table1_modules
@@ -20,7 +20,7 @@ from pmodcalc import linalg
 from oracles import (betti_oracle, boundary_layout_oracle, boundary_oracle,
                      canonical_iso_1_oracle,
                      canonical_iso_2_oracle, direct_sum_oracle, jdim,
-                     koszul_homology_oracle, top)
+                     koszul_homology_oracle, top, top_cube)
 from test_random_lattices import downset_lattice, random_lattice
 
 
@@ -286,19 +286,24 @@ def test_betti_matches_restricted_koszul_oracle(grid, points, lattice_seed, p,
         assert got == {}
     for x in range(lat.n):
         cube = restrict_along_cube(f, parent_cube(lat, x))
-        kx = koszul(cube)
+        kx = koszul(cube, top_cube(cube))
         assert [kx.homology(i) for i in range(kx.k + 1)] == koszul_homology_oracle(cube)
 
 
 def test_koszul_takes_only_parent_cubes_of_the_module_lattice(grid22, gf2):
     """A cube with a nonzero vertex whose edges are not the covers into its
-    top, or a cube of another lattice, is refused, not silently misread."""
+    top, a cube of another lattice, or a tuple whose top is no element, is
+    refused, not silently misread."""
     f = free_module(grid22, gf2, {"0,0": 1})
-    long_edge = LatticeCube(grid22, 1, (grid22.index("0,0"), grid22.index("2,0")))
-    with pytest.raises(ValueError):
+    long_edge = (grid22.index("0,0"), grid22.index("2,0"))
+    with pytest.raises(ValueError, match="top 2,0 is not"):
         koszul(f, long_edge)
     with pytest.raises(ValueError):
         koszul(f, parent_cube(Lattice.grid([2, 3]), Lattice.grid([2, 3]).index("1,1")))
+    top_as_minus_one = parent_cube(grid22, grid22.n - 1)[:-1] + (-1,)
+    for no_top in ((), (grid22.n,), (0, grid22.n), top_as_minus_one):
+        with pytest.raises(ValueError):
+            koszul(f, no_top)
     assert koszul(f, parent_cube(grid22, grid22.index("2,0"))).homology(0) == 0
 
 
@@ -307,7 +312,7 @@ def test_koszul_refuses_a_cube_that_differs_below_the_parts(grid22, gf2):
     at its bottom is not that parent cube, whether or not the module is
     zero on it."""
     idx = grid22.index
-    wrong_bottom = LatticeCube(grid22, 2, (idx("0,0"),) + parent_cube(grid22, idx("2,2")).assign[1:])
+    wrong_bottom = (idx("0,0"),) + parent_cube(grid22, idx("2,2"))[1:]
     for f in (free_module(grid22, gf2, {"0,0": 1}), free_module(grid22, gf2, {})):
         with pytest.raises(ValueError, match="not the parent cube"):
             koszul(f, wrong_bottom)
