@@ -4,10 +4,10 @@ This module implements the two Kan-extension approximations (t_lower /
 t_upper: restrict to the join- or meet-dimension <= n subposet and
 extend back), their image approximations (gamma_lower / gamma_upper),
 the cross effects (cr_lower / cr_upper), total (co)fibers and Koszul
-homology of cubes, and the four degree predicates.  A cube module, f
-restricted along a cube (a vertex tuple), is a module on {0,1}^k.
-find_failing_cube is the brute-force oracle of the predicates over
-enumerated bicartesian cubes, and returns the first failing vertex tuple.
+homology of cubes, and the four degree predicates.  tfib, tcofib and
+koszul read f along a cube of its lattice (a vertex tuple) through f's
+transports, with no module built.  find_failing_cube is the brute-force
+oracle of the predicates over enumerated bicartesian cubes.
 
 Only the lower side is computed, each by a local sweep over the lattice
 in a linear extension, and everything upper as its dual on the opposite
@@ -33,16 +33,16 @@ would build, dims and stored maps alike, so no check is dropped; a sweep
 at n >= the lattice dimension, or of a zero f, always returns it.  The
 upper side gets the same through the two-way memo of opposite_module.
 
-The local Koszul complex at x is the Koszul complex of F on
-parent_cube(x), the Boolean interval from the meet of the lower covers
-w_1..w_k of x up to x, whose vertices the lattice stores; each of its
-edges is a cover, so _boundary reads every boundary d_i straight off the
-cover maps, laid out once per (k, i).  d_1 = C_x = [F(w_a -> x)], the
-cover maps side by side, and d_2 = -R_x, the relations t_lower's sweep
-glues T(x) by (there built from T's own cover maps).  One record
-per element in f's memo keeps the chain dims and boundary ranks built so
-far, filled only as far as a caller asks (_local_betti): koszul (so betti)
-reads the whole complex there, the degree statistics only beta^0, beta^1.
+_boundary lays the Koszul complex of a k-cube out once per (k, i) and
+reads its edges through the map it is given.  The local Koszul complex at
+x is the one on parent_cube(x), the Boolean interval from the meet of the
+lower covers w_1..w_k of x up to x, whose vertices the lattice stores and
+whose edges are covers.  d_1 = C_x = [F(w_a -> x)], the cover maps side
+by side, and d_2 = -R_x, the relations t_lower's sweep glues T(x) by
+(there built from T's own cover maps).  One record per cube in f's memo
+keeps the chain dims and boundary ranks built so far, filled only as far
+as a caller asks (_local_betti): koszul (so betti) reads the whole
+complex, the degree statistics only beta^0, beta^1 of parent cubes.
 
 The degree statistics and predicates build neither T_n F nor Gamma_n F.
 With C_x and R_x built from F's own cover maps, induct along the
@@ -67,11 +67,10 @@ from functools import cache
 from itertools import combinations
 from typing import Callable
 
-from .lattice import _memo, bicartesian_cubes_cached, boolean_lattice, parent_cube
-from .linalg import (Matrix, NoFactorization, block_matrix, cokernel_projection,
-                     hstack, rank, rref, solve, vstack)
-from .pmodule import (NatTrans, PersistenceModule, cokernel_of, opposite_module,
-                      restrict_along_cube)
+from .lattice import Lattice, _memo, bicartesian_cubes_cached
+from .linalg import (FieldSpec, Matrix, NoFactorization, block_matrix,
+                     cokernel_projection, hstack, rank, rref, solve, vstack)
+from .pmodule import NatTrans, PersistenceModule, cokernel_of, opposite_module
 
 
 class NotAComplex(Exception):
@@ -141,7 +140,8 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
                 maps.update(((w, x), leg) for w, leg in zip(ws, legs))
                 continue
             q, free = cokernel_projection(_boundary(
-                f, x, 2, lambda m, w: maps[(m, w)], dims.__getitem__))
+                field, lat.parent_vertices_i(x), 2, lambda m, w: maps[(m, w)],
+                dims.__getitem__))
             dims[x] = q.nrows
             offset = 0
             for w in ws:
@@ -170,32 +170,31 @@ def _lower(kind: str, sweep: Callable[[], tuple], f: PersistenceModule, n: int) 
     return ApproxResult(module, NatTrans(module, f, components))
 
 
-def _boundary(f: PersistenceModule, x: int, i: int, cover, dim) -> Matrix:
-    """d_i of the local Koszul complex at x (module docstring).  With ws
-    the lower covers of x, degree i is the sum of the values at the meets
-    of the i-subsets T of ws (x for T empty), the stored parent-cube
-    vertices of x in combinations order (``_layout``); the block from T to
-    T - {t} is (-1)^j cover(^T, ^(T - {t})), t at position j of T.
-    ``cover`` and ``dim`` read the module the complex is taken of; only
-    blocks between nonzero spaces are asked for and written (block_matrix)."""
-    vertices = f.lattice.parent_vertices_i(x)
-    faces, cells = _layout(len(f.lattice.parents_i(x)), i)
+def _boundary(field: FieldSpec, vertices: tuple[int, ...], i: int, edge, dim) -> Matrix:
+    """d_i of the Koszul complex on the k-cube ``vertices`` (module
+    docstring).  Degree i is the sum of the values at the vertices whose
+    masks miss an i-subset T of the k bits, in combinations order
+    (``_layout``); the block from T to T - {t} is (-1)^j edge(v_T,
+    v_(T - {t})), t at position j of T.  ``edge`` and ``dim`` read the
+    module the complex is taken of; only blocks between nonzero spaces are
+    asked for and written (block_matrix)."""
+    faces, cells = _layout(len(vertices).bit_length() - 1, i)
     rows, cols, blocks = [dim(vertices[s]) for s in faces], [], []
     for s, edges in cells:
         if dim(m := vertices[s]):
             for r, odd in edges:
                 if rows[r]:
-                    edge = cover(m, vertices[faces[r]])
-                    blocks.append((r, len(cols), -edge if odd else edge))
+                    e = edge(m, vertices[faces[r]])
+                    blocks.append((r, len(cols), -e if odd else e))
             cols.append(dim(m))
-    return block_matrix(f.field, rows, cols, blocks)
+    return block_matrix(field, rows, cols, blocks)
 
 
 @cache
 def _layout(k: int, i: int) -> tuple[tuple[int, ...], tuple]:
     """d_i's layout on a k-cube: the rows, (i-1)-subsets as the masks of
-    their meets in ``parent_vertices_i`` (the complement), and per i-subset
-    T its mask and, per j, the row of T less its j-th element and j odd."""
+    the vertices that miss them (the complement), and per i-subset T its
+    mask and, per j, the row of T less its j-th element and j odd."""
     def mask(subset):
         return (1 << k) - 1 - sum(1 << t for t in subset)
     lower = list(combinations(range(k), i - 1))
@@ -311,41 +310,49 @@ def gamma_lower_map(alpha: NatTrans, gamma_src: ApproxResult,
 # -- total (co)fibers and Koszul homology of cubes -----------------------------
 
 
-def _arity(cube: PersistenceModule) -> int:
-    """The k of a cube: a module on boolean_lattice(k), as restrict_along_cube
-    returns it, whose value at subset mask m is dim_i(m) and whose edge adding
-    bit t to s is cover_matrix_i(s, s | 1 << t).  ValueError on other lattices."""
-    k = cube.lattice.poset_dimension()
-    if cube.lattice != boolean_lattice(k):
-        raise ValueError(f"{cube.lattice!r} is not the Boolean lattice {{0,1}}^{k}")
+def _check_cube(lat: Lattice, cube: tuple[int, ...]) -> int:
+    """The k of a k-cube of lat: 2^k element indices by subset mask with
+    cube[s] <= cube[s | 1 << b] on every edge, else ValueError.  A parent
+    cube as the lattice stores it is taken as it stands."""
+    n = len(cube)
+    k = n.bit_length() - 1
+    if n and cube[-1] in range(lat.n) and cube is lat.parent_vertices_i(cube[-1]):
+        return k
+    if not n or n & (n - 1) or min(cube) < 0 or max(cube) >= lat.n or not all(
+            lat.leq_i(cube[s], cube[t]) for s, t in _edges(k)):
+        raise ValueError(f"{cube!r} is not a cube of {lat!r}: 2^k element "
+                         "indices by subset mask, each edge going up")
     return k
 
 
-def tfib(cube: PersistenceModule) -> int:
-    """Total fiber dimension: the kernel of the map from the initial vertex
-    into the product of the single-bit vertices."""
-    k = _arity(cube)
-    if k == 0:
-        return cube.dim_i(0)
-    stacked = vstack([cube.cover_matrix_i(0, 1 << b) for b in range(k)])
-    return cube.dim_i(0) - rank(stacked)
+@cache
+def _edges(k: int) -> tuple[tuple[int, int], ...]:
+    """The edges (s, s | 1 << b) of a k-cube, b not in s, by subset mask."""
+    return tuple((s, s | 1 << b) for s in range(1 << k) for b in range(k) if not s >> b & 1)
 
 
-def tcofib(cube: PersistenceModule) -> int:
-    """Total cofiber dimension: the cokernel of the map into the terminal
-    vertex from the coproduct of the codimension-one vertices."""
-    k = _arity(cube)
-    if k == 0:
-        return cube.dim_i(0)
-    full = (1 << k) - 1
-    stacked = hstack([cube.cover_matrix_i(full & ~(1 << b), full) for b in range(k)])
-    return cube.dim_i(full) - rank(stacked)
+def tfib(f: PersistenceModule, cube: tuple[int, ...]) -> int:
+    """Total fiber dimension of f on a cube of its lattice: the kernel of
+    the map from the initial vertex into the product of the single-bit
+    vertices, stacked from f's transports."""
+    k, bottom = _check_cube(f.lattice, cube), cube[0]
+    legs = [f.transport_i(bottom, cube[1 << b]) for b in range(k)]
+    return f.dim_i(bottom) - (rank(vstack(legs)) if k else 0)
+
+
+def tcofib(f: PersistenceModule, cube: tuple[int, ...]) -> int:
+    """Total cofiber dimension of f on a cube of its lattice: the cokernel
+    of the map into the terminal vertex from the coproduct of the
+    codimension-one vertices, stacked from f's transports."""
+    k, top = _check_cube(f.lattice, cube), cube[-1]
+    legs = [f.transport_i(cube[len(cube) - 1 - (1 << b)], top) for b in range(k)]
+    return f.dim_i(top) - (rank(hstack(legs)) if k else 0)
 
 
 @dataclass
 class KoszulComplex:
     """The homology of the Koszul complex on a k-cube, whose degree i sums
-    the vertices at the meets of i of the lower covers of the top."""
+    the vertices that miss i of the k bits."""
 
     k: int
     betti: tuple[int, ...]  # dim H_i, degrees 0..k
@@ -355,45 +362,40 @@ class KoszulComplex:
 
 
 def koszul(f: PersistenceModule, cube: tuple[int, ...]) -> KoszulComplex:
-    """The Koszul complex of f on a cube, read off f's record at its top x.
+    """The Koszul complex of f on a cube of its lattice, read off f's
+    record of that cube.
 
-    ``cube`` must be the parent cube of its top x = cube[-1] in f's
-    lattice, vertex for vertex, else ValueError; then this is the local
-    Koszul complex at x (module docstring).  On a cube module (a module on
-    {0,1}^k, as restrict_along_cube returns it) that is the parent cube of
-    its top, ``parent_cube(lat, lat.n - 1)``.  A cube zero at every vertex
-    returns with nothing computed.  NotAComplex when d o d != 0, which the
-    cover-diamond check rules out short of a sign or layout bug.
+    ``cube`` is any k-cube of f's lattice (``_check_cube``), else
+    ValueError before anything is read.  On parent_cube(x) this is the
+    local Koszul complex at x (module docstring).  A cube zero at every
+    vertex returns with nothing computed.  NotAComplex when d o d != 0,
+    which functoriality of f rules out short of a sign or layout bug.
     """
-    lat, x = f.lattice, cube[-1] if cube else -1
-    if x not in range(lat.n) or cube != lat.parent_vertices_i(x):
-        raise ValueError(f"the cube with top {lat.element(x) if x in range(lat.n) else x}"
-                         " is not the parent cube of its top")
-    k = len(cube).bit_length() - 1
+    k = _check_cube(f.lattice, cube)
     if not any(map(f.dim_i, cube)):
         return KoszulComplex(k, (0,) * (k + 1))
-    return KoszulComplex(k, tuple(_local_betti(f, x, k)))
+    return KoszulComplex(k, tuple(_local_betti(f, cube, k)))
 
 
-def _local_betti(f: PersistenceModule, x: int, i: int) -> list[int]:
-    """[beta^0_x, .., beta^i_x] for i <= k = jdim(x), off f's record at x of
-    the chain dims c_j and boundary ranks r_j of the local Koszul complex:
-    beta^j_x = c_j - r_j - r_(j+1).  A call extends it to degree min(i + 1,
-    k), building and ranking d_(j+1) only where d_j leaves a kernel, checked
-    against d_j, which is built again if an earlier call ranked it."""
+def _local_betti(f: PersistenceModule, cube: tuple[int, ...], i: int) -> list[int]:
+    """[beta^0, .., beta^i] of f on a k-cube, i <= k, off f's record of the
+    cube of the chain dims c_j and boundary ranks r_j: beta^j = c_j - r_j -
+    r_(j+1).  A call extends it to degree min(i + 1, k), building (edges
+    are f's transports) and ranking d_(j+1) only where d_j leaves a kernel,
+    checked against d_j, which is built again if an earlier call ranked it."""
     records = _memo(f.calc_cache, "koszul", dict)
-    chain = _memo(records, x, lambda: [(f.dim_i(x), 0)])  # (c_j, r_j)
-    k, below = len(f.lattice.parents_i(x)), None  # below: d_j, if this call built it
+    chain = _memo(records, cube, lambda: [(f.dim_i(cube[-1]), 0)])  # (c_j, r_j)
+    k, below = len(cube).bit_length() - 1, None  # below: d_j, if this call built it
     for j in range(len(chain) - 1, min(i + 1, k)):
         if chain[j][0] == chain[j][1]:  # d_j leaves no kernel, so d_(j+1) = 0
-            vertices = f.lattice.parent_vertices_i(x)
-            d, cr = None, (sum(f.dim_i(vertices[s]) for s, _ in _layout(k, j + 1)[1]), 0)
+            d, cr = None, (sum(f.dim_i(cube[s]) for s, _ in _layout(k, j + 1)[1]), 0)
         else:
-            d = _boundary(f, x, j + 1, f.cover_matrix_i, f.dim_i)
+            d = _boundary(f.field, cube, j + 1, f.transport_i, f.dim_i)
             if j and d.ncols:
-                below = below or _boundary(f, x, j, f.cover_matrix_i, f.dim_i)
+                below = below or _boundary(f.field, cube, j, f.transport_i, f.dim_i)
                 if not (below @ d).is_zero():
-                    raise NotAComplex(f"d_{j} o d_{j + 1} != 0 at {f.lattice.element(x)}")
+                    raise NotAComplex(f"d_{j} o d_{j + 1} != 0 on the cube with top "
+                                      f"{f.lattice.element(cube[-1])}")
             cr = d.ncols, rank(d)
         chain.append(cr)
         below = d
@@ -403,23 +405,23 @@ def _local_betti(f: PersistenceModule, x: int, i: int) -> list[int]:
 # -- degree predicates --------------------------------------------------------
 
 
-def _koszul_nonzero(cube: PersistenceModule, low: bool) -> bool:
-    """Whether Koszul homology is nonzero in degree 0 or 1 (low) or in
-    degree k or k-1 (not low)."""
-    kx = koszul(cube, parent_cube(cube.lattice, cube.lattice.n - 1))
+def _koszul_nonzero(f: PersistenceModule, cube: tuple[int, ...], low: bool) -> bool:
+    """Whether the Koszul homology of f on the cube is nonzero in degree 0
+    or 1 (low) or in degree k or k-1 (not low)."""
+    kx = koszul(f, cube)
     degrees = (0, 1) if low else (kx.k, kx.k - 1)
     return any(kx.homology(i) != 0 for i in degrees)
 
 
-#: Per predicate kind, whether f restricted to a strongly bicartesian
-#: cube violates it: codegree needs the low Koszul homology to vanish
-#: (cocartesian), degree the top two degrees (cartesian), the cross
-#: predicates the total cofiber / fiber.
-_CUBE_FAILS: dict[str, Callable[[PersistenceModule], bool]] = {
-    "codegree": lambda c: _koszul_nonzero(c, True),
-    "degree": lambda c: _koszul_nonzero(c, False),
-    "cross_codegree": lambda c: tcofib(c) != 0,
-    "cross_degree": lambda c: tfib(c) != 0,
+#: Per predicate kind, whether f on a strongly bicartesian cube violates
+#: it: codegree needs the low Koszul homology to vanish (cocartesian),
+#: degree the top two degrees (cartesian), the cross predicates the total
+#: cofiber / fiber.
+_CUBE_FAILS: dict[str, Callable[[PersistenceModule, tuple[int, ...]], bool]] = {
+    "codegree": lambda f, c: _koszul_nonzero(f, c, True),
+    "degree": lambda f, c: _koszul_nonzero(f, c, False),
+    "cross_codegree": lambda f, c: tcofib(f, c) != 0,
+    "cross_degree": lambda f, c: tfib(f, c) != 0,
 }
 
 
@@ -431,7 +433,7 @@ def find_failing_cube(f: PersistenceModule, n: int, kind: str) -> tuple[int, ...
     if fails is None:
         raise ValueError(f"unknown predicate kind {kind!r}")
     for cube in bicartesian_cubes_cached(f.lattice, n + 1):
-        if fails(restrict_along_cube(f, cube)):
+        if fails(f, cube):
             return cube
     return None
 
@@ -494,9 +496,10 @@ def _read_off(f: PersistenceModule) -> tuple[int, int]:
                 break
             if not (f.dim_i(x) or any(map(f.dim_i, ws))):
                 continue  # beta^0_x = beta^1_x = 0
-            if _local_betti(f, x, 0)[0]:
+            cube = lat.parent_vertices_i(x)
+            if _local_betti(f, cube, 0)[0]:
                 codegree, cross = max(codegree, k), k
-            elif k > codegree and _local_betti(f, x, 1)[1]:
+            elif k > codegree and _local_betti(f, cube, 1)[1]:
                 codegree = k
         return codegree, cross
     return _memo(f.calc_cache, "read_off", sweep)

@@ -5,7 +5,8 @@ random cokernels).
 A module stores one matrix per Hasse cover whose two sides are nonzero;
 a cover with a zero side has the zero map, which is made only when asked
 for.  Transports along arbitrary u <= v are composed along the
-first-parent chain on each call.
+first-parent chain on each call; a stored cover map is returned as it is,
+so the calculus reads cubes, parent cubes included, through transports.
 Every module is checked on construction: ``validate`` requires every
 cover diamond to commute, which on a distributive lattice (and every
 ``Lattice`` is one) is the whole functor axiom, since any two maximal
@@ -13,9 +14,10 @@ chains of an interval differ by diamond flips.  A cokernel picks its
 bases through the echelon convention of :mod:`pmodcalc.linalg`, so it is
 deterministic; its cover maps are read off the echelon form that chose
 those bases and checked by their defining products (NoFactorization
-names a failing cover).  A cube of vector spaces is a module too:
-restricting f along a lattice k-cube gives a module on the Boolean
-lattice {0,1}^k.
+names a failing cover).  Restricting f along a k-cube of its lattice
+gives a module on the Boolean lattice {0,1}^k (``restrict_along_cube``),
+but no question about a cube needs it: the calculus reads f along the
+cube's vertex tuple.
 
 Module data is keyed by element index (the position in
 ``lattice.elements``): one dim and one natural-map component per index,
@@ -151,8 +153,11 @@ class PersistenceModule:
         return Matrix.zeros(self.field, self._dims[v], self._dims[u])
 
     def transport_i(self, u: int, v: int) -> Matrix:
-        """The composite map F(u <= v): the stored matrix for a cover,
-        otherwise composed down the first-parent chain, in a loop, per call."""
+        """The composite map F(u <= v): the stored matrix for a cover, looked
+        up before anything else, otherwise composed down the first-parent
+        chain, in a loop, per call."""
+        if (m := self._maps.get((u, v))) is not None:
+            return m
         if u == v:
             return Matrix.identity(self.field, self._dims[u])
         lat = self.lattice
@@ -311,12 +316,6 @@ def is_iso(nt: NatTrans) -> bool:
     """True iff every component is square and invertible."""
     return all(m.nrows == m.ncols and rank(m) == m.nrows
                for m in nt._components)
-
-
-def zero_nat(source: PersistenceModule, target: PersistenceModule) -> NatTrans:
-    return NatTrans(source, target,
-                    [Matrix.zeros(source.field, target.dim_i(i), source.dim_i(i))
-                     for i in range(source.lattice.n)])
 
 
 # -- constructors ----------------------------------------------------------
@@ -572,8 +571,6 @@ def random_hom(source: PersistenceModule, target: PersistenceModule,
                rng: random.Random) -> NatTrans:
     """A random F_p combination of a hom-space basis."""
     basis = hom_basis(source, target)
-    if not basis:
-        return zero_nat(source, target)
     p = source.field.p
     coeffs = [rng.randrange(p) for _ in basis]
     lat = source.lattice

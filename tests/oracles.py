@@ -17,7 +17,10 @@ that ``interval_module`` replaced.  ``betti_oracle`` takes the Koszul
 homology of f restricted along every parent cube, a checked module on
 {0,1}^k, by the cube complex ``koszul`` built before it took its
 boundaries from the degree read-off's local layout; ``betti`` reads the
-local complex off the cover maps of f.  The ``canonical_iso_*_oracle``
+local complex off the cover maps of f.  ``tfib_oracle`` and
+``tcofib_oracle`` are the total fiber and cofiber of such a cube module,
+as ``tfib`` and ``tcofib`` computed them before they read f along the
+cube itself.  The ``canonical_iso_*_oracle``
 pair reads the pdim theorems' canonical-map conditions on the upper
 approximations of f itself, where the reports read them on the lower
 side of the opposite module.  ``join_oracle`` and ``meet_oracle`` scan the
@@ -55,8 +58,8 @@ queries at the end (``leq``, ``mdim``, ``upset``, ``join_irreducibles``,
 ``cover_cube``, ``top_cube``, ``arity``, ``cube_value``, ``cube_top`` and
 ``cube_parts``) are used only by the tests, so they live here rather than
 in the package, which works by element index.  So do ``image_basis``,
-the pivot columns of a matrix, and ``identity_nat``, which no package
-code calls.
+the pivot columns of a matrix, and ``identity_nat`` and ``zero_nat``,
+which no package code calls.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from pmodcalc.calculus import (ApproxResult, _boundary, gamma_lower,
 from pmodcalc.generators import (CubicalComplex, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
                                  _UnionFind)
-from pmodcalc.lattice import Lattice, _bits, _meet_fill, parent_cube
+from pmodcalc.lattice import Lattice, _bits, _meet_fill, boolean_lattice, parent_cube
 from pmodcalc import linalg
 from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
                              cokernel_projection, hstack, kernel_basis, rank,
@@ -184,7 +187,8 @@ def t_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
             maps.update(((w, x), leg) for w, leg in zip(ws, legs))
             continue
         q, free = cokernel_projection(_boundary(
-            f, x, 2, lambda m, w: maps[(m, w)], dims.__getitem__))
+            field, lat.parent_vertices_i(x), 2, lambda m, w: maps[(m, w)],
+            dims.__getitem__))
         dims[x] = q.nrows
         offset = 0
         for w in ws:
@@ -288,6 +292,39 @@ def koszul_homology_oracle(cube: PersistenceModule) -> list[int]:
     return [dims[i] - ranks[i] - ranks[i + 1] for i in range(k + 1)]
 
 
+def cube_module_arity(cube: PersistenceModule) -> int:
+    """The k of a cube module: a module on boolean_lattice(k), as
+    restrict_along_cube returns it, whose value at subset mask m is dim_i(m)
+    and whose edge adding bit t to s is cover_matrix_i(s, s | 1 << t).
+    ValueError on other lattices."""
+    k = cube.lattice.poset_dimension()
+    if cube.lattice != boolean_lattice(k):
+        raise ValueError(f"{cube.lattice!r} is not the Boolean lattice {{0,1}}^{k}")
+    return k
+
+
+def tfib_oracle(cube: PersistenceModule) -> int:
+    """Total fiber dimension of a cube module: the kernel of the map from
+    the initial vertex into the product of the single-bit vertices."""
+    k = cube_module_arity(cube)
+    if k == 0:
+        return cube.dim_i(0)
+    stacked = vstack([cube.cover_matrix_i(0, 1 << b) for b in range(k)])
+    return cube.dim_i(0) - rank(stacked)
+
+
+def tcofib_oracle(cube: PersistenceModule) -> int:
+    """Total cofiber dimension of a cube module: the cokernel of the map
+    into the terminal vertex from the coproduct of the codimension-one
+    vertices."""
+    k = cube_module_arity(cube)
+    if k == 0:
+        return cube.dim_i(0)
+    full = (1 << k) - 1
+    stacked = hstack([cube.cover_matrix_i(full & ~(1 << b), full) for b in range(k)])
+    return cube.dim_i(full) - rank(stacked)
+
+
 def betti_oracle(f: PersistenceModule) -> dict[tuple[str, int], int]:
     """The nonzero Betti numbers of f, keyed like ``BettiDiagram.entries``:
     the Koszul homology of f restricted along the parent cube of every
@@ -325,6 +362,12 @@ def image_basis(m: Matrix) -> Matrix:
 
 def identity_nat(f: PersistenceModule) -> NatTrans:
     return NatTrans(f, f, [Matrix.identity(f.field, d) for d in f._dims])
+
+
+def zero_nat(source: PersistenceModule, target: PersistenceModule) -> NatTrans:
+    return NatTrans(source, target,
+                    [Matrix.zeros(source.field, target.dim_i(i), source.dim_i(i))
+                     for i in range(source.lattice.n)])
 
 
 # -- induced maps: the solve-based bodies the echelon read-offs replaced -------

@@ -398,21 +398,20 @@ class TestTotalFibers:
         for arity in (1, 2, 3):
             lat = boolean_lattice(arity)
             c = free_module(lat, gf2, {bottom(lat): 2})
-            assert tfib(c) == 0
-            assert tcofib(c) == 0
+            assert tfib(c, top_cube(c)) == 0
+            assert tcofib(c, top_cube(c)) == 0
 
     def test_one_cube_kernel_cokernel(self, gf2):
         m = Matrix(gf2, 2, 3, [[1, 0, 1], [0, 1, 1]])
         c = PersistenceModule(boolean_lattice(1), gf2, [3, 2], {(0, 1): m})
-        assert tfib(c) == 3 - rank(m)
-        assert tcofib(c) == 2 - rank(m)
+        assert tfib(c, (0, 1)) == 3 - rank(m)
+        assert tcofib(c, (0, 1)) == 2 - rank(m)
 
     def test_corner_module_full_square(self, square, gf2):
         f = interval_module(square, gf2, ("0,0",))
         cube = cover_cube(square, "1,1", ("0,1", "1,0"))
-        vc = restrict_along_cube(f, cube)
-        assert tfib(vc) == 1
-        assert tcofib(vc) == 0
+        assert tfib(f, cube) == 1
+        assert tcofib(f, cube) == 0
 
     def test_tfib_matches_enumeration(self, square, gf2):
         for seed in range(6):
@@ -420,15 +419,17 @@ class TestTotalFibers:
             cube = cover_cube(square, "1,1", ("0,1", "1,0"))
             vc = restrict_along_cube(f, cube)
             if vc.dim_i(0) <= 10:
-                assert tfib(vc) == brute_tfib_gf2(vc)
+                assert tfib(f, cube) == brute_tfib_gf2(vc)
 
-    def test_module_off_the_boolean_lattice_rejected(self, gf2):
-        # A chain has poset dimension 1 but is no 1-cube, and its edge from
-        # 0 to 3 is not the parent cube of 3.
+    def test_cube_against_the_order_rejected(self, gf2):
+        # On a chain the edge from 0 to 3 is a 1-cube, though not the parent
+        # cube of 3; the edge from 3 to 0 goes down, so it is no cube.
         f = free_module(Lattice.grid([3]), gf2, {"0": 1})
-        for read in (tfib, tcofib, lambda f: koszul(f, (0, 3))):
-            with pytest.raises(ValueError):
-                read(f)
+        for read in (tfib, tcofib, koszul):
+            with pytest.raises(ValueError, match="not a cube"):
+                read(f, (3, 0))
+        assert (tfib(f, (0, 3)), tcofib(f, (0, 3))) == (0, 0)
+        assert koszul(f, (0, 3)).betti == (0, 0)
 
 
 class TestKoszul:
@@ -486,7 +487,7 @@ class TestKoszul:
             c = PersistenceModule(lat, field, [1] * 7 + [3], maps)
             kx = koszul(c, top_cube(c))
         assert ranked == [3, 1]  # d_1 and d_3
-        assert c.calc_cache["koszul"][7] == [(3, 0), (3, 3), (3, 0), (1, 1)]  # (c_j, r_j)
+        assert c.calc_cache["koszul"][top_cube(c)] == [(3, 0), (3, 3), (3, 0), (1, 1)]  # (c_j, r_j)
         assert [kx.homology(i) for i in range(4)] == koszul_homology_oracle(c) == [0, 0, 2, 0]
         stats_first = PersistenceModule(lat, field, [1] * 7 + [3], maps)
         min_codegree(stats_first)
@@ -499,10 +500,9 @@ class TestKoszul:
             f = random_module(grid22, gf2, f"kz{seed}")
             for arity in (1, 2, 3):
                 cube = rng.choice(bicartesian_cubes_cached(grid22, arity))
-                vc = restrict_along_cube(f, cube)
-                k = koszul(vc, top_cube(vc))
-                assert k.homology(arity) == tfib(vc)
-                assert k.homology(0) == tcofib(vc)
+                k = koszul(f, cube)
+                assert k.homology(arity) == tfib(f, cube)
+                assert k.homology(0) == tcofib(f, cube)
 
 
 class TestPredicates:
@@ -532,9 +532,28 @@ class TestPredicates:
         f = interval_module(square, gf2, ("1,1",))
         cube = find_failing_cube(f, 1, "cross_codegree")
         assert cube is not None
-        vc = restrict_along_cube(f, cube)
-        assert tcofib(vc) != 0
+        assert tcofib(f, cube) != 0
         assert find_failing_cube(constant(square, gf2), 0, "cross_codegree") is None
+
+    @pytest.mark.parametrize("kind", sorted(PREDICATES))
+    def test_cube_oracle_builds_no_module(self, kind, gf2, monkeypatch):
+        """find_failing_cube reads f along each cube and builds no module,
+        whether the predicate holds or a witness is returned."""
+        grid = Lattice.grid([2, 2])
+        modules = [random_module(lat, gf2, f"nomod{seed}", max_gens=4, max_rels=3)
+                   for lat in (grid, boolean_lattice(3)) for seed in range(3)]
+        modules += [interval_module(grid, gf2, (corner,)) for corner in ("0,0", "2,2")]
+        built, real_init = [], PersistenceModule.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PersistenceModule, "__init__", counting_init)
+        found = [find_failing_cube(f, n, kind) for f in modules for n in range(3)]
+        assert built == []
+        assert any(cube is None for cube in found)
+        assert any(cube is not None for cube in found)
 
     def test_min_statistic_is_least_and_within_the_poset_dimension(self, gf2):
         # The bound the old search asserted once it ran out of n: every

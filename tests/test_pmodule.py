@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pmodcalc import (FieldSpec, Lattice, Matrix, NatTrans, PersistenceModule,
                       boolean_lattice, direct_sum, free_module, hom_basis,
                       interval_module, is_iso, cokernel_of,
-                      opposite_module, random_module, restrict_along_cube,
-                      zero_nat)
+                      opposite_module, random_module, restrict_along_cube)
 from pmodcalc.lattice import parent_cube
 from pmodcalc.linalg import NoFactorization, rank
 from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
@@ -19,7 +18,7 @@ from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
 from pmodcalc.pmod_io import print_pmod
 from oracles import (Dense, check_interval_oracle, cokernel_of_oracle,
                      component, cover_cube, cover_matrix, covers, dim,
-                     identity_nat, image_of_oracle, leq, transport)
+                     identity_nat, image_of_oracle, leq, transport, zero_nat)
 from test_functor_check import lattices
 
 

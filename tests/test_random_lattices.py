@@ -25,8 +25,10 @@ from pmodcalc.resolution import (betti, check_pdim_theorem_1,
 from oracles import (PREDICATE_ORACLES, betti_oracle, bottom, child_cube,
                      colim_over_downset, component, cube_value, dim,
                      gamma_lower_sweep_oracle, is_strongly_bicartesian, jdim,
-                     join, join_oracle, leq, lim_over_upset, mdim, meet_oracle,
-                     solve_left, t_lower_sweep_oracle, top_cube, transport)
+                     join, join_oracle, koszul_homology_oracle, leq,
+                     lim_over_upset, mdim, meet_oracle, solve_left,
+                     t_lower_sweep_oracle, tcofib_oracle, tfib_oracle,
+                     top_cube, transport)
 from test_calculus import check_gamma_against_oracles
 
 GF2 = FieldSpec(2)
@@ -372,9 +374,30 @@ def test_restriction_along_every_cube(grid, points, lattice_seed, p, arity, seed
         for s, t in edges:
             assert r.cover_matrix_i(s, t) == f.transport_i(cube[s], cube[t])
         kx = koszul(r, top_cube(r))
-        assert kx.homology(arity) == tfib(r)
-        assert kx.homology(0) == tcofib(r)
+        assert kx.homology(arity) == tfib(r, top_cube(r))
+        assert kx.homology(0) == tcofib(r, top_cube(r))
         assert pdim(r) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from([None, [1, 1], [2, 2], [1, 1, 1], [2, 1, 1]]),
+       points=st.integers(2, 4), lattice_seed=st.integers(0, 10 ** 6),
+       p=st.sampled_from([2, 3]), seed=st.integers(0, 10 ** 6))
+def test_cube_readings_match_the_cube_module(grid, points, lattice_seed, p, seed):
+    """koszul, tfib and tcofib read f along a cube of its lattice: on every
+    parent cube and every bicartesian cube of arity 1..3, degenerate ones
+    included, they equal the Koszul homology, total fiber and total cofiber
+    of the cube module, f restricted along the cube."""
+    lat = random_lattice(grid, points, lattice_seed)
+    f = random_module(lat, FieldSpec(p), f"read{seed}", max_gens=4, max_rels=3)
+    cubes = [parent_cube(lat, x) for x in range(lat.n)]
+    for arity in (1, 2, 3):
+        cubes.extend(bicartesian_cubes_cached(lat, arity))
+    for cube in cubes:
+        r = restrict_along_cube(f, cube)
+        assert list(koszul(f, cube).betti) == koszul_homology_oracle(r), cube
+        assert tfib(f, cube) == tfib_oracle(r), cube
+        assert tcofib(f, cube) == tcofib_oracle(r), cube
 
 
 class TestCubeDuality:
