@@ -9,8 +9,8 @@ from .lattice import (Lattice, NoBottom, NotDistributive, NotLattice,
 from .pmodule import (LatticeMismatch, NatTrans, NonCommutingSquare,
                       NotComparable, NotConnected, NotConvex, NotNatural,
                       PersistenceModule, cokernel_of, direct_sum, free_module,
-                      hom_basis, interval_module, is_iso, opposite_module,
-                      random_module, restrict_along_cube)
+                      interval_module, is_iso, opposite_module, random_module,
+                      restrict_along_cube)
 from .calculus import (ApproxResult, KoszulComplex, NotAComplex, cr_lower,
                        cr_upper, find_failing_cube, gamma_lower, gamma_upper,
                        is_codegree, is_cross_codegree, is_cross_degree,

@@ -17,10 +17,10 @@ F(x) where jdim(x) <= n and otherwise the sum of F(w -> x) Gamma(w) over
 the lower covers w of x, since every y < x lies below one of them.  Each
 element's basis and cover maps are read off one echelon form, and each
 read-off is checked by its product, which is naturality of the inclusion
-on every cover into that element.  Induced maps are the unique solutions
-against the bases linalg chose, so everything downstream is
-deterministic.  Per-module results are memoised on f with no reference
-to f; the upper side, the dual of the lower on f^op, keeps no memo.
+on every cover into that element.  The bases are the ones linalg's
+echelon convention chose, so everything downstream is deterministic.
+Per-module results are memoised on f with no reference to f; the upper
+side, the dual of the lower on f^op, keeps no memo.
 
 An approximation that changes nothing returns its input: the result's
 module is f itself, with identity components, and shares f's memo.
@@ -39,10 +39,12 @@ x is the one on parent_cube(x), the Boolean interval from the meet of the
 lower covers w_1..w_k of x up to x, whose vertices the lattice stores and
 whose edges are covers.  d_1 = C_x = [F(w_a -> x)], the cover maps side
 by side, and d_2 = -R_x, the relations t_lower's sweep glues T(x) by
-(there built from T's own cover maps).  One record per cube in f's memo
-keeps the chain dims and boundary ranks built so far, filled only as far
-as a caller asks (_local_betti): koszul (so betti) reads the whole
-complex, the degree statistics only beta^0, beta^1 of parent cubes.
+(there built from T's own cover maps).  One record per parent cube in
+f's memo keeps the chain dims and boundary ranks built so far, filled
+only as far as a caller asks (_local_betti): koszul (so betti) reads the
+whole complex, the degree statistics only beta^0, beta^1.  Any other
+cube's complex is built and ranked on each call and not kept, so f's memo
+is bounded by its lattice, whatever cubes the oracle asks of it.
 
 The degree statistics and predicates build neither T_n F nor Gamma_n F.
 With C_x and R_x built from F's own cover maps, induct along the
@@ -69,7 +71,7 @@ from typing import Callable
 
 from .lattice import Lattice, _memo, bicartesian_cubes_cached
 from .linalg import (FieldSpec, Matrix, NoFactorization, block_matrix,
-                     cokernel_projection, hstack, rank, rref, solve, vstack)
+                     cokernel_projection, hstack, rank, rref, vstack)
 from .pmodule import NatTrans, PersistenceModule, cokernel_of, opposite_module
 
 
@@ -133,7 +135,7 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
                 same = same and not f.dim_i(x)
                 continue
             # The canonical map restricted to each T(w): through F(w) into F(x).
-            legs = [f.cover_matrix_i(w, x) @ eps[w] for w in ws]
+            legs = [f.transport_i(w, x) @ eps[w] for w in ws]
             if len(ws) <= n:
                 dims[x] = f.dim_i(x)
                 eps[x] = Matrix.identity(field, dims[x])
@@ -229,7 +231,7 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
             if not f.dim_i(x):
                 continue
             ws = lat.parents_i(x)
-            legs = [f.cover_matrix_i(w, x) @ bases[w] for w in ws]
+            legs = [f.transport_i(w, x) @ bases[w] for w in ws]
             if len(ws) <= n:
                 bases[x] = Matrix.identity(field, f.dim_i(x))
                 blocks = legs
@@ -294,19 +296,6 @@ def cr_upper(f: PersistenceModule, n: int) -> ApproxResult:
     return _upper(cr_lower, f, n)
 
 
-# -- functorial action of the gamma approximations ---------------------------
-
-
-def gamma_lower_map(alpha: NatTrans, gamma_src: ApproxResult,
-                    gamma_tgt: ApproxResult) -> NatTrans:
-    """The induced map gamma_lower F -> gamma_lower G of alpha: F -> G,
-    obtained by factoring alpha restricted to the image submodule."""
-    comps = [solve(gamma_tgt.canonical.component_i(i),
-                   alpha.component_i(i) @ gamma_src.canonical.component_i(i))
-             for i in range(alpha.source.lattice.n)]
-    return NatTrans(gamma_src.module, gamma_tgt.module, comps)
-
-
 # -- total (co)fibers and Koszul homology of cubes -----------------------------
 
 
@@ -362,8 +351,8 @@ class KoszulComplex:
 
 
 def koszul(f: PersistenceModule, cube: tuple[int, ...]) -> KoszulComplex:
-    """The Koszul complex of f on a cube of its lattice, read off f's
-    record of that cube.
+    """The Koszul complex of f on a cube of its lattice, read off a
+    record of that cube (kept in f's memo for a parent cube only).
 
     ``cube`` is any k-cube of f's lattice (``_check_cube``), else
     ValueError before anything is read.  On parent_cube(x) this is the
@@ -378,13 +367,16 @@ def koszul(f: PersistenceModule, cube: tuple[int, ...]) -> KoszulComplex:
 
 
 def _local_betti(f: PersistenceModule, cube: tuple[int, ...], i: int) -> list[int]:
-    """[beta^0, .., beta^i] of f on a k-cube, i <= k, off f's record of the
+    """[beta^0, .., beta^i] of f on a k-cube, i <= k, off a record of the
     cube of the chain dims c_j and boundary ranks r_j: beta^j = c_j - r_j -
     r_(j+1).  A call extends it to degree min(i + 1, k), building (edges
     are f's transports) and ranking d_(j+1) only where d_j leaves a kernel,
-    checked against d_j, which is built again if an earlier call ranked it."""
-    records = _memo(f.calc_cache, "koszul", dict)
-    chain = _memo(records, cube, lambda: [(f.dim_i(cube[-1]), 0)])  # (c_j, r_j)
+    checked against d_j, which is built again if an earlier call ranked it.
+    The record is kept in f's memo only for a parent cube as the lattice
+    stores it; any other cube's is made for this call alone."""
+    chain = [(f.dim_i(cube[-1]), 0)]  # (c_j, r_j)
+    if cube is f.lattice.parent_vertices_i(cube[-1]):
+        chain = _memo(_memo(f.calc_cache, "koszul", dict), cube, lambda: chain)
     k, below = len(cube).bit_length() - 1, None  # below: d_j, if this call built it
     for j in range(len(chain) - 1, min(i + 1, k)):
         if chain[j][0] == chain[j][1]:  # d_j leaves no kernel, so d_(j+1) = 0

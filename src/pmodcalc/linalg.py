@@ -26,7 +26,7 @@ through bytes by the constructor; elimination and products XOR whole rows,
 ``hstack`` and ``block_matrix`` shift, and ``transpose`` / ``take_cols`` read
 each row's binary numeral, with no per-bit Python loop.  Rows are unpacked
 only where a tuple is read (``row``, ``rows``, ``to_lists``, ``m[i, j]``:
-PMOD printing and ``hom_basis``).  Over odd p a row is a tuple of ints.
+PMOD printing and the tests).  Over odd p a row is a tuple of ints.
 ``block_matrix`` (``direct_sum``, Koszul boundaries) writes nonzero blocks only.
 
 Maps induced on a basis chosen here are read off the echelon form that

@@ -192,7 +192,7 @@ def print_pmod(module: PersistenceModule) -> str:
                if module.dim_i(i))
     for u, v in lat.covers_i():
         if module.dim_i(u) and module.dim_i(v):
-            flat = " ".join(str(x) for row in module.cover_matrix_i(u, v).rows()
+            flat = " ".join(str(x) for row in module.transport_i(u, v).rows()
                             for x in row)
             out.append(f"map {name(u)}<{name(v)} {flat}")
     out.append("end")

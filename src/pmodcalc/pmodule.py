@@ -4,9 +4,10 @@ random cokernels).
 
 A module stores one matrix per Hasse cover whose two sides are nonzero;
 a cover with a zero side has the zero map, which is made only when asked
-for.  Transports along arbitrary u <= v are composed along the
-first-parent chain on each call; a stored cover map is returned as it is,
-so the calculus reads cubes, parent cubes included, through transports.
+for.  Every map of f is read through ``transport_i``: a stored cover map
+is returned as it is, and any other u <= v is composed along the
+first-parent chain on each call, so the calculus reads covers and cubes,
+parent cubes included, through transports.
 Every module is checked on construction: ``validate`` requires every
 cover diamond to commute, which on a distributive lattice (and every
 ``Lattice`` is one) is the whole functor axiom, since any two maximal
@@ -37,8 +38,7 @@ from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import Lattice, _bits, _memo, boolean_lattice
-from .linalg import (FieldSpec, Matrix, NoFactorization, cokernel_projection,
-                     kernel_basis, rank)
+from .linalg import FieldSpec, Matrix, NoFactorization, cokernel_projection, rank
 from . import linalg
 
 
@@ -79,7 +79,7 @@ class PersistenceModule:
     is the dims[v] x dims[u] Matrix of the cover u < v, omissible when a
     side is zero.  Anything else raises TypeError or ValueError.  Only the
     maps with both sides nonzero are stored; a zero-sided one passed in is
-    checked and dropped, and ``cover_matrix_i`` makes its zero on demand.
+    checked and dropped, and ``transport_i`` makes its zero on demand.
     """
 
     __slots__ = ("lattice", "field", "_dims", "_maps", "calc_cache", "__weakref__")
@@ -142,25 +142,18 @@ class PersistenceModule:
     def is_zero(self) -> bool:
         return all(d == 0 for d in self._dims)
 
-    def cover_matrix_i(self, u: int, v: int) -> Matrix:
-        """The map of the cover u < v; a new zero where a side is zero."""
-        m = self._maps.get((u, v))
-        if m is not None:
-            return m
-        lat = self.lattice
-        if not _is_cover(lat, (u, v)):
-            raise KeyError(f"{lat.element(u)} < {lat.element(v)} is not a Hasse cover")
-        return Matrix.zeros(self.field, self._dims[v], self._dims[u])
-
     def transport_i(self, u: int, v: int) -> Matrix:
         """The composite map F(u <= v): the stored matrix for a cover, looked
-        up before anything else, otherwise composed down the first-parent
-        chain, in a loop, per call."""
+        up before anything else, a new zero where a side is zero, otherwise
+        composed down the first-parent chain, in a loop, per call.
+        IndexError for an index outside 0..n-1, NotComparable unless u <= v."""
         if (m := self._maps.get((u, v))) is not None:
             return m
+        lat = self.lattice
+        if not (0 <= u < lat.n and 0 <= v < lat.n):
+            raise IndexError(f"element indices ({u}, {v}) outside 0..{lat.n - 1}")
         if u == v:
             return Matrix.identity(self.field, self._dims[u])
-        lat = self.lattice
         if not lat.leq_i(u, v):
             raise NotComparable(
                 f"{lat.element(u)} is not below {lat.element(v)}")
@@ -170,7 +163,7 @@ class PersistenceModule:
         chain = []  # the cover maps from v down, then the stored map ending at u
         while u != v and (m := self._maps.get((u, v))) is None:
             w = next(w for w in lat.parents_i(v) if lat.leq_i(u, w))
-            chain.append(self.cover_matrix_i(w, v))
+            chain.append(self.transport_i(w, v))
             v = w
         return reduce(operator.matmul, chain if u == v else chain + [m])
 
@@ -402,7 +395,7 @@ def direct_sum(f: PersistenceModule, g: PersistenceModule) -> PersistenceModule:
     dims = [a + b for a, b in zip(f._dims, g._dims)]
     return PersistenceModule(
         f.lattice, f.field, dims,
-        {(u, v): linalg.direct_sum([f.cover_matrix_i(u, v), g.cover_matrix_i(u, v)])
+        {(u, v): linalg.direct_sum([f.transport_i(u, v), g.transport_i(u, v)])
          for (u, v) in _covers_between(f.lattice, dims, dims)})
 
 
@@ -485,7 +478,7 @@ def cokernel_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
     maps = {}
     for (u, v) in lat.covers_i():
         (qu, free), (qv, _) = projs[u], projs[v]
-        rhs = qv @ nt.target.cover_matrix_i(u, v)
+        rhs = qv @ nt.target.transport_i(u, v)
         h = maps[(u, v)] = rhs.take_cols(free)
         if h @ qu != rhs:
             raise NoFactorization(
@@ -520,65 +513,3 @@ def opposite_module(f: PersistenceModule) -> PersistenceModule:
         op.calc_cache["opposite"] = weakref.ref(f)
         return op
     return _memo(f.calc_cache, "opposite", build)
-
-
-# -- hom spaces ---------------------------------------------------------------
-
-
-def hom_basis(source: PersistenceModule, target: PersistenceModule) -> list[NatTrans]:
-    """A basis of the vector space of natural transformations source -> target.
-
-    Solves the naturality constraints (one linear equation per cover and
-    matrix entry) and converts each kernel vector back into components.
-    """
-    _check_compatible(source, target)
-    lat = source.lattice
-    field = source.field
-    offsets = []
-    total = 0
-    for i in range(lat.n):
-        offsets.append(total)
-        total += target.dim_i(i) * source.dim_i(i)
-    rows: list[list[int]] = []
-    p = field.p
-    for (u, v) in _covers_between(lat, source._dims, target._dims):
-        tm = target.cover_matrix_i(u, v)
-        sm = source.cover_matrix_i(u, v)
-        for r in range(target.dim_i(v)):
-            for c in range(source.dim_i(u)):
-                row = [0] * total
-                for k in range(target.dim_i(u)):
-                    row[offsets[u] + k * source.dim_i(u) + c] = tm[r, k] % p
-                for k in range(source.dim_i(v)):
-                    row[offsets[v] + r * source.dim_i(v) + k] = (
-                        row[offsets[v] + r * source.dim_i(v) + k] - sm[k, c]) % p
-                rows.append(row)
-    ker = kernel_basis(Matrix(field, len(rows), total, rows)
-                       if rows else Matrix.zeros(field, 0, total))
-    out = []
-    for col in range(ker.ncols):
-        comps = []
-        for i in range(lat.n):
-            dt, ds = target.dim_i(i), source.dim_i(i)
-            m = [[ker[offsets[i] + r * ds + c, col] for c in range(ds)]
-                 for r in range(dt)]
-            comps.append(Matrix(field, dt, ds, m))
-        out.append(NatTrans(source, target, comps))
-    return out
-
-
-def random_hom(source: PersistenceModule, target: PersistenceModule,
-               rng: random.Random) -> NatTrans:
-    """A random F_p combination of a hom-space basis."""
-    basis = hom_basis(source, target)
-    p = source.field.p
-    coeffs = [rng.randrange(p) for _ in basis]
-    lat = source.lattice
-    comps = []
-    for i in range(lat.n):
-        acc = Matrix.zeros(source.field, target.dim_i(i), source.dim_i(i))
-        for c, nt in zip(coeffs, basis):
-            if c:
-                acc = acc + nt.component_i(i).scale(c)
-        comps.append(acc)
-    return NatTrans(source, target, comps)

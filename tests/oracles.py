@@ -58,13 +58,16 @@ queries at the end (``leq``, ``mdim``, ``upset``, ``join_irreducibles``,
 ``cover_cube``, ``top_cube``, ``arity``, ``cube_value``, ``cube_top`` and
 ``cube_parts``) are used only by the tests, so they live here rather than
 in the package, which works by element index.  So do ``image_basis``,
-the pivot columns of a matrix, and ``identity_nat`` and ``zero_nat``,
-which no package code calls.
+the pivot columns of a matrix, ``identity_nat`` and ``zero_nat``, and
+``hom_basis``, a basis of the natural maps between two modules solved
+from the naturality equations, with ``random_hom``, a random combination
+of it: the tests draw natural maps with it, and no package code calls it.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Callable
 
 from pmodcalc.calculus import (ApproxResult, _boundary, gamma_lower,
@@ -78,7 +81,8 @@ from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
                              cokernel_projection, hstack, kernel_basis, rank,
                              rref, solve, vstack)
 from pmodcalc.pmodule import (NatTrans, NotConnected, NotConvex,
-                              PersistenceModule, is_iso, opposite_module,
+                              PersistenceModule, _check_compatible,
+                              _covers_between, is_iso, opposite_module,
                               restrict_along_cube)
 
 
@@ -180,7 +184,7 @@ def t_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
         if not (f.dim_i(x) if len(ws) <= n else any(dims[w] for w in ws)):
             eps[x] = Matrix.zeros(field, f.dim_i(x), 0)  # T(x) = 0
             continue
-        legs = [f.cover_matrix_i(w, x) @ eps[w] for w in ws]
+        legs = [f.transport_i(w, x) @ eps[w] for w in ws]
         if len(ws) <= n:
             dims[x] = f.dim_i(x)
             eps[x] = Matrix.identity(field, dims[x])
@@ -214,7 +218,7 @@ def gamma_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
             bases[x] = Matrix.zeros(field, 0, 0)
             continue
         ws = lat.parents_i(x)
-        legs = [f.cover_matrix_i(w, x) @ bases[w] for w in ws]
+        legs = [f.transport_i(w, x) @ bases[w] for w in ws]
         if len(ws) <= n:
             bases[x] = Matrix.identity(field, f.dim_i(x))
             blocks = legs
@@ -283,7 +287,7 @@ def koszul_homology_oracle(cube: PersistenceModule) -> list[int]:
                 else:
                     t = (tm ^ s).bit_length() - 1
                     j = t - (s & ((1 << t) - 1)).bit_count()
-                    edge = cube.cover_matrix_i(s, tm)
+                    edge = cube.transport_i(s, tm)
                     blocks.append(-edge if j % 2 else edge)
             rows.append(hstack(blocks))
         boundaries.append(vstack(rows))
@@ -295,7 +299,7 @@ def koszul_homology_oracle(cube: PersistenceModule) -> list[int]:
 def cube_module_arity(cube: PersistenceModule) -> int:
     """The k of a cube module: a module on boolean_lattice(k), as
     restrict_along_cube returns it, whose value at subset mask m is dim_i(m)
-    and whose edge adding bit t to s is cover_matrix_i(s, s | 1 << t).
+    and whose edge adding bit t to s is transport_i(s, s | 1 << t).
     ValueError on other lattices."""
     k = cube.lattice.poset_dimension()
     if cube.lattice != boolean_lattice(k):
@@ -309,7 +313,7 @@ def tfib_oracle(cube: PersistenceModule) -> int:
     k = cube_module_arity(cube)
     if k == 0:
         return cube.dim_i(0)
-    stacked = vstack([cube.cover_matrix_i(0, 1 << b) for b in range(k)])
+    stacked = vstack([cube.transport_i(0, 1 << b) for b in range(k)])
     return cube.dim_i(0) - rank(stacked)
 
 
@@ -321,7 +325,7 @@ def tcofib_oracle(cube: PersistenceModule) -> int:
     if k == 0:
         return cube.dim_i(0)
     full = (1 << k) - 1
-    stacked = hstack([cube.cover_matrix_i(full & ~(1 << b), full) for b in range(k)])
+    stacked = hstack([cube.transport_i(full & ~(1 << b), full) for b in range(k)])
     return cube.dim_i(full) - rank(stacked)
 
 
@@ -370,6 +374,65 @@ def zero_nat(source: PersistenceModule, target: PersistenceModule) -> NatTrans:
                      for i in range(source.lattice.n)])
 
 
+def hom_basis(source: PersistenceModule, target: PersistenceModule) -> list[NatTrans]:
+    """A basis of the vector space of natural transformations source -> target.
+
+    Solves the naturality constraints (one linear equation per cover and
+    matrix entry) and converts each kernel vector back into components.
+    """
+    _check_compatible(source, target)
+    lat = source.lattice
+    field = source.field
+    offsets = []
+    total = 0
+    for i in range(lat.n):
+        offsets.append(total)
+        total += target.dim_i(i) * source.dim_i(i)
+    rows: list[list[int]] = []
+    p = field.p
+    for (u, v) in _covers_between(lat, source._dims, target._dims):
+        tm = target.transport_i(u, v)
+        sm = source.transport_i(u, v)
+        for r in range(target.dim_i(v)):
+            for c in range(source.dim_i(u)):
+                row = [0] * total
+                for k in range(target.dim_i(u)):
+                    row[offsets[u] + k * source.dim_i(u) + c] = tm[r, k] % p
+                for k in range(source.dim_i(v)):
+                    row[offsets[v] + r * source.dim_i(v) + k] = (
+                        row[offsets[v] + r * source.dim_i(v) + k] - sm[k, c]) % p
+                rows.append(row)
+    ker = kernel_basis(Matrix(field, len(rows), total, rows)
+                       if rows else Matrix.zeros(field, 0, total))
+    out = []
+    for col in range(ker.ncols):
+        comps = []
+        for i in range(lat.n):
+            dt, ds = target.dim_i(i), source.dim_i(i)
+            m = [[ker[offsets[i] + r * ds + c, col] for c in range(ds)]
+                 for r in range(dt)]
+            comps.append(Matrix(field, dt, ds, m))
+        out.append(NatTrans(source, target, comps))
+    return out
+
+
+def random_hom(source: PersistenceModule, target: PersistenceModule,
+               rng: random.Random) -> NatTrans:
+    """A random F_p combination of a hom-space basis."""
+    basis = hom_basis(source, target)
+    p = source.field.p
+    coeffs = [rng.randrange(p) for _ in basis]
+    lat = source.lattice
+    comps = []
+    for i in range(lat.n):
+        acc = Matrix.zeros(source.field, target.dim_i(i), source.dim_i(i))
+        for c, nt in zip(coeffs, basis):
+            if c:
+                acc = acc + nt.component_i(i).scale(c)
+        comps.append(acc)
+    return NatTrans(source, target, comps)
+
+
 # -- induced maps: the solve-based bodies the echelon read-offs replaced -------
 
 
@@ -383,7 +446,7 @@ def image_of_oracle(nt):
     component, with its canonical monomorphism into T."""
     lat = nt.source.lattice
     bases = [image_basis(nt.component_i(i)) for i in range(lat.n)]
-    maps = {(u, v): solve(bases[v], nt.target.cover_matrix_i(u, v) @ bases[u])
+    maps = {(u, v): solve(bases[v], nt.target.transport_i(u, v) @ bases[u])
             for (u, v) in lat.covers_i()}
     module = PersistenceModule(lat, nt.source.field, [b.ncols for b in bases], maps)
     return module, NatTrans(module, nt.target, bases)
@@ -404,7 +467,7 @@ def cokernel_projection_oracle(m):
 def cokernel_of_oracle(nt):
     lat = nt.source.lattice
     projs = [cokernel_projection(nt.component_i(i))[0] for i in range(lat.n)]
-    maps = {(u, v): solve_left(projs[u], projs[v] @ nt.target.cover_matrix_i(u, v))
+    maps = {(u, v): solve_left(projs[u], projs[v] @ nt.target.transport_i(u, v))
             for (u, v) in lat.covers_i()}
     module = PersistenceModule(lat, nt.source.field, [q.nrows for q in projs], maps)
     return module, NatTrans(nt.target, module, projs)
@@ -442,8 +505,9 @@ def child_cube(lattice: Lattice, a: int) -> tuple[int, ...]:
 
 
 class Unchecked:
-    """Dimensions and cover maps on a lattice, as the oracle reads them,
-    without the check a PersistenceModule runs on construction."""
+    """Dimensions and cover maps on a lattice, as the oracle reads them
+    (``transport_i`` on a cover), without the check a PersistenceModule
+    runs on construction."""
 
     def __init__(self, lattice, field, dims, maps):
         self.lattice, self.field = lattice, field
@@ -452,7 +516,7 @@ class Unchecked:
     def dim_i(self, i):
         return self._dims[i]
 
-    def cover_matrix_i(self, u, v):
+    def transport_i(self, u, v):
         return self._maps[(u, v)]
 
 
@@ -465,7 +529,7 @@ class Dense(Unchecked):
         """f's maps between nonzero spaces, with zeros made here for the rest."""
         dims = [f.dim_i(i) for i in range(f.lattice.n)]
         return cls(f.lattice, f.field, dims,
-                   {(u, v): f.cover_matrix_i(u, v) if dims[u] and dims[v]
+                   {(u, v): f.transport_i(u, v) if dims[u] and dims[v]
                     else Matrix.zeros(f.field, dims[v], dims[u])
                     for (u, v) in f.lattice.covers_i()})
 
@@ -501,7 +565,7 @@ def functor_axiom_oracle(f) -> bool:
         for v in lat.topo_order():
             if v == u or not lat.leq_i(u, v):
                 continue
-            routes = [f.cover_matrix_i(w, v) @ acc[w]
+            routes = [f.transport_i(w, v) @ acc[w]
                       for w in lat.parents_i(v) if lat.leq_i(u, w)]
             if any(r != routes[0] for r in routes[1:]):
                 return False
@@ -895,7 +959,7 @@ def is_strongly_bicartesian(lat: Lattice, cube: tuple[int, ...]) -> bool:
 
 
 def cover_matrix(f: PersistenceModule, u: str, v: str) -> Matrix:
-    return f.cover_matrix_i(f.lattice.index(u), f.lattice.index(v))
+    return f.transport_i(f.lattice.index(u), f.lattice.index(v))
 
 
 def downset(lat: Lattice, v: str) -> tuple[str, ...]:

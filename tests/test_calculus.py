@@ -15,11 +15,12 @@ from pmodcalc.calculus import (PREDICATES, NotAComplex,
                                min_cross_degree, min_degree, t_lower, t_upper,
                                tcofib, tfib)
 from pmodcalc import calculus
-from pmodcalc.lattice import parent_cube
+from pmodcalc.lattice import bicartesian_cubes_cached, parent_cube
 from pmodcalc.linalg import NoFactorization, hstack, rank, solve
 from pmodcalc.pmodule import NatTrans, NonCommutingSquare, NotNatural, direct_sum
 from pmodcalc.verify import table1_modules, nonexample_module
-from oracles import (NotDownClosed, NotUpClosed, bottom, colim_over_downset,
+from oracles import (PREDICATE_ORACLES, NotDownClosed, NotUpClosed, bottom,
+                     colim_over_downset,
                      cover_cube, dim, downset, gamma_lower_oracle,
                      gamma_lower_sweep_oracle, jdim, koszul_homology_oracle,
                      leq, lim_over_upset, mdim, solve_left,
@@ -104,7 +105,7 @@ def brute_tfib_gf2(cube):
     for bits in itertools.product((0, 1), repeat=d0):
         good = True
         for b in range(cube.lattice.poset_dimension()):
-            e = cube.cover_matrix_i(0, 1 << b)
+            e = cube.transport_i(0, 1 << b)
             if any(sum(e[r, c] * bits[c] for c in range(d0)) % 2
                    for r in range(e.nrows)):
                 good = False
@@ -495,7 +496,6 @@ class TestKoszul:
 
     def test_homology_matches_total_fibers(self, grid22, gf2):
         rng = random.Random("kz")
-        from pmodcalc.lattice import bicartesian_cubes_cached
         for seed in range(5):
             f = random_module(grid22, gf2, f"kz{seed}")
             for arity in (1, 2, 3):
@@ -554,6 +554,27 @@ class TestPredicates:
         assert built == []
         assert any(cube is None for cube in found)
         assert any(cube is not None for cube in found)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cube_oracle_keeps_koszul_records_of_parent_cubes_only(self, p):
+        """find_failing_cube for the four kinds at n = 0..3 on {0,1}^4
+        leaves no Koszul record of a cube that is not a parent cube as the
+        lattice stores it, so f's memo stays bounded by its lattice; its
+        answers, and f's Koszul homology on every cube it reads, agree with
+        the oracles."""
+        lat = boolean_lattice(4)
+        f = random_module(lat, FieldSpec(p), "records", max_gens=4, max_rels=3)
+        for kind, n in itertools.product(sorted(PREDICATES), range(4)):
+            found = find_failing_cube(f, n, kind)
+            assert (found is None) == PREDICATE_ORACLES[kind](f, n), (kind, n)
+        records = f.calc_cache.get("koszul", {})
+        assert [key for key in records if key is not lat.parent_vertices_i(key[-1])] == []
+        for cube in itertools.chain.from_iterable(
+                bicartesian_cubes_cached(lat, k) for k in range(1, 5)):
+            kx = koszul(f, cube)
+            assert [kx.homology(i) for i in range(kx.k + 1)] == koszul_homology_oracle(
+                restrict_along_cube(f, cube)), cube
+        assert f.calc_cache.get("koszul", {}).keys() == records.keys()
 
     def test_min_statistic_is_least_and_within_the_poset_dimension(self, gf2):
         # The bound the old search asserted once it ran out of n: every

@@ -37,7 +37,7 @@ def change_basis(f: PersistenceModule, rng: random.Random) -> PersistenceModule:
     inverse = [solve(m, Matrix.identity(field, m.nrows)) for m in g]
     dims = [f.dim_i(x) for x in range(lat.n)]
     return PersistenceModule(lat, field, dims, {
-        (u, v): g[v] @ f.cover_matrix_i(u, v) @ inverse[u] for u, v in lat.covers_i()})
+        (u, v): g[v] @ f.transport_i(u, v) @ inverse[u] for u, v in lat.covers_i()})
 
 
 def invariants(f: PersistenceModule) -> tuple:

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from pmodcalc import (FieldSpec, Lattice, Matrix, PersistenceModule,
                       cokernel_of, cr_upper, direct_sum, gamma_lower,
                       opposite_module, random_module, t_lower, t_upper)
-from pmodcalc.pmodule import NonCommutingSquare, random_hom
-from oracles import Unchecked, functor_axiom_oracle
+from pmodcalc.pmodule import NonCommutingSquare
+from oracles import Unchecked, functor_axiom_oracle, random_hom
 from test_random_lattices import downset_lattice
 
 GRIDS = ([1, 1], [2, 2], [1, 1, 1], [3, 2], [2, 1, 1])
@@ -35,12 +35,12 @@ def one_entry_changed(draw):
     covers = [(u, v) for (u, v) in lat.covers_i() if f.dim_i(u) and f.dim_i(v)]
     assume(covers)
     u, v = draw(st.sampled_from(covers))
-    m = f.cover_matrix_i(u, v)
+    m = f.transport_i(u, v)
     rows = m.to_lists()
     r = draw(st.integers(0, m.nrows - 1))
     c = draw(st.integers(0, m.ncols - 1))
     rows[r][c] = (rows[r][c] + draw(st.integers(1, field.p - 1))) % field.p
-    maps = {cov: f.cover_matrix_i(*cov) for cov in lat.covers_i()}
+    maps = {cov: f.transport_i(*cov) for cov in lat.covers_i()}
     maps[(u, v)] = Matrix(field, m.nrows, m.ncols, rows)
     return f, maps
 

@@ -353,7 +353,7 @@ def test_larger_image_homology_matches_the_oracle(p):
     h1 = image_bifiltration_homology(img, 1, FieldSpec(p))
     assert sum(h1.dims_by_element().values()) == 21
     assert any(p - 1 in row for u, v in h1.lattice.covers_i()
-               for row in h1.cover_matrix_i(u, v).rows())
+               for row in h1.transport_i(u, v).rows())
     assert h1 == image_bifiltration_homology_oracle(img, 1, FieldSpec(p))
 
 
@@ -398,7 +398,7 @@ class TestRipsPipeline:
             lat = h0.lattice
             for (u, v) in lat.covers_i():
                 if lat.element(u).split(",")[0] == lat.element(v).split(",")[0]:
-                    m = h0.cover_matrix_i(u, v)
+                    m = h0.transport_i(u, v)
                     assert rank(m) == m.nrows
 
     def test_cross_codegree_bound(self, gf2):

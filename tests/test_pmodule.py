@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmodcalc import (FieldSpec, Lattice, Matrix, NatTrans, PersistenceModule,
-                      boolean_lattice, direct_sum, free_module, hom_basis,
+                      boolean_lattice, direct_sum, free_module,
                       interval_module, is_iso, cokernel_of,
                       opposite_module, random_module, restrict_along_cube)
 from pmodcalc.lattice import parent_cube
 from pmodcalc.linalg import NoFactorization, rank
 from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
-                              NotConvex, NotNatural, random_hom,
-                              sum_inclusion, sum_projection)
+                              NotConvex, NotNatural, sum_inclusion,
+                              sum_projection)
 from pmodcalc.pmod_io import print_pmod
 from oracles import (Dense, check_interval_oracle, cokernel_of_oracle,
                      component, cover_cube, cover_matrix, covers, dim,
-                     identity_nat, image_of_oracle, leq, transport, zero_nat)
+                     hom_basis, identity_nat, image_of_oracle, leq, random_hom,
+                     transport, zero_nat)
 from test_functor_check import lattices
 
 
@@ -233,9 +234,9 @@ def assert_sparse_like(f, dense):
     lat = f.lattice
     assert all(f.dim_i(u) and f.dim_i(v) for u, v in f._maps)
     for u, v in lat.covers_i():
-        m = f.cover_matrix_i(u, v)
+        m = f.transport_i(u, v)
         assert m.shape == (f.dim_i(v), f.dim_i(u))
-        assert m == dense.cover_matrix_i(u, v)
+        assert m == dense.transport_i(u, v)
         if not (f.dim_i(u) and f.dim_i(v)):
             assert m.is_zero() and (u, v) not in f._maps
 
@@ -260,11 +261,18 @@ def test_sparse_storage_matches_dense_storage(pair):
 
 
 class TestSparseStorage:
-    def test_non_cover_is_a_key_error(self, square, gf2):
+    def test_transport_refuses_indices_outside_the_lattice(self, square, gf2):
+        # Indices 0..3 are 0,0 0,1 1,0 1,1; f is one-dimensional at 1,1 only.
         f = free_module(square, gf2, {"1,1": 1})
-        for u, v in [(0, 3), (1, 0), (0, 0), (-1, 3)]:
-            with pytest.raises(KeyError, match="is not a Hasse cover"):
-                f.cover_matrix_i(u, v)
+        assert f.transport_i(0, 3) == Matrix.zeros(gf2, 1, 0)
+        assert f.transport_i(0, 0) == Matrix.zeros(gf2, 0, 0)
+        with pytest.raises(NotComparable):
+            f.transport_i(1, 0)
+        # Negative indices would wrap: (-1, -1) would read as the top's
+        # identity, (-4, 3) as a zero map, and (-1, 3) finds no chain down.
+        for u, v in [(-1, -1), (-4, 3), (-1, 3), (3, 4), (4, 4)]:
+            with pytest.raises(IndexError, match=r"outside 0\.\.3"):
+                f.transport_i(u, v)
 
     def test_zero_sided_map_is_checked_then_dropped(self, square, gf2):
         # Indices 0..3 are 0,0 0,1 1,0 1,1.
@@ -368,7 +376,7 @@ class TestRandomModule:
         f = random_module(grid22, gf2, seed=5, max_gens=3, max_rels=0)
         # A free module has echelon transports of full column rank.
         for (u, v) in grid22.covers_i():
-            m = f.cover_matrix_i(u, v)
+            m = f.transport_i(u, v)
             assert rank(m) == m.ncols
 
     def test_seed_determinism(self, grid22, gf2):
@@ -518,7 +526,7 @@ def outcome(construct, nt):
         return type(exc)
     lat = module.lattice
     return (module.dims_by_element(),
-            [module.cover_matrix_i(u, v) for (u, v) in lat.covers_i()],
+            [module.transport_i(u, v) for (u, v) in lat.covers_i()],
             [canonical.component_i(i) for i in range(lat.n)])
 
 

@@ -372,7 +372,7 @@ def test_restriction_along_every_cube(grid, points, lattice_seed, p, arity, seed
         for m in range(1 << arity):
             assert r.dim_i(m) == f.dim_i(cube[m])
         for s, t in edges:
-            assert r.cover_matrix_i(s, t) == f.transport_i(cube[s], cube[t])
+            assert r.transport_i(s, t) == f.transport_i(cube[s], cube[t])
         kx = koszul(r, top_cube(r))
         assert kx.homology(arity) == tfib(r, top_cube(r))
         assert kx.homology(0) == tcofib(r, top_cube(r))

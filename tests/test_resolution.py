@@ -304,7 +304,7 @@ def test_koszul_refuses_what_is_not_a_cube_of_the_module_lattice(grid22, gf2):
                  (idx("1,0"), idx("0,0")),
                  (idx("0,0"), idx("1,0"), idx("0,1"), idx("1,0")))
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("dim_i", "transport_i", "cover_matrix_i"):
+        for name in ("dim_i", "transport_i"):
             mp.setattr(PersistenceModule, name, forbidden)
         for cube in not_cubes:
             with pytest.raises(ValueError, match="is not a cube of"):
@@ -343,7 +343,7 @@ def test_boundary_matches_the_combinations_layout(p):
             for g in (f, t_lower(f, 1).module):
                 for x in range(lat.n):
                     for i in range(1, len(lat.parents_i(x)) + 1):
-                        args = (x, i, g.cover_matrix_i, g.dim_i)
+                        args = (x, i, g.transport_i, g.dim_i)
                         assert (_boundary(field, lat.parent_vertices_i(x), *args[1:])
                                 == boundary_layout_oracle(g, *args)), (x, i)
 
@@ -367,7 +367,7 @@ def test_local_complex_signs_over_f3(shape, gf3):
     for seed in range(6):
         f = random_module(lat, gf3, f"signs{seed}", max_gens=5, max_rels=4)
         for x in range(lat.n):
-            ds = [_boundary(gf3, lat.parent_vertices_i(x), i, f.cover_matrix_i, f.dim_i)
+            ds = [_boundary(gf3, lat.parent_vertices_i(x), i, f.transport_i, f.dim_i)
                   for i in range(1, len(lat.parents_i(x)) + 1)]
             assert all((a @ b).is_zero() for a, b in zip(ds, ds[1:]))
         assert betti(f).entries == betti_oracle(f)
@@ -385,11 +385,11 @@ def test_block_kernel_matches_the_stacked_zero_blocks(grid, points, lattice_seed
     f, g = (sample_module(lat, FieldSpec(p), k, s) for k, s in zip(kinds, seeds))
     for x in range(lat.n):
         for i in range(1, len(lat.parents_i(x)) + 1):
-            args = (x, i, f.cover_matrix_i, f.dim_i)
+            args = (x, i, f.transport_i, f.dim_i)
             assert (_boundary(f.field, lat.parent_vertices_i(x), *args[1:])
                     == boundary_oracle(f, *args)), (x, i)
     for u, v in lat.covers_i():
-        pair = [f.cover_matrix_i(u, v), g.cover_matrix_i(u, v)]
+        pair = [f.transport_i(u, v), g.transport_i(u, v)]
         assert linalg.direct_sum(pair) == direct_sum_oracle(pair)
 
 

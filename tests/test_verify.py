@@ -1,15 +1,16 @@
 import json
+import random
 
 import pytest
 
 from pmodcalc import Lattice, cli, interval_module, random_module, verify
 from pmodcalc.calculus import is_cross_codegree, is_cross_degree, t_upper
 from pmodcalc.pmod_io import load_module
-from pmodcalc.pmodule import cokernel_of, opposite_module
+from pmodcalc.pmodule import cokernel_of, direct_sum, opposite_module
 from pmodcalc.verify import (SuiteReport, UnknownSuite, gamma1_example,
                              approximation_preserves_cross_predicate,
                              nonexample_module, run_suite, suite_names,
-                             TABLE1_ROWS)
+                             table1_modules, TABLE1_ROWS)
 from oracles import cover_matrix, dim
 
 
@@ -185,6 +186,30 @@ class TestTheoremSuites:
         f = load_module(stat.counterexample)
         assert f.lattice == Lattice.grid([1, 1])
         assert stat.counterexample_seed.startswith("table1:")
+
+    @pytest.mark.parametrize("patched", [False, True])
+    def test_universal_property_catches_a_gamma_1_that_is_too_small(
+            self, gf2, monkeypatch, patched):
+        """On atom-x, Γ_0 is zero and Γ_1 all of f.  With Γ_0 answered for
+        every Γ_1, the check must fail for some battery seed: a map from a
+        free module born at the atom does not lift through zero.  A source
+        drawn through Γ_1 itself (Γ_1 of a random module) would shrink with
+        it and never fail."""
+        f = next(m for name, m, _ in table1_modules(gf2) if name == "atom-x")
+        g = random_module(f.lattice, gf2, "companion")
+        real = verify.gamma_lower
+        if patched:
+            monkeypatch.setattr(verify, "gamma_lower", lambda m, n: real(m, 0 if n == 1 else n))
+        outcomes = []
+
+        def record(prop, passed, module, seed):
+            if prop == "universal-property-lower":
+                outcomes.append(passed)
+
+        for seed in range(20):
+            verify._lower_battery(record, f, g, direct_sum(f, g), random.Random(seed), str(seed))
+        assert len(outcomes) == 20
+        assert all(outcomes) != patched
 
 
 class TestApproximationPreservation:
