@@ -397,21 +397,13 @@ def _local_betti(f: PersistenceModule, cube: tuple[int, ...], i: int) -> list[in
 # -- degree predicates --------------------------------------------------------
 
 
-def _koszul_nonzero(f: PersistenceModule, cube: tuple[int, ...], low: bool) -> bool:
-    """Whether the Koszul homology of f on the cube is nonzero in degree 0
-    or 1 (low) or in degree k or k-1 (not low)."""
-    kx = koszul(f, cube)
-    degrees = (0, 1) if low else (kx.k, kx.k - 1)
-    return any(kx.homology(i) != 0 for i in degrees)
-
-
 #: Per predicate kind, whether f on a strongly bicartesian cube violates
 #: it: codegree needs the low Koszul homology to vanish (cocartesian),
 #: degree the top two degrees (cartesian), the cross predicates the total
 #: cofiber / fiber.
 _CUBE_FAILS: dict[str, Callable[[PersistenceModule, tuple[int, ...]], bool]] = {
-    "codegree": lambda f, c: _koszul_nonzero(f, c, True),
-    "degree": lambda f, c: _koszul_nonzero(f, c, False),
+    "codegree": lambda f, c: any(koszul(f, c).betti[:2]),
+    "degree": lambda f, c: any(koszul(f, c).betti[-2:]),
     "cross_codegree": lambda f, c: tcofib(f, c) != 0,
     "cross_degree": lambda f, c: tfib(f, c) != 0,
 }

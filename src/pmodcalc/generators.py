@@ -2,8 +2,8 @@
 multi-channel images, and sublevel-Rips H0 of finite metric spaces.
 
 Both pipelines take H0 from connected components, tracked by union-find:
-the module is free on the components at each threshold, and one helper
-builds it for both.  One filtration per image serves H0, H1 and the
+the module is free on the components at each threshold, built by
+``pmodule._free_on_blocks``.  One filtration per image serves H0, H1 and the
 intersection check.  Image H1 is computed exactly over the module's
 field, but only at thresholds where its Euler count |E| - |V| + c - |Q|
 is nonzero, and there only on the edges outside a union-find spanning
@@ -22,7 +22,7 @@ from typing import Sequence
 from .calculus import NotAComplex
 from .lattice import Lattice
 from .linalg import FieldSpec, Matrix, rref
-from .pmodule import PersistenceModule
+from .pmodule import PersistenceModule, _free_on_blocks
 
 
 class UnsupportedDimension(Exception):
@@ -254,22 +254,6 @@ class _UnionFind:
         return list(comps.values())
 
 
-def _free_on_components(lat: Lattice, field: FieldSpec,
-                        comps: list[list[list[int]]]) -> PersistenceModule:
-    """The H0 module of a filtered graph: free on the components
-    ``comps[i]`` at element i, with a component's class sent to that of the
-    component holding its first point."""
-    where = [{pt: ti for ti, comp in enumerate(cs) for pt in comp} for cs in comps]
-    maps = {}
-    for (u, v) in lat.covers_i():
-        if comps[u] and comps[v]:
-            data = [[0] * len(comps[u]) for _ in range(len(comps[v]))]
-            for si, comp in enumerate(comps[u]):
-                data[where[v][comp[0]]][si] = 1
-            maps[(u, v)] = Matrix(field, len(comps[v]), len(comps[u]), data)
-    return PersistenceModule(lat, field, [len(c) for c in comps], maps)
-
-
 def image_bifiltration_homology(img: ImageGrid, degree: int,
                                 field: FieldSpec) -> PersistenceModule:
     """H_degree of the sublevel cubical bifiltration of a multi-channel
@@ -282,7 +266,7 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
     it unions each edge once, at the level of the chain that is its last
     filtration coordinate.
 
-    H0 is ``_free_on_components`` of those components.  This is the basis
+    H0 is ``_free_on_blocks`` of those components.  This is the basis
     the reduction of ``[C | I]`` picks, C the pivot columns of d1: e_w is
     a pivot unless an earlier active vertex of its component exists, since
     e_w - e_u is a boundary exactly when u and w share a component.  So the
@@ -315,7 +299,7 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
         raise UnsupportedDimension("more than 3 channels is out of scope")
     complex_, lat, actives, comps = _sublevels(img)
     if degree == 0:
-        return _free_on_components(lat, field, comps)
+        return _free_on_blocks(lat, field, comps)
     p, edges = field.p, complex_.edges
     if not all(_is_cycle(edges, complex_.square_boundary(q, p), p)
                for q in range(len(complex_.squares))):
@@ -439,7 +423,7 @@ def sublevel_rips_h0(space: MetricFunctionSpace,
     """H0 of the sublevel-Rips bifiltration: at threshold (a, r), the free
     space on connected components of the graph on {f <= a} with edges of
     length <= r; cover maps send a component class to the class of the
-    component containing it (``_free_on_components``).
+    component containing it (``_free_on_blocks``).
 
     For each a, one union-find takes the edges among {f <= a} in order of
     length and is read at each r level, so no level is built from scratch.
@@ -460,7 +444,7 @@ def sublevel_rips_h0(space: MetricFunctionSpace,
                 uf.union(edges[k][1], edges[k][2])
                 k += 1
             comps.append(uf.components(pts))
-    return _free_on_components(lat, field, comps)
+    return _free_on_blocks(lat, field, comps)
 
 
 # -- random instances for the suites -------------------------------------------

@@ -350,8 +350,8 @@ class Lattice:
     # -- equality ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Lattice) and self.elements == other.elements
-                and self._up == other._up)
+        return self is other or (isinstance(other, Lattice) and self.elements
+                                 == other.elements and self._up == other._up)
 
     def __hash__(self) -> int:
         return hash((self.elements, tuple(self._up)))

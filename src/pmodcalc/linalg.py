@@ -476,23 +476,9 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """A matrix whose columns are a basis of ker(m).
-
-    Column count is ncols - rank(m).  The basis follows the echelon
-    convention: one column per free column f, with a 1 in position f
-    and the pivot rows filled from the reduced form.  Its rows are read
-    off whole: row f is a unit row, and the row of pivot column c_r is
-    minus row r of rref(m) on the free columns.
-    """
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    filled, p = red._data[:len(pivots)], m.field.p
-    filled = iter(_pick_bits(filled, m.ncols, free) if p == 2 else
-                  [tuple([-row[f] % p for f in free]) for row in filled])
-    unit = iter(Matrix.identity(m.field, len(free))._data)
-    rows = [next(filled) if j in pivot_set else next(unit) for j in range(m.ncols)]
-    return Matrix._of(m.field, m.ncols, len(free), tuple(rows))
+    """A matrix whose columns are the echelon basis of ker(m), one per free
+    column of rref(m): the transposed cokernel projection of m^T."""
+    return cokernel_projection(m.transpose())[0].transpose()
 
 
 def cokernel_projection(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

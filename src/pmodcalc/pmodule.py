@@ -1,6 +1,6 @@
 """Persistence modules on a lattice, natural transformations, and the
-constructors every suite needs (intervals, free modules, direct sums,
-random cokernels).
+constructors every suite needs: direct sums, random cokernels, and free,
+interval and H0 modules, all free on blocks of points (``_free_on_blocks``).
 
 A module stores one matrix per Hasse cover whose two sides are nonzero;
 a cover with a zero side has the zero map, which is made only when asked
@@ -353,10 +353,8 @@ def interval_module(lattice: Lattice, field: FieldSpec,
         raise NotConnected(
             f"support splits into incomparable pieces "
             f"(e.g. {lattice.element(min(todo))})")
-    one = Matrix.identity(field, 1)
-    return PersistenceModule(
-        lattice, field, [int(i in sup) for i in range(lattice.n)],
-        {(u, v): one for (u, v) in lattice.covers_i() if u in sup and v in sup})
+    return _free_on_blocks(lattice, field, [[[0]] if i in sup else []
+                                            for i in range(lattice.n)])
 
 
 def free_module(lattice: Lattice, field: FieldSpec,
@@ -373,20 +371,26 @@ def free_module(lattice: Lattice, field: FieldSpec,
 
 def _free_on(lattice: Lattice, field: FieldSpec, gens: list[int]) -> PersistenceModule:
     """The free module with one generator born at each index in the sorted gens."""
-    # Coordinates at x: positions of generators whose birth element is <= x.
-    coords = [[gi for gi, b in enumerate(gens) if lattice.leq_i(b, x)]
-              for x in range(lattice.n)]
+    return _free_on_blocks(lattice, field, [
+        [[g] for g, b in enumerate(gens) if lattice.leq_i(b, x)] for x in range(lattice.n)])
+
+
+def _free_on_blocks(lattice: Lattice, field: FieldSpec,
+                    blocks: Sequence[list[list[int]]]) -> PersistenceModule:
+    """The module free on ``blocks[i]`` at element i, blocks of points each
+    led by its least point (free: one generator each; interval: one point;
+    H0: components).  The cover u < v sends each block to the block at v
+    holding its first point: the shared identity, or its columns so picked."""
+    dims = [len(b) for b in blocks]
     maps = {}
-    for (u, v) in lattice.covers_i():
-        cu, cv = coords[u], coords[v]
-        if not cu or not cv:
-            continue
-        posv = {g: r for r, g in enumerate(cv)}
-        m = [[0] * len(cu) for _ in range(len(cv))]
-        for c, g in enumerate(cu):
-            m[posv[g]][c] = 1
-        maps[(u, v)] = Matrix(field, len(cv), len(cu), m)
-    return PersistenceModule(lattice, field, [len(c) for c in coords], maps)
+    for (u, v) in _covers_between(lattice, dims, dims):
+        m = Matrix.identity(field, dims[v])
+        if blocks[u] != blocks[v]:
+            at = {pt: t for t, b in enumerate(blocks[v]) for pt in b}
+            if (cols := [at[b[0]] for b in blocks[u]]) != list(range(dims[v])):
+                m = m.take_cols(cols)
+        maps[(u, v)] = m
+    return PersistenceModule(lattice, field, dims, maps)
 
 
 def direct_sum(f: PersistenceModule, g: PersistenceModule) -> PersistenceModule:

@@ -308,14 +308,18 @@ def _lower_battery(record: Record, f: PersistenceModule, g: PersistenceModule,
     1, which is checked too) must factor uniquely through the canonical
     mono Γ_1 f -> f.  Every cross-codegree-1 module is a quotient of such
     a P, so these maps test the whole property.  By Yoneda, α is a random
-    vector v of f(b) per generator born at b, sent to f(b -> x) v at x."""
+    vector v of f(b) per generator born at b, sent to f(b -> x) v at x.
+    Generators are born where f is nonzero, if any such element has at
+    most one lower cover, and each v is nonzero there, so α is too."""
     _gamma_battery(record, f, seed)
     _direct_sum_checks(record, f, g, s, seed)
-    lat, field = f.lattice, f.field
+    lat, field, p = f.lattice, f.field, f.field.p
     low = [x for x in range(lat.n) if len(lat.parents_i(x)) <= 1]
+    low = [x for x in low if f.dim_i(x)] or low
     gens = sorted(rng.choice(low) for _ in range(rng.randint(1, 3)))
-    vecs = [Matrix(field, f.dim_i(b), 1, [[rng.randrange(field.p)] for _ in range(f.dim_i(b))])
-            for b in gens]
+    # v: the base-p digits of a draw c from 1..p^d - 1 (empty for d = 0).
+    vecs = [Matrix(field, d, 1, [[c // p ** j % p] for j in range(d)])
+            for d in map(f.dim_i, gens) for c in [rng.randrange(1, max(p ** d, 2))]]
     comps = []
     for x in range(lat.n):
         cols = [f.transport_i(b, x) @ v for b, v in zip(gens, vecs) if lat.leq_i(b, x)]

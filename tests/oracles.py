@@ -39,7 +39,9 @@ reads H0 off union-find components and takes H1, only where its Euler
 count is nonzero, on the edges outside a spanning forest;
 ``sublevel_rips_h0_oracle`` builds each threshold's components from
 scratch, where the package sweeps the edges of each function level once
-in order of length.
+in order of length.  ``free_on_oracle`` and ``free_on_components_oracle``
+fill each cover map of a free module and of an H0 module as a dense 0/1
+list, where ``pmodule._free_on_blocks`` picks the identity's columns.
 ``multiply_oracle``, ``rank_oracle`` and ``solve_oracle`` are the product
 and the eliminations that ``linalg`` skips for identities and empty shapes;
 ``direct_sum_oracle`` and ``boundary_oracle`` build a block matrix from
@@ -605,6 +607,45 @@ def check_interval_oracle(lattice: Lattice, sup: set[int]) -> None:
                            f"(e.g. {lattice.element(min(todo))})")
 
 
+# -- free modules, dense ----------------------------------------------------------
+# The two 0/1 map builders that ``pmodule._free_on_blocks`` replaced: each
+# fills a list of lists per cover and passes it to the checked constructor.
+
+
+def free_on_oracle(lattice: Lattice, field: FieldSpec, gens: list[int]) -> PersistenceModule:
+    """The free module with one generator born at each index in the sorted gens."""
+    # Coordinates at x: positions of generators whose birth element is <= x.
+    coords = [[gi for gi, b in enumerate(gens) if lattice.leq_i(b, x)]
+              for x in range(lattice.n)]
+    maps = {}
+    for (u, v) in lattice.covers_i():
+        cu, cv = coords[u], coords[v]
+        if not cu or not cv:
+            continue
+        posv = {g: r for r, g in enumerate(cv)}
+        m = [[0] * len(cu) for _ in range(len(cv))]
+        for c, g in enumerate(cu):
+            m[posv[g]][c] = 1
+        maps[(u, v)] = Matrix(field, len(cv), len(cu), m)
+    return PersistenceModule(lattice, field, [len(c) for c in coords], maps)
+
+
+def free_on_components_oracle(lat: Lattice, field: FieldSpec,
+                              comps: list[list[list[int]]]) -> PersistenceModule:
+    """The H0 module of a filtered graph: free on the components
+    ``comps[i]`` at element i, with a component's class sent to that of the
+    component holding its first point."""
+    where = [{pt: ti for ti, comp in enumerate(cs) for pt in comp} for cs in comps]
+    maps = {}
+    for (u, v) in lat.covers_i():
+        if comps[u] and comps[v]:
+            data = [[0] * len(comps[u]) for _ in range(len(comps[v]))]
+            for si, comp in enumerate(comps[u]):
+                data[where[v][comp[0]]][si] = 1
+            maps[(u, v)] = Matrix(field, len(comps[v]), len(comps[u]), data)
+    return PersistenceModule(lat, field, [len(c) for c in comps], maps)
+
+
 # -- dense GF(2) references for linalg -----------------------------------------
 # Lists of lists of 0/1 with one Python step per entry: the storage and the
 # loops that linalg's packed GF(2) rows replace.  Shapes are explicit, since
@@ -914,19 +955,9 @@ def sublevel_rips_h0_oracle(space: MetricFunctionSpace,
     component containing it."""
     lat = Lattice.grid([len(space.a_levels) - 1, len(space.r_levels) - 1])
     # Per element index: grid elements (a, r) are in lexicographic order.
-    comps = [_rips_components_oracle(space, a, r)
-             for a, r in itertools.product(space.a_levels, space.r_levels)]
-    maps = {}
-    for (u, v) in lat.covers_i():
-        target_of = {}
-        for ti, comp in enumerate(comps[v]):
-            for pt in comp:
-                target_of[pt] = ti
-        data = [[0] * len(comps[u]) for _ in range(len(comps[v]))]
-        for si, comp in enumerate(comps[u]):
-            data[target_of[comp[0]]][si] = 1
-        maps[(u, v)] = Matrix(field, len(comps[v]), len(comps[u]), data)
-    return PersistenceModule(lat, field, [len(c) for c in comps], maps)
+    return free_on_components_oracle(lat, field, [
+        _rips_components_oracle(space, a, r)
+        for a, r in itertools.product(space.a_levels, space.r_levels)])
 
 
 # -- element-name forms of index queries, used only by the tests -----------------

@@ -6,24 +6,28 @@ lattices walks the whole class (up to size), well beyond grids."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmodcalc import (FieldSpec, Lattice, Matrix, boolean_lattice, is_iso,
-                      random_module, restrict_along_cube)
+from pmodcalc import (FieldSpec, Lattice, Matrix, boolean_lattice, free_module,
+                      interval_module, is_iso, random_module, restrict_along_cube)
 from pmodcalc.calculus import (PREDICATES, find_failing_cube, gamma_lower,
                                gamma_upper, is_cross_codegree, is_cross_degree,
                                min_codegree, min_cross_codegree,
                                min_cross_degree, min_degree, koszul, t_lower,
                                t_upper, tcofib, tfib)
+from pmodcalc.generators import _UnionFind
 from pmodcalc.lattice import bicartesian_cubes_cached, parent_cube
 from pmodcalc.linalg import hstack, rank, solve, vstack
-from pmodcalc.pmodule import opposite_module
+from pmodcalc.pmodule import _free_on_blocks, opposite_module
+from pmodcalc.pmod_io import print_pmod
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
 from oracles import (PREDICATE_ORACLES, betti_oracle, bottom, child_cube,
                      colim_over_downset, component, cube_value, dim,
+                     free_on_components_oracle, free_on_oracle,
                      gamma_lower_sweep_oracle, is_strongly_bicartesian, jdim,
                      join, join_oracle, koszul_homology_oracle, leq,
                      lim_over_upset, mdim, meet_oracle, solve_left,
@@ -412,3 +416,56 @@ class TestCubeDuality:
             full = len(cc) - 1
             assert ({cube_value(op, pc_op, full ^ m) for m in range(full + 1)}
                     == {cube_value(grid22, cc, m) for m in range(full + 1)})
+
+
+def filtered_graph_components(lat, rng, points=6, edges=6):
+    """Per element, the components of a random filtered graph, listed as
+    union-find lists them (each increasing, ordered by least point).  A
+    point is born at a random element, an edge at the join of a random
+    element and its ends' births, so components grow and merge upwards."""
+    born = [rng.randrange(lat.n) for _ in range(points)]
+    ends = [rng.sample(range(points), 2) for _ in range(edges)]
+    at = [lat.join_i(lat.join_i(rng.randrange(lat.n), born[a]), born[b]) for a, b in ends]
+    comps = []
+    for x in range(lat.n):
+        uf = _UnionFind(points)
+        for (a, b), e in zip(ends, at):
+            if lat.leq_i(e, x):
+                uf.union(a, b)
+        comps.append(uf.components([i for i in range(points) if lat.leq_i(born[i], x)]))
+    return comps
+
+
+class TestFreeOnBlocks:
+    """Free, interval and H0 modules, built on blocks of points, against the
+    dense 0/1 builds they replaced: equal as modules and as PMOD text."""
+
+    @staticmethod
+    def check(built, dense):
+        assert built == dense
+        assert print_pmod(built) == print_pmod(dense)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_match_the_dense_builds(self, random_lattices, p):
+        field = FieldSpec(p)
+        grids = [Lattice.grid(s) for s in ([2, 2], [1, 1, 1], [3, 2])]
+        births = merges = 0
+        for li, lat in enumerate(grids + random_lattices):
+            rng = random.Random(f"blocks:{p}:{li}")
+            # Generators at the bottom and above it, each born twice.
+            gens = sorted([lat.index(bottom(lat))] + [rng.randrange(lat.n) for _ in range(3)] * 2)
+            free = free_module(lat, field, Counter(map(lat.element, gens)))
+            self.check(free, free_on_oracle(lat, field, gens))
+            births += sum(m.nrows > m.ncols for m in free._maps.values())
+            comps = filtered_graph_components(lat, rng)
+            h0 = _free_on_blocks(lat, field, comps)
+            self.check(h0, free_on_components_oracle(lat, field, comps))
+            merges += sum(m.nrows < m.ncols for m in h0._maps.values())
+            a = rng.randrange(lat.n)
+            b = lat.join_i(a, rng.randrange(lat.n))
+            sup = [x for x in range(lat.n) if lat.leq_i(a, x) and lat.leq_i(x, b)]
+            self.check(interval_module(lat, field, map(lat.element, sup)),
+                       free_on_components_oracle(
+                           lat, field, [[[0]] if x in sup else [] for x in range(lat.n)]))
+        # Cover maps other than identities ran: generators born, components merged.
+        assert births and merges

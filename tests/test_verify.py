@@ -191,10 +191,11 @@ class TestTheoremSuites:
     def test_universal_property_catches_a_gamma_1_that_is_too_small(
             self, gf2, monkeypatch, patched):
         """On atom-x, Γ_0 is zero and Γ_1 all of f.  With Γ_0 answered for
-        every Γ_1, the check must fail for some battery seed: a map from a
-        free module born at the atom does not lift through zero.  A source
-        drawn through Γ_1 itself (Γ_1 of a random module) would shrink with
-        it and never fail."""
+        every Γ_1, the check must fail for every battery seed: its map comes
+        from a free module born where f is nonzero, the atom, and is nonzero
+        there, so it does not lift through zero.  A source drawn through
+        Γ_1 itself (Γ_1 of a random module) would shrink with it and never
+        fail."""
         f = next(m for name, m, _ in table1_modules(gf2) if name == "atom-x")
         g = random_module(f.lattice, gf2, "companion")
         real = verify.gamma_lower
@@ -208,8 +209,7 @@ class TestTheoremSuites:
 
         for seed in range(20):
             verify._lower_battery(record, f, g, direct_sum(f, g), random.Random(seed), str(seed))
-        assert len(outcomes) == 20
-        assert all(outcomes) != patched
+        assert outcomes == [not patched] * 20
 
 
 class TestApproximationPreservation:
