@@ -158,18 +158,21 @@ def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
         module = None if same else PersistenceModule(lat, field, dims, maps)
         if not same:  # with f itself eps is the identity, natural as it stands
             NatTrans(module, f, eps).validate()
-        return module, eps
+        return module, tuple(eps)
     return _lower("t_lower", sweep, f, n)
 
 
 def _lower(kind: str, sweep: Callable[[], tuple], f: PersistenceModule, n: int) -> ApproxResult:
     """The lower result ``kind`` of f at n, made from f's memo of what
-    ``sweep`` returns: (the module, None for f itself; the components)."""
+    ``sweep`` returns: (the module, None for f itself; the components, a
+    tuple).  The first build checks the components, and a memo hit trusts
+    them (``NatTrans._of``)."""
     if n < 0:
         raise ValueError("approximation degree must be >= 0")
+    hit = (kind, n) in f.calc_cache
     module, components = _memo(f.calc_cache, (kind, n), sweep)
     module = f if module is None else module
-    return ApproxResult(module, NatTrans(module, f, components))
+    return ApproxResult(module, (NatTrans._of if hit else NatTrans)(module, f, components))
 
 
 def _boundary(field: FieldSpec, vertices: tuple[int, ...], i: int, edge, dim) -> Matrix:
@@ -251,7 +254,7 @@ def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
                     offset += leg.ncols
             maps.update(((w, x), m) for w, m in zip(ws, blocks))
         return None if same else PersistenceModule(
-            lat, field, [b.ncols for b in bases], maps), bases
+            lat, field, [b.ncols for b in bases], maps), tuple(bases)
     return _lower("gamma_lower", sweep, f, n)
 
 

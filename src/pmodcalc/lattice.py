@@ -14,7 +14,11 @@ upper bounds of i and j are the up-set of their join, and the lower
 bounds the down-set of their meet, so two {mask: index} dicts of n
 entries find both.  A grid's order and covers are read off the element
 coordinates, with no pairwise comparison; it may have at most
-``MAX_GRID_ELEMENTS`` elements, a bound on the input.  Grids are
+``MAX_GRID_ELEMENTS`` elements, a bound on the input.  A grid depends on
+its shape alone, so ``Lattice.grid`` interns the most recently used grids,
+up to ``MAX_GRID_ELEMENTS`` elements in all: the modules on one shape share
+one lattice and its memo (parent cubes, jdim order, opposite, bicartesian
+cubes), and an evicted grid is freed with its last name.  Grids are
 distributive by construction, and so is the opposite of a distributive
 lattice.  An explicit lattice may have at most ``MAX_LATTICE_ELEMENTS``
 elements, and is checked on construction by ``validate``: an order
@@ -30,7 +34,6 @@ lattice of its own: its arity is ``len(cube).bit_length() - 1``, its top
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import weakref
@@ -55,6 +58,11 @@ MAX_GRID_ELEMENTS = 4096
 
 #: Largest lattice ``Lattice.from_covers`` builds (its checks are quadratic).
 MAX_LATTICE_ELEMENTS = 128
+
+#: The interned grids by shape, least recently used first, and their
+#: element count in all (``Lattice.grid``).
+_GRIDS: dict[tuple[int, ...], Lattice] = {}
+_interned_elements = 0
 
 
 def grid_size(maxes: Sequence[int]) -> int:
@@ -200,9 +208,26 @@ class Lattice:
         single coordinate (at index stride (m_{k+1}+1)...(m_n+1) for axis
         k).  All of it is read off the coordinates, and grids are
         distributive by construction, so ``validate`` is not run.
+
+        The cap is checked on every call; then the grid of that shape is
+        interned: built on first use, it is returned again, memo and all,
+        while it is among the most recently used grids that hold at most
+        MAX_GRID_ELEMENTS elements in all.
         """
+        global _interned_elements
         maxes = tuple(int(m) for m in maxes)
         n = grid_size(maxes)
+        lat = _GRIDS.pop(maxes, None)
+        if lat is None:
+            lat = cls._build_grid(maxes, n)
+            _interned_elements += n
+        _GRIDS[maxes] = lat  # most recently used last
+        while _interned_elements > MAX_GRID_ELEMENTS:
+            _interned_elements -= _GRIDS.pop(next(iter(_GRIDS))).n
+        return lat
+
+    @classmethod
+    def _build_grid(cls, maxes: tuple[int, ...], n: int) -> "Lattice":
         coords = list(itertools.product(*(range(m + 1) for m in maxes)))
         strides = [math.prod(m + 1 for m in maxes[k + 1:]) for k in range(len(maxes))]
         # Strides fall along the axes that have covers, so parents come out
@@ -361,11 +386,10 @@ class Lattice:
         return f"Lattice({self.n} elements{shape})"
 
 
-@functools.cache
 def boolean_lattice(k: int) -> Lattice:
-    """The Boolean lattice {0,1}^k, built once per k: the grid with k axes
-    of length 2 (the one-element grid for k = 0).  Element index and
-    subset bitmask coincide, bit b being coordinate k-1-b."""
+    """The Boolean lattice {0,1}^k, the interned grid with k axes of length
+    2 (the one-element grid for k = 0).  Element index and subset bitmask
+    coincide, bit b being coordinate k-1-b."""
     return Lattice.grid([1] * k or [0])
 
 

@@ -240,6 +240,16 @@ class NatTrans:
                     f"component at {lat.element(i)} has shape {m.shape}, "
                     f"expected {(rows, cols)}")
 
+    @classmethod
+    def _of(cls, source: PersistenceModule, target: PersistenceModule,
+            components: tuple[Matrix, ...]) -> "NatTrans":
+        """Trusted construction: ``components`` must be a tuple that a
+        checked NatTrans from source to target once held.  Nothing is
+        checked."""
+        nt = object.__new__(cls)
+        nt.source, nt.target, nt._components = source, target, components
+        return nt
+
     def component_i(self, i: int) -> Matrix:
         return self._components[i]
 

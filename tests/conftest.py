@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from pmodcalc import FieldSpec, Lattice
@@ -29,3 +31,17 @@ def cube3():
 def grid22():
     """The 3x3 grid [2] x [2]."""
     return Lattice.grid([2, 2])
+
+
+@pytest.fixture
+def no_gc():
+    """Automatic collection off for the test, so only reference counting
+    frees anything; the collector's state is put back afterwards."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,11 +1,12 @@
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmodcalc import lattice
 from pmodcalc.lattice import (Lattice, NoBottom, NotDistributive,
-                              NotLattice, bicartesian_cubes_cached,
+                              NotLattice, bicartesian_cubes_cached, boolean_lattice,
                               enumerate_bicartesian_cubes, parent_cube)
 from oracles import (arity, bottom, child_cube, children, cover_cube, covers, cube_parts,
                      cube_top, cube_value, downset, is_strongly_bicartesian,
@@ -468,3 +469,51 @@ class TestGridFromCoordinates:
         assert Lattice.grid([3, 2]).n == 12
         with pytest.raises(ValueError, match="has 16 elements"):
             Lattice.grid([3, 3])
+
+
+class TestGridIntern:
+    """``Lattice.grid`` returns one lattice per shape while the shape is among
+    the most recently used, up to MAX_GRID_ELEMENTS elements in all."""
+
+    def test_one_lattice_per_shape(self):
+        grid = Lattice.grid((2, 2))
+        assert grid is Lattice.grid([2, 2])
+        assert grid.opposite() is Lattice.grid([2, 2]).opposite()
+        assert grid is not Lattice.grid([2, 1])
+
+    def test_cap_is_checked_before_the_lookup(self, monkeypatch):
+        assert Lattice.grid([3, 3]) is Lattice.grid([3, 3])
+        monkeypatch.setattr(lattice, "MAX_GRID_ELEMENTS", 12)
+        with pytest.raises(ValueError, match="has 16 elements"):
+            Lattice.grid([3, 3])
+
+    def test_holds_at_most_the_cap_in_all(self, no_gc):
+        refs = [weakref.ref(Lattice.grid([a, b])) for a in range(1, 30) for b in (1, 5, 9)]
+        live = [r() for r in refs if r() is not None]
+        assert sum(g.n for g in live) <= lattice.MAX_GRID_ELEMENTS
+        assert len(live) < len(refs) and live[-1] is Lattice.grid([29, 9])
+
+    def test_evicts_the_least_recently_used(self):
+        # The chains [1] .. [99] hold 5,049 elements, more than the cap.
+        kept = Lattice.grid([5, 5])
+        for k in range(1, 100):
+            Lattice.grid([k])
+            assert Lattice.grid([5, 5]) is kept
+        for k in range(1, 100):
+            Lattice.grid([k])
+        assert Lattice.grid([5, 5]) is not kept
+
+    def test_an_evicted_grid_dies_with_its_last_name(self, no_gc):
+        grid = Lattice.grid([4, 3])
+        grid.opposite().jdim_order()
+        parent_cube(grid, grid.n - 1)
+        bicartesian_cubes_cached(grid, 2)
+        refs = [weakref.ref(grid), weakref.ref(grid.opposite())]
+        del grid
+        assert None not in [r() for r in refs]
+        Lattice.grid([lattice.MAX_GRID_ELEMENTS - 1])
+        assert [r() for r in refs] == [None, None]
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_boolean_lattice_is_the_interned_grid(self, k):
+        assert boolean_lattice(k) is Lattice.grid([1] * k or [0])

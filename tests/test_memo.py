@@ -5,38 +5,24 @@ refers to the object that holds it: a lower approximation is kept as its
 module (None for f itself) and components, the upper side keeps no memo,
 and the two-way opposite memos point back by a weak reference.  So, with
 automatic garbage collection off, an analysed module or lattice is freed
-by reference counting as soon as its last name goes."""
+by reference counting as soon as its last name goes; for a grid, the
+intern of ``Lattice.grid`` is one such name until it evicts the grid."""
 
-import gc
 import weakref
 
 import pytest
 
-from pmodcalc import FieldSpec, Lattice, free_module, random_module
+from pmodcalc import FieldSpec, Lattice, free_module, lattice, random_module
 from pmodcalc.calculus import (PREDICATES, cr_lower, cr_upper, find_failing_cube,
                                gamma_lower, gamma_upper, min_codegree,
                                min_cross_codegree, min_cross_degree, min_degree,
                                t_lower, t_upper)
 from pmodcalc.lattice import bicartesian_cubes_cached, parent_cube
-from pmodcalc.pmodule import opposite_module
+from pmodcalc.pmodule import NatTrans, opposite_module
 from pmodcalc.resolution import betti, check_pdim_theorem_1, check_pdim_theorem_2
 
 APPROXIMATIONS = (t_lower, t_upper, gamma_lower, gamma_upper, cr_lower, cr_upper)
 MEMO_KEYS = {"t_lower", "gamma_lower", "koszul", "read_off", "betti", "opposite"}
-
-
-@pytest.fixture
-def no_gc():
-    """Automatic collection off for the test, so only reference counting
-    frees anything; the collector's state is put back afterwards."""
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _module(kind: str, lat: Lattice, p: int):
@@ -74,12 +60,34 @@ def test_analysed_module_dies_with_its_last_name(no_gc, shape, kind, p):
     assert [r() for r in refs] == [None] * len(refs)
 
 
+@pytest.mark.parametrize("approx", [t_lower, gamma_lower])
+@pytest.mark.parametrize("kind", ["random", "free"])
+def test_a_memo_hit_builds_no_checked_nat_trans(monkeypatch, kind, approx):
+    f = _module(kind, Lattice.grid([2, 2]), 3)
+    checked, init = [], NatTrans.__init__
+
+    def counted(self, *args):
+        checked.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(NatTrans, "__init__", counted)
+    first = approx(f, 1)
+    assert checked  # the first build checks its components
+    checked.clear()
+    hit = approx(f, 1)
+    assert checked == []
+    assert hit.module is first.module and hit.canonical.target is f
+    assert hit.canonical.source is first.module
+    assert hit.canonical._components is first.canonical._components
+
+
 @pytest.mark.parametrize("make", [
     lambda: Lattice.grid([2, 1]),
     lambda: Lattice.from_covers("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
 ])
 def test_lattice_dies_with_its_last_name(no_gc, make):
     lat = make()
+    interned = lat.grid_shape is not None
     f = random_module(lat, FieldSpec(2), "refcount-lattice", max_gens=3, max_rels=2)
     for kind in PREDICATES:
         for n in range(lat.poset_dimension() + 1):
@@ -91,6 +99,9 @@ def test_lattice_dies_with_its_last_name(no_gc, make):
     parent_cube(lat.opposite(), lat.n - 1)
     refs = [weakref.ref(lat), weakref.ref(lat.opposite())]
     del f, lat
+    if interned:  # the intern holds a grid until grids past its bound evict it
+        assert None not in [r() for r in refs]
+        Lattice.grid([lattice.MAX_GRID_ELEMENTS - 1])
     assert [r() for r in refs] == [None, None]
 
 
