@@ -5,12 +5,11 @@ with theorem suites and generators for image and Rips bifiltrations."""
 
 from .linalg import FieldSpec, GF2, Matrix, NoFactorization
 from .lattice import (Lattice, NoBottom, NotDistributive, NotLattice,
-                      boolean_lattice, enumerate_bicartesian_cubes, parent_cube)
+                      enumerate_bicartesian_cubes, parent_cube)
 from .pmodule import (LatticeMismatch, NatTrans, NonCommutingSquare,
                       NotComparable, NotConnected, NotConvex, NotNatural,
                       PersistenceModule, cokernel_of, direct_sum, free_module,
-                      interval_module, is_iso, opposite_module, random_module,
-                      restrict_along_cube)
+                      interval_module, is_iso, opposite_module, random_module)
 from .calculus import (ApproxResult, KoszulComplex, NotAComplex, cr_lower,
                        cr_upper, find_failing_cube, gamma_lower, gamma_upper,
                        is_codegree, is_cross_codegree, is_cross_degree,

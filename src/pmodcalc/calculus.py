@@ -39,12 +39,12 @@ x is the one on parent_cube(x), the Boolean interval from the meet of the
 lower covers w_1..w_k of x up to x, whose vertices the lattice stores and
 whose edges are covers.  d_1 = C_x = [F(w_a -> x)], the cover maps side
 by side, and d_2 = -R_x, the relations t_lower's sweep glues T(x) by
-(there built from T's own cover maps).  One record per parent cube in
-f's memo keeps the chain dims and boundary ranks built so far, filled
-only as far as a caller asks (_local_betti): koszul (so betti) reads the
-whole complex, the degree statistics only beta^0, beta^1.  Any other
-cube's complex is built and ranked on each call and not kept, so f's memo
-is bounded by its lattice, whatever cubes the oracle asks of it.
+(there built from T's own cover maps).  A cube's Koszul homology is one
+value, its Betti tuple, computed in one pass (_local_betti); f's memo
+keeps it per parent cube, which koszul (so betti) and the degree
+statistics share.  Any other cube's is computed on each call and not
+kept, so f's memo is bounded by its lattice, whatever cubes the oracle
+asks of it.
 
 The degree statistics and predicates build neither T_n F nor Gamma_n F.
 With C_x and R_x built from F's own cover maps, induct along the
@@ -354,8 +354,8 @@ class KoszulComplex:
 
 
 def koszul(f: PersistenceModule, cube: tuple[int, ...]) -> KoszulComplex:
-    """The Koszul complex of f on a cube of its lattice, read off a
-    record of that cube (kept in f's memo for a parent cube only).
+    """The Koszul complex of f on a cube of its lattice: the Betti tuple
+    of that cube (kept in f's memo for a parent cube only).
 
     ``cube`` is any k-cube of f's lattice (``_check_cube``), else
     ValueError before anything is read.  On parent_cube(x) this is the
@@ -366,35 +366,35 @@ def koszul(f: PersistenceModule, cube: tuple[int, ...]) -> KoszulComplex:
     k = _check_cube(f.lattice, cube)
     if not any(map(f.dim_i, cube)):
         return KoszulComplex(k, (0,) * (k + 1))
-    return KoszulComplex(k, tuple(_local_betti(f, cube, k)))
+    return KoszulComplex(k, _local_betti(f, cube))
 
 
-def _local_betti(f: PersistenceModule, cube: tuple[int, ...], i: int) -> list[int]:
-    """[beta^0, .., beta^i] of f on a k-cube, i <= k, off a record of the
-    cube of the chain dims c_j and boundary ranks r_j: beta^j = c_j - r_j -
-    r_(j+1).  A call extends it to degree min(i + 1, k), building (edges
-    are f's transports) and ranking d_(j+1) only where d_j leaves a kernel,
-    checked against d_j, which is built again if an earlier call ranked it.
-    The record is kept in f's memo only for a parent cube as the lattice
-    stores it; any other cube's is made for this call alone."""
-    chain = [(f.dim_i(cube[-1]), 0)]  # (c_j, r_j)
+def _local_betti(f: PersistenceModule, cube: tuple[int, ...]) -> tuple[int, ...]:
+    """(beta^0, .., beta^k) of f on a k-cube in one pass, beta^j = c_j - r_j
+    - r_(j+1) by chain dims c and boundary ranks r.  d_(j+1) is built (edges
+    are f's transports) and ranked only where d_j leaves a kernel, and checked
+    against d_j, built for that check if the short cut skipped it.  Kept in
+    f's memo for a parent cube as the lattice stores it, and for no other."""
+    def complex_() -> tuple[int, ...]:
+        k, below = len(cube).bit_length() - 1, None  # below: d_j, if built
+        chain = [(f.dim_i(cube[-1]), 0)]  # (c_j, r_j)
+        for j in range(k):
+            if chain[j][0] == chain[j][1]:  # d_j leaves no kernel, so d_(j+1) = 0
+                d, cr = None, (sum(f.dim_i(cube[s]) for s, _ in _layout(k, j + 1)[1]), 0)
+            else:
+                d = _boundary(f.field, cube, j + 1, f.transport_i, f.dim_i)
+                if j and d.ncols:
+                    below = below or _boundary(f.field, cube, j, f.transport_i, f.dim_i)
+                    if not (below @ d).is_zero():
+                        raise NotAComplex(f"d_{j} o d_{j + 1} != 0 on the cube with top "
+                                          f"{f.lattice.element(cube[-1])}")
+                cr = d.ncols, rank(d)
+            chain.append(cr)
+            below = d
+        return tuple(c - r - r1 for (c, r), (_, r1) in zip(chain, chain[1:] + [(0, 0)]))
     if cube is f.lattice.parent_vertices_i(cube[-1]):
-        chain = _memo(_memo(f.calc_cache, "koszul", dict), cube, lambda: chain)
-    k, below = len(cube).bit_length() - 1, None  # below: d_j, if this call built it
-    for j in range(len(chain) - 1, min(i + 1, k)):
-        if chain[j][0] == chain[j][1]:  # d_j leaves no kernel, so d_(j+1) = 0
-            d, cr = None, (sum(f.dim_i(cube[s]) for s, _ in _layout(k, j + 1)[1]), 0)
-        else:
-            d = _boundary(f.field, cube, j + 1, f.transport_i, f.dim_i)
-            if j and d.ncols:
-                below = below or _boundary(f.field, cube, j, f.transport_i, f.dim_i)
-                if not (below @ d).is_zero():
-                    raise NotAComplex(f"d_{j} o d_{j + 1} != 0 on the cube with top "
-                                      f"{f.lattice.element(cube[-1])}")
-            cr = d.ncols, rank(d)
-        chain.append(cr)
-        below = d
-    return [c - r - (chain[j + 1][1] if j < k else 0) for j, (c, r) in enumerate(chain[:i + 1])]
+        return _memo(_memo(f.calc_cache, "koszul", dict), cube, complex_)
+    return complex_()
 
 
 # -- degree predicates --------------------------------------------------------
@@ -483,10 +483,10 @@ def _read_off(f: PersistenceModule) -> tuple[int, int]:
                 break
             if not (f.dim_i(x) or any(map(f.dim_i, ws))):
                 continue  # beta^0_x = beta^1_x = 0
-            cube = lat.parent_vertices_i(x)
-            if _local_betti(f, cube, 0)[0]:
+            beta = _local_betti(f, lat.parent_vertices_i(x))
+            if beta[0]:
                 codegree, cross = max(codegree, k), k
-            elif k > codegree and _local_betti(f, cube, 1)[1]:
+            elif k > codegree and beta[1]:
                 codegree = k
         return codegree, cross
     return _memo(f.calc_cache, "read_off", sweep)

@@ -27,15 +27,16 @@ then distributivity is checked.  Modules rely on this: on a distributive
 lattice the meet of two lower covers of v is covered by both, so
 commuting cover diamonds are the whole functor axiom.
 
-A k-cube is the tuple of its 2**k vertex indices by subset mask, with no
-lattice of its own: its arity is ``len(cube).bit_length() - 1``, its top
-``cube[-1]``.  The lattice's memo keeps parent and bicartesian cubes so.
+A k-cube is its 2**k vertex indices by subset mask, with no lattice or
+module of its own: arity ``len(cube).bit_length() - 1``, top ``cube[-1]``.
+The lattice's memo keeps parent and bicartesian cubes so.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -215,7 +216,7 @@ class Lattice:
         MAX_GRID_ELEMENTS elements in all.
         """
         global _interned_elements
-        maxes = tuple(int(m) for m in maxes)
+        maxes = tuple(map(operator.index, maxes))
         n = grid_size(maxes)
         lat = _GRIDS.pop(maxes, None)
         if lat is None:
@@ -384,13 +385,6 @@ class Lattice:
     def __repr__(self) -> str:
         shape = f", grid={self.grid_shape}" if self.grid_shape else ""
         return f"Lattice({self.n} elements{shape})"
-
-
-def boolean_lattice(k: int) -> Lattice:
-    """The Boolean lattice {0,1}^k, the interned grid with k axes of length
-    2 (the one-element grid for k = 0).  Element index and subset bitmask
-    coincide, bit b being coordinate k-1-b."""
-    return Lattice.grid([1] * k or [0])
 
 
 def _meet_fill(lattice: Lattice, top: int, parts: Sequence[int]) -> tuple[int, ...]:

@@ -214,14 +214,10 @@ class Matrix:
         return Matrix._of(self.field, self.ncols, self.nrows, data)
 
     def take_cols(self, idx: Iterable[int]) -> "Matrix":
-        contiguous = isinstance(idx, range) and idx.step == 1
-        if not contiguous:
-            idx = list(idx)
+        idx = _indices(idx, self.ncols)
         if self.field.p != 2:
             data = tuple(tuple([row[j] for j in idx]) for row in self._data)
-        elif contiguous:
-            if idx and (idx.start < 0 or idx.stop > self.ncols):
-                raise IndexError("matrix column index out of range")
+        elif idx and isinstance(idx, range) and idx.step == 1:
             mask, lo = (1 << len(idx)) - 1, idx.start
             data = tuple([r >> lo & mask for r in self._data])
         else:
@@ -229,7 +225,7 @@ class Matrix:
         return Matrix._of(self.field, self.nrows, len(idx), data)
 
     def take_rows(self, idx: Iterable[int]) -> "Matrix":
-        data = tuple(self._data[i] for i in idx)
+        data = tuple(self._data[i] for i in _indices(idx, self.nrows))
         return Matrix._of(self.field, len(data), self.ncols, data)
 
     def _check_same_shape(self, other: "Matrix") -> None:
@@ -370,13 +366,21 @@ def _row_of_bits(bits: int, ncols: int) -> tuple[int, ...]:
     return tuple(format(bits | 1 << ncols, "b")[:0:-1].encode().translate(_FROM_DIGITS))
 
 
+def _indices(idx: Iterable[int], n: int) -> Sequence[int]:
+    """idx as a range or a list, every index in 0..n-1, else IndexError:
+    no index wraps, over any field.  A range is checked at its two ends."""
+    idx = idx if isinstance(idx, range) else list(idx)
+    ends = (idx[0], idx[-1]) if idx and isinstance(idx, range) else idx
+    if ends and (min(ends) < 0 or max(ends) >= n):
+        raise IndexError(f"matrix index out of range 0..{n - 1}")
+    return idx
+
+
 def _pick_bits(data: tuple[int, ...], ncols: int, idx: Sequence[int]) -> tuple[int, ...]:
-    """Columns ``idx`` of packed rows, read from each row's numeral (digit
-    ncols - j is entry j, behind the sentinel) by one itemgetter."""
+    """Columns ``idx`` (checked by ``_indices``) of packed rows, read from each
+    row's numeral (digit ncols - j is entry j, behind the sentinel) by one itemgetter."""
     if not idx or not data:
         return (0,) * len(data)
-    if max(idx) >= ncols:  # a negative index fails in the itemgetter
-        raise IndexError("matrix column index out of range")
     pick, top = operator.itemgetter(*[ncols - j for j in reversed(idx)]), 1 << ncols
     return tuple([int("".join(pick(format(r | top, "b"))), 2) for r in data])
 

@@ -15,10 +15,9 @@ chains of an interval differ by diamond flips.  A cokernel picks its
 bases through the echelon convention of :mod:`pmodcalc.linalg`, so it is
 deterministic; its cover maps are read off the echelon form that chose
 those bases and checked by their defining products (NoFactorization
-names a failing cover).  Restricting f along a k-cube of its lattice
-gives a module on the Boolean lattice {0,1}^k (``restrict_along_cube``),
-but no question about a cube needs it: the calculus reads f along the
-cube's vertex tuple.
+names a failing cover).  No module is built on a cube: every question
+about one (Koszul homology, total (co)fibers, the Betti numbers of f
+restricted along it) is read on f along the cube's vertex tuple.
 
 Module data is keyed by element index (the position in
 ``lattice.elements``): one dim and one natural-map component per index,
@@ -37,7 +36,7 @@ from functools import reduce
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
-from .lattice import Lattice, _bits, _memo, boolean_lattice
+from .lattice import Lattice, _bits, _memo
 from .linalg import FieldSpec, Matrix, NoFactorization, cokernel_projection, rank
 from . import linalg
 
@@ -372,11 +371,11 @@ def free_module(lattice: Lattice, field: FieldSpec,
     """The free module on the generators {element name: multiplicity}:
     dimension at x counts the generators born at or below x; cover maps
     are coordinate inclusions."""
-    mult = {el: int(k) for el, k in gens.items() if k}
+    mult = {el: operator.index(k) for el, k in gens.items()}
     if any(k < 0 for k in mult.values()):
         raise ValueError("negative multiplicity")
     return _free_on(lattice, field, sorted(
-        i for el, k in mult.items() for i in [lattice.index(el)] * k))
+        i for el, k in mult.items() if k for i in [lattice.index(el)] * k))
 
 
 def _free_on(lattice: Lattice, field: FieldSpec, gens: list[int]) -> PersistenceModule:
@@ -499,19 +498,6 @@ def cokernel_of(nt: NatTrans) -> tuple[PersistenceModule, NatTrans]:
                 f"no induced map on cover {lat.element(u)} < {lat.element(v)}")
     module = PersistenceModule(lat, nt.source.field, [q.nrows for q, _ in projs], maps)
     return module, NatTrans(nt.target, module, [q for q, _ in projs])
-
-
-# -- restriction along cubes -------------------------------------------------
-
-
-def restrict_along_cube(f: PersistenceModule, cube: tuple[int, ...]) -> PersistenceModule:
-    """f restricted along a k-cube of its lattice: the module on
-    boolean_lattice(k) whose value at subset mask m is f at cube[m], with
-    the transports of f between vertices as cover maps (checked)."""
-    lat = boolean_lattice(len(cube).bit_length() - 1)
-    return PersistenceModule(
-        lat, f.field, [f.dim_i(x) for x in cube],
-        {(s, t): f.transport_i(cube[s], cube[t]) for s, t in lat.covers_i()})
 
 
 def opposite_module(f: PersistenceModule) -> PersistenceModule:

@@ -13,12 +13,15 @@ read-off keeps); ``image_of_oracle``, the pointwise image of a natural
 map, is what ``gamma_lower_oracle`` takes of t_lower's canonical map, and
 ``functor_axiom_oracle`` walks every up-set where construction checks only
 cover diamonds.  ``check_interval_oracle`` is the pairwise support check
-that ``interval_module`` replaced.  ``betti_oracle`` takes the Koszul
-homology of f restricted along every parent cube, a checked module on
-{0,1}^k, by the cube complex ``koszul`` built before it took its
-boundaries from the degree read-off's local layout; ``betti`` reads the
-local complex off the cover maps of f.  ``tfib_oracle`` and
-``tcofib_oracle`` are the total fiber and cofiber of such a cube module,
+that ``interval_module`` replaced.  ``restrict_along_cube`` is f
+restricted along a cube, a checked module on ``boolean_lattice(k)``, the
+Boolean lattice {0,1}^k; the package builds no module on a cube, and reads
+pdim of such a restriction off the faces of the cube (verify's
+``_restricted_pdim``).  ``betti_oracle`` takes the Koszul homology of f
+restricted along every parent cube, by the cube complex ``koszul`` built
+before it took its boundaries from the degree read-off's local layout;
+``betti`` reads the local complex off the cover maps of f.
+``tfib_oracle`` and ``tcofib_oracle`` are the total fiber and cofiber of such a cube module,
 as ``tfib`` and ``tcofib`` computed them before they read f along the
 cube itself.  The ``canonical_iso_*_oracle``
 pair reads the pdim theorems' canonical-map conditions on the upper
@@ -77,15 +80,14 @@ from pmodcalc.calculus import (ApproxResult, _boundary, gamma_lower,
 from pmodcalc.generators import (CubicalComplex, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
                                  _UnionFind)
-from pmodcalc.lattice import Lattice, _bits, _meet_fill, boolean_lattice, parent_cube
+from pmodcalc.lattice import Lattice, _bits, _meet_fill, parent_cube
 from pmodcalc import linalg
 from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
                              cokernel_projection, hstack, kernel_basis, rank,
                              rref, solve, vstack)
 from pmodcalc.pmodule import (NatTrans, NotConnected, NotConvex,
                               PersistenceModule, _check_compatible,
-                              _covers_between, is_iso, opposite_module,
-                              restrict_along_cube)
+                              _covers_between, is_iso, opposite_module)
 
 
 class NotDownClosed(Exception):
@@ -296,6 +298,22 @@ def koszul_homology_oracle(cube: PersistenceModule) -> list[int]:
     assert all((a @ b).is_zero() for a, b in zip(boundaries, boundaries[1:]))
     ranks = [0] + [rank(d) for d in boundaries] + [0]
     return [dims[i] - ranks[i] - ranks[i + 1] for i in range(k + 1)]
+
+
+def boolean_lattice(k: int) -> Lattice:
+    """The Boolean lattice {0,1}^k, element index and subset mask alike."""
+    return Lattice.grid([1] * k or [0])
+
+
+def restrict_along_cube(f: PersistenceModule, cube: tuple[int, ...]) -> PersistenceModule:
+    """f restricted along a k-cube of its lattice: the module on
+    boolean_lattice(k) whose value at subset mask m is f at cube[m], with
+    the transports of f between vertices as cover maps (checked).  The
+    package reads every cube question on f along the vertex tuple instead."""
+    lat = boolean_lattice(len(cube).bit_length() - 1)
+    return PersistenceModule(
+        lat, f.field, [f.dim_i(x) for x in cube],
+        {(s, t): f.transport_i(cube[s], cube[t]) for s, t in lat.covers_i()})
 
 
 def cube_module_arity(cube: PersistenceModule) -> int:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmodcalc import (FieldSpec, Lattice, Matrix, PersistenceModule,
-                      boolean_lattice, free_module, interval_module, is_iso,
-                      random_module, restrict_along_cube)
+                      free_module, interval_module, is_iso, random_module)
 from pmodcalc.calculus import (PREDICATES, NotAComplex,
                                cr_lower, cr_upper, find_failing_cube, gamma_lower,
                                gamma_upper, is_codegree, is_cross_codegree,
@@ -19,11 +18,11 @@ from pmodcalc.lattice import bicartesian_cubes_cached, parent_cube
 from pmodcalc.linalg import NoFactorization, hstack, rank, solve
 from pmodcalc.pmodule import NatTrans, NonCommutingSquare, NotNatural, direct_sum
 from pmodcalc.verify import table1_modules, nonexample_module
-from oracles import (PREDICATE_ORACLES, NotDownClosed, NotUpClosed, bottom,
-                     colim_over_downset,
+from oracles import (PREDICATE_ORACLES, NotDownClosed, NotUpClosed, boolean_lattice,
+                     bottom, colim_over_downset,
                      cover_cube, dim, downset, gamma_lower_oracle,
                      gamma_lower_sweep_oracle, jdim, koszul_homology_oracle,
-                     leq, lim_over_upset, mdim, solve_left,
+                     leq, lim_over_upset, mdim, restrict_along_cube, solve_left,
                      t_lower_sweep_oracle, top, top_cube, transport, upset)
 
 
@@ -488,7 +487,7 @@ class TestKoszul:
             c = PersistenceModule(lat, field, [1] * 7 + [3], maps)
             kx = koszul(c, top_cube(c))
         assert ranked == [3, 1]  # d_1 and d_3
-        assert c.calc_cache["koszul"][top_cube(c)] == [(3, 0), (3, 3), (3, 0), (1, 1)]  # (c_j, r_j)
+        assert c.calc_cache["koszul"][top_cube(c)] == (0, 0, 2, 0)  # the Betti tuple
         assert [kx.homology(i) for i in range(4)] == koszul_homology_oracle(c) == [0, 0, 2, 0]
         stats_first = PersistenceModule(lat, field, [1] * 7 + [3], maps)
         min_codegree(stats_first)
@@ -559,16 +558,22 @@ class TestPredicates:
     def test_cube_oracle_keeps_koszul_records_of_parent_cubes_only(self, p):
         """find_failing_cube for the four kinds at n = 0..3 on {0,1}^4
         leaves no Koszul record of a cube that is not a parent cube as the
-        lattice stores it, so f's memo stays bounded by its lattice; its
-        answers, and f's Koszul homology on every cube it reads, agree with
-        the oracles."""
+        lattice stores it, so f's memo stays bounded by its lattice; the
+        records the predicates leave are each their cube's whole Betti
+        tuple; the answers, and f's Koszul homology on every cube the oracle
+        reads, agree with the oracles."""
         lat = boolean_lattice(4)
         f = random_module(lat, FieldSpec(p), "records", max_gens=4, max_rels=3)
         for kind, n in itertools.product(sorted(PREDICATES), range(4)):
             found = find_failing_cube(f, n, kind)
             assert (found is None) == PREDICATE_ORACLES[kind](f, n), (kind, n)
+            assert PREDICATES[kind](f, n) == PREDICATE_ORACLES[kind](f, n), (kind, n)
         records = f.calc_cache.get("koszul", {})
-        assert [key for key in records if key is not lat.parent_vertices_i(key[-1])] == []
+        assert records and [key for key in records
+                            if key is not lat.parent_vertices_i(key[-1])] == []
+        for cube, record in records.items():
+            assert type(record) is tuple, cube
+            assert list(record) == koszul_homology_oracle(restrict_along_cube(f, cube)), cube
         for cube in itertools.chain.from_iterable(
                 bicartesian_cubes_cached(lat, k) for k in range(1, 5)):
             kx = koszul(f, cube)

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from pmodcalc import lattice
 from pmodcalc.lattice import (Lattice, NoBottom, NotDistributive,
-                              NotLattice, bicartesian_cubes_cached, boolean_lattice,
+                              NotLattice, bicartesian_cubes_cached,
                               enumerate_bicartesian_cubes, parent_cube)
-from oracles import (arity, bottom, child_cube, children, cover_cube, covers, cube_parts,
-                     cube_top, cube_value, downset, is_strongly_bicartesian,
+from oracles import (arity, boolean_lattice, bottom, child_cube, children, cover_cube,
+                     covers, cube_parts, cube_top, cube_value, downset, is_strongly_bicartesian,
                      jdim, join, join_irreducibles, join_oracle, leq, mdim,
                      meet, meet_oracle, parents, top, upset)
 from test_functor_check import lattices
@@ -461,6 +461,12 @@ class TestGridFromCoordinates:
                                     [(v, u) for u, v in covers(grid)])
         self.assert_same_tables(grid.opposite(), built)
         assert grid.opposite().topo_order() == grid.topo_order()[::-1]
+
+    @pytest.mark.parametrize("maxes", [[1.9, 1], ["2"], [2, 1.0]])
+    def test_bounds_are_integers(self, maxes):
+        # A float or a string bound is refused, not truncated or parsed.
+        with pytest.raises(TypeError):
+            Lattice.grid(maxes)
 
     def test_size_cap(self, monkeypatch):
         with pytest.raises(ValueError, match="has 4160 elements, more than the cap of 4096"):

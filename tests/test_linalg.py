@@ -482,6 +482,26 @@ def test_column_indices_out_of_range_raise():
         assert m.take_cols([2, 2, 0]).to_lists() == [[1, 1, 1], [1, 1, 0]]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_row_and_column_picks_never_wrap(p):
+    """take_cols and take_rows check their indices alike over every field:
+    a negative index, or one past the end, raises IndexError instead of
+    wrapping to the end or failing inside the packed read."""
+    m = Matrix(gf(p), 2, 3, [[1, 0, 1], [0, 1, 1]])
+    for idx in ([-1], [0, -1], (-3,), range(-1, 1), range(2, -2, -1), [3], range(1, 4)):
+        with pytest.raises(IndexError):
+            m.take_cols(idx)
+    for idx in ([-1], [1, -2], range(-1, 1), [2], range(0, 3, 2), iter([0, 5])):
+        with pytest.raises(IndexError):
+            m.take_rows(idx)
+    assert m.take_cols(range(2, -1, -1)).to_lists() == [[1, 0, 1], [1, 1, 0]]
+    assert m.take_cols(range(0, 3, 2)).to_lists() == [[1, 1], [0, 1]]
+    assert m.take_rows(range(1, -1, -1)).to_lists() == [[0, 1, 1], [1, 0, 1]]
+    assert m.take_rows(iter([1])).to_lists() == [[0, 1, 1]]
+    assert m.take_rows(range(-1, -1)).shape == (0, 3)
+    assert m.take_cols(range(-2, -2)).shape == (2, 0)
+
+
 def test_direct_sum_checks_fields():
     a, b = Matrix(gf(2), 1, 1, [[1]]), Matrix(gf(3), 1, 1, [[2]])
     with pytest.raises(ValueError):

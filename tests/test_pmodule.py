@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmodcalc import (FieldSpec, Lattice, Matrix, NatTrans, PersistenceModule,
-                      boolean_lattice, direct_sum, free_module,
+                      direct_sum, free_module,
                       interval_module, is_iso, cokernel_of,
-                      opposite_module, random_module, restrict_along_cube)
+                      opposite_module, random_module)
 from pmodcalc.lattice import parent_cube
 from pmodcalc.linalg import NoFactorization, rank
 from pmodcalc.pmodule import (NonCommutingSquare, NotComparable, NotConnected,
                               NotConvex, NotNatural, sum_inclusion,
                               sum_projection)
 from pmodcalc.pmod_io import print_pmod
-from oracles import (Dense, check_interval_oracle, cokernel_of_oracle,
+from oracles import (Dense, boolean_lattice, check_interval_oracle, cokernel_of_oracle,
                      component, cover_cube, cover_matrix, covers, dim,
                      hom_basis, identity_nat, image_of_oracle, leq, random_hom,
-                     transport, zero_nat)
+                     restrict_along_cube, transport, zero_nat)
 from test_functor_check import lattices
 
 
@@ -98,6 +98,14 @@ class TestTransport:
     def test_identity_on_equal(self, square, gf2):
         f = constant_module(square, gf2)
         assert transport(f, "0,1", "0,1") == Matrix.identity(gf2, 1)
+
+    @pytest.mark.parametrize("mult", [1.7, "1", 2.0, None])
+    def test_free_module_multiplicities_are_integers(self, square, gf2, mult):
+        # A multiplicity that is no integer is refused, not truncated.
+        with pytest.raises(TypeError):
+            free_module(square, gf2, {"0,0": mult})
+        assert free_module(square, gf2, {"0,0": True, "1,1": 0}) == free_module(
+            square, gf2, {"0,0": 1})
 
     def test_free_module_transport_is_inclusion(self, grid22, gf2):
         f = free_module(grid22, gf2, {"0,0": 1, "1,1": 1})

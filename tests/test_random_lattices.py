@@ -11,8 +11,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmodcalc import (FieldSpec, Lattice, Matrix, boolean_lattice, free_module,
-                      interval_module, is_iso, random_module, restrict_along_cube)
+from pmodcalc import (FieldSpec, Lattice, Matrix, free_module, interval_module,
+                      is_iso, random_module)
 from pmodcalc.calculus import (PREDICATES, find_failing_cube, gamma_lower,
                                gamma_upper, is_cross_codegree, is_cross_degree,
                                min_codegree, min_cross_codegree,
@@ -23,14 +23,15 @@ from pmodcalc.lattice import bicartesian_cubes_cached, parent_cube
 from pmodcalc.linalg import hstack, rank, solve, vstack
 from pmodcalc.pmodule import _free_on_blocks, opposite_module
 from pmodcalc.pmod_io import print_pmod
+from pmodcalc.verify import _restricted_pdim
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
-from oracles import (PREDICATE_ORACLES, betti_oracle, bottom, child_cube,
-                     colim_over_downset, component, cube_value, dim,
+from oracles import (PREDICATE_ORACLES, betti_oracle, boolean_lattice, bottom,
+                     child_cube, colim_over_downset, component, cube_value, dim,
                      free_on_components_oracle, free_on_oracle,
                      gamma_lower_sweep_oracle, is_strongly_bicartesian, jdim,
                      join, join_oracle, koszul_homology_oracle, leq,
-                     lim_over_upset, mdim, meet_oracle, solve_left,
+                     lim_over_upset, mdim, meet_oracle, restrict_along_cube, solve_left,
                      t_lower_sweep_oracle, tcofib_oracle, tfib_oracle,
                      top_cube, transport)
 from test_calculus import check_gamma_against_oracles
@@ -402,6 +403,30 @@ def test_cube_readings_match_the_cube_module(grid, points, lattice_seed, p, seed
         assert list(koszul(f, cube).betti) == koszul_homology_oracle(r), cube
         assert tfib(f, cube) == tfib_oracle(r), cube
         assert tcofib(f, cube) == tcofib_oracle(r), cube
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_restricted_pdim_is_read_off_the_faces(p, random_lattices):
+    """verify's restriction-pdim-bound reads pdim of f restricted along a
+    cube on f, with no module built: the largest Betti degree over the
+    faces through the cube's bottom.  On every parent cube and every
+    bicartesian cube of arity 1..3 it equals pdim of the cube module, for
+    random modules and for the module that is the field at the bottom
+    alone, whose restrictions reach pdim 3."""
+    field = FieldSpec(p)
+    lattices = [Lattice.grid(s) for s in ([2, 2], [1, 1, 1], [2, 1, 1])] + random_lattices
+    seen = Counter()
+    for li, lat in enumerate(lattices):
+        cubes = [parent_cube(lat, x) for x in range(lat.n)]
+        for arity in (1, 2, 3):
+            cubes.extend(bicartesian_cubes_cached(lat, arity))
+        modules = [random_module(lat, field, f"faces{li}:{seed}", max_gens=4, max_rels=3)
+                   for seed in range(3)] + [interval_module(lat, field, (bottom(lat),))]
+        for f, cube in itertools.product(modules, cubes):
+            got = _restricted_pdim(f, cube)
+            assert got == pdim(restrict_along_cube(f, cube)), (lat, cube)
+            seen[got] += 1
+    assert {-1, 0, 1, 2, 3} <= set(seen), seen
 
 
 class TestCubeDuality:

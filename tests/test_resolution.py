@@ -6,21 +6,21 @@ from hypothesis import given, settings, strategies as st
 import pmodcalc
 from pmodcalc import (FieldSpec, Lattice, PersistenceModule, direct_sum,
                       free_module, interval_module, opposite_module,
-                      random_module, restrict_along_cube)
+                      random_module)
 from pmodcalc.calculus import (_boundary, gamma_lower, gamma_upper,
                                is_cross_degree, is_degree, koszul,
                                min_codegree, min_cross_codegree,
                                min_cross_degree, min_degree, t_lower, t_upper,
                                tcofib)
-from pmodcalc.lattice import boolean_lattice, parent_cube
+from pmodcalc.lattice import parent_cube
 from pmodcalc.resolution import (betti, check_pdim_theorem_1,
                                  check_pdim_theorem_2, pdim)
 from pmodcalc.verify import nonexample_module, table1_modules
 from pmodcalc import linalg
-from oracles import (betti_oracle, boundary_layout_oracle, boundary_oracle,
+from oracles import (betti_oracle, boolean_lattice, boundary_layout_oracle, boundary_oracle,
                      canonical_iso_1_oracle,
                      canonical_iso_2_oracle, direct_sum_oracle, jdim,
-                     koszul_homology_oracle, top, top_cube)
+                     koszul_homology_oracle, restrict_along_cube, top, top_cube)
 from test_random_lattices import downset_lattice, random_lattice
 
 
