@@ -22,16 +22,11 @@ echelon convention chose, so everything downstream is deterministic.
 Per-module results are memoised on f with no reference to f; the upper
 side, the dual of the lower on f^op, keeps no memo.
 
-An approximation that changes nothing returns its input: the result's
-module is f itself, with identity components, and shares f's memo.
-Each lower sweep tracks whether its canonical component (B_x, eps[x]) has
-been the identity at every element so far; while it has, the legs into x
-are f's own cover maps, so the maps made at x are f's exactly when the
-component at x is the identity too (for t_lower, when also the cokernel
-projection equals the legs).  That result equals the module the sweep
-would build, dims and stored maps alike, so no check is dropped; a sweep
-at n >= the lattice dimension, or of a zero f, always returns it.  The
-upper side gets the same through the two-way memo of opposite_module.
+An approximation that changes nothing returns its input: where the
+read-off below says the canonical map is an isomorphism (the kind's
+statistic is <= n), the result is f itself with identity components, and
+no sweep runs.  The upper side gets the same through the two-way memo of
+opposite_module.
 
 _boundary lays the Koszul complex of a k-cube out once per (k, i) and
 reads its edges through the map it is given.  The local Koszul complex at
@@ -90,9 +85,7 @@ class ApproxResult:
     by element as the sweep reads each basis off its echelon form.
 
     For t and gamma, ``module`` is f itself and ``canonical`` the identity
-    where the approximation changes nothing: the approximations are
-    universal, so a module satisfying the predicate is its own, and equal
-    in dims and stored maps to the module a sweep would build (module
+    where the read-off says the canonical map is an isomorphism (module
     docstring).  Each call makes a new result from what f's memo keeps."""
 
     module: PersistenceModule
@@ -104,73 +97,73 @@ class ApproxResult:
 
 def t_lower(f: PersistenceModule, n: int) -> ApproxResult:
     """The codegree-n approximation: pointwise colimit of f over elements
-    of join-dimension <= n below each point, with the canonical map into f.
+    of join-dimension <= n below each point, with the canonical map into
+    f.  f itself where min_codegree(f) <= n, else ``_t_sweep``."""
+    return _lower("t_lower", _t_sweep, min_codegree, f, n)
 
-    One sweep in a linear extension.  Where jdim(x) <= n the colimit is
-    F(x) itself.  Otherwise the index below x is the union of the indices
-    below the lower covers w of x, overlapping in the index below w ^ w',
-    which is a lower cover of both (the lattice is distributive); so T(x)
-    is the cokernel of the sum of T(w ^ w') into the sum of T(w), d_2 of
-    the local Koszul complex of T at x, and the cover maps T(w) -> T(x)
-    are the blocks of that projection.  Where T(x) = 0 for want of input
-    (F(x) = 0 with jdim(x) <= n, or every T(w) = 0) nothing is computed,
-    and the cover maps into x are the constructor's zeros.  While every
-    eps is the identity the legs are f's own cover maps, so T(x) = F(x)
-    exactly when the projection equals them and eps[x] is the identity;
-    if that holds at every x the result is f itself (module docstring).
-    Otherwise naturality of the canonical map is checked; the result,
-    like every module, is checked on construction.
+
+def _t_sweep(f: PersistenceModule, n: int) -> ApproxResult:
+    """t_lower(f, n) by one sweep in a linear extension, always a new
+    module.  Where jdim(x) <= n the colimit is F(x) itself.  Otherwise the
+    index below x is the union of the indices below the lower covers w of
+    x, overlapping in the index below w ^ w', which is a lower cover of
+    both (the lattice is distributive); so T(x) is the cokernel of the sum
+    of T(w ^ w') into the sum of T(w), d_2 of the local Koszul complex of
+    T at x, and the cover maps T(w) -> T(x) are the blocks of that
+    projection.  Where T(x) = 0 for want of input (F(x) = 0 with jdim(x)
+    <= n, or every T(w) = 0) nothing is computed, and the cover maps into
+    x are the constructor's zeros.  The module is checked on
+    construction, and the canonical map's naturality after.
     """
-    def sweep() -> tuple:  # (the module, None where it is f; eps)
-        lat, field = f.lattice, f.field
-        dims = [0] * lat.n
-        eps: list = [None] * lat.n
-        empty = cache(lambda d: Matrix.zeros(field, d, 0))  # one F(x) x 0 per dim, shared
-        maps: dict[tuple[int, int], Matrix] = {}
-        same = True  # T(y) = F(y) with eps[y] = I at every y swept so far
-        for x in lat.topo_order():
-            ws = lat.parents_i(x)
-            if not (f.dim_i(x) if len(ws) <= n else any(dims[w] for w in ws)):
-                eps[x] = empty(f.dim_i(x))  # T(x) = 0
-                same = same and not f.dim_i(x)
-                continue
-            # The canonical map restricted to each T(w): through F(w) into F(x).
-            legs = [f.transport_i(w, x) @ eps[w] for w in ws]
-            if len(ws) <= n:
-                dims[x] = f.dim_i(x)
-                eps[x] = Matrix.identity(field, dims[x])
-                maps.update(((w, x), leg) for w, leg in zip(ws, legs))
-                continue
-            q, free = cokernel_projection(_boundary(
-                field, lat.parent_vertices_i(x), 2, lambda m, w: maps[(m, w)],
-                dims.__getitem__))
-            dims[x] = q.nrows
-            offset = 0
-            for w in ws:
-                maps[(w, x)] = q.take_cols(range(offset, offset + dims[w]))
-                offset += dims[w]
-            # q is the identity on the columns free; canonical.validate(), or
-            # the identity test of eps[x] below, checks.
-            stacked = hstack(legs)
-            eps[x] = stacked.take_cols(free)
-            same = (same and q == stacked
-                    and eps[x] == Matrix.identity(field, f.dim_i(x)))
-        module = None if same else PersistenceModule(lat, field, dims, maps)
-        if not same:  # with f itself eps is the identity, natural as it stands
-            NatTrans(module, f, eps).validate()
-        return module, tuple(eps)
-    return _lower("t_lower", sweep, f, n)
+    lat, field = f.lattice, f.field
+    dims = [0] * lat.n
+    eps: list = [None] * lat.n
+    empty = cache(lambda d: Matrix.zeros(field, d, 0))  # one F(x) x 0 per dim, shared
+    maps: dict[tuple[int, int], Matrix] = {}
+    for x in lat.topo_order():
+        ws = lat.parents_i(x)
+        if not (f.dim_i(x) if len(ws) <= n else any(dims[w] for w in ws)):
+            eps[x] = empty(f.dim_i(x))  # T(x) = 0
+            continue
+        # The canonical map restricted to each T(w): through F(w) into F(x).
+        legs = [f.transport_i(w, x) @ eps[w] for w in ws]
+        if len(ws) <= n:
+            dims[x] = f.dim_i(x)
+            eps[x] = Matrix.identity(field, dims[x])
+            maps.update(((w, x), leg) for w, leg in zip(ws, legs))
+            continue
+        q, free = cokernel_projection(_boundary(
+            field, lat.parent_vertices_i(x), 2, lambda m, w: maps[(m, w)],
+            dims.__getitem__))
+        dims[x] = q.nrows
+        offset = 0
+        for w in ws:
+            maps[(w, x)] = q.take_cols(range(offset, offset + dims[w]))
+            offset += dims[w]
+        eps[x] = hstack(legs).take_cols(free)  # q is the identity on the columns free
+    module = PersistenceModule(lat, field, dims, maps)
+    return ApproxResult(module, NatTrans(module, f, eps).validate())
 
 
-def _lower(kind: str, sweep: Callable[[], tuple], f: PersistenceModule, n: int) -> ApproxResult:
-    """The lower result ``kind`` of f at n, made from f's memo of what
-    ``sweep`` returns: (the module, None for f itself; the components, a
-    tuple).  The first build checks the components, and a memo hit trusts
-    them (``NatTrans._of``)."""
+def _lower(kind: str, sweep: Callable[[PersistenceModule, int], ApproxResult],
+           statistic: Callable[[PersistenceModule], int],
+           f: PersistenceModule, n: int) -> ApproxResult:
+    """The lower result ``kind`` of f at n, from f's memo of (the module,
+    None for f itself; the components, a tuple): f with identity
+    components where ``statistic(f) <= n``, so that the canonical map is an
+    isomorphism (module docstring), else ``sweep(f, n)``'s.  The first
+    build checks the components, and a memo hit trusts them
+    (``NatTrans._of``)."""
     if n < 0:
         raise ValueError("approximation degree must be >= 0")
+
+    def build() -> tuple:
+        if statistic(f) <= n:
+            return None, tuple(Matrix.identity(f.field, f.dim_i(x)) for x in range(f.lattice.n))
+        res = sweep(f, n)
+        return res.module, tuple(map(res.canonical.component_i, range(f.lattice.n)))
     hit = (kind, n) in f.calc_cache
-    module, components = _memo(f.calc_cache, (kind, n), sweep)
+    module, components = _memo(f.calc_cache, (kind, n), build)
     module = f if module is None else module
     return ApproxResult(module, (NatTrans._of if hit else NatTrans)(module, f, components))
 
@@ -212,50 +205,48 @@ def _layout(k: int, i: int) -> tuple[tuple[int, ...], tuple]:
 def gamma_lower(f: PersistenceModule, n: int) -> ApproxResult:
     """The cross-codegree-n approximation: the image of the canonical map
     T_n F -> F, as a submodule of f with its inclusion as ``canonical``.
+    f itself where min_cross_codegree(f) <= n, else ``_gamma_sweep``."""
+    return _lower("gamma_lower", _gamma_sweep, min_cross_codegree, f, n)
 
-    One sweep in a linear extension, with no Kan extension under it.
-    Where jdim(x) <= n, Gamma(x) = F(x) with basis B_x = I.  Elsewhere
-    Gamma(x) is spanned by the legs L_x = [F(w -> x) B_w] over the lower
-    covers w of x: B_x is the pivot columns of L_x, and the cover maps
-    Gamma(w -> x) are the column blocks of R, the nonzero rows of
-    rref(L_x).  B_x R = L_x is checked at each x (it is naturality of the
-    inclusion on every cover into x) and raises NoFactorization.  Where
-    F(x) = 0, Gamma(x) = 0 and nothing is computed.  While every B is
-    the identity, L_x is f's own cover maps, and so is R when B_x = I by
-    that check; if B_x = I at every x the result is f itself (module
-    docstring).
+
+def _gamma_sweep(f: PersistenceModule, n: int) -> ApproxResult:
+    """gamma_lower(f, n) by one sweep in a linear extension, with no Kan
+    extension under it, always a new module.  Where jdim(x) <= n,
+    Gamma(x) = F(x) with basis B_x = I.  Elsewhere Gamma(x) is spanned by
+    the legs L_x = [F(w -> x) B_w] over the lower covers w of x: B_x is
+    the pivot columns of L_x, and the cover maps Gamma(w -> x) are the
+    column blocks of R, the nonzero rows of rref(L_x).  B_x R = L_x is
+    checked at each x (it is naturality of the inclusion on every cover
+    into x) and raises NoFactorization.  Where F(x) = 0, Gamma(x) = 0 and
+    nothing is computed.
     """
-    def sweep() -> tuple:  # (the module, None where it is f; B)
-        lat, field = f.lattice, f.field
-        bases: list = [Matrix.zeros(field, 0, 0)] * lat.n  # Gamma(x) = 0 unless set
-        maps: dict[tuple[int, int], Matrix] = {}
-        same = True  # B_y = I at every y swept so far
-        for x in lat.topo_order():
-            if not f.dim_i(x):
-                continue
-            ws = lat.parents_i(x)
-            legs = [f.transport_i(w, x) @ bases[w] for w in ws]
-            if len(ws) <= n:
-                bases[x] = Matrix.identity(field, f.dim_i(x))
-                blocks = legs
-            else:
-                stacked = hstack(legs)
-                red, pivots = rref(stacked)
-                bases[x] = stacked.take_cols(pivots)
-                reduced = red.take_rows(range(len(pivots)))
-                if bases[x] @ reduced != stacked:
-                    raise NoFactorization(
-                        f"gamma_lower: the legs into {lat.element(x)} do not "
-                        "factor through their pivot columns")
-                same = same and bases[x] == Matrix.identity(field, f.dim_i(x))
-                blocks, offset = [], 0
-                for leg in legs:
-                    blocks.append(reduced.take_cols(range(offset, offset + leg.ncols)))
-                    offset += leg.ncols
-            maps.update(((w, x), m) for w, m in zip(ws, blocks))
-        return None if same else PersistenceModule(
-            lat, field, [b.ncols for b in bases], maps), tuple(bases)
-    return _lower("gamma_lower", sweep, f, n)
+    lat, field = f.lattice, f.field
+    bases: list = [Matrix.zeros(field, 0, 0)] * lat.n  # Gamma(x) = 0 unless set
+    maps: dict[tuple[int, int], Matrix] = {}
+    for x in lat.topo_order():
+        if not f.dim_i(x):
+            continue
+        ws = lat.parents_i(x)
+        legs = [f.transport_i(w, x) @ bases[w] for w in ws]
+        if len(ws) <= n:
+            bases[x] = Matrix.identity(field, f.dim_i(x))
+            blocks = legs
+        else:
+            stacked = hstack(legs)
+            red, pivots = rref(stacked)
+            bases[x] = stacked.take_cols(pivots)
+            reduced = red.take_rows(range(len(pivots)))
+            if bases[x] @ reduced != stacked:
+                raise NoFactorization(
+                    f"gamma_lower: the legs into {lat.element(x)} do not "
+                    "factor through their pivot columns")
+            blocks, offset = [], 0
+            for leg in legs:
+                blocks.append(reduced.take_cols(range(offset, offset + leg.ncols)))
+                offset += leg.ncols
+        maps.update(((w, x), m) for w, m in zip(ws, blocks))
+    module = PersistenceModule(lat, field, [b.ncols for b in bases], maps)
+    return ApproxResult(module, NatTrans(module, f, bases))
 
 
 def cr_lower(f: PersistenceModule, n: int) -> ApproxResult:

@@ -127,7 +127,9 @@ def check_pdim_theorem_1(f: PersistenceModule, n: int | None = None,
 
     The third condition is read on the opposite module, where that epi
     is the transpose of the inclusion gamma_lower(f^op, n-1) -> f^op, an
-    isomorphism exactly when the epi is; no upper result is built.
+    isomorphism exactly when the epi is; no upper result is built.  Where
+    the second condition holds, the read-off that decides it also makes
+    gamma_lower return f^op itself (``calculus``).
     """
     return _pdim_check(1, f, n, strict, lambda n: (
         pdim(f) <= n - 1,

@@ -3,14 +3,14 @@
 The global Kan-extension oracle computes a (co)limit over the whole
 selected index below (above) an element as the cokernel of one incidence
 map, with no sweep.  ``gamma_lower_oracle`` is the image of the canonical
-map of the Kan extension ``t_lower``, the definition the image sweep of
+map of the Kan extension's sweep, the definition the image sweep of
 ``gamma_lower`` replaces.  ``PREDICATE_ORACLES`` decides the four degree
-predicates by their definitions through the approximations, where the
-package reads them off the cover maps.  The solve-based cokernel body
+predicates by their definitions through the sweeps, where the package
+reads them off the cover maps.  The solve-based cokernel body
 is the reference for the echelon read-off of ``cokernel_of``
 (``solve_left`` solves h*q = r, ``free_columns`` names the columns a
 read-off keeps); ``image_of_oracle``, the pointwise image of a natural
-map, is what ``gamma_lower_oracle`` takes of t_lower's canonical map, and
+map, is what ``gamma_lower_oracle`` takes of that canonical map, and
 ``functor_axiom_oracle`` walks every up-set where construction checks only
 cover diamonds.  ``check_interval_oracle`` is the pairwise support check
 that ``interval_module`` replaced.  ``restrict_along_cube`` is f
@@ -24,9 +24,9 @@ before it took its boundaries from the degree read-off's local layout;
 ``tfib_oracle`` and ``tcofib_oracle`` are the total fiber and cofiber of such a cube module,
 as ``tfib`` and ``tcofib`` computed them before they read f along the
 cube itself.  The ``canonical_iso_*_oracle``
-pair reads the pdim theorems' canonical-map conditions on the upper
-approximations of f itself, where the reports read them on the lower
-side of the opposite module.  ``join_oracle`` and ``meet_oracle`` scan the
+pair reads the pdim theorems' canonical-map conditions off the sweeps of
+the opposite module, where the reports read them through ``gamma_lower``
+and ``t_lower``.  ``join_oracle`` and ``meet_oracle`` scan the
 common upper (lower) bounds for one that lies below (above) all of them,
 where ``Lattice`` looks the join (meet) up by its up-set (down-set) mask;
 ``child_cube``, the parent cube of the opposite lattice, is used only by
@@ -53,9 +53,13 @@ its nonzero blocks.  ``boundary_layout_oracle`` is ``calculus._boundary``
 as it was before it read the meets off the stored parent-cube vertices
 through a cached layout: it meets the lower covers of each subset and
 lays the subsets out by ``itertools.combinations`` on every call.
-``t_lower_sweep_oracle`` and ``gamma_lower_sweep_oracle`` are the two
-lower sweeps as they were before they returned f itself where they change
-nothing: they always build and check a new module.  The element-name
+``t_lower_sweep_oracle`` and ``gamma_lower_sweep_oracle`` are copies of
+the two lower sweeps, ``calculus._t_sweep`` and ``_gamma_sweep``: they
+always build and check a new module.  ``t_lower`` and ``gamma_lower``
+return f itself, with no sweep, wherever the degree read-off says the
+canonical map is an isomorphism, so every oracle above that needs an
+approximation takes it from these copies; through the public functions it
+would check the read-off against itself.  The element-name
 queries at the end (``leq``, ``mdim``, ``upset``, ``join_irreducibles``,
 ``is_strongly_bicartesian``, ``cover_matrix``, ``downset``, ``meet``,
 ``parents``, ``children``, ``transport``, ``join``, ``jdim``, ``bottom``,
@@ -75,8 +79,7 @@ import itertools
 import random
 from typing import Callable
 
-from pmodcalc.calculus import (ApproxResult, _boundary, gamma_lower,
-                               gamma_upper, t_lower, t_upper)
+from pmodcalc.calculus import ApproxResult, _boundary
 from pmodcalc.generators import (CubicalComplex, ImageGrid,
                                  MetricFunctionSpace, UnsupportedDimension,
                                  _UnionFind)
@@ -169,14 +172,14 @@ def lim_over_upset(f: PersistenceModule, x: str,
 
 def gamma_lower_oracle(f: PersistenceModule, n: int) -> ApproxResult:
     """The cross-codegree-n approximation by its definition: the pointwise
-    image of the canonical map t_lower(f, n) -> f, with its inclusion."""
-    return ApproxResult(*image_of_oracle(t_lower(f, n).canonical))
+    image of the canonical map T_n F -> F of the sweep, with its
+    inclusion."""
+    return ApproxResult(*image_of_oracle(t_lower_sweep_oracle(f, n).canonical))
 
 
 def t_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
-    """t_lower's sweep as it was before it returned f unchanged: it always
-    builds a new module and checks its canonical map, and memoises
-    nothing."""
+    """A copy of ``calculus._t_sweep``: it always builds a new module and
+    checks its canonical map, and memoises nothing."""
     if n < 0:
         raise ValueError("approximation degree must be >= 0")
     lat, field = f.lattice, f.field
@@ -210,8 +213,8 @@ def t_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
 
 
 def gamma_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
-    """gamma_lower's image sweep as it was before it returned f unchanged:
-    it always builds a new module, and memoises nothing."""
+    """A copy of ``calculus._gamma_sweep``, the image sweep: it always
+    builds a new module, and memoises nothing."""
     if n < 0:
         raise ValueError("approximation degree must be >= 0")
     lat, field = f.lattice, f.field
@@ -246,13 +249,13 @@ def gamma_lower_sweep_oracle(f: PersistenceModule, n: int) -> ApproxResult:
 
 def is_codegree_oracle(f: PersistenceModule, n: int) -> bool:
     """Codegree n by definition: the canonical map T_n F -> F is an iso."""
-    return is_iso(t_lower(f, n).canonical)
+    return is_iso(t_lower_sweep_oracle(f, n).canonical)
 
 
 def is_cross_codegree_oracle(f: PersistenceModule, n: int) -> bool:
     """Cross-codegree n by definition: Gamma_n F = F, that is the image
     of T_n F -> F, a submodule of f, has the dims of f."""
-    gamma = gamma_lower(f, n).module
+    gamma = gamma_lower_sweep_oracle(f, n).module
     return all(gamma.dim_i(x) == f.dim_i(x) for x in range(f.lattice.n))
 
 
@@ -363,16 +366,18 @@ def betti_oracle(f: PersistenceModule) -> dict[tuple[str, int], int]:
 
 
 def canonical_iso_1_oracle(f: PersistenceModule, n: int) -> bool:
-    """Theorem 1's third condition on f's own lattice: the canonical epi
-    f -> gamma_upper(f, n-1) is an isomorphism."""
-    return is_iso(gamma_upper(f, n - 1).canonical)
+    """Theorem 1's third condition by the sweep: the canonical epi
+    f -> gamma_upper(f, n-1), the transpose of Gamma_(n-1) f^op -> f^op,
+    is an isomorphism."""
+    return is_iso(gamma_lower_sweep_oracle(opposite_module(f), n - 1).canonical)
 
 
 def canonical_iso_2_oracle(f: PersistenceModule, n: int) -> bool:
-    """Theorem 2's third condition on f's own lattice: the composite
-    f -> gamma_upper(f, n-2) -> t_upper of it at n-1 is an isomorphism."""
-    g = gamma_upper(f, n - 2)
-    return is_iso(t_upper(g.module, n - 1).canonical.compose(g.canonical))
+    """Theorem 2's third condition by the sweeps: the composite
+    f -> gamma_upper(f, n-2) -> t_upper of it at n-1, the transpose of
+    T_(n-1) G -> G -> f^op with G = Gamma_(n-2) f^op, is an isomorphism."""
+    g = gamma_lower_sweep_oracle(opposite_module(f), n - 2)
+    return is_iso(g.canonical.compose(t_lower_sweep_oracle(g.module, n - 1).canonical))
 
 
 # -- helpers the package does not call ----------------------------------------

@@ -213,9 +213,10 @@ class TestTLower:
     @pytest.mark.parametrize("corrupt", ["rows", "free"])
     def test_corrupted_projection_is_not_taken_for_unchanged(self, square, gf2,
                                                              monkeypatch, corrupt):
-        # T_1 of the constant k^2 is itself.  A projection with permuted
-        # rows, or with its free columns misreported, must fail the
-        # naturality check rather than pass as f unchanged.
+        # T_1 of the constant k^2 is itself, so t_lower returns f by the
+        # read-off; the sweep still builds it.  A projection with permuted
+        # rows, or with its free columns misreported, must fail the sweep's
+        # naturality check rather than pass as T_1 f.
         f = direct_sum(constant(square, gf2), constant(square, gf2))
         real = calculus.cokernel_projection
 
@@ -227,7 +228,7 @@ class TestTLower:
 
         monkeypatch.setattr(calculus, "cokernel_projection", corrupted)
         with pytest.raises(NotNatural):
-            t_lower(f, 1)
+            calculus._t_sweep(f, 1)
 
 
 class TestTUpper:
@@ -306,11 +307,12 @@ class TestGamma:
             assert recomposed.component_i(i) == tu.canonical.component_i(i)
 
 
-    def test_isomorphic_but_not_equal_is_not_returned(self, square, gf2):
+    def test_isomorphic_but_not_equal_returns_f_itself(self, square, gf2):
         # F(top) = k^2 with F(0,1 -> top) = e2 and F(1,0 -> top) = e1, zero
         # at the bottom: Gamma_1 F and T_1 F are isomorphic to F (the lower
-        # covers span F(top) and meet in 0), but their bases at the top are
-        # the permutation [e2 | e1], not I, so neither may return f itself.
+        # covers span F(top) and meet in 0), so the read-off returns f itself
+        # with identity components, though the sweeps' bases at the top are
+        # the permutation [e2 | e1].
         e1, e2 = Matrix(gf2, 2, 1, [[1], [0]]), Matrix(gf2, 2, 1, [[0], [1]])
         top, left, right = (square.index(x) for x in ("1,1", "0,1", "1,0"))
         dims = [0] * square.n
@@ -318,15 +320,18 @@ class TestGamma:
         f = PersistenceModule(square, gf2, dims, {(left, top): e2, (right, top): e1})
         for approx, oracle in ((gamma_lower, gamma_lower_sweep_oracle),
                                (t_lower, t_lower_sweep_oracle)):
-            res = approx(f, 1)
-            assert res.module is not f and res.module != f
-            assert res.module == oracle(f, 1).module
-            assert is_iso(res.canonical)
-            assert res.canonical.component_i(top) == hstack([e2, e1])
+            res, swept = approx(f, 1), oracle(f, 1)
+            assert res.module is f
+            assert all(res.canonical.component_i(i) == Matrix.identity(gf2, f.dim_i(i))
+                       for i in range(square.n))
+            assert swept.module != f and is_iso(swept.canonical)
+            assert swept.canonical.component_i(top) == hstack([e2, e1])
 
     def test_epi_read_off_is_checked(self, grid22, gf2, monkeypatch):
-        # gamma_lower reads each basis and its cover maps off the reduction
-        # of the stacked legs: a corrupted reduction must be caught.
+        # The image sweep reads each basis and its cover maps off the
+        # reduction of the stacked legs: a corrupted reduction must be
+        # caught.  gamma_lower returns this free module by the read-off, so
+        # the sweep is called itself.
         real = calculus.rref
 
         def corrupted(m):
@@ -338,7 +343,7 @@ class TestGamma:
 
         monkeypatch.setattr(calculus, "rref", corrupted)
         with pytest.raises(NoFactorization):
-            gamma_lower(free_module(grid22, gf2, {"0,0": 1}), 1)
+            calculus._gamma_sweep(free_module(grid22, gf2, {"0,0": 1}), 1)
 
 
 class TestCrossEffects:

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from pmodcalc import (FieldSpec, Lattice, Matrix, free_module, interval_module,
                       is_iso, random_module)
-from pmodcalc.calculus import (PREDICATES, find_failing_cube, gamma_lower,
+from pmodcalc.calculus import (PREDICATES, _gamma_sweep, _t_sweep,
+                               find_failing_cube, gamma_lower,
                                gamma_upper, is_cross_codegree, is_cross_degree,
                                min_codegree, min_cross_codegree,
                                min_cross_degree, min_degree, koszul, t_lower,
@@ -260,7 +261,7 @@ def test_degree_statistics_read_off_betti_supports(grid, points, lattice_seed, p
 def test_predicates_match_the_approximations_and_the_cubes(grid, points,
                                                            lattice_seed, p, seed):
     """Each is_* predicate, read off the cover maps, equals its definition
-    through t_lower / gamma_lower (on the opposite module for the upper
+    through the T and Gamma sweeps (on the opposite module for the upper
     ones) and the bicartesian-cube oracle, for every n up to dim + 1.
     Elements of jdim 3 exercise the signs of the relation matrix over F_3."""
     lat = random_lattice(grid, points, lattice_seed)
@@ -272,9 +273,10 @@ def test_predicates_match_the_approximations_and_the_cubes(grid, points,
             assert got == (find_failing_cube(f, n, kind) is None), (kind, n)
 
 
-#: Each lower approximation with the sweep that always builds a new module.
-LOWER_SWEEPS = ((t_lower, t_lower_sweep_oracle),
-                (gamma_lower, gamma_lower_sweep_oracle))
+#: Each lower approximation with the statistic that decides it, its sweep,
+#: and the sweep's copy in the oracles; both sweeps always build a new module.
+LOWER_SWEEPS = ((t_lower, min_codegree, _t_sweep, t_lower_sweep_oracle),
+                (gamma_lower, min_cross_codegree, _gamma_sweep, gamma_lower_sweep_oracle))
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,13 +284,16 @@ LOWER_SWEEPS = ((t_lower, t_lower_sweep_oracle),
        points=st.integers(2, 4), lattice_seed=st.integers(0, 10 ** 6),
        p=st.sampled_from([2, 3]), kind=st.sampled_from(("random", "free", "gamma")),
        seed=st.integers(0, 10 ** 6))
-def test_lower_sweeps_return_f_exactly_when_they_change_nothing(
+def test_lower_approximations_return_f_exactly_when_the_read_off_allows(
         grid, points, lattice_seed, p, kind, seed):
-    """For every n from 0 to dim + 1, t_lower and gamma_lower equal the
-    sweeps that always build a new module, in module and canonical
-    components, and return f itself exactly when that module is f with
-    identity components; the upper side follows through the opposite.
-    Free modules and Gamma_k of a random module are often unchanged."""
+    """For every n from 0 to dim + 1, t_lower (gamma_lower) returns f
+    itself with identity components exactly when min_codegree
+    (min_cross_codegree) is at most n, and the sweep's canonical map is
+    an isomorphism exactly then; otherwise it equals the sweep in module
+    and canonical components.  The package's sweep equals the oracle's
+    copy at every n.  A memo hit returns the same objects, and the upper
+    side follows through the opposite.  Free modules and Gamma_k of a
+    random module often meet the bound."""
     lat = random_lattice(grid, points, lattice_seed)
     field = FieldSpec(p)
     d = lat.poset_dimension()
@@ -298,18 +303,25 @@ def test_lower_sweeps_return_f_exactly_when_they_change_nothing(
         f = gamma_lower_sweep_oracle(f, seed % (d + 1)).module
     op = opposite_module(f)
     for n in range(d + 2):
-        for fast, slow in LOWER_SWEEPS:
-            got, want = fast(f, n), slow(f, n)
-            assert got.module == want.module, (fast.__name__, n)
-            assert all(got.canonical.component_i(i) == want.canonical.component_i(i)
-                       for i in range(lat.n)), (fast.__name__, n)
-            unchanged = want.module == f and all(
-                want.canonical.component_i(i) == Matrix.identity(field, f.dim_i(i))
-                for i in range(lat.n))
-            assert (got.module is f) == unchanged, (fast.__name__, n)
+        for fast, statistic, sweep, slow in LOWER_SWEEPS:
+            got, want, swept = fast(f, n), slow(f, n), sweep(f, n)
+            assert swept.module == want.module and all(
+                swept.canonical.component_i(i) == want.canonical.component_i(i)
+                for i in range(lat.n)), (fast.__name__, n)
+            components = [got.canonical.component_i(i) for i in range(lat.n)]
+            decided = statistic(f) <= n
+            assert is_iso(want.canonical) == decided, (fast.__name__, n)
+            if decided:
+                assert got.module is f, (fast.__name__, n)
+                assert components == [Matrix.identity(field, f.dim_i(i))
+                                      for i in range(lat.n)], (fast.__name__, n)
+            else:
+                assert got.module is not f and got.module == want.module, (fast.__name__, n)
+                assert components == [want.canonical.component_i(i)
+                                      for i in range(lat.n)], (fast.__name__, n)
             again = fast(f, n)  # read from the memo: same module, same components
             assert again.module is got.module, (fast.__name__, n)
-            assert all(again.canonical.component_i(i) is got.canonical.component_i(i)
+            assert all(again.canonical.component_i(i) is components[i]
                        for i in range(lat.n)), (fast.__name__, n)
         for upper, lower in ((t_upper, t_lower), (gamma_upper, gamma_lower)):
             assert (upper(f, n).module is f) == (lower(op, n).module is op)

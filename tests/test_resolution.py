@@ -399,7 +399,7 @@ def test_block_kernel_matches_the_stacked_zero_blocks(grid, points, lattice_seed
 def test_third_condition_on_opposite_matches_upper_oracle(grid, points,
                                                           lattice_seed, p, kind, seed):
     """The canonical-map condition, read on F^op with gamma_lower and
-    t_lower, equals the dualised-back upper one for every n the check
+    t_lower, equals the one the sweeps give on F^op for every n the check
     accepts (off-hypothesis n included), and neither check leaves an
     upper approximation in the cache of f."""
     lat = random_lattice(grid, points, lattice_seed)
