@@ -10,8 +10,8 @@ from .pmodule import (LatticeMismatch, NatTrans, NonCommutingSquare,
                       NotComparable, NotConnected, NotConvex, NotNatural,
                       PersistenceModule, cokernel_of, direct_sum, free_module,
                       interval_module, is_iso, opposite_module, random_module)
-from .calculus import (ApproxResult, KoszulComplex, NotAComplex, cr_lower,
-                       cr_upper, find_failing_cube, gamma_lower, gamma_upper,
+from .calculus import (ApproxResult, NotAComplex, cr_lower, cr_upper,
+                       find_failing_cube, gamma_lower, gamma_upper,
                        is_codegree, is_cross_codegree, is_cross_degree,
                        is_degree, koszul, min_codegree, min_cross_codegree,
                        min_cross_degree, min_degree, t_lower, t_upper, tcofib,

@@ -24,9 +24,9 @@ side, the dual of the lower on f^op, keeps no memo.
 
 An approximation that changes nothing returns its input: where the
 read-off below says the canonical map is an isomorphism (the kind's
-statistic is <= n), the result is f itself with identity components, and
-no sweep runs.  The upper side gets the same through the two-way memo of
-opposite_module.
+statistic is <= n), the result is f itself with f's one tuple of
+identities, shared by every kind and n, and no sweep runs.  The upper
+side gets the same through the two-way memo of opposite_module.
 
 _boundary lays the Koszul complex of a k-cube out once per (k, i) and
 reads its edges through the map it is given.  The local Koszul complex at
@@ -34,10 +34,10 @@ x is the one on parent_cube(x), the Boolean interval from the meet of the
 lower covers w_1..w_k of x up to x, whose vertices the lattice stores and
 whose edges are covers.  d_1 = C_x = [F(w_a -> x)], the cover maps side
 by side, and d_2 = -R_x, the relations t_lower's sweep glues T(x) by
-(there built from T's own cover maps).  A cube's Koszul homology is one
-value, its Betti tuple, computed in one pass (_local_betti); f's memo
-keeps it per parent cube, which koszul (so betti) and the degree
-statistics share.  Any other cube's is computed on each call and not
+(there built from T's own cover maps).  A cube's Koszul homology is its
+Betti tuple, which koszul returns, computed in one pass (_local_betti);
+f's memo keeps it per parent cube, which koszul (so betti) and the
+degree statistics share.  Any other cube's is computed on each call and not
 kept, so f's memo is bounded by its lattice, whatever cubes the oracle
 asks of it.
 
@@ -84,7 +84,7 @@ class ApproxResult:
     the inclusion of the image sweep, whose naturality is checked element
     by element as the sweep reads each basis off its echelon form.
 
-    For t and gamma, ``module`` is f itself and ``canonical`` the identity
+    For t and gamma, ``module`` is f and ``canonical`` its one identity map
     where the read-off says the canonical map is an isomorphism (module
     docstring).  Each call makes a new result from what f's memo keeps."""
 
@@ -148,24 +148,21 @@ def _t_sweep(f: PersistenceModule, n: int) -> ApproxResult:
 def _lower(kind: str, sweep: Callable[[PersistenceModule, int], ApproxResult],
            statistic: Callable[[PersistenceModule], int],
            f: PersistenceModule, n: int) -> ApproxResult:
-    """The lower result ``kind`` of f at n, from f's memo of (the module,
-    None for f itself; the components, a tuple): f with identity
-    components where ``statistic(f) <= n``, so that the canonical map is an
-    isomorphism (module docstring), else ``sweep(f, n)``'s.  The first
-    build checks the components, and a memo hit trusts them
-    (``NatTrans._of``)."""
+    """The lower result ``kind`` of f at n: f with its one identity tuple
+    (memo "identity", any kind and n) where ``statistic(f) <= n``, as the
+    canonical map is then an isomorphism (module docstring), else the
+    checked ``sweep(f, n)``'s (memo (kind, n)); reads trust both (``_of``)."""
     if n < 0:
         raise ValueError("approximation degree must be >= 0")
-
-    def build() -> tuple:
-        if statistic(f) <= n:
-            return None, tuple(Matrix.identity(f.field, f.dim_i(x)) for x in range(f.lattice.n))
-        res = sweep(f, n)
-        return res.module, tuple(map(res.canonical.component_i, range(f.lattice.n)))
-    hit = (kind, n) in f.calc_cache
-    module, components = _memo(f.calc_cache, (kind, n), build)
-    module = f if module is None else module
-    return ApproxResult(module, (NatTrans._of if hit else NatTrans)(module, f, components))
+    if statistic(f) <= n:
+        module, components = f, _memo(f.calc_cache, "identity", lambda: tuple(
+            Matrix.identity(f.field, f.dim_i(x)) for x in range(f.lattice.n)))
+    else:
+        def build() -> tuple:
+            res = sweep(f, n)
+            return res.module, tuple(map(res.canonical.component_i, range(f.lattice.n)))
+        module, components = _memo(f.calc_cache, (kind, n), build)
+    return ApproxResult(module, NatTrans._of(module, f, components))
 
 
 def _boundary(field: FieldSpec, vertices: tuple[int, ...], i: int, edge, dim) -> Matrix:
@@ -332,21 +329,9 @@ def tcofib(f: PersistenceModule, cube: tuple[int, ...]) -> int:
     return f.dim_i(top) - (rank(hstack(legs)) if k else 0)
 
 
-@dataclass
-class KoszulComplex:
-    """The homology of the Koszul complex on a k-cube, whose degree i sums
-    the vertices that miss i of the k bits."""
-
-    k: int
-    betti: tuple[int, ...]  # dim H_i, degrees 0..k
-
-    def homology(self, i: int) -> int:
-        return self.betti[i] if 0 <= i <= self.k else 0
-
-
-def koszul(f: PersistenceModule, cube: tuple[int, ...]) -> KoszulComplex:
-    """The Koszul complex of f on a cube of its lattice: the Betti tuple
-    of that cube (kept in f's memo for a parent cube only).
+def koszul(f: PersistenceModule, cube: tuple[int, ...]) -> tuple[int, ...]:
+    """The Koszul homology of f on a cube of its lattice, its Betti tuple
+    (dim H_0, .., dim H_k), kept in f's memo for a parent cube only.
 
     ``cube`` is any k-cube of f's lattice (``_check_cube``), else
     ValueError before anything is read.  On parent_cube(x) this is the
@@ -356,8 +341,8 @@ def koszul(f: PersistenceModule, cube: tuple[int, ...]) -> KoszulComplex:
     """
     k = _check_cube(f.lattice, cube)
     if not any(map(f.dim_i, cube)):
-        return KoszulComplex(k, (0,) * (k + 1))
-    return KoszulComplex(k, _local_betti(f, cube))
+        return (0,) * (k + 1)
+    return _local_betti(f, cube)
 
 
 def _local_betti(f: PersistenceModule, cube: tuple[int, ...]) -> tuple[int, ...]:
@@ -396,8 +381,8 @@ def _local_betti(f: PersistenceModule, cube: tuple[int, ...]) -> tuple[int, ...]
 #: degree the top two degrees (cartesian), the cross predicates the total
 #: cofiber / fiber.
 _CUBE_FAILS: dict[str, Callable[[PersistenceModule, tuple[int, ...]], bool]] = {
-    "codegree": lambda f, c: any(koszul(f, c).betti[:2]),
-    "degree": lambda f, c: any(koszul(f, c).betti[-2:]),
+    "codegree": lambda f, c: any(koszul(f, c)[:2]),
+    "degree": lambda f, c: any(koszul(f, c)[-2:]),
     "cross_codegree": lambda f, c: tcofib(f, c) != 0,
     "cross_degree": lambda f, c: tfib(f, c) != 0,
 }

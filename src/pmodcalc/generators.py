@@ -283,13 +283,14 @@ def image_bifiltration_homology(img: ImageGrid, degree: int,
     edge no other square of the chain has.  Where this count is 0 nothing
     is eliminated.  Elsewhere it is taken on the free edges, those a
     union-find taking the edges in index order finds closing a cycle: the
-    others, a spanning forest, are the pivot columns of rref(d1), and column
-    f of kernel_basis(d1) is e_f plus the forest path between the ends of f
-    (``_forest_cycle``).  So cycles restrict isomorphically to the free
-    edges, that column to e_f, and the reduction of [d2 | kernel_basis(d1)]
-    picks the cycles of the free edges whose unit is a pivot of rref([d2 on
-    the free rows | I]); the rows of that rref with pivots in I map a cycle
-    to its coordinates (``_h1_on_free_edges``).  Checked: the count
+    others, a spanning forest, are the pivot columns of rref(d1), and the
+    echelon basis of ker d1 has, per free edge f, the cycle e_f plus the
+    forest path between the ends of f (``_forest_cycle``).  So cycles
+    restrict isomorphically to the free edges, that cycle to e_f, and the
+    reduction of [d2 | that basis] picks the cycles of the free edges whose
+    unit is a pivot of rref([d2 on the free rows | I]); the rows of that
+    rref with pivots in I map a cycle to its coordinates
+    (``_h1_on_free_edges``).  Checked: the count
     (``EulerCountMismatch``), d1 d2 = 0 and d1 z = 0 for each
     representative z (``NotAComplex``), on which the restriction relies.
     """
@@ -374,9 +375,10 @@ def _h1_on_free_edges(complex_: CubicalComplex, field: FieldSpec, ae: list[int],
 
 
 def _forest_cycle(edges: list[tuple[int, int]], forest: dict, f: int, p: int) -> dict[int, int]:
-    """Column f of kernel_basis(d1) as {edge: coefficient}: e_f plus the
-    forest path from the head v of f to its tail u, found by search, each
-    edge signed +1 where the path runs from its tail to its head."""
+    """The echelon kernel basis of d1 at free edge f, as {edge:
+    coefficient}: e_f plus the forest path from the head v of f to its tail
+    u, found by search, each edge signed +1 where the path runs from its
+    tail to its head."""
     u, v = edges[f]
     back, stack = {v: None}, [v]
     while u not in back:

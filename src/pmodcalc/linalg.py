@@ -479,20 +479,14 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """A matrix whose columns are the echelon basis of ker(m), one per free
-    column of rref(m): the transposed cokernel projection of m^T."""
-    return cokernel_projection(m.transpose())[0].transpose()
-
-
 def cokernel_projection(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """A surjection q with q*m = 0 and rank(q) = nrows - rank(m), and the
     columns (the non-pivot columns of rref(m^T)) on which q is the identity.
 
-    q is the transposed kernel_basis of m^T: the echelon basis of the left
-    null space of m, so the projection is deterministic.  It is read off
-    rref(m^T) whole: the row of q of free column f is the unit at f, plus,
-    at the pivot column c of each pivot row r, minus entry f of row r.
+    Its rows, one per free column f of rref(m^T), are the echelon basis of
+    the left null space of m, so q is deterministic.  Read off rref(m^T)
+    whole, row f is the unit at f, plus, at the pivot column c of each
+    pivot row r, minus entry f of row r.
     """
     red, pivots = rref(m.transpose())
     n, p = m.nrows, m.field.p

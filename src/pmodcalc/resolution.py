@@ -1,9 +1,9 @@
 """Betti diagrams and projective dimension.
 
 Betti numbers are the homology of the local Koszul complex at each
-element, calculus.koszul of f on its parent cube (the vertex tuple the
-lattice stores), read off the cover maps of f into the record the degree
-statistics share; a cube zero at every vertex costs one look at its dims.
+element, the Betti tuple calculus.koszul reads off the cover maps of f on
+its parent cube (the vertex tuple the lattice stores), shared with the
+degree statistics; a cube zero at every vertex costs one look at its dims.
 The diagram (names and ints) is memoised in ``calc_cache``; the
 projective dimension is the largest homological degree with a nonzero
 entry.  The two equivalence reports tie projective dimension to the
@@ -50,8 +50,8 @@ class BettiDiagram:
 
 def betti(f: PersistenceModule) -> BettiDiagram:
     """The Betti diagram of f: entry (a, i) is the i-th homology of the
-    local Koszul complex at a, ``koszul`` of f on parent_cube(a), read
-    straight off the cover maps of f.
+    local Koszul complex at a, entry i of ``koszul`` of f on
+    parent_cube(a), read straight off the cover maps of f.
 
     A cube zero at every vertex costs one look at its dims, and each
     boundary's rank is taken once, in the record the statistics share.
@@ -61,7 +61,7 @@ def betti(f: PersistenceModule) -> BettiDiagram:
     lat = f.lattice
     return _memo(f.calc_cache, "betti", lambda: BettiDiagram({
         (lat.element(x), i): h for x in range(lat.n)
-        for i, h in enumerate(koszul(f, parent_cube(lat, x)).betti) if h}))
+        for i, h in enumerate(koszul(f, parent_cube(lat, x))) if h}))
 
 
 def pdim(f: PersistenceModule) -> int:

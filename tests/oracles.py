@@ -67,7 +67,8 @@ queries at the end (``leq``, ``mdim``, ``upset``, ``join_irreducibles``,
 ``cover_cube``, ``top_cube``, ``arity``, ``cube_value``, ``cube_top`` and
 ``cube_parts``) are used only by the tests, so they live here rather than
 in the package, which works by element index.  So do ``image_basis``,
-the pivot columns of a matrix, ``identity_nat`` and ``zero_nat``, and
+the pivot columns of a matrix, ``kernel_basis``, the echelon basis of a
+kernel, ``identity_nat`` and ``zero_nat``, and
 ``hom_basis``, a basis of the natural maps between two modules solved
 from the naturality equations, with ``random_hom``, a random combination
 of it: the tests draw natural maps with it, and no package code calls it.
@@ -86,8 +87,8 @@ from pmodcalc.generators import (CubicalComplex, ImageGrid,
 from pmodcalc.lattice import Lattice, _bits, _meet_fill, parent_cube
 from pmodcalc import linalg
 from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
-                             cokernel_projection, hstack, kernel_basis, rank,
-                             rref, solve, vstack)
+                             cokernel_projection, hstack, rank, rref, solve,
+                             vstack)
 from pmodcalc.pmodule import (NatTrans, NotConnected, NotConvex,
                               PersistenceModule, _check_compatible,
                               _covers_between, is_iso, opposite_module)
@@ -475,6 +476,23 @@ def image_of_oracle(nt):
             for (u, v) in lat.covers_i()}
     module = PersistenceModule(lat, nt.source.field, [b.ncols for b in bases], maps)
     return module, NatTrans(module, nt.target, bases)
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """The echelon basis of ker(m) as columns, one per free column f of
+    rref(m): the unit at f minus, at the pivot column of each pivot row,
+    entry f of that row.  Read off rref(m) itself, not through
+    ``cokernel_projection`` of m^T, whose transpose it equals."""
+    red, pivots = rref(m)
+    p = m.field.p
+    rows = []
+    for f in free_columns(m):
+        row = [0] * m.ncols
+        row[f] = 1
+        for r, c in enumerate(pivots):
+            row[c] = -red[r, f] % p
+        rows.append(row)
+    return Matrix(m.field, len(rows), m.ncols, rows).transpose()
 
 
 def free_columns(m: Matrix) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (_homology_reps, active_oracle, boundary_1_oracle,
                      boundary_2_oracle, cover_matrix, dim, image_basis, top,
-                     image_bifiltration_homology_oracle,
+                     image_bifiltration_homology_oracle, kernel_basis,
                      sublevel_rips_h0_oracle)
 from pmodcalc import generators
 from pmodcalc.calculus import NotAComplex, min_cross_codegree, min_cross_degree
@@ -15,7 +15,7 @@ from pmodcalc.generators import (CubicalComplex, EulerCountMismatch, ImageGrid,
                                  image_bifiltration_homology, random_image,
                                  random_metric_space, sublevel_intersection_check,
                                  sublevel_rips_h0)
-from pmodcalc.linalg import FieldSpec, Matrix, hstack, kernel_basis, rank, rref
+from pmodcalc.linalg import FieldSpec, Matrix, hstack, rank, rref
 from pmodcalc.resolution import pdim
 from pmodcalc.verify import run_suite
 

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmodcalc.linalg import (FieldSpec, Matrix, NoFactorization,
-                             cokernel_projection, hstack, kernel_basis, rank,
-                             rref, solve, vstack)
+                             cokernel_projection, hstack, rank, rref, solve,
+                             vstack)
 from pmodcalc import linalg
 
 from oracles import (cokernel_projection_oracle, dense_cokernel_projection,
                      dense_direct_sum, dense_kernel_basis, dense_multiply,
                      dense_rref, dense_solve, dense_take_cols, dense_transpose,
-                     direct_sum_oracle, free_columns, image_basis, multiply_oracle,
-                     rank_oracle, solve_left, solve_oracle)
+                     direct_sum_oracle, free_columns, image_basis, kernel_basis,
+                     multiply_oracle, rank_oracle, solve_left, solve_oracle)
 
 
 def gf(p):

@@ -1,9 +1,10 @@
 """No memo keeps its owner alive.
 
 Every per-object memo goes through ``lattice._memo``, and no stored value
-refers to the object that holds it: a lower approximation is kept as its
-module (None for f itself) and components, the upper side keeps no memo,
-and the two-way opposite memos point back by a weak reference.  So, with
+refers to the object that holds it: a lower approximation that changes f
+is kept as its module and components, one that does not reads f's one
+tuple of identities, the upper side keeps no memo, and the two-way
+opposite memos point back by a weak reference.  So, with
 automatic garbage collection off, an analysed module or lattice is freed
 by reference counting as soon as its last name goes; for a grid, the
 intern of ``Lattice.grid`` is one such name until it evicts the grid."""
@@ -18,11 +19,13 @@ from pmodcalc.calculus import (PREDICATES, cr_lower, cr_upper, find_failing_cube
                                min_cross_codegree, min_cross_degree, min_degree,
                                t_lower, t_upper)
 from pmodcalc.lattice import bicartesian_cubes_cached, parent_cube
+from pmodcalc.linalg import Matrix
 from pmodcalc.pmodule import NatTrans, opposite_module
 from pmodcalc.resolution import betti, check_pdim_theorem_1, check_pdim_theorem_2
 
 APPROXIMATIONS = (t_lower, t_upper, gamma_lower, gamma_upper, cr_lower, cr_upper)
-MEMO_KEYS = {"t_lower", "gamma_lower", "koszul", "read_off", "betti", "opposite"}
+MEMO_KEYS = {"t_lower", "gamma_lower", "identity", "koszul", "read_off", "betti",
+             "opposite"}
 
 
 def _module(kind: str, lat: Lattice, p: int):
@@ -62,7 +65,9 @@ def test_analysed_module_dies_with_its_last_name(no_gc, shape, kind, p):
 
 @pytest.mark.parametrize("approx", [t_lower, gamma_lower])
 @pytest.mark.parametrize("kind", ["random", "free"])
-def test_a_memo_hit_builds_no_checked_nat_trans(monkeypatch, kind, approx):
+def test_only_a_sweep_builds_a_checked_nat_trans(monkeypatch, kind, approx):
+    """Each sweep checks its canonical map once, on first use; no read, of a
+    sweep's result or of f's identities, builds a checked map."""
     f = _module(kind, Lattice.grid([2, 2]), 3)
     checked, init = [], NatTrans.__init__
 
@@ -71,14 +76,48 @@ def test_a_memo_hit_builds_no_checked_nat_trans(monkeypatch, kind, approx):
         init(self, *args)
 
     monkeypatch.setattr(NatTrans, "__init__", counted)
-    first = approx(f, 1)
-    assert checked  # the first build checks its components
+    ns = range(f.lattice.poset_dimension() + 2)
+    first = [approx(f, n) for n in ns]
+    swept = [n for n in ns if (approx.__name__, n) in f.calc_cache]
+    # The free module changes at n = 0 only; this random one is free on the
+    # bottom, so nothing sweeps and nothing is checked.
+    assert swept == ([0] if kind == "free" else [])
+    assert [args[:2] for args in checked] == [(first[n].module, f) for n in swept]
     checked.clear()
-    hit = approx(f, 1)
+    for n in ns:
+        hit = approx(f, n)
+        assert hit.module is first[n].module and hit.canonical.target is f
+        assert hit.canonical.source is first[n].module
+        assert hit.canonical._components is first[n].canonical._components
     assert checked == []
-    assert hit.module is first.module and hit.canonical.target is f
-    assert hit.canonical.source is first.module
-    assert hit.canonical._components is first.canonical._components
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["random", "free"])
+def test_unchanged_results_share_the_one_identity_tuple(kind, p):
+    """Where the read-off decides that an approximation changes nothing,
+    t_lower and gamma_lower, at every n, return f with f's one memoised
+    tuple of identities and write no (kind, n) key; on f^op too, which is
+    where the upper side reads them."""
+    statistic = {t_lower: min_codegree, gamma_lower: min_cross_codegree}
+    f = _module(kind, Lattice.grid([2, 2]), p)
+    for m in (f, opposite_module(f)):
+        unchanged = 0
+        for approx, stat in statistic.items():
+            for n in range(m.lattice.poset_dimension() + 2):
+                res = approx(m, n)
+                key = (approx.__name__, n)
+                if stat(m) <= n:
+                    unchanged += 1
+                    assert res.module is m and res.canonical.source is m
+                    assert res.canonical.target is m
+                    assert res.canonical._components is m.calc_cache["identity"]
+                    assert key not in m.calc_cache
+                else:
+                    assert res.module is not m and key in m.calc_cache
+        assert unchanged
+        assert m.calc_cache["identity"] == tuple(
+            Matrix.identity(m.field, m.dim_i(x)) for x in range(m.lattice.n))
 
 
 @pytest.mark.parametrize("make", [

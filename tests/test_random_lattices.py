@@ -390,9 +390,10 @@ def test_restriction_along_every_cube(grid, points, lattice_seed, p, arity, seed
             assert r.dim_i(m) == f.dim_i(cube[m])
         for s, t in edges:
             assert r.transport_i(s, t) == f.transport_i(cube[s], cube[t])
-        kx = koszul(r, top_cube(r))
-        assert kx.homology(arity) == tfib(r, top_cube(r))
-        assert kx.homology(0) == tcofib(r, top_cube(r))
+        beta = koszul(r, top_cube(r))
+        assert len(beta) == arity + 1
+        assert beta[arity] == tfib(r, top_cube(r))
+        assert beta[0] == tcofib(r, top_cube(r))
         assert pdim(r) <= bound
 
 
@@ -412,7 +413,7 @@ def test_cube_readings_match_the_cube_module(grid, points, lattice_seed, p, seed
         cubes.extend(bicartesian_cubes_cached(lat, arity))
     for cube in cubes:
         r = restrict_along_cube(f, cube)
-        assert list(koszul(f, cube).betti) == koszul_homology_oracle(r), cube
+        assert list(koszul(f, cube)) == koszul_homology_oracle(r), cube
         assert tfib(f, cube) == tfib_oracle(r), cube
         assert tcofib(f, cube) == tcofib_oracle(r), cube
 

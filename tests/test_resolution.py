@@ -61,7 +61,8 @@ class TestBetti:
         # Independent route: the parent-cube complex at the top is
         # 0 -> 0 -> F^3 -> F^2 with the three coatom lines as columns,
         # so the first homology is the kernel of that 2x3 matrix.
-        from pmodcalc.linalg import Matrix, kernel_basis
+        from pmodcalc.linalg import Matrix
+        from oracles import kernel_basis
         columns = Matrix(gf2, 2, 3, [[0, 1, 1], [1, 0, 1]])
         assert kernel_basis(columns).ncols == 1
 
@@ -285,8 +286,7 @@ def test_betti_matches_restricted_koszul_oracle(grid, points, lattice_seed, p,
         assert got == {}
     for x in range(lat.n):
         cube = restrict_along_cube(f, parent_cube(lat, x))
-        kx = koszul(cube, top_cube(cube))
-        assert [kx.homology(i) for i in range(kx.k + 1)] == koszul_homology_oracle(cube)
+        assert list(koszul(cube, top_cube(cube))) == koszul_homology_oracle(cube)
 
 
 def test_koszul_refuses_what_is_not_a_cube_of_the_module_lattice(grid22, gf2):
@@ -310,7 +310,7 @@ def test_koszul_refuses_what_is_not_a_cube_of_the_module_lattice(grid22, gf2):
             with pytest.raises(ValueError, match="is not a cube of"):
                 koszul(f, cube)
     assert f.calc_cache == {}
-    assert koszul(f, parent_cube(grid22, idx("2,0"))).homology(0) == 0
+    assert koszul(f, parent_cube(grid22, idx("2,0")))[0] == 0
 
 
 def test_koszul_takes_any_cube_of_the_module_lattice(grid22, gf2):
@@ -319,13 +319,12 @@ def test_koszul_takes_any_cube_of_the_module_lattice(grid22, gf2):
     in place of their meet."""
     chain = Lattice.grid([3])
     f = free_module(chain, gf2, {"1": 1})
-    assert koszul(f, (0, 3)).betti == (1, 0)
+    assert koszul(f, (0, 3)) == (1, 0)
     idx = grid22.index
     wide = (idx("0,0"),) + parent_cube(grid22, idx("2,2"))[1:]
     for f in (free_module(grid22, gf2, {"0,0": 1}), free_module(grid22, gf2, {"1,1": 1}),
               free_module(grid22, gf2, {})):
-        got = koszul(f, wide).betti
-        assert list(got) == koszul_homology_oracle(restrict_along_cube(f, wide))
+        assert list(koszul(f, wide)) == koszul_homology_oracle(restrict_along_cube(f, wide))
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from pmodcalc import Lattice, cli, interval_module, random_module, verify
-from pmodcalc.calculus import is_cross_codegree, is_cross_degree, t_upper
+from pmodcalc import (Lattice, Matrix, cli, free_module, interval_module,
+                      random_module, verify)
+from pmodcalc.calculus import ApproxResult, is_cross_codegree, is_cross_degree, t_upper
 from pmodcalc.pmod_io import load_module
-from pmodcalc.pmodule import cokernel_of, direct_sum, opposite_module
+from pmodcalc.pmodule import NatTrans, cokernel_of, direct_sum, opposite_module
 from pmodcalc.verify import (SuiteReport, UnknownSuite, gamma1_example,
                              approximation_preserves_cross_predicate,
                              nonexample_module, run_suite, suite_names,
@@ -210,6 +211,26 @@ class TestTheoremSuites:
         for seed in range(20):
             verify._lower_battery(record, f, g, direct_sum(f, g), random.Random(seed), str(seed))
         assert outcomes == [not patched] * 20
+
+
+    @pytest.mark.parametrize("patched", [False, True])
+    def test_idempotence_is_read_on_the_sweep(self, square, gf2, monkeypatch, patched):
+        """Γ_n f is cross-codegree n, so gamma_lower returns it unchanged by
+        the read-off; idempotent-comonad must check the sweep's canonical
+        map instead.  A sweep whose map is not an isomorphism must fail it
+        at both n."""
+        f = free_module(square, gf2, {"0,0": 1})
+        if patched:
+            monkeypatch.setattr(verify, "_gamma_sweep", lambda m, n: ApproxResult(m, NatTrans(
+                m, m, [Matrix.zeros(gf2, m.dim_i(x), m.dim_i(x)) for x in range(square.n)])))
+        outcomes = []
+
+        def record(prop, passed, module, seed):
+            if prop == "idempotent-comonad":
+                outcomes.append(passed)
+
+        verify._gamma_battery(record, f, "0")
+        assert outcomes == [not patched] * 2
 
 
 class TestApproximationPreservation:
