@@ -3,20 +3,21 @@
 Elements are named by opaque string ids, but every query and cube takes
 and returns element indices (positions in ``elements``); names are met
 only where text crosses the boundary, through ``index`` and ``element``.
-The order relation is kept as per-element bitmasks, so cover / join /
-meet queries and subposet extraction stay cheap for the ~100-element
-grids the generators produce.
 
 A lattice is built either from an explicit cover list or as a product
-of chains (``Lattice.grid``), and every lattice is distributive.  Join
-and meet are read off the order masks, one rule for every lattice: the
-upper bounds of i and j are the up-set of their join, and the lower
-bounds the down-set of their meet, so two {mask: index} dicts of n
-entries find both.  A grid's order and covers are read off the element
-coordinates, with no pairwise comparison; it may have at most
-``MAX_GRID_ELEMENTS`` elements, a bound on the input.  A grid depends on
-its shape alone, so ``Lattice.grid`` interns the most recently used grids,
-up to ``MAX_GRID_ELEMENTS`` elements in all: the modules on one shape share
+of chains (``Lattice.grid``), and every lattice is distributive, so by
+Birkhoff's representation theorem it is the down-sets of its
+join-irreducibles J (the elements with one lower cover, numbered by
+index).  Each element keeps one |J|-bit order mask, the J at or below
+it, and one {mask: index} dict finds an element by its mask: <= is
+subset, join is OR, meet is AND, and the opposite lattice takes the
+complements.  The n-bit down- and up-sets of elements are found on first
+use from the Hasse tables; no order query reads them.  A grid's masks
+and covers are read off the element coordinates (J is its axis points),
+with no pairwise comparison; it may have at most ``MAX_GRID_ELEMENTS``
+elements, a bound on the input.  A grid depends on its shape alone, so
+``Lattice.grid`` interns the most recently used grids, up to
+``MAX_GRID_ELEMENTS`` elements in all: the modules on one shape share
 one lattice and its memo (parent cubes, jdim order, opposite, bicartesian
 cubes), and an evicted grid is freed with its last name.  Grids are
 distributive by construction, and so is the opposite of a distributive
@@ -110,31 +111,26 @@ def _reach(order: Iterable[int], succ: Sequence[Iterable[int]]) -> list[int]:
 
 
 class Lattice:
-    """A finite lattice with precomputed order masks and Hasse tables."""
+    """A finite distributive lattice with one order mask per element and
+    precomputed Hasse tables."""
 
-    __slots__ = ("elements", "_idx", "n", "_up", "_down", "_by_up", "_by_down", "_covers",
-                 "_parents", "_children", "_topo", "grid_shape", "_dimension", "_memo",
-                 "__weakref__")
+    __slots__ = ("elements", "_idx", "n", "_mask", "_by_mask", "_covers", "_parents",
+                 "_children", "_topo", "grid_shape", "_dimension", "_memo", "__weakref__")
 
-    def __init__(self, elements: Sequence[str], up: list[int], down: list[int],
+    def __init__(self, elements: Sequence[str], masks: list[int],
                  parents: list[tuple[int, ...]], children: list[tuple[int, ...]],
-                 topo: tuple[int, ...] | None = None,
-                 grid_shape: tuple[int, ...] | None = None):
+                 topo: Sequence[int], grid_shape: tuple[int, ...] | None = None):
         # Not meant to be called directly: from_covers, grid and opposite
-        # build the masks and Hasse tables, this stores them and builds the
-        # {up mask: index} and {down mask: index} dicts.
+        # build the order masks, the Hasse tables and the linear extension
+        # (by down-set size, ties by index); this stores them and builds the
+        # {mask: index} dict.
         self.elements = tuple(elements)
         self.n = len(self.elements)
         self._idx = {e: i for i, e in enumerate(self.elements)}
-        self._up, self._down = up, down
+        self._mask, self._by_mask = masks, {m: i for i, m in enumerate(masks)}
         self._parents, self._children = parents, children
         self._covers = tuple((i, j) for i, cs in enumerate(children) for j in cs)
-        self._by_up = {m: i for i, m in enumerate(up)}
-        self._by_down = {m: i for i, m in enumerate(down)}
-        # Linear extension: sort by downset size, ties by index (sorted is
-        # stable).
-        self._topo = topo if topo is not None else tuple(
-            sorted(range(self.n), key=[d.bit_count() for d in down].__getitem__))
+        self._topo = tuple(topo)
         self.grid_shape = grid_shape
         self._dimension = max(map(len, parents), default=0)
         self._memo: dict = {}
@@ -161,34 +157,26 @@ class Lattice:
         if len(idx) != n:
             raise ValueError("duplicate element ids")
         succ: list[set[int]] = [set() for _ in range(n)]
-        indeg = [0] * n
-        seen = set()
+        pred: list[set[int]] = [set() for _ in range(n)]
         for u, v in covers:
             if u not in idx or v not in idx:
                 raise ValueError(f"cover mentions unknown element: {u!r} < {v!r}")
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
             succ[idx[u]].add(idx[v])
-            indeg[idx[v]] += 1
+            pred[idx[v]].add(idx[u])
         # Kahn topological order; a leftover node means a cycle.
         order: list[int] = []
+        indeg = [len(ps) for ps in pred]
         queue = [i for i in range(n) if indeg[i] == 0]
-        indeg2 = list(indeg)
         while queue:
             i = queue.pop()
             order.append(i)
             for j in succ[i]:
-                indeg2[j] -= 1
-                if indeg2[j] == 0:
+                indeg[j] -= 1
+                if indeg[j] == 0:
                     queue.append(j)
         if len(order) != n:
             raise NotLattice("cover relation contains a cycle")
-        up = _reach(reversed(order), succ)
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
+        up, down = _reach(reversed(order), succ), _reach(order, pred)
         # The closure of an acyclic relation is antisymmetric, so the Hasse
         # diagram is the pairs with nothing strictly between them.
         parents: list[list[int]] = [[] for _ in range(n)]
@@ -198,8 +186,13 @@ class Lattice:
                 if up[i] & down[j] & ~(1 << i) & ~(1 << j) == 0:
                     parents[j].append(i)
                     children[i].append(j)
-        return cls(elements, up, down, [tuple(ps) for ps in parents],
-                   [tuple(cs) for cs in children]).validate()
+        # Bit b of i's mask: the b-th join-irreducible is at or below i
+        # (meaningless unless validate passes).
+        irr = [j for j in range(n) if len(parents[j]) == 1]
+        masks = [sum(1 << b for b, j in enumerate(irr) if d >> j & 1) for d in down]
+        return cls(elements, masks, [tuple(ps) for ps in parents],
+                   [tuple(cs) for cs in children],
+                   sorted(range(n), key=[d.bit_count() for d in down].__getitem__)).validate()
 
     @classmethod
     def grid(cls, maxes: Sequence[int]) -> "Lattice":
@@ -238,9 +231,13 @@ class Lattice:
         backwards = list(zip(maxes, strides))[::-1]
         children = [tuple(i + s for c, (m, s) in zip(reversed(t), backwards) if c < m)
                     for i, t in enumerate(coords)]
-        down, up = _reach(range(n), parents), _reach(reversed(range(n)), children)
-        return cls([",".join(map(str, t)) for t in coords], up, down, parents,
-                   children, grid_shape=maxes)
+        # J is the axis points, last axis first: axis k's run of bits starts
+        # at the sum of the later bounds, and t sets the first t[k] of them.
+        offsets = [sum(maxes[k + 1:]) for k in range(len(maxes))]
+        masks = [sum(((1 << c) - 1) << o for c, o in zip(t, offsets)) for t in coords]
+        return cls([",".join(map(str, t)) for t in coords], masks, parents, children,
+                   sorted(range(n), key=lambda i: math.prod(c + 1 for c in coords[i])),
+                   grid_shape=maxes)
 
     # -- validation ------------------------------------------------------
 
@@ -248,20 +245,23 @@ class Lattice:
         """Check that the order is a distributive lattice.
 
         Raises the first violation found (NoBottom / NotLattice /
-        NotDistributive); returns self when everything holds.  A pair of
-        elements has a join exactly when its common upper bounds are the
-        up-set of some element, and a meet likewise; ``join_i`` and
-        ``meet_i`` look those elements up.
+        NotDistributive); returns self when everything holds.  It reads the
+        down- and up-sets of the Hasse tables, not the order masks, which
+        mean nothing on an input that fails.  A pair of elements has a join
+        exactly when its common upper bounds are the up-set of some element,
+        and a meet likewise.
         """
-        n, up, down, name = self.n, self._up, self._down, self.elements
+        n, name = self.n, self.elements
+        up, down = [self.upset_mask(i) for i in range(n)], [self.downset_mask(i) for i in range(n)]
+        by_up, by_down = {m: i for i, m in enumerate(up)}, {m: i for i, m in enumerate(down)}
         minimal = [i for i in range(n) if down[i] == (1 << i)]
         if len(minimal) != 1:
             raise NoBottom(f"{len(minimal)} minimal elements, need exactly 1")
         for i in range(n):
             for j in range(i, n):
-                if up[i] & up[j] not in self._by_up:
+                if up[i] & up[j] not in by_up:
                     raise NotLattice(f"no least upper bound for {name[i]}, {name[j]}")
-                if down[i] & down[j] not in self._by_down:
+                if down[i] & down[j] not in by_down:
                     raise NotLattice(
                         f"no greatest lower bound for {name[i]}, {name[j]}")
         # Transitivity of the closure is structural; recheck cheaply.
@@ -277,7 +277,7 @@ class Lattice:
         irr = sum(1 << i for i, ps in enumerate(self._parents) if len(ps) == 1)
         for y in range(n):
             for z in range(y + 1, n):
-                bad = down[self.join_i(y, z)] & irr & ~(down[y] | down[z])
+                bad = down[by_up[up[y] & up[z]]] & irr & ~(down[y] | down[z])
                 if bad:
                     x = (bad & -bad).bit_length() - 1
                     raise NotDistributive(
@@ -300,15 +300,15 @@ class Lattice:
     # -- order queries ----------------------------------------------------
 
     def leq_i(self, i: int, j: int) -> bool:
-        return bool(self._up[i] & (1 << j))
+        return not self._mask[i] & ~self._mask[j]
 
     def join_i(self, i: int, j: int) -> int:
-        """The element whose up-set is the common upper bounds of i and j."""
-        return self._by_up[self._up[i] & self._up[j]]
+        """The element whose mask is the union of the masks of i and j."""
+        return self._by_mask[self._mask[i] | self._mask[j]]
 
     def meet_i(self, i: int, j: int) -> int:
-        """The element whose down-set is the common lower bounds of i and j."""
-        return self._by_down[self._down[i] & self._down[j]]
+        """The element whose mask is the intersection of the masks of i and j."""
+        return self._by_mask[self._mask[i] & self._mask[j]]
 
     def covers_i(self) -> tuple[tuple[int, int], ...]:
         return self._covers
@@ -327,10 +327,12 @@ class Lattice:
         return self._dimension
 
     def downset_mask(self, i: int) -> int:
-        return self._down[i]
+        """The element set at or below i, as n bits."""
+        return _memo(self._memo, "down", lambda: _reach(self._topo, self._parents))[i]
 
     def upset_mask(self, i: int) -> int:
-        return self._up[i]
+        """The element set at or above i, as n bits."""
+        return _memo(self._memo, "up", lambda: _reach(self._topo[::-1], self._children))[i]
 
     def topo_order(self) -> tuple[int, ...]:
         return self._topo
@@ -347,27 +349,24 @@ class Lattice:
     def induced_covers(self, indices: Iterable[int]) -> list[tuple[int, int]]:
         """Hasse diagram of the induced subposet, by transitive reduction."""
         idx = sorted(set(indices))
-        mask = 0
-        for i in idx:
-            mask |= 1 << i
-        out = []
+        mask = sum(1 << i for i in idx)
+        out = []  # sorted: u and then v ascend
         for u in idx:
-            above = self._up[u] & mask & ~(1 << u)
+            above = self.upset_mask(u) & mask & ~(1 << u)
             for v in _bits(above):
-                between = self._up[u] & self._down[v] & mask & ~(1 << u) & ~(1 << v)
-                if between == 0:
+                if not above & self.downset_mask(v) & ~(1 << v):  # nothing between
                     out.append((u, v))
-        out.sort()
         return out
 
     def opposite(self) -> "Lattice":
         """The same elements with the order reversed.
 
-        Built once by swapping the order masks and the Hasse tables, held by
-        this lattice and pointing back weakly: while this lattice lives, the
-        opposite of the opposite is this lattice."""
+        Built once by complementing the masks against the top's and swapping
+        the Hasse tables, held by this lattice and pointing back weakly: while
+        this lattice lives, the opposite of the opposite is this lattice."""
         def build():
-            op = Lattice(self.elements, self._down, self._up, self._children,
+            top = self._mask[self._topo[-1]]
+            op = Lattice(self.elements, [top ^ m for m in self._mask], self._children,
                          self._parents, self._topo[::-1])
             op._memo["opposite"] = weakref.ref(self)
             return op
@@ -375,12 +374,13 @@ class Lattice:
 
     # -- equality ---------------------------------------------------------
 
+    # The elements and the Hasse diagram: masks may number J differently.
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, Lattice) and self.elements
-                                 == other.elements and self._up == other._up)
+                                 == other.elements and self._parents == other._parents)
 
     def __hash__(self) -> int:
-        return hash((self.elements, tuple(self._up)))
+        return hash((self.elements, tuple(self._parents)))
 
     def __repr__(self) -> str:
         shape = f", grid={self.grid_shape}" if self.grid_shape else ""

@@ -436,8 +436,10 @@ class TestGridFromCoordinates:
 
     @staticmethod
     def assert_same_tables(a, b):
-        assert a.elements == b.elements
-        assert a._up == b._up and a._down == b._down
+        assert a.elements == b.elements and a == b and hash(a) == hash(b)
+        for i in range(a.n):
+            assert a.downset_mask(i) == b.downset_mask(i)
+            assert a.upset_mask(i) == b.upset_mask(i)
         for i in range(a.n):
             for j in range(a.n):
                 assert a.join_i(i, j) == b.join_i(i, j) == join_oracle(a, i, j)

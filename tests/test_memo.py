@@ -31,7 +31,9 @@ MEMO_KEYS = {"t_lower", "gamma_lower", "identity", "koszul", "read_off", "betti"
 def _module(kind: str, lat: Lattice, p: int):
     if kind == "free":  # the lower approximations at n >= 1 return f itself
         return free_module(lat, FieldSpec(p), {lat.element(1): 1, lat.element(2): 2})
-    return random_module(lat, FieldSpec(p), f"refcount-{kind}", max_gens=4, max_rels=3)
+    # Not constant: its lower approximations sweep over GF(2) and F_3, as
+    # the tests below assert.
+    return random_module(lat, FieldSpec(p), "refcount-changed", max_gens=4, max_rels=3)
 
 
 def _analyse(f) -> None:
@@ -54,6 +56,7 @@ def test_analysed_module_dies_with_its_last_name(no_gc, shape, kind, p):
     lat = Lattice.grid(shape)
     f = _module(kind, lat, p)
     _analyse(f)
+    assert ("t_lower", 0) in f.calc_cache  # a sweep ran: its memo must go too
     op = opposite_module(f)
     assert all({key if isinstance(key, str) else key[0] for key in m.calc_cache} <= MEMO_KEYS
                for m in (f, op))
@@ -79,9 +82,8 @@ def test_only_a_sweep_builds_a_checked_nat_trans(monkeypatch, kind, approx):
     ns = range(f.lattice.poset_dimension() + 2)
     first = [approx(f, n) for n in ns]
     swept = [n for n in ns if (approx.__name__, n) in f.calc_cache]
-    # The free module changes at n = 0 only; this random one is free on the
-    # bottom, so nothing sweeps and nothing is checked.
-    assert swept == ([0] if kind == "free" else [])
+    # The free module changes at n = 0 only, the random one at n = 0 and 1.
+    assert swept == ([0] if kind == "free" else [0, 1])
     assert [args[:2] for args in checked] == [(first[n].module, f) for n in swept]
     checked.clear()
     for n in ns:
@@ -102,7 +104,7 @@ def test_unchanged_results_share_the_one_identity_tuple(kind, p):
     statistic = {t_lower: min_codegree, gamma_lower: min_cross_codegree}
     f = _module(kind, Lattice.grid([2, 2]), p)
     for m in (f, opposite_module(f)):
-        unchanged = 0
+        unchanged = changed = 0
         for approx, stat in statistic.items():
             for n in range(m.lattice.poset_dimension() + 2):
                 res = approx(m, n)
@@ -114,8 +116,9 @@ def test_unchanged_results_share_the_one_identity_tuple(kind, p):
                     assert res.canonical._components is m.calc_cache["identity"]
                     assert key not in m.calc_cache
                 else:
+                    changed += 1
                     assert res.module is not m and key in m.calc_cache
-        assert unchanged
+        assert unchanged and changed
         assert m.calc_cache["identity"] == tuple(
             Matrix.identity(m.field, m.dim_i(x)) for x in range(m.lattice.n))
 

@@ -195,17 +195,23 @@ class TestDownsetLattices:
 
 
 @settings(max_examples=60, deadline=None)
-@given(points=st.integers(1, 5), lattice_seed=st.integers(0, 10 ** 6))
-def test_join_and_meet_match_the_bound_scan(points, lattice_seed):
-    """join_i / meet_i, looked up by the up- and down-set masks, are the
-    least upper and greatest lower bounds a scan of all bounds finds, on
-    a down-set lattice and on its opposite."""
-    lat = downset_lattice(points, random.Random(lattice_seed))
+@given(grid=st.sampled_from([None, None, [0], [3], [1, 1], [2, 3], [1, 2, 1]]),
+       points=st.integers(1, 5), lattice_seed=st.integers(0, 10 ** 6))
+def test_join_and_meet_match_the_bound_scan(grid, points, lattice_seed):
+    """join_i / meet_i / leq_i, read off the join-irreducible masks, are
+    the least upper bound, greatest lower bound and order that a scan of
+    the Hasse-derived up- and down-sets finds, on a grid or a down-set
+    lattice and on its opposite; each mask has one bit per element with
+    one lower cover."""
+    lat = random_lattice(grid, points, lattice_seed)
     for lt in (lat, lat.opposite()):
+        irreducibles = [i for i in range(lt.n) if len(lt.parents_i(i)) == 1]
+        assert all(0 <= m < 1 << len(irreducibles) for m in lt._mask)
         for i in range(lt.n):
             for j in range(lt.n):
                 assert lt.join_i(i, j) == join_oracle(lt, i, j) >= 0
                 assert lt.meet_i(i, j) == meet_oracle(lt, i, j) >= 0
+                assert lt.leq_i(i, j) == bool(lt.upset_mask(i) >> j & 1)
 
 
 @settings(max_examples=60, deadline=None)
